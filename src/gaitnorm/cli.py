@@ -30,7 +30,7 @@ from .detect import (DetectionConfig, build_report, frame_statuses,
 from .errors import ValidationError
 from .kinematics import DEFAULT_MIN_VISIBILITY, JOINT_NAMES, angle_series_set
 from .normative import build_normative_model, model_summary
-from .pose_io import (load_cycles, load_norm_model, load_report,
+from .pose_io import (_dump, load_cycles, load_norm_model, load_report,
                       parse_annotation_document, parse_pose_sequence,
                       save_angle_series, save_cycles, save_norm_model,
                       save_report)
@@ -48,10 +48,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _canonical_json(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=1) + "\n").encode()
 
 
 def _add_detection_flags(p):
@@ -199,12 +195,15 @@ def _load_sequence(args):
                                video_id=video_id)
 
 
-def _segment_and_resample(args, seq, annotations):
+def _frame_times(args, seq):
+    """Frame index -> seconds under ``--phase-source time``, else None."""
+    if getattr(args, "phase_source", "frames") != "time":
+        return None
+    return {f.frame_index: f.time_s for f in seq.frames if f.time_s is not None}
+
+
+def _segment_and_resample(args, seq, annotations, frame_times):
     series = angle_series_set(seq, args.min_visibility)
-    frame_times = None
-    if getattr(args, "phase_source", "frames") == "time":
-        frame_times = {f.frame_index: f.time_s for f in seq.frames
-                       if f.time_s is not None}
     slices = segment_cycles(series, annotations, video_id=seq.video_id,
                             frame_times=frame_times)
     return [(s, resample_cycle(s, args.grid_points)) for s in slices]
@@ -228,7 +227,8 @@ def cmd_segment(args) -> int:
     video_id = args.video_id if getattr(args, "video_id", None) else \
         (ann_video_id or Path(args.keypoints).stem)
     seq = parse_pose_sequence(seq_data, strict=args.strict, video_id=video_id)
-    pairs = _segment_and_resample(args, seq, annotations)
+    pairs = _segment_and_resample(args, seq, annotations,
+                                  _frame_times(args, seq))
     cycles = [c for _, c in pairs]
     Path(args.out).write_bytes(save_cycles(cycles))
     print(f"wrote {len(cycles)} normalized cycles to {args.out}")
@@ -336,8 +336,7 @@ def cmd_figures(args) -> int:
             statuses = frame_statuses([(report.annotation, report.flag)],
                                       seq.frame_indices(), model.grid_points)
             records = figs.annotate_frames(seq, statuses)
-            (out_dir / f"{base}.overlays.json").write_bytes(
-                _canonical_json(records))
+            (out_dir / f"{base}.overlays.json").write_bytes(_dump(records))
             written += 1
 
     print(f"wrote {written} figure document(s) to {out_dir}")
@@ -364,7 +363,8 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    pairs = _segment_and_resample(args, seq, annotations)
+    frame_times = _frame_times(args, seq)
+    pairs = _segment_and_resample(args, seq, annotations, frame_times)
     files = []
 
     if args.model:
@@ -410,10 +410,10 @@ def cmd_run(args) -> int:
         files.append(band_path)
 
     statuses = frame_statuses(cycle_flags, seq.frame_indices(),
-                              model.grid_points)
+                              model.grid_points, frame_times=frame_times)
     records = figs.annotate_frames(seq, statuses)
     overlay_path = out_dir / f"{video_id}.overlays.json"
-    overlay_path.write_bytes(_canonical_json(records))
+    overlay_path.write_bytes(_dump(records))
     files.append(overlay_path)
 
     print(f"analyzed {len(pairs)} cycle(s) of {video_id!r}; wrote "

@@ -7,11 +7,18 @@ a fixed grid (101 points, i.e. 1% steps, by default) with a natural cubic
 spline fitted through the non-missing samples, which also fills interior
 gaps.  Joints without enough coverage are marked invalid instead of being
 extrapolated: spline extrapolation is wild and clinically misleading.
+
+The work is array-at-a-time.  A cycle is cut from a joint's sorted frame
+indices with two ``np.searchsorted`` calls, so each cut costs
+O(log frames); its phases are computed as one array, and the spline is
+evaluated over the whole grid in one call.  ``CycleSlice`` holds those
+(phase, angle) columns, NaN marking a missing angle; its list-of-pairs
+view is built only when ``samples`` is read.
 """
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,18 +39,40 @@ MIN_KNOTS_PER_CYCLE = 4
 # the fitted span.
 EDGE_COVERAGE_PERCENT = 0.5
 
+_Pairs = Sequence[Tuple[float, Optional[float]]]
 
-@dataclass
+
 class CycleSlice:
     """Raw per-joint (phase, angle) samples for one annotated cycle.
 
-    Missing samples are preserved as ``None`` angles so the resampler can
-    see (and refuse to bridge) coverage gaps at the cycle edges.
+    ``columns[joint]`` is a pair of equal-length float arrays, phases in
+    percent and angles in degrees.  Missing samples stay in place as NaN
+    angles so the resampler can see (and refuse to bridge) coverage gaps
+    at the cycle edges.  Passing ``samples`` (joint -> (phase, angle or
+    None) pairs) builds the columns from pairs; reading ``samples`` builds
+    the pairs from the columns.
     """
 
-    annotation: CycleAnnotation
-    samples: Dict[str, List[Tuple[float, Optional[float]]]]
-    video_id: str = ""
+    def __init__(self, annotation: CycleAnnotation,
+                 samples: Optional[Mapping[str, _Pairs]] = None,
+                 video_id: str = "", *,
+                 columns: Optional[Dict[str, Tuple[np.ndarray,
+                                                   np.ndarray]]] = None):
+        self.annotation = annotation
+        self.video_id = video_id
+        if samples is not None:
+            columns = {
+                joint: (np.array([p for p, _ in pairs], dtype=float),
+                        np.array([np.nan if a is None else a
+                                  for _, a in pairs], dtype=float))
+                for joint, pairs in samples.items()}
+        self.columns = columns if columns is not None else {}
+
+    @property
+    def samples(self) -> Dict[str, List[Tuple[float, Optional[float]]]]:
+        return {joint: [(p, None if a != a else a)
+                        for p, a in zip(phases.tolist(), angles.tolist())]
+                for joint, (phases, angles) in self.columns.items()}
 
     @property
     def cycle_id(self) -> str:
@@ -110,32 +139,33 @@ def segment_cycles(series_by_joint: Mapping[str, AngleSeries],
     """
     if not series_by_joint:
         raise ValidationError("no angle series given")
-    first = next(iter(series_by_joint.values()))
-    frame_set = {s.frame_index for s in first.samples}
+    frames = next(iter(series_by_joint.values())).frames
 
     slices = []
     for ann in annotations:
-        if ann.start_frame not in frame_set or ann.end_frame not in frame_set:
+        cut = _cut(frames, ann)
+        if cut.stop - cut.start < 2 or frames[cut.start] != ann.start_frame \
+                or frames[cut.stop - 1] != ann.end_frame:
             raise ValidationError(
                 f"cycle [{ann.start_frame}, {ann.end_frame}] references "
                 f"frames absent from the series")
-        phase_fn = _phase_function(ann, frame_times)
-        samples: Dict[str, List[Tuple[float, Optional[float]]]] = {}
+        columns = {}
         for joint, series in series_by_joint.items():
-            pairs = []
-            for s in series.samples:
-                if ann.start_frame <= s.frame_index <= ann.end_frame:
-                    pairs.append((phase_fn(s.frame_index), s.angle_deg))
-            samples[joint] = pairs
-        slices.append(CycleSlice(annotation=ann, samples=samples,
-                                 video_id=video_id))
+            own = _cut(series.frames, ann)
+            columns[joint] = (_phases(ann, series.frames[own], frame_times),
+                              series.angles[own])
+        slices.append(CycleSlice(ann, video_id=video_id, columns=columns))
     return slices
 
 
-def _phase_function(ann: CycleAnnotation,
-                    frame_times: Optional[Mapping[int, float]]):
-    if frame_times is None:
-        return lambda f: phase_of_frame(ann, f)
+def _cut(frames: np.ndarray, ann: CycleAnnotation) -> slice:
+    """Positions of the frames within ``ann`` in sorted ``frames``."""
+    return slice(int(np.searchsorted(frames, ann.start_frame, side="left")),
+                 int(np.searchsorted(frames, ann.end_frame, side="right")))
+
+
+def _check_time_span(ann: CycleAnnotation,
+                     frame_times: Mapping[int, float]) -> Tuple[float, float]:
     for boundary in (ann.start_frame, ann.end_frame):
         if boundary not in frame_times:
             raise ValidationError(
@@ -147,6 +177,33 @@ def _phase_function(ann: CycleAnnotation,
         raise ValidationError(
             f"cycle [{ann.start_frame}, {ann.end_frame}]: timestamps do "
             f"not increase across the cycle")
+    return t0, t1
+
+
+def _phases(ann: CycleAnnotation, frames: np.ndarray,
+            frame_times: Optional[Mapping[int, float]]) -> np.ndarray:
+    """Phases in percent of ``frames``, all within ``ann``: linear in frame
+    index, or in time when ``frame_times`` is given."""
+    if frame_times is None:
+        span = ann.end_frame - ann.start_frame
+        return 100.0 * (frames - ann.start_frame) / span
+    t0, t1 = _check_time_span(ann, frame_times)
+    try:
+        times = np.array([frame_times[f] for f in frames.tolist()], dtype=float)
+    except KeyError as exc:
+        raise ValidationError(
+            f"time-based phases requested but frame {exc.args[0]} has no "
+            f"timestamp") from None
+    return 100.0 * (times - t0) / (t1 - t0)
+
+
+def _phase_function(ann: CycleAnnotation,
+                    frame_times: Optional[Mapping[int, float]]):
+    """Frame index -> phase in percent under the rule ``segment_cycles``
+    uses: ``phase_of_frame``, or linear in time with ``frame_times``."""
+    if frame_times is None:
+        return lambda f: phase_of_frame(ann, f)
+    t0, t1 = _check_time_span(ann, frame_times)
 
     def phase(f: int) -> float:
         if f not in frame_times:
@@ -162,12 +219,12 @@ def resample_cycle(cycle_slice: CycleSlice,
     """Resample one cycle onto the fixed phase grid, joint by joint.
 
     Per joint, a natural cubic spline is fitted through the non-missing
-    (phase, angle) samples and evaluated at the grid phases.  A joint is
-    marked invalid (all-NaN, ``valid=False``) instead of fitted when it
-    has fewer than 4 usable samples or its coverage leaves more than half
-    a percent uncovered at either cycle edge.  Grid phases inside that
-    half-percent tolerance but outside the fitted span take the nearest
-    knot's value rather than extrapolating.
+    (phase, angle) samples and evaluated at all grid phases in one call.
+    A joint is marked invalid (all-NaN, ``valid=False``) instead of fitted
+    when it has fewer than 4 usable samples or its coverage leaves more
+    than half a percent uncovered at either cycle edge.  Grid phases
+    inside that half-percent tolerance but outside the fitted span take
+    the nearest knot's value rather than extrapolating.
 
     Spline overshoot is clamped to [0, 180]; a warning is logged when the
     clamp moves any value by more than 1 degree.
@@ -178,21 +235,20 @@ def resample_cycle(cycle_slice: CycleSlice,
     angles: Dict[str, np.ndarray] = {}
     valid: Dict[str, bool] = {}
 
-    for joint, pairs in cycle_slice.samples.items():
-        knots = [(p, a) for p, a in pairs if a is not None]
-        if len(knots) < MIN_KNOTS_PER_CYCLE \
-                or knots[0][0] > EDGE_COVERAGE_PERCENT \
-                or knots[-1][0] < 100.0 - EDGE_COVERAGE_PERCENT:
+    for joint, (phases, raw) in cycle_slice.columns.items():
+        present = ~np.isnan(raw)
+        knot_x = phases[present]
+        if len(knot_x) < MIN_KNOTS_PER_CYCLE \
+                or knot_x[0] > EDGE_COVERAGE_PERCENT \
+                or knot_x[-1] < 100.0 - EDGE_COVERAGE_PERCENT:
             logger.debug("cycle %s joint %s: insufficient coverage "
                          "(%d usable samples)", cycle_slice.cycle_id, joint,
-                         len(knots))
+                         len(knot_x))
             angles[joint] = np.full(grid_points, np.nan)
             valid[joint] = False
             continue
-        coeffs = fit_natural_cubic(knots)
-        lo, hi = coeffs.x[0], coeffs.x[-1]
-        values = np.array([eval_spline(coeffs, min(max(g, lo), hi))
-                           for g in grid])
+        coeffs = fit_natural_cubic(np.column_stack((knot_x, raw[present])))
+        values = eval_spline(coeffs, np.clip(grid, coeffs.x[0], coeffs.x[-1]))
         clamped = np.clip(values, 0.0, 180.0)
         worst = float(np.max(np.abs(values - clamped)))
         if worst > 1.0:

@@ -12,12 +12,15 @@ from dividing deviations by ~0; sub-half-degree precision is beyond what
 2D pose estimates deliver anyway.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
-from .cycles import NormalizedCycle, phase_of_frame
+from .cycles import NormalizedCycle, _phase_function
 from .errors import ValidationError
 from .kinematics import JOINT_NAMES
 from .normative import NormativeModel
@@ -145,24 +148,34 @@ def frame_statuses(seq_cycles: Sequence[Tuple[CycleAnnotation, Dict[str, np.ndar
                    frames: Iterable[int],
                    grid_points: int,
                    joint_order: Sequence[str] = JOINT_NAMES,
+                   frame_times: Optional[Mapping[int, float]] = None,
                    ) -> List[FrameStatus]:
     """Map per-cycle grid flags back onto video frames.
 
     Each frame inside an annotated cycle takes the flag at the nearest
     grid point of its phase; a frame on a shared boundary belongs to the
-    earlier cycle.  Frames outside every cycle, and joints without flags
-    for their cycle, are reported unknown.
+    earlier cycle.  Phases follow the rule segmentation used: linear in
+    frame index, or in time when ``frame_times`` (frame index -> seconds)
+    is given.  Frames outside every cycle, and joints without flags for
+    their cycle, are reported unknown.  Each frame finds its cycle by
+    bisection, so the cost is O(frames * log cycles).
     """
     ordered = sorted(seq_cycles, key=lambda p: (p[0].start_frame, p[0].end_frame))
+    # The first cycle (in start order) that ends at or after frame f is the
+    # bisection of f in the running maximum of end frames; it holds f when
+    # it also starts at or before f.
+    reach = list(accumulate((ann.end_frame for ann, _ in ordered), max))
+    phase_fns: Dict[int, Callable[[int], float]] = {}
     out = []
     for f in frames:
-        containing = next(((ann, flags) for ann, flags in ordered
-                           if ann.start_frame <= f <= ann.end_frame), None)
-        if containing is None:
+        i = bisect_left(reach, f)
+        if i == len(ordered) or ordered[i][0].start_frame > f:
             out.append(FrameStatus(f, {j: STATUS_UNKNOWN for j in joint_order}))
             continue
-        ann, flags = containing
-        phase = phase_of_frame(ann, f)
+        ann, flags = ordered[i]
+        if i not in phase_fns:
+            phase_fns[i] = _phase_function(ann, frame_times)
+        phase = phase_fns[i](f)
         g = int(round(phase / 100.0 * (grid_points - 1)))
         status = {}
         for joint in joint_order:

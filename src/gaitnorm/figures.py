@@ -2,7 +2,10 @@
 
 All documents are plain SVG built by string assembly with fixed-precision
 coordinates, so identical inputs produce byte-identical files (raster
-backends and plotting libraries do not guarantee that).  Every figure
+backends and plotting libraries do not guarantee that).  Coordinates are
+computed as arrays and each series is formatted by one ``%`` operation;
+the heatmap's per-cell markup that does not depend on the data is built
+once per matrix shape.  Every figure
 carries a machine-readable sidecar describing exactly what was plotted
 (series kinds and point counts); acceptance checks compare sidecars
 against the document instead of pixel content.
@@ -17,7 +20,7 @@ Four figure families:
   drawn over video frames by downstream tooling
 """
 
-import json
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,7 +31,7 @@ from .detect import (STATUS_UNKNOWN, DetectionConfig, FrameStatus)
 from .errors import ValidationError
 from .kinematics import JOINT_NAMES
 from .normative import NormativeModel
-from .pose_io import PoseSequence
+from .pose_io import PoseSequence, _dump
 
 # Drawn between keypoints that are both present in a frame.
 SKELETON_EDGES: Tuple[Tuple[str, str], ...] = (
@@ -68,52 +71,61 @@ def _fmt(v: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
+def _fmt_all(template: str, values: Sequence) -> str:
+    """``template % values`` where every float is ``%.3f``, with the same
+    negative-zero fix-up as ``_fmt``."""
+    return (template % tuple(values)).replace("-0.000", "0.000")
+
+
+def _interleave(*columns) -> List:
+    return [v for row in zip(*columns) for v in row]
+
+
 def _scales(values_min: float, values_max: float,
             x0: float, x1: float, y0: float, y1: float, grid_points: int):
-    """Map (percent, degrees) to pixel coordinates; y axis points up."""
+    """Pixel x of every grid point, plus the degrees -> pixel y map (y axis
+    points up), which takes a number or an array."""
     lo = float(np.floor(values_min)) - 5.0
     hi = float(np.ceil(values_max)) + 5.0
     if hi <= lo:
         hi = lo + 1.0
+    xs = x0 + (x1 - x0) * np.arange(grid_points) / (grid_points - 1)
 
-    def sx(g: float) -> float:
-        return x0 + (x1 - x0) * g / (grid_points - 1)
-
-    def sy(v: float) -> float:
+    def sy(v):
         return y1 - (y1 - y0) * (v - lo) / (hi - lo)
 
-    return sx, sy, lo, hi
+    return xs, sy, lo, hi
+
+
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """SVG ``points`` text: "x,y x,y ..." at three decimals."""
+    return _fmt_all(" ".join(["%.3f,%.3f"] * len(xs)),
+                    _interleave(xs.tolist(), ys.tolist()))
 
 
 def _band_elements(mean: np.ndarray, std: np.ndarray, k: float,
-                   sx, sy) -> Tuple[str, str]:
+                   xs: np.ndarray, sy) -> Tuple[str, str]:
     """(band polygon, mean polyline) SVG fragments."""
-    n = len(mean)
-    upper = [(sx(g), sy(mean[g] + k * std[g])) for g in range(n)]
-    lower = [(sx(g), sy(mean[g] - k * std[g])) for g in range(n - 1, -1, -1)]
-    band_pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in upper + lower)
-    mean_pts = " ".join(f"{_fmt(sx(g))},{_fmt(sy(mean[g]))}" for g in range(n))
+    upper = sy(mean + k * std)
+    lower = sy(mean - k * std)
+    band_pts = _points(np.concatenate((xs, xs[::-1])),
+                       np.concatenate((upper, lower[::-1])))
     return (f'<polygon class="band" points="{band_pts}"/>',
-            f'<polyline class="mean" points="{mean_pts}"/>')
+            f'<polyline class="mean" points="{_points(xs, sy(mean))}"/>')
 
 
 def _overlay_elements(angles: np.ndarray, flags: np.ndarray,
-                      sx, sy) -> Tuple[List[str], int, int]:
-    parts = []
-    n_normal = 0
-    n_abnormal = 0
-    for g in range(len(angles)):
-        cls = "abnormal" if flags[g] else "normal"
-        if flags[g]:
-            n_abnormal += 1
-        else:
-            n_normal += 1
-        parts.append(f'<circle class="{cls}" cx="{_fmt(sx(g))}" '
-                     f'cy="{_fmt(sy(angles[g]))}" r="2"/>')
-    return parts, n_normal, n_abnormal
+                      xs: np.ndarray, sy) -> Tuple[str, int, int]:
+    flags = np.asarray(flags, dtype=bool)
+    classes = ["abnormal" if f else "normal" for f in flags.tolist()]
+    dots = _fmt_all('<circle class="%s" cx="%.3f" cy="%.3f" r="2"/>'
+                    * len(angles),
+                    _interleave(classes, xs.tolist(), sy(angles).tolist()))
+    n_abnormal = int(np.count_nonzero(flags))
+    return dots, len(angles) - n_abnormal, n_abnormal
 
 
-def _axes(x0, x1, y0, y1, lo, hi, sx, sy, with_labels: bool = True) -> List[str]:
+def _axes(x0, x1, y0, y1, lo, hi, sy, with_labels: bool = True) -> List[str]:
     parts = [
         f'<line class="axis" x1="{_fmt(x0)}" y1="{_fmt(y1)}" '
         f'x2="{_fmt(x1)}" y2="{_fmt(y1)}"/>',
@@ -170,22 +182,22 @@ def render_band_plot(model: NormativeModel, joint: str,
     vmax = max(float(np.max(v)) for v in values)
 
     x0, x1, y0, y1 = 50.0, 620.0, 30.0, 360.0
-    sx, sy, lo, hi = _scales(vmin, vmax, x0, x1, y0, y1, n)
+    xs, sy, lo, hi = _scales(vmin, vmax, x0, x1, y0, y1, n)
 
     body = [f'<text x="{_fmt(x0)}" y="18" font-size="13">{joint} '
             f'(mean and {cfg.k:g} SD band, degrees vs cycle percent)</text>']
-    band, mean_line = _band_elements(jn.mean, jn.std, cfg.k, sx, sy)
+    band, mean_line = _band_elements(jn.mean, jn.std, cfg.k, xs, sy)
     body.append(band)
     body.append(mean_line)
     series = [{"kind": "mean", "points": n}, {"kind": "band", "points": 2 * n}]
     if overlay is not None:
         cycle, flags = overlay
         dots, n_normal, n_abnormal = _overlay_elements(cycle.angles[joint],
-                                                       flags, sx, sy)
-        body.extend(dots)
+                                                       flags, xs, sy)
+        body.append(dots)
         series.append({"kind": "normal", "points": n_normal})
         series.append({"kind": "abnormal", "points": n_abnormal})
-    body.extend(_axes(x0, x1, y0, y1, lo, hi, sx, sy))
+    body.extend(_axes(x0, x1, y0, y1, lo, hi, sy))
 
     sidecar = {
         "figure_kind": "band",
@@ -246,13 +258,13 @@ def render_multi_joint(flags_by_joint: Dict[str, np.ndarray],
         vmax = max(float(np.max(jn.mean + cfg.k * jn.std)), float(np.max(angles)))
         x0, x1 = ox + 10.0, ox + panel_w - 10.0
         y0, y1 = oy + 20.0, oy + panel_h - 10.0
-        sx, sy, lo, hi = _scales(vmin, vmax, x0, x1, y0, y1, n)
-        band, mean_line = _band_elements(jn.mean, jn.std, cfg.k, sx, sy)
+        xs, sy, lo, hi = _scales(vmin, vmax, x0, x1, y0, y1, n)
+        band, mean_line = _band_elements(jn.mean, jn.std, cfg.k, xs, sy)
         body.append(band)
         body.append(mean_line)
-        dots, n_normal, n_abnormal = _overlay_elements(angles, flags, sx, sy)
-        body.extend(dots)
-        body.extend(_axes(x0, x1, y0, y1, lo, hi, sx, sy, with_labels=False))
+        dots, n_normal, n_abnormal = _overlay_elements(angles, flags, xs, sy)
+        body.append(dots)
+        body.extend(_axes(x0, x1, y0, y1, lo, hi, sy, with_labels=False))
         panels.append({"joint": joint, "rendered": True,
                        "normal": n_normal, "abnormal": n_abnormal})
 
@@ -263,6 +275,25 @@ def render_multi_joint(flags_by_joint: Dict[str, np.ndarray],
         "panels": panels,
     }
     return FigureDoc(svg=_document(width, height, body), sidecar=sidecar)
+
+
+_CELL_W, _CELL_H = 8.0, 24.0
+_HEAT_LEFT, _HEAT_TOP = 110.0, 20.0
+_FILLS = tuple(f"rgb({v},{v},{v})" for v in range(256)) + ("#f5f5f5",)
+
+
+@functools.lru_cache(maxsize=8)
+def _heatmap_rows(n_rows: int, n_cols: int) -> Tuple[str, ...]:
+    """Per row, the markup of its cells with a ``%s`` slot for each fill:
+    everything in a heatmap that depends only on the matrix shape."""
+    cell_x = [_fmt(_HEAT_LEFT + c * _CELL_W) for c in range(n_cols)]
+    size = f'width="{_fmt(_CELL_W)}" height="{_fmt(_CELL_H)}"'
+    rows = []
+    for r in range(n_rows):
+        y = _fmt(_HEAT_TOP + r * _CELL_H)
+        rows.append("".join(f'<rect class="cell" x="{x}" y="{y}" {size} '
+                            f'fill="%s"/>' for x in cell_x))
+    return tuple(rows)
 
 
 def render_heatmap(severity: np.ndarray,
@@ -280,33 +311,24 @@ def render_heatmap(severity: np.ndarray,
         raise ValidationError(
             f"{n_rows} matrix rows but {len(joint_names)} joint names")
 
-    cell_w, cell_h = 8.0, 24.0
-    left, top = 110.0, 20.0
-    width = left + n_cols * cell_w + 20.0
-    height = top + n_rows * cell_h + 40.0
+    left, top = _HEAT_LEFT, _HEAT_TOP
+    width = left + n_cols * _CELL_W + 20.0
+    height = top + n_rows * _CELL_H + 40.0
 
+    blank = np.all(np.isnan(severity), axis=1)
+    blank_rows = [joint_names[r] for r in np.flatnonzero(blank)]
+    # Shade 0-255 indexes _FILLS; index 256 is the NaN fill.
+    shade = np.rint(255.0 * (1.0 - np.clip(severity, 0.0, 1.0)))
+    codes = np.where(np.isnan(severity), 256, shade).astype(int).tolist()
     body = []
-    blank_rows = []
-    for r in range(n_rows):
-        y = top + r * cell_h
-        body.append(f'<text x="{_fmt(left - 6)}" y="{_fmt(y + cell_h / 2 + 4)}" '
+    for r, row_template in enumerate(_heatmap_rows(n_rows, n_cols)):
+        y = top + r * _CELL_H
+        body.append(f'<text x="{_fmt(left - 6)}" y="{_fmt(y + _CELL_H / 2 + 4)}" '
                     f'font-size="11" text-anchor="end">{joint_names[r]}</text>')
-        row_blank = bool(np.all(np.isnan(severity[r])))
-        if row_blank:
-            blank_rows.append(joint_names[r])
-        for c in range(n_cols):
-            v = severity[r, c]
-            if np.isnan(v):
-                fill = "#f5f5f5"
-            else:
-                shade = int(round(255.0 * (1.0 - min(max(v, 0.0), 1.0))))
-                fill = f"rgb({shade},{shade},{shade})"
-            body.append(f'<rect class="cell" x="{_fmt(left + c * cell_w)}" '
-                        f'y="{_fmt(y)}" width="{_fmt(cell_w)}" '
-                        f'height="{_fmt(cell_h)}" fill="{fill}"/>')
+        body.append(row_template % tuple(_FILLS[c] for c in codes[r]))
     for pct in (0, 25, 50, 75, 100):
-        x = left + pct / 100.0 * (n_cols - 1) * cell_w + cell_w / 2.0
-        body.append(f'<text x="{_fmt(x)}" y="{_fmt(top + n_rows * cell_h + 16)}" '
+        x = left + pct / 100.0 * (n_cols - 1) * _CELL_W + _CELL_W / 2.0
+        body.append(f'<text x="{_fmt(x)}" y="{_fmt(top + n_rows * _CELL_H + 16)}" '
                     f'font-size="10" text-anchor="middle">{pct}</text>')
 
     finite = severity[np.isfinite(severity)]
@@ -359,4 +381,4 @@ def write_figure(doc: FigureDoc, svg_path) -> None:
         fh.write(doc.svg.encode())
     sidecar_path = str(svg_path) + ".json"
     with open(sidecar_path, "wb") as fh:
-        fh.write((json.dumps(doc.sidecar, sort_keys=True, indent=1) + "\n").encode())
+        fh.write(_dump(doc.sidecar))

@@ -9,14 +9,26 @@ off the video by hand.
 Ten angles make up the standard set: shoulder, elbow, hip, knee and ankle,
 each side.  ``JOINT_NAMES`` fixes their canonical order (proximal to
 distal, left before right) used for matrix rows and figure panels.
+
+Angles are computed a video at a time.  The keypoints are gathered once
+into coordinate and visibility arrays, and every joint's angles come out
+as one ``(n_frames, n_joints)`` float array, NaN where a sample is
+missing, with a parallel uint8 array of missing-reason codes (indexes
+into ``MISSING_REASONS``).  ``AngleSeries`` is one column of those arrays;
+its per-sample ``AngleSample`` list is built only when ``samples`` is
+read.  The ray headings use ``math.atan2`` one element at a time:
+``np.arctan2`` may take a SIMD path (SVML on AVX-512 hosts) that differs
+from libm ``atan2`` in the last bit, which would change output bytes.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DegenerateGeometryError, ValidationError
-from .pose_io import PoseSequence
+from .pose_io import Keypoint, Point2D, PoseSequence
 
 # Canonical joint order for matrices and figures.
 JOINT_NAMES: Tuple[str, ...] = (
@@ -30,6 +42,12 @@ JOINT_NAMES: Tuple[str, ...] = (
 MISSING_LOW_VISIBILITY = "low_visibility"
 MISSING_ABSENT_KEYPOINT = "absent_keypoint"
 MISSING_DEGENERATE = "degenerate_geometry"
+
+# Missing-reason codes: a code indexes this tuple, and code 0 (no reason)
+# marks a present sample.
+MISSING_REASONS: Tuple[Optional[str], ...] = (
+    None, MISSING_ABSENT_KEYPOINT, MISSING_LOW_VISIBILITY, MISSING_DEGENERATE)
+_REASON_CODES = {reason: code for code, reason in enumerate(MISSING_REASONS)}
 
 DEFAULT_MIN_VISIBILITY = 0.5
 
@@ -67,12 +85,38 @@ class AngleSample:
         return self.angle_deg is None
 
 
-@dataclass
 class AngleSeries:
-    """Per-frame angle samples for one joint, strictly increasing frames."""
+    """Per-frame angles of one joint as parallel arrays over strictly
+    increasing frames.
 
-    joint: str
-    samples: List[AngleSample]
+    ``frames`` holds the frame indices (int64), ``angles`` the angles in
+    degrees (NaN where missing) and ``reasons`` the missing-reason codes
+    (uint8, indexes into ``MISSING_REASONS``).  Passing ``samples`` builds
+    the arrays from a list of ``AngleSample``; reading ``samples`` builds
+    that list from the arrays.
+    """
+
+    def __init__(self, joint: str,
+                 samples: Optional[Sequence[AngleSample]] = None, *,
+                 frames=None, angles=None, reasons=None):
+        self.joint = joint
+        if samples is not None:
+            frames = [s.frame_index for s in samples]
+            angles = [np.nan if s.missing else s.angle_deg for s in samples]
+            try:
+                reasons = [_REASON_CODES[s.missing_reason] for s in samples]
+            except KeyError as exc:
+                raise ValidationError(
+                    f"unknown missing reason {exc.args[0]!r}") from None
+        self.frames = np.asarray(frames, dtype=np.int64)
+        self.angles = np.asarray(angles, dtype=float)
+        self.reasons = np.asarray(reasons, dtype=np.uint8)
+
+    @property
+    def samples(self) -> List[AngleSample]:
+        return [AngleSample(f, None if a != a else a, MISSING_REASONS[r])
+                for f, a, r in zip(self.frames.tolist(), self.angles.tolist(),
+                                   self.reasons.tolist())]
 
 
 def joint_angle(a, b, c) -> float:
@@ -126,46 +170,77 @@ def standard_joint_set() -> List[JointDefinition]:
     return [by_name[n] for n in JOINT_NAMES]
 
 
-def angle_series(seq: PoseSequence, joint: JointDefinition,
-                 min_visibility: float = DEFAULT_MIN_VISIBILITY) -> AngleSeries:
-    """Compute one angle sample per frame of ``seq`` for ``joint``.
+# Stands in for an absent keypoint; a NaN visibility marks it absent.
+_ABSENT = Keypoint(Point2D(math.nan, math.nan), math.nan)
 
-    Failures never abort the series: a frame lacking any of the three
-    keypoints yields a missing sample with reason ``absent_keypoint``, one
-    where any visibility falls below ``min_visibility`` yields
-    ``low_visibility``, and coincident keypoints yield
-    ``degenerate_geometry``.
+
+def _angle_columns(seq: PoseSequence, joints: Sequence[JointDefinition],
+                  min_visibility: float = DEFAULT_MIN_VISIBILITY,
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Angles of ``joints`` over every frame of ``seq``, column per joint.
+
+    Returns ``(frames, angles, reasons)``: the frame indices, an
+    ``(n_frames, len(joints))`` float array of angles in degrees, and a
+    parallel uint8 array of missing-reason codes.  A missing sample has a
+    NaN angle and a non-zero code.  Failures never abort a column: a frame
+    lacking any of the three keypoints is ``absent_keypoint``, one where
+    any visibility falls below ``min_visibility`` is ``low_visibility``,
+    and coincident keypoints are ``degenerate_geometry``, checked in that
+    order.  Each present angle equals ``joint_angle`` on the same points.
     """
     if not 0.0 <= min_visibility <= 1.0:
         raise ValidationError(
             f"min_visibility must be in [0, 1], got {min_visibility}")
-    samples: List[AngleSample] = []
-    names = (joint.proximal, joint.axis, joint.distal)
-    for frame in seq.frames:
-        kps = [frame.keypoints.get(n) for n in names]
-        if any(kp is None for kp in kps):
-            samples.append(AngleSample(frame.frame_index, None,
-                                       MISSING_ABSENT_KEYPOINT))
-            continue
-        if any(kp.visibility < min_visibility for kp in kps):
-            samples.append(AngleSample(frame.frame_index, None,
-                                       MISSING_LOW_VISIBILITY))
-            continue
-        try:
-            angle = joint_angle(kps[0].point, kps[1].point, kps[2].point)
-        except DegenerateGeometryError:
-            samples.append(AngleSample(frame.frame_index, None,
-                                       MISSING_DEGENERATE))
-            continue
-        samples.append(AngleSample(frame.frame_index, angle))
-    return AngleSeries(joint=joint.name, samples=samples)
+    names = sorted({n for j in joints for n in (j.proximal, j.axis, j.distal)})
+    column = {n: i for i, n in enumerate(names)}
+    # (n_frames, n_names, 3): x, y, visibility per frame and keypoint.
+    kp = np.array([[(x, y, v) for (x, y), v in
+                    (f.keypoints.get(n, _ABSENT) for n in names)]
+                   for f in seq.frames], dtype=float).reshape(
+                       len(seq.frames), len(names), 3)
+    frames = np.array([f.frame_index for f in seq.frames], dtype=np.int64)
+
+    def gather(attr):
+        idx = [column[getattr(j, attr)] for j in joints]
+        return kp[:, idx, 0], kp[:, idx, 1], kp[:, idx, 2]
+
+    (ax, ay, av), (bx, by, bv), (cx, cy, cv) = (
+        gather("proximal"), gather("axis"), gather("distal"))
+    absent = np.isnan(av) | np.isnan(bv) | np.isnan(cv)
+    low = (av < min_visibility) | (bv < min_visibility) | (cv < min_visibility)
+    degenerate = ((ax == bx) & (ay == by)) | ((cx == bx) & (cy == by))
+    reasons = np.zeros(absent.shape, dtype=np.uint8)
+    reasons[degenerate] = _REASON_CODES[MISSING_DEGENERATE]
+    reasons[low] = _REASON_CODES[MISSING_LOW_VISIBILITY]
+    reasons[absent] = _REASON_CODES[MISSING_ABSENT_KEYPOINT]
+
+    ok = reasons == 0
+    distal = list(map(math.atan2, (cy - by)[ok].tolist(),
+                      (cx - bx)[ok].tolist()))
+    proximal = list(map(math.atan2, (ay - by)[ok].tolist(),
+                        (ax - bx)[ok].tolist()))
+    angle = np.abs(np.degrees(np.array(distal) - np.array(proximal)))
+    angles = np.full(absent.shape, np.nan)
+    angles[ok] = np.where(angle > 180.0, 360.0 - angle, angle)
+    return frames, angles, reasons
+
+
+def angle_series(seq: PoseSequence, joint: JointDefinition,
+                 min_visibility: float = DEFAULT_MIN_VISIBILITY) -> AngleSeries:
+    """One angle sample per frame of ``seq`` for ``joint``; missing
+    samples carry their reason as described in ``_angle_columns``."""
+    return angle_series_set(seq, min_visibility, [joint])[joint.name]
 
 
 def angle_series_set(seq: PoseSequence,
                      min_visibility: float = DEFAULT_MIN_VISIBILITY,
                      joints: Optional[List[JointDefinition]] = None,
                      ) -> Dict[str, AngleSeries]:
-    """Angle series for every joint of the standard set (or ``joints``)."""
+    """Angle series for every joint of the standard set (or ``joints``),
+    each a column of one ``_angle_columns`` call."""
     if joints is None:
         joints = standard_joint_set()
-    return {j.name: angle_series(seq, j, min_visibility) for j in joints}
+    frames, angles, reasons = _angle_columns(seq, joints, min_visibility)
+    return {j.name: AngleSeries(j.name, frames=frames, angles=angles[:, i],
+                                reasons=reasons[:, i])
+            for i, j in enumerate(joints)}

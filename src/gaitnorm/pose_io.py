@@ -413,6 +413,8 @@ def load_cycles(data: bytes):
             f"schema mismatch: expected {CYCLES_SCHEMA!r}, got "
             f"{doc.get('schema') if isinstance(doc, dict) else None!r}")
     grid_points = _require_int(doc.get("grid_points"), "'grid_points'")
+    if grid_points < 2:
+        raise ValidationError(f"'grid_points' must be >= 2, got {grid_points}")
     raw = doc.get("cycles")
     if not isinstance(raw, list):
         raise ValidationError("'cycles' must be a list")
@@ -536,13 +538,14 @@ def load_report(data: bytes):
 def save_angle_series(series_by_joint: dict, *, video_id: str = "",
                       min_visibility: float = 0.5) -> bytes:
     """Serialize per-joint angle series (the ``angles`` CLI output)."""
+    from .kinematics import MISSING_REASONS  # deferred: avoids import cycle
+
     joints = {}
     for name, series in series_by_joint.items():
         joints[name] = [
-            [s.frame_index,
-             None if s.angle_deg is None else float(s.angle_deg),
-             s.missing_reason]
-            for s in series.samples
+            [f, None if a != a else a, MISSING_REASONS[r]]
+            for f, a, r in zip(series.frames.tolist(), series.angles.tolist(),
+                               series.reasons.tolist())
         ]
     doc = {"schema": ANGLES_SCHEMA, "video_id": video_id,
            "min_visibility": min_visibility, "joints": joints}

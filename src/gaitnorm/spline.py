@@ -11,9 +11,16 @@ Interior M values come from the standard tridiagonal system (solved with
 the Thomas algorithm); the natural boundary condition pins
 M[0] = M[n-1] = 0, i.e. zero curvature at both ends.  Evaluation outside
 the knot span is refused rather than extrapolated.
+
+Evaluation takes a whole array of abscissae at once.  The cubes go through
+libm ``pow`` one element at a time: numpy's vectorized ``power`` may take
+a SIMD path (SVML on AVX-512 hosts) whose results differ from ``pow`` in
+the last bit, and resampled angles are written at full precision.
 """
 
+import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -82,21 +89,30 @@ def fit_natural_cubic(knots) -> SplineCoefficients:
     return SplineCoefficients(x=x, y=y, m=m)
 
 
-def eval_spline(spline: SplineCoefficients, t: float) -> float:
-    """Evaluate the spline at ``t``, which must lie within the knot span."""
+def _cube(values: np.ndarray) -> np.ndarray:
+    return np.array(list(map(math.pow, values.tolist(), repeat(3.0))))
+
+
+def eval_spline(spline: SplineCoefficients, t):
+    """Evaluate the spline at ``t``, a number or an array of numbers, all
+    of which must lie within the knot span.  Returns a float for a number
+    and an array of ``t``'s shape otherwise."""
     x = spline.x
     y = spline.y
     m = spline.m
-    if not x[0] <= t <= x[-1]:
+    ts = np.asarray(t, dtype=float)
+    flat = ts.reshape(-1)
+    outside = ~((x[0] <= flat) & (flat <= x[-1]))
+    if outside.any():
         raise ValidationError(
-            f"extrapolation request: {t} outside knot span "
+            f"extrapolation request: {flat[outside][0]} outside knot span "
             f"[{x[0]}, {x[-1]}]")
-    i = int(np.searchsorted(x, t, side="right")) - 1
-    i = min(max(i, 0), len(x) - 2)
+    i = np.clip(np.searchsorted(x, flat, side="right") - 1, 0, len(x) - 2)
     h = x[i + 1] - x[i]
-    left = x[i + 1] - t
-    right = t - x[i]
-    return (m[i] * left ** 3 / (6.0 * h)
-            + m[i + 1] * right ** 3 / (6.0 * h)
-            + (y[i] / h - m[i] * h / 6.0) * left
-            + (y[i + 1] / h - m[i + 1] * h / 6.0) * right)
+    left = x[i + 1] - flat
+    right = flat - x[i]
+    values = (m[i] * _cube(left) / (6.0 * h)
+              + m[i + 1] * _cube(right) / (6.0 * h)
+              + (y[i] / h - m[i] * h / 6.0) * left
+              + (y[i + 1] / h - m[i + 1] * h / 6.0) * right)
+    return values[0] if ts.ndim == 0 else values.reshape(ts.shape)

@@ -1,8 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
+
 from gaitnorm.cli import main
-from gaitnorm.pose_io import load_cycles, load_norm_model, load_report
+from gaitnorm.pose_io import (KeypointFrame, PoseSequence, load_cycles,
+                              load_norm_model, load_report,
+                              serialize_annotations, serialize_pose_sequence)
+from gaitnorm.synth import generate_pose_sequence
 
 FIXTURES = Path(__file__).parent / "fixtures"
 KEYPOINTS = FIXTURES / "demo.keypoints.jsonl"
@@ -189,3 +194,42 @@ def test_custom_profiles(tmp_path):
                  "--profiles", str(profiles)]) == 0
     cohort = load_cycles(out.read_bytes())
     assert set(cohort[0].angles) == {"left_knee", "left_hip"}
+
+
+def test_run_time_phases_drive_overlay_statuses(tmp_path):
+    # Uneven timestamps: under --phase-source time each frame's overlay
+    # status must read the grid sample of its time-linear phase, the same
+    # phase its cycle was resampled on.
+    seq, annotations = generate_pose_sequence(n_cycles=6, frames_per_cycle=30,
+                                              seed=5, video_id="jitter")
+    rng = np.random.default_rng(8)
+    times = np.cumsum(rng.uniform(0.005, 0.06, len(seq.frames))).tolist()
+    frames = tuple(KeypointFrame(f.frame_index, f.keypoints, t)
+                   for f, t in zip(seq.frames, times))
+    keypoints = tmp_path / "jitter.keypoints.jsonl"
+    keypoints.write_bytes(serialize_pose_sequence(
+        PoseSequence("jitter", frames)))
+    cycles = tmp_path / "jitter.cycles.json"
+    cycles.write_bytes(serialize_annotations("jitter", annotations))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--keypoints", str(keypoints), "--annotations",
+                 str(cycles), "--out-dir", str(out_dir), "--k", "0.5",
+                 "--phase-source", "time"]) == 0
+
+    overlays = json.loads((out_dir / "jitter.overlays.json").read_text())
+    checked = flagged = 0
+    for i, ann in enumerate(annotations):
+        report = load_report(
+            (out_dir / f"jitter.c{i}.report.json").read_bytes())
+        t0, t1 = times[ann.start_frame], times[ann.end_frame]
+        # a shared boundary frame belongs to the earlier cycle
+        first = ann.start_frame + (1 if i else 0)
+        for f in range(first, ann.end_frame + 1):
+            phase = 100.0 * (times[f] - t0) / (t1 - t0)
+            g = round(phase / 100.0 * (report.grid_points - 1))
+            for joint, flags in report.flag.items():
+                expected = "abnormal" if flags[g] else "normal"
+                assert overlays[f]["joint_status"][joint] == expected
+                checked += 1
+                flagged += bool(flags[g])
+    assert checked == len(seq.frames) * 10 and flagged > 0

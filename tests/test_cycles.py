@@ -5,8 +5,9 @@ import pytest
 
 from gaitnorm import (CycleAnnotation, ValidationError, phase_of_frame,
                       resample_cycle, segment_cycles)
-from gaitnorm.cycles import CycleSlice
-from gaitnorm.kinematics import AngleSample, AngleSeries
+from gaitnorm.cycles import CycleSlice, _phase_function
+from gaitnorm.kinematics import AngleSample, AngleSeries, angle_series_set
+from gaitnorm.synth import generate_pose_sequence
 
 
 def _series(joint, values_by_frame):
@@ -103,6 +104,52 @@ class TestSegmentCycles:
         with pytest.raises(ValidationError, match="no timestamp"):
             segment_cycles(series, [CycleAnnotation(0, 10, "typical")],
                            frame_times=times)
+
+
+class TestSegmentPhases:
+    """Array phases against the one-frame-at-a-time mappings, exactly."""
+
+    def _walk(self):
+        seq, anns = generate_pose_sequence(n_cycles=5, frames_per_cycle=23,
+                                           seed=4)
+        return angle_series_set(seq), anns
+
+    def test_frame_phases_equal_phase_of_frame(self):
+        series, anns = self._walk()
+        slices = segment_cycles(series, anns, video_id="v")
+        for ann, s in zip(anns, slices):
+            expected = [phase_of_frame(ann, f)
+                        for f in range(ann.start_frame, ann.end_frame + 1)]
+            for joint, (phases, angles) in s.columns.items():
+                assert phases.tolist() == expected
+                lo, hi = ann.start_frame, ann.end_frame + 1
+                assert np.array_equal(angles, series[joint].angles[lo:hi])
+
+    def test_time_phases_equal_phase_function(self):
+        series, anns = self._walk()
+        rng = np.random.default_rng(32)
+        n = anns[-1].end_frame + 1
+        times = dict(enumerate(np.cumsum(rng.uniform(0.01, 0.05, n)).tolist()))
+        slices = segment_cycles(series, anns, frame_times=times)
+        for ann, s in zip(anns, slices):
+            phase = _phase_function(ann, times)
+            expected = [phase(f)
+                        for f in range(ann.start_frame, ann.end_frame + 1)]
+            phases, _ = s.columns["left_knee"]
+            assert phases.tolist() == expected
+            assert phases.tolist() != [phase_of_frame(ann, f) for f in
+                                       range(ann.start_frame,
+                                             ann.end_frame + 1)]
+
+    def test_series_with_own_frames_cut_separately(self):
+        knee = _constant_series("left_knee", range(0, 21))
+        hip = _series("left_hip", [(f, 100.0 + f) for f in range(0, 21, 2)])
+        (s,) = segment_cycles({"left_knee": knee, "left_hip": hip},
+                              [CycleAnnotation(4, 12, "typical")])
+        assert s.samples["left_hip"] == [(0.0, 104.0), (25.0, 106.0),
+                                         (50.0, 108.0), (75.0, 110.0),
+                                         (100.0, 112.0)]
+        assert len(s.samples["left_knee"]) == 9
 
 
 def _slice(values_by_phase, label="typical", joint="left_knee"):

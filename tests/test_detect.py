@@ -5,6 +5,7 @@ from gaitnorm import (CycleAnnotation, DetectionConfig, NormalizedCycle,
                       ValidationError, build_report, flag_abnormal,
                       frame_statuses, severity_matrix, severity_values,
                       z_scores)
+from gaitnorm.cycles import phase_of_frame
 from gaitnorm.detect import (STATUS_ABNORMAL, STATUS_NORMAL, STATUS_UNKNOWN)
 from gaitnorm.kinematics import JOINT_NAMES
 from gaitnorm.normative import JointNormals, NormativeModel
@@ -183,6 +184,43 @@ class TestFrameStatuses:
         f2 = self._flags(where=[])
         (status,) = frame_statuses([(a1, f1), (a2, f2)], [50], 101)
         assert status.status["left_knee"] == STATUS_ABNORMAL
+
+    def test_time_phases_pick_grid_point(self):
+        # frame 5 is at 50% by index but 25% by time (quadratic timestamps)
+        ann = CycleAnnotation(0, 10, "typical")
+        times = {f: 0.1 * f * f for f in range(11)}
+        flags = self._flags(where=[25])
+        (status,) = frame_statuses([(ann, flags)], [5], 101,
+                                   frame_times=times)
+        assert status.status["left_knee"] == STATUS_ABNORMAL
+        (status,) = frame_statuses([(ann, flags)], [5], 101)
+        assert status.status["left_knee"] == STATUS_NORMAL
+
+    def test_bisection_matches_linear_scan(self):
+        # unsorted, overlapping and nested cycles: each frame still takes
+        # the first cycle, in start order, that contains it
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            pairs = []
+            for _ in range(int(rng.integers(1, 8))):
+                start = int(rng.integers(0, 80))
+                ann = CycleAnnotation(start, start + int(rng.integers(1, 30)),
+                                      "typical")
+                pairs.append((ann, self._flags(where=rng.integers(0, 101, 20))))
+            frames = range(-2, 115)
+            ordered = sorted(pairs, key=lambda p: (p[0].start_frame,
+                                                   p[0].end_frame))
+            for f, status in zip(frames, frame_statuses(pairs, frames, 101)):
+                hit = next(((a, fl) for a, fl in ordered
+                            if a.start_frame <= f <= a.end_frame), None)
+                if hit is None:
+                    assert status.status["left_knee"] == STATUS_UNKNOWN
+                    continue
+                ann, flags = hit
+                g = round(phase_of_frame(ann, f) / 100.0 * 100)
+                expected = STATUS_ABNORMAL if flags["left_knee"][g] \
+                    else STATUS_NORMAL
+                assert status.status["left_knee"] == expected
 
 
 class TestConfigAndReport:

@@ -10,6 +10,7 @@ from gaitnorm import (DetectionConfig, ValidationError, annotate_frames,
                       render_heatmap, render_multi_joint, severity_matrix,
                       write_figure, z_scores)
 from gaitnorm.detect import STATUS_NORMAL, STATUS_UNKNOWN
+from gaitnorm.figures import _fmt, _points
 from gaitnorm.kinematics import JOINT_NAMES
 from gaitnorm.synth import demo_profiles, generate_pose_sequence
 from gaitnorm.pose_io import CycleAnnotation
@@ -191,3 +192,16 @@ class TestEndToEndFigures:
         assert heat.sidecar["rows"] == 10
         multi = render_multi_joint(report.flag, cycle, model)
         assert sum(p["rendered"] for p in multi.sidecar["panels"]) == 10
+
+
+class TestArrayFormatting:
+    def test_points_equal_per_value_fmt(self):
+        # one %-format per array must match formatting value by value,
+        # negative zero included
+        rng = np.random.default_rng(60)
+        xs = np.concatenate((rng.uniform(-500, 500, 300),
+                             [-0.0, -0.0004, -0.0005, -0.0006, 0.0004, 1e-9]))
+        ys = rng.permutation(xs)
+        expected = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
+        assert _points(xs, ys) == expected
+        assert "-0.000," not in expected and " -0.000" not in expected

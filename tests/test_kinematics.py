@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from gaitnorm import (DegenerateGeometryError, JOINT_NAMES, angle_series,
                       angle_series_set, joint_angle, standard_joint_set)
 from gaitnorm.kinematics import (MISSING_ABSENT_KEYPOINT,
                                  MISSING_DEGENERATE,
-                                 MISSING_LOW_VISIBILITY)
-from gaitnorm.pose_io import Keypoint, KeypointFrame, Point2D, PoseSequence
+                                 MISSING_LOW_VISIBILITY, MISSING_REASONS,
+                                 AngleSample, AngleSeries)
+from gaitnorm.pose_io import (KEYPOINT_NAMES, Keypoint, KeypointFrame,
+                              Point2D, PoseSequence, parse_pose_sequence)
 
 from helpers import arccos_angle
 
@@ -192,3 +195,78 @@ class TestAngleSeries:
         # only the knee triple is present in these frames
         assert not series["left_knee"].samples[0].missing
         assert series["right_knee"].samples[0].missing
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _reference_samples(seq, joint, min_visibility):
+    """The per-frame rule, one sample at a time: (angle or None, reason)."""
+    out = []
+    names = (joint.proximal, joint.axis, joint.distal)
+    for frame in seq.frames:
+        kps = [frame.keypoints.get(n) for n in names]
+        if any(kp is None for kp in kps):
+            out.append((None, MISSING_ABSENT_KEYPOINT))
+        elif any(kp.visibility < min_visibility for kp in kps):
+            out.append((None, MISSING_LOW_VISIBILITY))
+        else:
+            try:
+                out.append((joint_angle(kps[0].point, kps[1].point,
+                                        kps[2].point), None))
+            except DegenerateGeometryError:
+                out.append((None, MISSING_DEGENERATE))
+    return out
+
+
+def _assert_columns_match_reference(seq, min_visibility=0.5):
+    series = angle_series_set(seq, min_visibility)
+    for joint in standard_joint_set():
+        s = series[joint.name]
+        assert s.frames.tolist() == [f.frame_index for f in seq.frames]
+        got = [(a.angle_deg, a.missing_reason) for a in s.samples]
+        # exact equality: the column kernel must reproduce joint_angle bit
+        # for bit, and every missing reason
+        assert got == _reference_samples(seq, joint, min_visibility)
+        codes = s.reasons.tolist()
+        assert [MISSING_REASONS[c] for c in codes] == [r for _, r in got]
+        assert np.array_equal(np.isnan(s.angles), s.reasons != 0)
+
+
+class TestAngleColumns:
+    def test_demo_fixture_matches_joint_angle(self):
+        seq = parse_pose_sequence(
+            (FIXTURES / "demo.keypoints.jsonl").read_bytes())
+        _assert_columns_match_reference(seq)
+
+    def test_missing_reasons_match_per_sample_rule(self):
+        rng = np.random.default_rng(15)
+        frames = []
+        for i in range(300):
+            kps = {}
+            for name in KEYPOINT_NAMES:
+                roll = rng.uniform()
+                if roll < 0.05:
+                    continue  # absent
+                x, y = rng.integers(0, 4, size=2)  # small grid: coincidences
+                vis = 0.2 if roll < 0.12 else 0.9
+                kps[name] = Keypoint(Point2D(float(x), float(y)), vis)
+            frames.append(KeypointFrame(frame_index=3 * i, keypoints=kps))
+        seq = PoseSequence("v", tuple(frames))
+        reasons = {r for s in angle_series_set(seq).values()
+                   for r in s.reasons.tolist()}
+        assert reasons == {0, 1, 2, 3}  # every path is exercised
+        _assert_columns_match_reference(seq)
+        _assert_columns_match_reference(seq, min_visibility=0.0)
+
+    def test_samples_roundtrip_through_arrays(self):
+        samples = [AngleSample(4, 91.5), AngleSample(5, None,
+                                                     MISSING_LOW_VISIBILITY),
+                   AngleSample(7, None)]
+        series = AngleSeries(joint="left_knee", samples=samples)
+        assert series.samples == samples
+        assert series.reasons.tolist() == [0, 2, 0]
+
+    def test_unknown_missing_reason_rejected(self):
+        with pytest.raises(ValueError, match="missing reason"):
+            AngleSeries("left_knee", [AngleSample(0, None, "eclipse")])

@@ -245,6 +245,15 @@ class TestCyclesFile:
         with pytest.raises(ValidationError, match="unknown label"):
             load_cycles(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("grid_points", [-1, 0, 1])
+    def test_grid_points_below_two_rejected_on_load(self, grid_points):
+        doc = {"schema": "gaitnorm-cycles/1", "grid_points": grid_points,
+               "cycles": [{"cycle_id": "a", "label": "typical",
+                           "joints": {"left_knee": {"valid": False,
+                                                    "angle": None}}}]}
+        with pytest.raises(ValidationError, match="grid_points"):
+            load_cycles(json.dumps(doc).encode())
+
 
 class TestReportFile:
     def test_roundtrip(self):

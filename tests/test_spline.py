@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,36 @@ class TestEval:
             for x, y in knots:
                 tol = 1e-12 * max(1.0, abs(y))
                 assert abs(eval_spline(s, x) - y) <= tol
+
+    def test_array_equals_scalar_calls(self):
+        # bit-identical, not approximate: resampled angles are written at
+        # full precision, so the array path must reproduce the scalar one
+        rng = np.random.default_rng(25)
+        for _ in range(100):
+            knots = random_knots(rng, int(rng.integers(2, 13)))
+            s = fit_natural_cubic(knots)
+            grid = np.concatenate(([s.x[0]], s.x,
+                                   rng.uniform(s.x[0], s.x[-1], 200),
+                                   [s.x[-1]]))
+            values = eval_spline(s, grid)
+            assert values.shape == grid.shape
+            assert values.tolist() == [eval_spline(s, float(t)) for t in grid]
+            # the segment formula on numpy scalars, one point at a time
+            xs = s.x.tolist()
+            segments = [min(max(bisect.bisect_right(xs, t) - 1, 0), len(xs) - 2)
+                        for t in grid]
+            assert values.tolist() == [
+                spline_value_on_segment(s, i, t) for i, t in zip(segments, grid)]
+
+    def test_array_shape_kept(self):
+        s = fit_natural_cubic([(0, 0), (1, 1), (2, 0), (3, 1)])
+        assert eval_spline(s, np.full((2, 3), 1.5)).shape == (2, 3)
+        assert isinstance(eval_spline(s, 1.5), float)
+
+    def test_extrapolation_rejected_in_array(self):
+        s = fit_natural_cubic([(0, 0), (1, 1), (2, 2), (3, 3)])
+        with pytest.raises(ValidationError, match="3.5"):
+            eval_spline(s, np.array([0.5, 3.5, 1.0]))
 
     def test_extrapolation_rejected(self):
         s = fit_natural_cubic([(0, 0), (1, 1), (2, 2), (3, 3)])
