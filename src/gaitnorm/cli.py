@@ -30,10 +30,10 @@ from .detect import (DetectionConfig, build_report, frame_statuses,
 from .errors import ValidationError
 from .kinematics import DEFAULT_MIN_VISIBILITY, JOINT_NAMES, angle_series_set
 from .normative import build_normative_model, model_summary
-from .pose_io import (_dump, load_cycles, load_norm_model, load_report,
-                      parse_annotation_document, parse_pose_sequence,
-                      save_angle_series, save_cycles, save_norm_model,
-                      save_report)
+from .pose_io import (PHASE_SOURCES, _dump, load_cycles, load_norm_model,
+                      load_report, parse_annotation_document,
+                      parse_pose_sequence, save_angle_series, save_cycles,
+                      save_norm_model, save_report)
 from .synth import demo_profiles, generate_cohort, profiles_from_json
 
 logger = logging.getLogger(__name__)
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-visibility", type=float,
                    default=DEFAULT_MIN_VISIBILITY)
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--phase-source", choices=("frames", "time"),
+    p.add_argument("--phase-source", choices=PHASE_SOURCES,
                    default="frames",
                    help="interpolate cycle phase over frame index or time_s")
     p.set_defaults(func=cmd_segment)
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--std-kind", choices=("sample", "population"),
                    default="sample")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--phase-source", choices=("frames", "time"),
+    p.add_argument("--phase-source", choices=PHASE_SOURCES,
                    default="frames")
     _add_detection_flags(p)
     p.set_defaults(func=cmd_run)
@@ -195,9 +195,9 @@ def _load_sequence(args):
                                video_id=video_id)
 
 
-def _frame_times(args, seq):
-    """Frame index -> seconds under ``--phase-source time``, else None."""
-    if getattr(args, "phase_source", "frames") != "time":
+def _frame_times(seq, phase_source):
+    """Frame index -> seconds for time phases, else None."""
+    if phase_source != "time":
         return None
     return {f.frame_index: f.time_s for f in seq.frames if f.time_s is not None}
 
@@ -228,7 +228,7 @@ def cmd_segment(args) -> int:
         (ann_video_id or Path(args.keypoints).stem)
     seq = parse_pose_sequence(seq_data, strict=args.strict, video_id=video_id)
     pairs = _segment_and_resample(args, seq, annotations,
-                                  _frame_times(args, seq))
+                                  _frame_times(seq, args.phase_source))
     cycles = [c for _, c in pairs]
     Path(args.out).write_bytes(save_cycles(cycles))
     print(f"wrote {len(cycles)} normalized cycles to {args.out}")
@@ -333,8 +333,10 @@ def cmd_figures(args) -> int:
             written += 1
         if args.keypoints and report.annotation is not None:
             seq = _load_sequence(args)
-            statuses = frame_statuses([(report.annotation, report.flag)],
-                                      seq.frame_indices(), model.grid_points)
+            statuses = frame_statuses(
+                [(report.annotation, report.flag)], seq.frame_indices(),
+                model.grid_points,
+                frame_times=_frame_times(seq, report.phase_source))
             records = figs.annotate_frames(seq, statuses)
             (out_dir / f"{base}.overlays.json").write_bytes(_dump(records))
             written += 1
@@ -363,7 +365,8 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    frame_times = _frame_times(args, seq)
+    frame_times = _frame_times(seq, args.phase_source)
+    phase_source = "frames" if frame_times is None else "time"
     pairs = _segment_and_resample(args, seq, annotations, frame_times)
     files = []
 
@@ -387,7 +390,8 @@ def cmd_run(args) -> int:
     for i, (cycle_slice, cycle) in enumerate(pairs):
         cycle = _mask_joints_missing_from_model(cycle, model)
         report = build_report(cycle, model, cfg, video_id=video_id,
-                              annotation=cycle_slice.annotation)
+                              annotation=cycle_slice.annotation,
+                              phase_source=phase_source)
         report_path = out_dir / f"{video_id}.c{i}.report.json"
         report_path.write_bytes(save_report(report))
         files.append(report_path)

@@ -56,7 +56,9 @@ class DeviationReport:
 
     Joints that were invalid in the analyzed cycle appear in
     ``unknown_joints`` rather than in the per-joint arrays: unknown is
-    never silently reported as normal.
+    never silently reported as normal.  ``phase_source`` names the rule
+    that mapped the cycle's frames to its phase grid (see
+    ``frame_statuses``).
     """
 
     video_id: str
@@ -70,6 +72,7 @@ class DeviationReport:
     severity: Dict[str, np.ndarray]
     flagged_fraction: Dict[str, float]
     unknown_joints: List[str] = field(default_factory=list)
+    phase_source: str = "frames"
 
 
 def z_scores(cycle: NormalizedCycle, model: NormativeModel,
@@ -194,7 +197,8 @@ def build_report(cycle: NormalizedCycle, model: NormativeModel,
                  *,
                  video_id: str = "",
                  annotation: Optional[CycleAnnotation] = None,
-                 joint_order: Sequence[str] = JOINT_NAMES) -> DeviationReport:
+                 joint_order: Sequence[str] = JOINT_NAMES,
+                 phase_source: str = "frames") -> DeviationReport:
     """Run the full per-cycle comparison and bundle it into a report."""
     cfg = cfg or DetectionConfig()
     z = z_scores(cycle, model, cfg)
@@ -214,4 +218,5 @@ def build_report(cycle: NormalizedCycle, model: NormativeModel,
         severity=severity,
         flagged_fraction=flagged_fraction,
         unknown_joints=unknown,
+        phase_source=phase_source,
     )

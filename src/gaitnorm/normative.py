@@ -7,9 +7,9 @@ independently; there is no cross-joint covariance.  The sample SD
 SD low, which would inflate false abnormality flags downstream; the
 population SD remains selectable.
 
-Cycles are canonically ordered by ``cycle_id`` before reduction so the
-model is bit-identical no matter how the input list was ordered (cycle
-ids should therefore be unique within a cohort).
+Cycles are canonically ordered by ``cycle_id``, then by their content,
+before reduction, so the model is bit-identical no matter how the input
+list was ordered, even when cycle ids repeat.
 """
 
 import logging
@@ -64,6 +64,15 @@ class NormativeModel:
                 and self.joints == other.joints)
 
 
+def _canonical_order(c: NormalizedCycle):
+    """Sort key: the cycle id, then each joint's validity and angle bytes
+    in joint-name order, so cycles sharing an id still sort one way."""
+    return (c.cycle_id or "",
+            [(j, bool(c.valid.get(j, False)),
+              np.asarray(c.angles[j], dtype=float).tobytes())
+             for j in sorted(c.angles)])
+
+
 def build_normative_model(cycles: List[NormalizedCycle],
                           grid_points: int,
                           std_kind: str = "sample") -> NormativeModel:
@@ -89,7 +98,7 @@ def build_normative_model(cycles: List[NormalizedCycle],
                 f"cycle {c.cycle_id!r} is labeled {c.label!r}; only typical "
                 f"cycles may form the normative cohort")
 
-    ordered = sorted(cycles, key=lambda c: c.cycle_id or "")
+    ordered = sorted(cycles, key=_canonical_order)
     joint_names = sorted({j for c in ordered for j in c.angles})
 
     ddof = 1 if std_kind == "sample" else 0

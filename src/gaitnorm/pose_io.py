@@ -1,10 +1,11 @@
 """Read, validate and persist the package's external data formats.
 
-Four file families are handled here:
+Six file families are handled here:
 
 * keypoint sequences -- line-delimited JSON, one frame per line, so long
   videos can be streamed with bounded memory
 * cycle annotations -- one JSON document per video
+* per-joint angle series -- ``gaitnorm-angles/1``
 * normalized-cycle cohorts -- ``gaitnorm-cycles/1``
 * normative models -- ``gaitnorm/1``
 * deviation reports -- one JSON document per analyzed cycle
@@ -14,11 +15,22 @@ structures, and parsed values are never mutated afterwards, so they are
 safe to share across threads.  Serializers emit floats at full precision
 (``repr`` round-trip) with sorted keys, so ``load(save(x))`` reproduces
 ``x`` exactly and equal inputs produce byte-identical files.
+
+Every JSON document is written by ``_dump``, whose bytes are exactly
+``json.dumps(doc, sort_keys=True, indent=1) + "\n"``.  The standard
+library runs its pure-Python encoder whenever ``indent`` is set, one call
+per value, so ``_dump`` walks only the containers that hold other
+containers and hands each container of scalars (a band, a z-score row, a
+keypoint triple) to the C encoder in one call; that encoder's item
+separator carries the newline and indent of the container's depth.
+Loaders check each list of numbers as one array the same way.
 """
 
+import functools
 import json
 import logging
 from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -43,6 +55,10 @@ KEYPOINT_NAMES: Tuple[str, ...] = (
 _KEYPOINT_SET = frozenset(KEYPOINT_NAMES)
 
 CYCLE_LABELS: Tuple[str, ...] = ("typical", "atypical")
+
+# How a cycle's phase grid maps to frames: linear in frame index, or in
+# the frames' ``time_s``.
+PHASE_SOURCES: Tuple[str, ...] = ("frames", "time")
 
 NORM_MODEL_SCHEMA = "gaitnorm/1"
 CYCLES_SCHEMA = "gaitnorm-cycles/1"
@@ -289,21 +305,81 @@ def serialize_annotations(video_id: str, cycles: List[CycleAnnotation]) -> bytes
             for c in cycles
         ],
     }
-    return (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
+    return _dump(doc)
 
 
-def _dump(doc: dict) -> bytes:
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+_JSON_NUMBERS = frozenset((int, float))
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_encoder(depth: int):
+    """The C encoder for a container of scalars at nesting ``depth``."""
+    return c_make_encoder(None, json.JSONEncoder().default,
+                          encode_basestring_ascii, None, ": ",
+                          ",\n" + " " * (depth + 1), True, False, True)
+
+
+def _key(key) -> str:
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = "".join(_scalar_encoder(0)(key, 0))
+    return encode_basestring_ascii(key)
+
+
+def _encode(obj, depth: int) -> str:
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=1)`` writes it
+    at nesting ``depth``."""
+    if isinstance(obj, dict):
+        values = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        values = obj
+    else:
+        return "".join(_scalar_encoder(depth)(obj, 0))
+    pad = "\n" + " " * depth
+    inner = pad + " "
+    # Exact types: a subclass (np.float64, a dict subclass) takes the walk,
+    # where it is encoded on its own as the standard library would.
+    if _JSON_SCALARS.issuperset(map(type, values)):
+        text = "".join(_scalar_encoder(depth)(obj, 0))
+        if len(text) == 2:  # empty: "[]" or "{}"
+            return text
+        return text[0] + inner + text[1:-1] + pad + text[-1]
+    if values is obj:
+        items = [_encode(v, depth + 1) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    items = [_key(k) + ": " + _encode(v, depth + 1)
+             for k, v in sorted(obj.items())]
+    return "{" + inner + ("," + inner).join(items) + pad + "}"
+
+
+def _dump(doc) -> bytes:
     # Canonical bytes: sorted keys, repr-precision floats, trailing newline.
-    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
+    return (_encode(doc, 0) + "\n").encode()
 
 
-def _float_list(values, what: str, n: int) -> List[float]:
+def _floats(values) -> List[float]:
+    return np.asarray(values, dtype=float).tolist()
+
+
+def _float_list(values, what: str, n: int) -> np.ndarray:
     if not isinstance(values, list) or len(values) != n:
         raise ValidationError(f"{what}: expected an array of length {n}")
-    out = []
-    for v in values:
-        out.append(_require_number(v, what))
-    return out
+    # Exact types, so bool (an int subclass) is still rejected.
+    if _JSON_NUMBERS.issuperset(map(type, values)):
+        arr = np.array(values, dtype=float)
+        if np.isfinite(arr).all():
+            return arr
+    # Per value, to name the first offending one.
+    return np.array([_require_number(v, what) for v in values], dtype=float)
+
+
+def _require_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be an object")
+    return value
 
 
 def save_norm_model(model) -> bytes:
@@ -315,8 +391,8 @@ def save_norm_model(model) -> bytes:
     joints = {}
     for name, jn in model.joints.items():
         joints[name] = {
-            "mean": [float(v) for v in jn.mean],
-            "std": [float(v) for v in jn.std],
+            "mean": _floats(jn.mean),
+            "std": _floats(jn.std),
             "n_cycles": int(jn.n_cycles),
         }
     doc = {
@@ -349,23 +425,21 @@ def load_norm_model(data: bytes):
     std_kind = doc.get("std_kind")
     if std_kind not in ("sample", "population"):
         raise ValidationError(f"unknown std_kind {std_kind!r}")
-    raw_joints = doc.get("joints")
-    if not isinstance(raw_joints, dict):
-        raise ValidationError("'joints' must be an object")
+    raw_joints = _require_object(doc.get("joints"), "'joints'")
 
     joints = {}
     for name, entry in raw_joints.items():
+        _require_object(entry, f"joint {name!r}")
         mean = _float_list(entry.get("mean"), f"joint {name!r} mean", grid_points)
         std = _float_list(entry.get("std"), f"joint {name!r} std", grid_points)
         n_cycles = _require_int(entry.get("n_cycles"), f"joint {name!r} n_cycles")
         if n_cycles < 1:
             raise ValidationError(f"joint {name!r}: n_cycles must be >= 1")
-        if any(v < 0.0 for v in std):
+        if std.min() < 0.0:
             raise ValidationError(f"joint {name!r}: std values must be >= 0")
-        if any(not 0.0 <= v <= 180.0 for v in mean):
+        if mean.min() < 0.0 or mean.max() > 180.0:
             raise ValidationError(f"joint {name!r}: mean values must be in [0, 180]")
-        joints[name] = JointNormals(mean=np.array(mean), std=np.array(std),
-                                    n_cycles=n_cycles)
+        joints[name] = JointNormals(mean=mean, std=std, n_cycles=n_cycles)
 
     provenance = doc.get("provenance", [])
     if not isinstance(provenance, list) or not all(isinstance(p, str) for p in provenance):
@@ -388,7 +462,7 @@ def save_cycles(cycles) -> bytes:
             valid = bool(c.valid.get(name, False))
             joints[name] = {
                 "valid": valid,
-                "angle": [float(v) for v in c.angles[name]] if valid else None,
+                "angle": _floats(c.angles[name]) if valid else None,
             }
         entries.append({
             "cycle_id": c.cycle_id,
@@ -421,26 +495,26 @@ def load_cycles(data: bytes):
 
     out = []
     for i, entry in enumerate(raw):
+        _require_object(entry, f"cycle {i}")
         label = entry.get("label")
         if label not in CYCLE_LABELS:
             raise ValidationError(f"cycle {i}: unknown label {label!r}")
         cycle_id = entry.get("cycle_id")
         if cycle_id is not None and not isinstance(cycle_id, str):
             raise ValidationError(f"cycle {i}: cycle_id must be a string or null")
-        joints = entry.get("joints")
-        if not isinstance(joints, dict):
-            raise ValidationError(f"cycle {i}: 'joints' must be an object")
+        joints = _require_object(entry.get("joints"), f"cycle {i}: 'joints'")
         angles = {}
         valid = {}
         for name, jentry in joints.items():
+            _require_object(jentry, f"cycle {i} joint {name!r}")
             is_valid = bool(jentry.get("valid"))
             if is_valid:
                 vals = _float_list(jentry.get("angle"),
                                    f"cycle {i} joint {name!r} angle", grid_points)
-                if any(not 0.0 <= v <= 180.0 for v in vals):
+                if vals.min() < 0.0 or vals.max() > 180.0:
                     raise ValidationError(
                         f"cycle {i} joint {name!r}: angles must be in [0, 180]")
-                angles[name] = np.array(vals)
+                angles[name] = vals
             else:
                 angles[name] = np.full(grid_points, np.nan)
             valid[name] = is_valid
@@ -454,15 +528,17 @@ def save_report(report) -> bytes:
     joints = {}
     for name in report.z:
         joints[name] = {
-            "z": [float(v) for v in report.z[name]],
-            "flag": [bool(v) for v in report.flag[name]],
-            "severity": [float(v) for v in report.severity[name]],
+            "z": _floats(report.z[name]),
+            "flag": np.asarray(report.flag[name], dtype=bool).tolist(),
+            "severity": _floats(report.severity[name]),
             "flagged_fraction": float(report.flagged_fraction[name]),
         }
     cycle_meta = {"cycle_id": report.cycle_id, "label": report.label}
     if report.annotation is not None:
         cycle_meta["start_frame"] = report.annotation.start_frame
         cycle_meta["end_frame"] = report.annotation.end_frame
+    if report.phase_source != "frames":
+        cycle_meta["phase_source"] = report.phase_source
     doc = {
         "video_id": report.video_id,
         "cycle": cycle_meta,
@@ -489,41 +565,65 @@ def load_report(data: bytes):
     if not isinstance(doc, dict) or not isinstance(doc.get("joints"), dict):
         raise ValidationError("report file must contain a 'joints' object")
     grid_points = _require_int(doc.get("grid_points"), "'grid_points'")
-    cfg_doc = doc.get("config", {})
+    cfg_doc = _require_object(doc.get("config", {}), "'config'")
     config = DetectionConfig(
-        k=float(cfg_doc.get("k", 1.0)),
-        sigma_floor_deg=float(cfg_doc.get("sigma_floor_deg", 0.5)),
-        severity_clip=float(cfg_doc.get("severity_clip", 3.0)),
+        k=_require_number(cfg_doc.get("k", 1.0), "'config.k'"),
+        sigma_floor_deg=_require_number(cfg_doc.get("sigma_floor_deg", 0.5),
+                                        "'config.sigma_floor_deg'"),
+        severity_clip=_require_number(cfg_doc.get("severity_clip", 3.0),
+                                      "'config.severity_clip'"),
     )
     z = {}
     flag = {}
     severity = {}
     flagged_fraction = {}
     for name, entry in doc["joints"].items():
-        z[name] = np.array(_float_list(entry.get("z"), f"joint {name!r} z",
-                                       grid_points))
+        _require_object(entry, f"joint {name!r}")
+        z[name] = _float_list(entry.get("z"), f"joint {name!r} z", grid_points)
         flags = entry.get("flag")
         if not isinstance(flags, list) or len(flags) != grid_points:
             raise ValidationError(f"joint {name!r} flag: expected an array of "
                                   f"length {grid_points}")
-        flag[name] = np.array([bool(v) for v in flags])
-        severity[name] = np.array(_float_list(entry.get("severity"),
-                                              f"joint {name!r} severity",
-                                              grid_points))
-        flagged_fraction[name] = float(entry.get("flagged_fraction", 0.0))
+        if not {bool}.issuperset(map(type, flags)):
+            raise ValidationError(f"joint {name!r} flag: expected booleans")
+        flag[name] = np.array(flags, dtype=bool)
+        severity[name] = _float_list(entry.get("severity"),
+                                     f"joint {name!r} severity", grid_points)
+        flagged_fraction[name] = _require_number(
+            entry.get("flagged_fraction", 0.0), f"joint {name!r} flagged_fraction")
 
-    cycle_meta = doc.get("cycle", {})
+    cycle_meta = _require_object(doc.get("cycle"), "'cycle'")
+    label = cycle_meta.get("label")
+    if label not in CYCLE_LABELS:
+        raise ValidationError(f"'cycle.label': unknown label {label!r}")
+    cycle_id = cycle_meta.get("cycle_id")
+    if cycle_id is not None and not isinstance(cycle_id, str):
+        raise ValidationError("'cycle.cycle_id' must be a string or null")
+    phase_source = cycle_meta.get("phase_source", "frames")
+    if phase_source not in PHASE_SOURCES:
+        raise ValidationError(
+            f"'cycle.phase_source' must be one of {PHASE_SOURCES}, got "
+            f"{phase_source!r}")
     annotation = None
     if "start_frame" in cycle_meta and "end_frame" in cycle_meta:
         annotation = CycleAnnotation(
-            start_frame=cycle_meta["start_frame"],
-            end_frame=cycle_meta["end_frame"],
-            label=cycle_meta.get("label", "typical"),
+            start_frame=_require_int(cycle_meta["start_frame"],
+                                     "'cycle.start_frame'"),
+            end_frame=_require_int(cycle_meta["end_frame"],
+                                   "'cycle.end_frame'"),
+            label=label,
         )
+    video_id = doc.get("video_id", "")
+    if not isinstance(video_id, str):
+        raise ValidationError("'video_id' must be a string")
+    unknown_joints = doc.get("unknown_joints", [])
+    if not isinstance(unknown_joints, list) or not all(
+            isinstance(j, str) for j in unknown_joints):
+        raise ValidationError("'unknown_joints' must be a list of strings")
     return DeviationReport(
-        video_id=doc.get("video_id", ""),
-        cycle_id=cycle_meta.get("cycle_id"),
-        label=cycle_meta.get("label", "typical"),
+        video_id=video_id,
+        cycle_id=cycle_id,
+        label=label,
         annotation=annotation,
         grid_points=grid_points,
         config=config,
@@ -531,7 +631,8 @@ def load_report(data: bytes):
         flag=flag,
         severity=severity,
         flagged_fraction=flagged_fraction,
-        unknown_joints=list(doc.get("unknown_joints", [])),
+        unknown_joints=list(unknown_joints),
+        phase_source=phase_source,
     )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .cycles import DEFAULT_GRID_POINTS, NormalizedCycle
 from .errors import ValidationError
 from .pose_io import (CycleAnnotation, Keypoint, KeypointFrame, Point2D,
-                      PoseSequence)
+                      PoseSequence, _dump)
 
 INJECTION_KINDS = ("offset", "amplitude_scale", "phase_shift")
 
@@ -205,7 +205,7 @@ def profiles_to_json(profiles: Dict[str, JointProfile]) -> bytes:
         }
         for joint, p in profiles.items()
     }
-    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
+    return _dump(doc)
 
 
 def profiles_from_json(data: bytes) -> Dict[str, JointProfile]:

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from gaitnorm.cli import main
 from gaitnorm.pose_io import (KeypointFrame, PoseSequence, load_cycles,
@@ -200,17 +201,7 @@ def test_run_time_phases_drive_overlay_statuses(tmp_path):
     # Uneven timestamps: under --phase-source time each frame's overlay
     # status must read the grid sample of its time-linear phase, the same
     # phase its cycle was resampled on.
-    seq, annotations = generate_pose_sequence(n_cycles=6, frames_per_cycle=30,
-                                              seed=5, video_id="jitter")
-    rng = np.random.default_rng(8)
-    times = np.cumsum(rng.uniform(0.005, 0.06, len(seq.frames))).tolist()
-    frames = tuple(KeypointFrame(f.frame_index, f.keypoints, t)
-                   for f, t in zip(seq.frames, times))
-    keypoints = tmp_path / "jitter.keypoints.jsonl"
-    keypoints.write_bytes(serialize_pose_sequence(
-        PoseSequence("jitter", frames)))
-    cycles = tmp_path / "jitter.cycles.json"
-    cycles.write_bytes(serialize_annotations("jitter", annotations))
+    keypoints, cycles, times, annotations = _jittered_walker(tmp_path)
     out_dir = tmp_path / "out"
     assert main(["run", "--keypoints", str(keypoints), "--annotations",
                  str(cycles), "--out-dir", str(out_dir), "--k", "0.5",
@@ -232,4 +223,110 @@ def test_run_time_phases_drive_overlay_statuses(tmp_path):
                 assert overlays[f]["joint_status"][joint] == expected
                 checked += 1
                 flagged += bool(flags[g])
-    assert checked == len(seq.frames) * 10 and flagged > 0
+    assert checked == len(times) * 10 and flagged > 0
+
+
+def test_figures_overlays_follow_the_report_phase_source(tmp_path):
+    # After `run --phase-source time`, `figures --keypoints` on one cycle's
+    # report must map statuses with the same time-linear phases as `run`.
+    keypoints, cycles, _, annotations = _jittered_walker(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--keypoints", str(keypoints), "--annotations",
+                 str(cycles), "--out-dir", str(out_dir), "--k", "0.5",
+                 "--phase-source", "time"]) == 0
+    last = len(annotations) - 1
+    report = out_dir / f"jitter.c{last}.report.json"
+    assert json.loads(report.read_text())["cycle"]["phase_source"] == "time"
+    fig_dir = tmp_path / "figures"
+    assert main(["figures", "--model", str(out_dir / "jitter.model.json"),
+                 "--report", str(report), "--keypoints", str(keypoints),
+                 "--out-dir", str(fig_dir)]) == 0
+
+    run_overlays = json.loads((out_dir / "jitter.overlays.json").read_text())
+    fig_overlays = json.loads((fig_dir / "jitter.overlays.json").read_text())
+    ann = annotations[last]
+    # the shared start frame belongs to the previous cycle in `run`
+    frames = range(ann.start_frame + 1, ann.end_frame + 1)
+    assert len(frames) == 30
+    for f in frames:
+        assert fig_overlays[f]["joint_status"] == \
+            run_overlays[f]["joint_status"]
+
+
+def _write_json(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _bad_cycles(tmp_path, cycles):
+    path = _write_json(tmp_path / "bad.cycles.json",
+                       {"schema": "gaitnorm-cycles/1", "grid_points": 3,
+                        "cycles": cycles})
+    return ["build-norm", "--cycles", path, "--out", str(tmp_path / "m.json")]
+
+
+def _bad_model(tmp_path):
+    path = _write_json(tmp_path / "bad.model.json",
+                       {"schema": "gaitnorm/1", "grid_points": 3,
+                        "std_kind": "sample", "joints": {"a": 7}})
+    return ["figures", "--model", path, "--out-dir", str(tmp_path / "fig")]
+
+
+def _bad_report(tmp_path, mutate):
+    cohort, model = tmp_path / "cohort.json", tmp_path / "model.json"
+    assert main(["synth", "--out", str(cohort), "--n", "4"]) == 0
+    assert main(["build-norm", "--cycles", str(cohort),
+                 "--out", str(model)]) == 0
+    assert main(["detect", "--cycles", str(cohort), "--model", str(model),
+                 "--out-dir", str(tmp_path), "--video-id", "v"]) == 0
+    report = tmp_path / "v.c0.report.json"
+    doc = json.loads(report.read_text())
+    mutate(doc)
+    return ["figures", "--model", str(model),
+            "--report", _write_json(report, doc),
+            "--out-dir", str(tmp_path / "fig")]
+
+
+def _first_joint(doc):
+    return next(iter(doc["joints"].values()))
+
+
+WRONG_FIELD_TYPES = {
+    "cycles-entry-not-object": lambda t: _bad_cycles(t, [5]),
+    "cycles-joint-not-object": lambda t: _bad_cycles(
+        t, [{"label": "typical", "cycle_id": "a",
+             "joints": {"left_knee": 7}}]),
+    "model-joint-not-object": _bad_model,
+    "report-string-start-frame": lambda t: _bad_report(
+        t, lambda d: d["cycle"].update(start_frame="3", end_frame=40)),
+    "report-string-flagged-fraction": lambda t: _bad_report(
+        t, lambda d: _first_joint(d).update(flagged_fraction="x")),
+    "report-without-label": lambda t: _bad_report(
+        t, lambda d: d["cycle"].pop("label")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_FIELD_TYPES))
+def test_wrong_field_types_exit_1_without_traceback(tmp_path, capsys, case):
+    argv = WRONG_FIELD_TYPES[case](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err and "Traceback" not in err
+
+
+def _jittered_walker(tmp_path):
+    """A 6-cycle walker whose frames carry uneven ``time_s``; returns the
+    keypoint and annotation paths, the frame times and the cycles."""
+    seq, annotations = generate_pose_sequence(n_cycles=6, frames_per_cycle=30,
+                                              seed=5, video_id="jitter")
+    rng = np.random.default_rng(8)
+    times = np.cumsum(rng.uniform(0.005, 0.06, len(seq.frames))).tolist()
+    frames = tuple(KeypointFrame(f.frame_index, f.keypoints, t)
+                   for f, t in zip(seq.frames, times))
+    keypoints = tmp_path / "jitter.keypoints.jsonl"
+    keypoints.write_bytes(serialize_pose_sequence(
+        PoseSequence("jitter", frames)))
+    cycles = tmp_path / "jitter.cycles.json"
+    cycles.write_bytes(serialize_annotations("jitter", annotations))
+    return keypoints, cycles, times, annotations

@@ -90,6 +90,20 @@ class TestInvariants:
         b = save_norm_model(build_normative_model(shuffled, 101))
         assert a == b
 
+    def test_repeated_cycle_ids_order_invariant(self):
+        # All ids equal: the id alone leaves the reduction order to the
+        # input order, and float sums depend on it.
+        cohort = [NormalizedCycle(label=c.label, grid_points=c.grid_points,
+                                  angles=c.angles, valid=c.valid,
+                                  cycle_id="synth-0")
+                  for c in generate_cohort(demo_profiles(), 30, seed=0)]
+        shuffled = list(cohort)
+        np.random.default_rng(2).shuffle(shuffled)
+        forward = build_normative_model(cohort, 101)
+        for other in (cohort[::-1], shuffled):
+            model = build_normative_model(other, 101)
+            assert save_norm_model(model) == save_norm_model(forward)
+
     def test_population_std_unchanged_under_duplication(self):
         cohort = generate_cohort(demo_profiles(), 16, seed=500)
         doubled = cohort + [

@@ -1,5 +1,8 @@
 import json
 import logging
+import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +13,9 @@ from gaitnorm import (CycleAnnotation, NormalizedCycle, ValidationError,
                       save_cycles, save_norm_model, save_report)
 from gaitnorm.detect import DetectionConfig, build_report
 from gaitnorm.normative import JointNormals, NormativeModel
-from gaitnorm.pose_io import (load_angle_series, parse_annotation_document,
-                              save_angle_series, serialize_annotations,
-                              serialize_pose_sequence)
+from gaitnorm.pose_io import (_dump, _float_list, load_angle_series,
+                              parse_annotation_document, save_angle_series,
+                              serialize_annotations, serialize_pose_sequence)
 from gaitnorm.kinematics import angle_series_set
 
 
@@ -279,6 +282,23 @@ class TestReportFile:
             np.testing.assert_array_equal(again.flag[j], report.flag[j])
             np.testing.assert_array_equal(again.severity[j], report.severity[j])
             assert again.flagged_fraction[j] == report.flagged_fraction[j]
+        assert again.phase_source == "frames"
+
+    def test_phase_source_written_only_for_time_phases(self):
+        model = _small_model()
+        cycle = NormalizedCycle(
+            label="typical", grid_points=101,
+            angles={"left_knee": model.joints["left_knee"].mean.copy()},
+            valid={"left_knee": True}, cycle_id="walk:0-30")
+        frames = save_report(build_report(cycle, model))
+        assert "phase_source" not in json.loads(frames)["cycle"]
+        timed = save_report(build_report(cycle, model, phase_source="time"))
+        assert json.loads(timed)["cycle"]["phase_source"] == "time"
+        assert load_report(timed).phase_source == "time"
+        doc = json.loads(timed)
+        doc["cycle"]["phase_source"] = "seconds"
+        with pytest.raises(ValidationError, match="phase_source"):
+            load_report(json.dumps(doc).encode())
 
 
 class TestAngleSeriesFile:
@@ -296,3 +316,114 @@ class TestAngleSeriesFile:
                     for s in again[j].samples] == \
                 [(s.frame_index, s.angle_deg, s.missing_reason)
                  for s in series[j].samples]
+
+
+def _stdlib_dump(doc) -> bytes:
+    """The reference ``_dump`` must reproduce byte for byte."""
+    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
+
+
+_SCALARS = [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+    2.2250738585072014e-308 / 3, 1.7976931348623157e308, 0.1, -123.456,
+    10 ** 30, -(10 ** 25), 2 ** 63, True, False, 0, 1, None,
+    np.float64(1.5), np.float64(-0.0), np.float64("nan"),
+    "", 'say "hi"', "back\\slash", "\x00\x1f\n\t\r\x7f",
+    "ünïcødé ☃ 𝄞", "\u2028 / \\u0041",
+]
+_KEYS = ["", "a", "b", 'q"uote', "back\\slash", "ctl\x01\n", "ключ", "☃𝄞",
+         "z" * 40]
+
+
+def _random_doc(rng: random.Random, depth: int):
+    kind = rng.random()
+    if depth >= 4 or kind < 0.35:
+        return rng.choice(_SCALARS + [rng.uniform(-1e6, 1e6),
+                                      rng.randrange(-10 ** 20, 10 ** 20)])
+    n = rng.choice([0, 0, 1, 2, 3, 6])
+    if kind < 0.6:
+        return [_random_doc(rng, depth + 1) for _ in range(n)]
+    if kind < 0.7:
+        return tuple(_random_doc(rng, depth + 1) for _ in range(n))
+    return {rng.choice(_KEYS): _random_doc(rng, depth + 1) for _ in range(n)}
+
+
+class TestCanonicalEncoder:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_documents_match_stdlib(self, seed):
+        doc = _random_doc(random.Random(seed), 0)
+        assert _dump(doc) == _stdlib_dump(doc)
+
+    def test_edge_cases_match_stdlib(self):
+        docs = [
+            {"scalars": _SCALARS, "tuple": tuple(_SCALARS),
+             "keys": {k: k for k in _KEYS}},
+            [[], {}, [[]], [{}], {"a": []}, {"a": {}}, [[[], {}]]],
+            {"deep": {"a": [{"b": [[1, 2.5, None]], "c": {}}], "d": ()}},
+            {1: "int", 2: [1.5], 10: {}}, {0.5: "float", -1e300: [None]},
+            {None: [True, False, 0, 1]}, {True: 1}, {False: 0},
+            {np.float64(2.5): "np"},
+            [True, 1, False, 0, 1.0, 0.0], [np.float64(0.1), 0.1],
+            (), [], {}, "top", 3.25, None, True,
+        ]
+        for doc in docs:
+            assert _dump(doc) == _stdlib_dump(doc), doc
+
+    def test_unencodable_values_still_raise(self):
+        for doc in ([object()], {"a": [set()]}, {(1, 2): 1}):
+            with pytest.raises(TypeError):
+                _dump(doc)
+
+    def test_demo_run_documents_match_stdlib(self, tmp_path, monkeypatch):
+        from gaitnorm import cli, figures, pose_io
+        from gaitnorm.cli import main
+
+        seen = []
+
+        def recording_dump(doc):
+            seen.append(doc)
+            return _dump(doc)
+
+        for module in (cli, figures, pose_io):
+            monkeypatch.setattr(module, "_dump", recording_dump)
+        fixtures = Path(__file__).parent / "fixtures"
+        assert main(["run", "--keypoints",
+                     str(fixtures / "demo.keypoints.jsonl"), "--annotations",
+                     str(fixtures / "demo.cycles.json"), "--out-dir",
+                     str(tmp_path)]) == 0
+        # every JSON file the run writes: model, reports, overlays, sidecars
+        assert len(seen) == len(list(tmp_path.glob("*.json"))) == 24
+        for doc in seen:
+            assert _dump(doc) == _stdlib_dump(doc)
+
+
+class TestFloatList:
+    def test_values_match_per_value_conversion(self):
+        values = [0, 1, -0.0, 5e-324, 2 ** 53 + 1, 10 ** 30, -(2 ** 70),
+                  0.1, 179.99999999999997]
+        arr = _float_list(values, "x", len(values))
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+        assert arr.tobytes() == np.array([float(v) for v in values]).tobytes()
+
+    @pytest.mark.parametrize("bad, message", [
+        (True, "x must be a number, got True"),
+        (False, "x must be a number, got False"),
+        ("1.0", "x must be a number, got '1.0'"),
+        (None, "x must be a number, got None"),
+        ([1.0], "x must be a number, got [1.0]"),
+        (float("nan"), "x must be finite, got nan"),
+        (float("inf"), "x must be finite, got inf"),
+        (float("-inf"), "x must be finite, got -inf"),
+    ])
+    def test_bad_element_message(self, bad, message):
+        # A later bad value must not mask the first one.
+        values = [1.0, 2, bad, "later", 4.0]
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            _float_list(values, "x", len(values))
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0], [1.0] * 4, (1.0,) * 3,
+                                        None, {"a": 1.0}, "abc"])
+    def test_wrong_container_or_length(self, values):
+        with pytest.raises(ValidationError,
+                           match=r"^x: expected an array of length 3$"):
+            _float_list(values, "x", 3)
