@@ -1,37 +1,43 @@
 """Command-line pipeline driver.
 
-Subcommands mirror the processing stages::
+The method is one cycle-wise chain: joint angles -> phase-normalized
+cycles -> normative band -> per-cycle deviations -> figures.  Each stage
+is written once, and every subcommand is a slice of the stages::
 
-    angles      keypoints -> per-frame joint angle series
-    segment     keypoints + annotations -> phase-normalized cycles
-    build-norm  cycles -> normative model
-    detect      cycles + model -> per-cycle deviation reports
-    figures     model [+ report + cycles + keypoints] -> SVG documents
-    synth       -> synthetic cycle cohorts with known ground truth
-    run         keypoints + annotations -> everything above, end to end
+    _load_sequence  parse a keypoint file                angles, figures
+    _segment        annotations + keypoints -> angles    segment, run
+                    -> cycle slices -> resampled cycles
+    _reports        score cycles, write their reports    detect, run
+    _band_plots     band plot per model joint            figures, run
+    _cycle_figures  multi-joint panel, severity heatmap  figures, run
+    _overlays       per-frame skeleton status records    figures, run
 
-A JSON config file (``--config`` or ``$GAITNORM_CONFIG``) may carry any
-flag value by its long name; config values override command-line flags.
+``angles`` stops at the angle series and ``synth`` writes a synthetic
+cohort.  ``run`` composes every stage, one cycle at a time.  Its model
+step needs two typical cycles of the video; ``build-norm`` keeps its own,
+which needs one and drops atypical cycles with a warning.  Flags that
+subcommands share are declared once, in argparse parent parsers.  A JSON config file (``--config`` or ``$GAITNORM_CONFIG``)
+may carry any flag value by its long name; config values override
+command-line flags and are checked by the flag's own type and choices.
 Exit codes: 0 on success, 1 on a validation error, 2 on an I/O error.
 """
 
 import argparse
-import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import figures as figs
-from .cycles import (DEFAULT_GRID_POINTS, NormalizedCycle, resample_cycle,
-                     segment_cycles)
+from .cycles import DEFAULT_GRID_POINTS, resample_cycle, segment_cycles
 from .detect import (DetectionConfig, build_report, frame_statuses,
                      severity_matrix)
 from .errors import ValidationError
 from .kinematics import DEFAULT_MIN_VISIBILITY, JOINT_NAMES, angle_series_set
 from .normative import build_normative_model, model_summary
-from .pose_io import (PHASE_SOURCES, _dump, load_cycles, load_norm_model,
-                      load_report, parse_annotation_document,
+from .pose_io import (PHASE_SOURCES, _dump, _load_json, load_cycles,
+                      load_norm_model, load_report, parse_annotation_document,
                       parse_pose_sequence, save_angle_series, save_cycles,
                       save_norm_model, save_report)
 from .synth import demo_profiles, generate_cohort, profiles_from_json
@@ -50,25 +56,43 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_detection_flags(p):
-    p.add_argument("--k", type=float, default=1.0,
-                   help="SD multiplier for the abnormality threshold")
-    p.add_argument("--sigma-floor-deg", type=float, default=0.5,
-                   help="lower bound on the SD used in z-scores")
-    p.add_argument("--severity-clip", type=float, default=3.0,
-                   help="|z| at which severity shading saturates")
-
-
-def _detection_config(args) -> DetectionConfig:
-    return DetectionConfig(k=args.k, sigma_floor_deg=args.sigma_floor_deg,
-                           severity_clip=args.severity_clip)
+def _flags(*parents):
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None,
-                        help=f"JSON config file; values override flags "
-                             f"(default: ${CONFIG_ENV_VAR})")
+    common = _flags()
+    common.add_argument("--config", help=f"JSON config file; values override "
+                        f"flags (default: ${CONFIG_ENV_VAR})")
+    out, out_dir = _flags(), _flags()
+    out.add_argument("--out", required=True)
+    out_dir.add_argument("--out-dir", required=True)
+    video = _flags()
+    video.add_argument("--video-id")
+    grid = _flags()
+    grid.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
+    keypoints = _flags()
+    keypoints.add_argument("--keypoints", required=True)
+    keypoints.add_argument("--min-visibility", type=float,
+                           default=DEFAULT_MIN_VISIBILITY)
+    keypoints.add_argument("--strict", action="store_true",
+                           help="reject unknown keypoint names, don't skip")
+    segment = _flags(keypoints, grid)
+    segment.add_argument("--annotations", required=True)
+    segment.add_argument("--phase-source", choices=PHASE_SOURCES,
+                         default="frames",
+                         help="interpolate cycle phase over frame index or "
+                              "time_s")
+    std_kind = _flags()
+    std_kind.add_argument("--std-kind", choices=("sample", "population"),
+                          default="sample")
+    detection = _flags()
+    detection.add_argument("--k", type=float, default=1.0,
+                           help="SD multiplier for the abnormality threshold")
+    detection.add_argument("--sigma-floor-deg", type=float, default=0.5,
+                           help="lower bound on the SD used in z-scores")
+    detection.add_argument("--severity-clip", type=float, default=3.0,
+                           help="|z| at which severity shading saturates")
 
     parser = _Parser(prog="gaitnorm",
                      description="Clinical gait kinematics from 2D pose "
@@ -76,123 +100,101 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("angles", parents=[common],
-                       help="compute joint angle series from keypoints")
-    p.add_argument("--keypoints", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--video-id", default=None)
-    p.add_argument("--min-visibility", type=float,
-                   default=DEFAULT_MIN_VISIBILITY)
-    p.add_argument("--strict", action="store_true",
-                   help="reject unknown keypoint names instead of skipping")
-    p.set_defaults(func=cmd_angles)
+    def command(name, func, parents, help):
+        p = sub.add_parser(name, parents=[common, *parents], help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("segment", parents=[common],
-                       help="slice keypoints into phase-normalized cycles")
-    p.add_argument("--keypoints", required=True)
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
-    p.add_argument("--min-visibility", type=float,
-                   default=DEFAULT_MIN_VISIBILITY)
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--phase-source", choices=PHASE_SOURCES,
-                   default="frames",
-                   help="interpolate cycle phase over frame index or time_s")
-    p.set_defaults(func=cmd_segment)
+    command("angles", cmd_angles, [keypoints, out, video],
+            "compute joint angle series from keypoints")
+    command("segment", cmd_segment, [segment, out],
+            "slice keypoints into phase-normalized cycles")
 
-    p = sub.add_parser("build-norm", parents=[common],
-                       help="build a normative model from typical cycles")
+    p = command("build-norm", cmd_build_norm, [out, std_kind],
+                "build a normative model from typical cycles")
     p.add_argument("--cycles", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--std-kind", choices=("sample", "population"),
-                   default="sample")
-    p.set_defaults(func=cmd_build_norm)
 
-    p = sub.add_parser("detect", parents=[common],
-                       help="compare cycles against a normative model")
+    p = command("detect", cmd_detect, [out_dir, video, detection],
+                "compare cycles against a normative model")
     p.add_argument("--cycles", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--video-id", default=None)
-    _add_detection_flags(p)
-    p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("figures", parents=[common],
-                       help="render band plots, multi-joint panels, heatmap")
+    p = command("figures", cmd_figures, [out_dir, video, detection],
+                "render band plots, multi-joint panels, heatmap")
     p.add_argument("--model", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--report", default=None,
-                   help="deviation report to overlay / render")
-    p.add_argument("--cycles", default=None,
+    p.add_argument("--report", help="deviation report to overlay / render")
+    p.add_argument("--cycles",
                    help="cycles file holding the report's analyzed cycle")
-    p.add_argument("--keypoints", default=None,
-                   help="with a report carrying cycle bounds: also write "
-                        "frame overlay records")
-    p.add_argument("--joint", action="append", default=None,
+    p.add_argument("--keypoints", help="with a report carrying cycle bounds: "
+                                       "also write frame overlay records")
+    p.add_argument("--joint", action="append",
                    help="render band plots only for these joints (repeatable)")
-    p.add_argument("--video-id", default=None)
-    _add_detection_flags(p)
-    p.set_defaults(func=cmd_figures)
 
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a synthetic typical-cycle cohort")
-    p.add_argument("--out", required=True)
+    p = command("synth", cmd_synth, [out, grid],
+                "generate a synthetic typical-cycle cohort")
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
-    p.add_argument("--profiles", default=None,
+    p.add_argument("--profiles",
                    help="JSON joint profiles (default: bundled demo set)")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("run", parents=[common],
-                       help="full pipeline: keypoints to model, reports, figures")
-    p.add_argument("--keypoints", required=True)
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--model", default=None,
-                   help="existing normative model (default: build one from "
-                        "the video's typical cycles)")
-    p.add_argument("--video-id", default=None)
-    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
-    p.add_argument("--min-visibility", type=float,
-                   default=DEFAULT_MIN_VISIBILITY)
-    p.add_argument("--std-kind", choices=("sample", "population"),
-                   default="sample")
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--phase-source", choices=PHASE_SOURCES,
-                   default="frames")
-    _add_detection_flags(p)
-    p.set_defaults(func=cmd_run)
-
+    p = command("run", cmd_run, [segment, out_dir, video, std_kind, detection],
+                "full pipeline: keypoints to model, reports, figures")
+    p.add_argument("--model", help="existing normative model (default: build "
+                                   "one from the video's typical cycles)")
     return parser
 
 
-def _apply_config(args) -> None:
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
+def _config_value(action, key, value):
+    """``value`` checked as the flag checks its command-line text."""
+    parsed = value
+    if action.nargs == 0:  # store_true: a JSON boolean
+        ok = isinstance(value, bool)
+    elif isinstance(action, argparse._AppendAction):  # --joint: strings
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    elif type(value) in (str, int, float):
+        text = value if isinstance(value, str) else repr(value)
+        try:
+            parsed = action.type(text) if action.type else text
+        except ValueError:
+            ok = False
+        else:
+            ok = action.choices is None or parsed in action.choices
+    else:
+        ok = False
+    if not ok:
+        raise ValidationError(f"config key {key!r}: invalid value {value!r} "
+                              f"for {action.option_strings[-1]}")
+    return parsed
+
+
+def _apply_config(parser, args) -> None:
+    path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return
-    data = Path(path).read_bytes()
-    try:
-        overrides = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"malformed config file {path}: {exc}") from exc
+    overrides = _load_json(Path(path).read_bytes(), f"config file {path}")
     if not isinstance(overrides, dict):
         raise ValidationError(f"config file {path} must hold a JSON object")
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in sub.choices[args.command]._actions
+             if a.dest not in ("help", "config")}
     for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        if dest in ("func", "command", "config") or not hasattr(args, dest):
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
             raise ValidationError(
                 f"config key {key!r} is not a flag of 'gaitnorm "
                 f"{args.command}'")
-        setattr(args, dest, value)
+        setattr(args, action.dest, _config_value(action, key, value))
 
 
-def _load_sequence(args):
-    data = Path(args.keypoints).read_bytes()
-    video_id = getattr(args, "video_id", None) or Path(args.keypoints).stem
-    return parse_pose_sequence(data, strict=getattr(args, "strict", False),
-                               video_id=video_id)
+def _detection_config(args) -> DetectionConfig:
+    return DetectionConfig(args.k, args.sigma_floor_deg, args.severity_clip)
+
+
+def _model_joint_order(model):
+    ordered = [j for j in JOINT_NAMES if j in model.joints]
+    ordered += sorted(j for j in model.joints if j not in JOINT_NAMES)
+    return ordered
 
 
 def _frame_times(seq, phase_source):
@@ -202,15 +204,86 @@ def _frame_times(seq, phase_source):
     return {f.frame_index: f.time_s for f in seq.frames if f.time_s is not None}
 
 
-def _segment_and_resample(args, seq, annotations, frame_times):
+def _load_sequence(path, video_id=None, strict=False):
+    """Parse a keypoint file; the video id defaults to the file's stem."""
+    return parse_pose_sequence(Path(path).read_bytes(), strict=strict,
+                               video_id=video_id or Path(path).stem)
+
+
+def _segment(args, video_id=None):
+    """Annotations + keypoints -> angles -> segment -> resample: returns
+    the sequence, its frame times (None under frame phases) and a (cycle
+    slice, normalized cycle) pair per annotation."""
+    doc_video_id, annotations = parse_annotation_document(
+        Path(args.annotations).read_bytes())
+    seq = _load_sequence(args.keypoints, video_id or doc_video_id,
+                         args.strict)
+    frame_times = _frame_times(seq, args.phase_source)
     series = angle_series_set(seq, args.min_visibility)
     slices = segment_cycles(series, annotations, video_id=seq.video_id,
                             frame_times=frame_times)
-    return [(s, resample_cycle(s, args.grid_points)) for s in slices]
+    return seq, frame_times, [(s, resample_cycle(s, args.grid_points))
+                              for s in slices]
+
+
+def _reports(annotated_cycles, model, cfg, video_id, out_dir,
+             phase_source="frames"):
+    """Score each (annotation or None, cycle) pair and write its
+    ``<video_id>.c<i>.report.json``; yield (i, cycle, report) before the
+    next pair is scored.  Valid joints the model cannot score are reported
+    unknown: never silently dropped, never normal without a band."""
+    for i, (annotation, cycle) in enumerate(annotated_cycles):
+        missing = sorted(j for j, ok in cycle.valid.items()
+                         if ok and j not in model.joints)
+        if missing:
+            logger.warning("cycle %s: joint(s) %s absent from the model; "
+                           "reporting them unknown", cycle.cycle_id,
+                           ", ".join(missing))
+            cycle = replace(cycle, valid={j: ok and j in model.joints
+                                          for j, ok in cycle.valid.items()})
+        report = build_report(cycle, model, cfg, video_id=video_id,
+                              annotation=annotation,
+                              phase_source=phase_source)
+        path = out_dir / f"{video_id}.c{i}.report.json"
+        path.write_bytes(save_report(report))
+        yield i, cycle, report
+
+
+def _band_plots(model, joints, cfg, prefix, report=None, cycle=None) -> int:
+    """``<prefix>.band.<joint>.svg`` per joint, with the cycle's curve and
+    flags drawn over the band when a report and its cycle are given."""
+    for joint in joints:
+        overlay = None
+        if cycle is not None and joint in report.flag:
+            overlay = (cycle, report.flag[joint])
+        doc = figs.render_band_plot(model, joint, overlay=overlay, cfg=cfg)
+        figs.write_figure(doc, f"{prefix}.band.{joint}.svg")
+    return len(joints)
+
+
+def _cycle_figures(report, cycle, model, cfg, prefix) -> int:
+    """``<prefix>.multijoint.svg`` when the cycle is at hand, and the
+    severity heatmap ``<prefix>.heatmap.svg``."""
+    if cycle is not None:
+        multi = figs.render_multi_joint(report.flag, cycle, model, cfg)
+        figs.write_figure(multi, f"{prefix}.multijoint.svg")
+    heat = figs.render_heatmap(severity_matrix(report.z, cfg))
+    figs.write_figure(heat, f"{prefix}.heatmap.svg")
+    return 1 if cycle is None else 2
+
+
+def _overlays(seq, cycle_flags, grid_points, frame_times, prefix) -> int:
+    """``<prefix>.overlays.json``: per-frame skeleton status records for
+    (annotation, flags) pairs, phases mapped by the segmentation rule."""
+    statuses = frame_statuses(cycle_flags, seq.frame_indices(), grid_points,
+                              frame_times=frame_times)
+    records = figs.annotate_frames(seq, statuses)
+    Path(f"{prefix}.overlays.json").write_bytes(_dump(records))
+    return 1
 
 
 def cmd_angles(args) -> int:
-    seq = _load_sequence(args)
+    seq = _load_sequence(args.keypoints, args.video_id, args.strict)
     series = angle_series_set(seq, args.min_visibility)
     out = save_angle_series(series, video_id=seq.video_id,
                             min_visibility=args.min_visibility)
@@ -221,15 +294,7 @@ def cmd_angles(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    seq_data = Path(args.keypoints).read_bytes()
-    ann_data = Path(args.annotations).read_bytes()
-    ann_video_id, annotations = parse_annotation_document(ann_data)
-    video_id = args.video_id if getattr(args, "video_id", None) else \
-        (ann_video_id or Path(args.keypoints).stem)
-    seq = parse_pose_sequence(seq_data, strict=args.strict, video_id=video_id)
-    pairs = _segment_and_resample(args, seq, annotations,
-                                  _frame_times(seq, args.phase_source))
-    cycles = [c for _, c in pairs]
+    cycles = [c for _, c in _segment(args)[2]]
     Path(args.out).write_bytes(save_cycles(cycles))
     print(f"wrote {len(cycles)} normalized cycles to {args.out}")
     return 0
@@ -254,43 +319,16 @@ def cmd_build_norm(args) -> int:
     return 0
 
 
-def _mask_joints_missing_from_model(cycle, model):
-    """Demote valid joints the model cannot score to unknown (a joint is
-    never silently dropped, and never reported normal without a band)."""
-    missing = sorted(j for j, ok in cycle.valid.items()
-                     if ok and j not in model.joints)
-    if not missing:
-        return cycle
-    logger.warning("cycle %s: joint(s) %s absent from the model; reporting "
-                   "them unknown", cycle.cycle_id, ", ".join(missing))
-    valid = dict(cycle.valid)
-    for j in missing:
-        valid[j] = False
-    return NormalizedCycle(label=cycle.label, grid_points=cycle.grid_points,
-                           angles=cycle.angles, valid=valid,
-                           cycle_id=cycle.cycle_id)
-
-
 def cmd_detect(args) -> int:
     cycles = load_cycles(Path(args.cycles).read_bytes())
     model = load_norm_model(Path(args.model).read_bytes())
-    cfg = _detection_config(args)
-    video_id = args.video_id or Path(args.cycles).stem
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, cycle in enumerate(cycles):
-        cycle = _mask_joints_missing_from_model(cycle, model)
-        report = build_report(cycle, model, cfg, video_id=video_id)
-        path = out_dir / f"{video_id}.c{i}.report.json"
-        path.write_bytes(save_report(report))
-    print(f"wrote {len(cycles)} deviation report(s) to {out_dir}")
+    video_id = args.video_id or Path(args.cycles).stem
+    reports = _reports([(None, c) for c in cycles], model,
+                       _detection_config(args), video_id, out_dir)
+    print(f"wrote {sum(1 for _ in reports)} deviation report(s) to {out_dir}")
     return 0
-
-
-def _model_joint_order(model):
-    ordered = [j for j in JOINT_NAMES if j in model.joints]
-    ordered += sorted(j for j in model.joints if j not in JOINT_NAMES)
-    return ordered
 
 
 def cmd_figures(args) -> int:
@@ -311,35 +349,17 @@ def cmd_figures(args) -> int:
             raise ValidationError(
                 f"no cycle with id {report.cycle_id!r} in {args.cycles}")
 
-    base = args.video_id or (report.video_id if report is not None
-                             else Path(args.model).stem)
-    joints = args.joint or _model_joint_order(model)
-    written = 0
-    for joint in joints:
-        overlay = None
-        if cycle is not None and joint in report.flag:
-            overlay = (cycle, report.flag[joint])
-        doc = figs.render_band_plot(model, joint, overlay=overlay, cfg=cfg)
-        figs.write_figure(doc, out_dir / f"{base}.band.{joint}.svg")
-        written += 1
-
+    prefix = out_dir / (args.video_id or (report.video_id if report is not None
+                                          else Path(args.model).stem))
+    written = _band_plots(model, args.joint or _model_joint_order(model), cfg,
+                          prefix, report, cycle)
     if report is not None:
-        heat = figs.render_heatmap(severity_matrix(report.z, cfg))
-        figs.write_figure(heat, out_dir / f"{base}.heatmap.svg")
-        written += 1
-        if cycle is not None:
-            multi = figs.render_multi_joint(report.flag, cycle, model, cfg)
-            figs.write_figure(multi, out_dir / f"{base}.multijoint.svg")
-            written += 1
+        written += _cycle_figures(report, cycle, model, cfg, prefix)
         if args.keypoints and report.annotation is not None:
-            seq = _load_sequence(args)
-            statuses = frame_statuses(
-                [(report.annotation, report.flag)], seq.frame_indices(),
-                model.grid_points,
-                frame_times=_frame_times(seq, report.phase_source))
-            records = figs.annotate_frames(seq, statuses)
-            (out_dir / f"{base}.overlays.json").write_bytes(_dump(records))
-            written += 1
+            seq = _load_sequence(args.keypoints, args.video_id)
+            written += _overlays(
+                seq, [(report.annotation, report.flag)], model.grid_points,
+                _frame_times(seq, report.phase_source), prefix)
 
     print(f"wrote {written} figure document(s) to {out_dir}")
     return 0
@@ -357,18 +377,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run(args) -> int:
-    ann_data = Path(args.annotations).read_bytes()
-    ann_video_id, annotations = parse_annotation_document(ann_data)
-    video_id = args.video_id or ann_video_id or Path(args.keypoints).stem
-    seq = parse_pose_sequence(Path(args.keypoints).read_bytes(),
-                              strict=args.strict, video_id=video_id)
+    seq, frame_times, pairs = _segment(args, args.video_id)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    frame_times = _frame_times(seq, args.phase_source)
-    phase_source = "frames" if frame_times is None else "time"
-    pairs = _segment_and_resample(args, seq, annotations, frame_times)
-    files = []
+    prefix = out_dir / seq.video_id
+    written = 0
 
     if args.model:
         model = load_norm_model(Path(args.model).read_bytes())
@@ -378,50 +391,26 @@ def cmd_run(args) -> int:
             raise ValidationError(
                 f"cannot build a normative model from {len(typical)} typical "
                 f"cycle(s); pass --model or annotate more typical cycles")
-        model = build_normative_model(typical,
-                                      grid_points=args.grid_points,
+        model = build_normative_model(typical, grid_points=args.grid_points,
                                       std_kind=args.std_kind)
-        model_path = out_dir / f"{video_id}.model.json"
-        model_path.write_bytes(save_norm_model(model))
-        files.append(model_path)
+        Path(f"{prefix}.model.json").write_bytes(save_norm_model(model))
+        written += 1
 
     cfg = _detection_config(args)
+    phase_source = "frames" if frame_times is None else "time"
     cycle_flags = []
-    for i, (cycle_slice, cycle) in enumerate(pairs):
-        cycle = _mask_joints_missing_from_model(cycle, model)
-        report = build_report(cycle, model, cfg, video_id=video_id,
-                              annotation=cycle_slice.annotation,
-                              phase_source=phase_source)
-        report_path = out_dir / f"{video_id}.c{i}.report.json"
-        report_path.write_bytes(save_report(report))
-        files.append(report_path)
-        cycle_flags.append((cycle_slice.annotation, report.flag))
+    for i, cycle, report in _reports(
+            [(s.annotation, c) for s, c in pairs], model, cfg, seq.video_id,
+            out_dir, phase_source):
+        cycle_flags.append((report.annotation, report.flag))
+        written += 1 + _cycle_figures(report, cycle, model, cfg,
+                                      f"{prefix}.c{i}")
+    written += _band_plots(model, _model_joint_order(model), cfg, prefix)
+    written += _overlays(seq, cycle_flags, model.grid_points, frame_times,
+                         prefix)
 
-        multi = figs.render_multi_joint(report.flag, cycle, model, cfg)
-        multi_path = out_dir / f"{video_id}.c{i}.multijoint.svg"
-        figs.write_figure(multi, multi_path)
-        files.append(multi_path)
-
-        heat = figs.render_heatmap(severity_matrix(report.z, cfg))
-        heat_path = out_dir / f"{video_id}.c{i}.heatmap.svg"
-        figs.write_figure(heat, heat_path)
-        files.append(heat_path)
-
-    for joint in _model_joint_order(model):
-        doc = figs.render_band_plot(model, joint, cfg=cfg)
-        band_path = out_dir / f"{video_id}.band.{joint}.svg"
-        figs.write_figure(doc, band_path)
-        files.append(band_path)
-
-    statuses = frame_statuses(cycle_flags, seq.frame_indices(),
-                              model.grid_points, frame_times=frame_times)
-    records = figs.annotate_frames(seq, statuses)
-    overlay_path = out_dir / f"{video_id}.overlays.json"
-    overlay_path.write_bytes(_dump(records))
-    files.append(overlay_path)
-
-    print(f"analyzed {len(pairs)} cycle(s) of {video_id!r}; wrote "
-          f"{len(files)} file(s) (plus figure sidecars) to {out_dir}")
+    print(f"analyzed {len(pairs)} cycle(s) of {seq.video_id!r}; wrote "
+          f"{written} file(s) (plus figure sidecars) to {out_dir}")
     return 0
 
 
@@ -431,7 +420,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args)
+        _apply_config(parser, args)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

@@ -23,7 +23,8 @@ per value, so ``_dump`` walks only the containers that hold other
 containers and hands each container of scalars (a band, a z-score row, a
 keypoint triple) to the C encoder in one call; that encoder's item
 separator carries the newline and indent of the container's depth.
-Loaders check each list of numbers as one array the same way.
+Loaders decode through ``_load_json`` and check each list of numbers as
+one array.
 """
 
 import functools
@@ -128,10 +129,24 @@ class CycleAnnotation:
                 f"unknown cycle label {self.label!r}; expected one of {CYCLE_LABELS}")
 
 
+def _load_json(data: bytes, what: str):
+    """Decode one JSON document; any malformed input is a ValidationError
+    naming ``what``, integers past the interpreter's digit limit and
+    nesting past its recursion limit included."""
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"malformed {what}: {exc}") from exc
+
+
 def _require_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{what} must be a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} must be finite, got an integer too "
+                              f"large for a float") from None
     if not np.isfinite(v):
         raise ValidationError(f"{what} must be finite, got {value!r}")
     return v
@@ -169,12 +184,9 @@ def parse_pose_sequence(data: bytes, strict: bool = False, *,
         if not line:
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"line {lineno}: malformed record: {exc}") from exc
-        if not isinstance(record, dict):
-            raise ValidationError(f"line {lineno}: malformed record: not a JSON object")
-        try:
+            record = _load_json(line, "record")
+            if not isinstance(record, dict):
+                raise ValidationError("malformed record: not a JSON object")
             frames.append(_parse_frame(record, strict))
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from exc
@@ -260,10 +272,7 @@ def parse_annotation_document(data: bytes) -> Tuple[str, List[CycleAnnotation]]:
     Cycles may touch at a shared boundary frame (the heel strike that ends
     one cycle starts the next) but must not otherwise overlap.
     """
-    try:
-        doc = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"malformed annotation document: {exc}") from exc
+    doc = _load_json(data, "annotation document")
     if not isinstance(doc, dict) or not isinstance(doc.get("cycles"), list):
         raise ValidationError("annotation document must contain a 'cycles' list")
     video_id = doc.get("video_id", "")
@@ -369,9 +378,12 @@ def _float_list(values, what: str, n: int) -> np.ndarray:
         raise ValidationError(f"{what}: expected an array of length {n}")
     # Exact types, so bool (an int subclass) is still rejected.
     if _JSON_NUMBERS.issuperset(map(type, values)):
-        arr = np.array(values, dtype=float)
-        if np.isfinite(arr).all():
-            return arr
+        try:
+            arr = np.array(values, dtype=float)
+            if np.isfinite(arr).all():
+                return arr
+        except OverflowError:  # an int too large for a float
+            pass
     # Per value, to name the first offending one.
     return np.array([_require_number(v, what) for v in values], dtype=float)
 
@@ -409,10 +421,7 @@ def load_norm_model(data: bytes):
     """Parse and validate a ``gaitnorm/1`` normative model file."""
     from .normative import JointNormals, NormativeModel  # deferred: avoids import cycle
 
-    try:
-        doc = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"malformed model file: {exc}") from exc
+    doc = _load_json(data, "model file")
     if not isinstance(doc, dict):
         raise ValidationError("model file must be a JSON object")
     if doc.get("schema") != NORM_MODEL_SCHEMA:
@@ -478,10 +487,7 @@ def load_cycles(data: bytes):
     """Parse a ``gaitnorm-cycles/1`` cohort file."""
     from .cycles import NormalizedCycle  # deferred: avoids import cycle
 
-    try:
-        doc = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"malformed cycles file: {exc}") from exc
+    doc = _load_json(data, "cycles file")
     if not isinstance(doc, dict) or doc.get("schema") != CYCLES_SCHEMA:
         raise ValidationError(
             f"schema mismatch: expected {CYCLES_SCHEMA!r}, got "
@@ -558,10 +564,7 @@ def load_report(data: bytes):
     """Parse a deviation report file."""
     from .detect import DetectionConfig, DeviationReport  # deferred: avoids import cycle
 
-    try:
-        doc = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"malformed report file: {exc}") from exc
+    doc = _load_json(data, "report file")
     if not isinstance(doc, dict) or not isinstance(doc.get("joints"), dict):
         raise ValidationError("report file must contain a 'joints' object")
     grid_points = _require_int(doc.get("grid_points"), "'grid_points'")
@@ -657,10 +660,7 @@ def load_angle_series(data: bytes) -> dict:
     """Parse an angle-series file back into per-joint ``AngleSeries``."""
     from .kinematics import AngleSample, AngleSeries  # deferred: avoids import cycle
 
-    try:
-        doc = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"malformed angles file: {exc}") from exc
+    doc = _load_json(data, "angles file")
     if not isinstance(doc, dict) or doc.get("schema") != ANGLES_SCHEMA:
         raise ValidationError(f"schema mismatch: expected {ANGLES_SCHEMA!r}")
     out = {}

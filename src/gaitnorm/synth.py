@@ -13,7 +13,6 @@ animates a full 16-keypoint skeleton so the keypoint-level pipeline can be
 driven without any real video.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -23,7 +22,8 @@ import numpy as np
 from .cycles import DEFAULT_GRID_POINTS, NormalizedCycle
 from .errors import ValidationError
 from .pose_io import (CycleAnnotation, Keypoint, KeypointFrame, Point2D,
-                      PoseSequence, _dump)
+                      PoseSequence, _dump, _load_json, _require_int,
+                      _require_number, _require_object)
 
 INJECTION_KINDS = ("offset", "amplitude_scale", "phase_shift")
 
@@ -209,21 +209,29 @@ def profiles_to_json(profiles: Dict[str, JointProfile]) -> bytes:
 
 
 def profiles_from_json(data: bytes) -> Dict[str, JointProfile]:
-    try:
-        doc = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"malformed profiles file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("profiles file must be a JSON object")
+    """Parse and validate joint profiles as ``profiles_to_json`` writes
+    them; harmonics are [amplitude_deg, cycles (an int), phase_rad]."""
     out = {}
+    doc = _require_object(_load_json(data, "profiles file"), "profiles file")
     for joint, entry in doc.items():
-        harmonics = tuple(
-            (float(a), int(c), float(ph))
-            for a, c, ph in entry.get("harmonics", []))
+        what = f"profile {joint!r}"
+        harmonics = _require_object(entry, what).get("harmonics", [])
+        if not isinstance(harmonics, list) or not all(
+                isinstance(h, list) and len(h) == 3 for h in harmonics):
+            raise ValidationError(f"{what}: harmonics must be a list of "
+                                  f"[amplitude_deg, cycles, phase_rad]")
+        noise_sd = _require_number(entry.get("noise_sd_deg", 0.0),
+                                   f"{what} noise_sd_deg")
+        if noise_sd < 0.0:
+            raise ValidationError(f"{what}: noise_sd_deg must be >= 0")
         out[joint] = JointProfile(
-            baseline_deg=float(entry["baseline_deg"]),
-            harmonics=harmonics,
-            noise_sd_deg=float(entry.get("noise_sd_deg", 0.0)))
+            baseline_deg=_require_number(entry.get("baseline_deg"),
+                                         f"{what} baseline_deg"),
+            harmonics=tuple((_require_number(a, f"{what} harmonic amplitude"),
+                             _require_int(c, f"{what} harmonic cycles"),
+                             _require_number(ph, f"{what} harmonic phase"))
+                            for a, c, ph in harmonics),
+            noise_sd_deg=noise_sd)
     return out
 
 

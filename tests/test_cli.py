@@ -330,3 +330,190 @@ def _jittered_walker(tmp_path):
     cycles = tmp_path / "jitter.cycles.json"
     cycles.write_bytes(serialize_annotations("jitter", annotations))
     return keypoints, cycles, times, annotations
+
+
+def _config(tmp_path, doc) -> list:
+    return ["--config", _write_json(tmp_path / "cfg.json", doc)]
+
+
+def _angles_argv(tmp_path):
+    return ["angles", "--keypoints", str(KEYPOINTS),
+            "--out", str(tmp_path / "angles.json")]
+
+
+def _synth_argv(tmp_path):
+    return ["synth", "--out", str(tmp_path / "cohort.json"), "--n", "2"]
+
+
+def _run_argv(tmp_path):
+    return ["run", "--keypoints", str(KEYPOINTS),
+            "--annotations", str(ANNOTATIONS),
+            "--out-dir", str(tmp_path / "out")]
+
+
+def _figures_argv(tmp_path):
+    model = tmp_path / "model.json"
+    assert main(_synth_argv(tmp_path)) == 0
+    assert main(["build-norm", "--cycles", str(tmp_path / "cohort.json"),
+                 "--out", str(model)]) == 0
+    return ["figures", "--model", str(model),
+            "--out-dir", str(tmp_path / "fig")]
+
+
+# (argv builder, config document, key the error message must name)
+BAD_CONFIG_VALUES = {
+    "run-k-not-a-number": (_run_argv, {"k": "x"}, "'k'"),
+    "run-k-bool": (_run_argv, {"k": True}, "'k'"),
+    "run-k-null": (_run_argv, {"k": None}, "'k'"),
+    "run-phase-source-not-a-choice": (_run_argv, {"phase_source": "seconds"},
+                                      "'phase_source'"),
+    "synth-grid-points-text": (_synth_argv, {"grid_points": "five"},
+                               "'grid_points'"),
+    "synth-grid-points-fraction": (_synth_argv, {"grid-points": 5.5},
+                                   "'grid-points'"),
+    "synth-profiles-list": (_synth_argv, {"profiles": ["a.json"]},
+                            "'profiles'"),
+    "angles-strict-string": (_angles_argv, {"strict": "no"}, "'strict'"),
+    "angles-strict-number": (_angles_argv, {"strict": 1}, "'strict'"),
+    "figures-joint-string": (_figures_argv, {"joint": "left_knee"},
+                             "'joint'"),
+    "figures-joint-numbers": (_figures_argv, {"joint": [1]}, "'joint'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+def test_bad_config_values_exit_1_naming_the_key(tmp_path, capsys, case):
+    build, doc, key = BAD_CONFIG_VALUES[case]
+    argv = build(tmp_path) + _config(tmp_path, doc)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err and key in err
+    assert "Traceback" not in err
+
+
+def test_config_values_go_through_the_flag_type(tmp_path):
+    # "5" is what the command line passes to --grid-points 5.
+    out = tmp_path / "cohort.json"
+    assert main(_synth_argv(tmp_path)
+                + _config(tmp_path, {"grid_points": "5", "seed": 4})) == 0
+    cohort = load_cycles(out.read_bytes())
+    assert [c.grid_points for c in cohort] == [5, 5]
+    assert cohort[0].cycle_id == "synth-4"
+
+
+def test_config_store_true_takes_booleans(tmp_path):
+    bad = tmp_path / "bad.keypoints.jsonl"
+    bad.write_text('{"frame": 0, "keypoints": {"nose": [1, 2, 1]}}\n'
+                   '{"frame": 1, "keypoints": {}}\n')
+    argv = ["angles", "--keypoints", str(bad),
+            "--out", str(tmp_path / "a.json")]
+    assert main(argv + _config(tmp_path, {"strict": True})) == 1
+    assert main(argv + ["--strict"]
+                + _config(tmp_path, {"strict": False})) == 0
+
+
+def test_config_joint_list_selects_band_plots(tmp_path):
+    argv = _figures_argv(tmp_path)
+    assert main(argv + _config(tmp_path, {"joint": ["left_knee"]})) == 0
+    assert sorted(p.name for p in (tmp_path / "fig").glob("*.svg")) == \
+        ["model.band.left_knee.svg"]
+
+
+HUGE_INT = "9" * 401  # parses as an int, too large for a float
+OVER_DIGIT_LIMIT = "9" * 5000  # past the interpreter's int digit limit
+
+
+def _write_with_number(path, doc, number) -> str:
+    """``doc`` as JSON, with the string "N" replaced by ``number``."""
+    path.write_text(json.dumps(doc).replace('"N"', number))
+    return str(path)
+
+
+def _cycles_with_number(tmp_path, number):
+    doc = {"schema": "gaitnorm-cycles/1", "grid_points": 2,
+           "cycles": [{"label": "typical", "cycle_id": "a",
+                       "joints": {"left_knee": {"valid": True,
+                                                "angle": [1.0, "N"]}}}]}
+    return ["build-norm",
+            "--cycles", _write_with_number(tmp_path / "c.json", doc, number),
+            "--out", str(tmp_path / "m.json")]
+
+
+def _keypoints_with_number(tmp_path, number):
+    path = tmp_path / "big.keypoints.jsonl"
+    path.write_text(json.dumps({"frame": 0, "keypoints": {}}) + "\n" +
+                    json.dumps({"frame": 1, "keypoints": {
+                        "left_knee": ["N", 2.0, 1.0]}}).replace('"N"', number))
+    return ["angles", "--keypoints", str(path),
+            "--out", str(tmp_path / "a.json")]
+
+
+def _annotations_with_number(tmp_path, number):
+    doc = {"cycles": [{"start_frame": 0, "end_frame": "N",
+                       "label": "typical"}]}
+    return ["run", "--keypoints", str(KEYPOINTS),
+            "--annotations", _write_with_number(tmp_path / "a.json", doc,
+                                                number),
+            "--out-dir", str(tmp_path / "out")]
+
+
+def _config_with_number(tmp_path, number):
+    return _run_argv(tmp_path) + [
+        "--config", _write_with_number(tmp_path / "cfg.json", {"k": "N"},
+                                       number)]
+
+
+# case -> (argv builder, text the error message must hold)
+HUGE_NUMBERS = {
+    "cycles-float-overflow":
+        (lambda t: _cycles_with_number(t, HUGE_INT), "too large"),
+    "keypoints-float-overflow":
+        (lambda t: _keypoints_with_number(t, HUGE_INT), "too large"),
+    "cycles-digit-limit":
+        (lambda t: _cycles_with_number(t, OVER_DIGIT_LIMIT), "digits"),
+    "keypoints-digit-limit":
+        (lambda t: _keypoints_with_number(t, OVER_DIGIT_LIMIT), "digits"),
+    "annotations-digit-limit":
+        (lambda t: _annotations_with_number(t, OVER_DIGIT_LIMIT), "digits"),
+    "config-digit-limit":
+        (lambda t: _config_with_number(t, OVER_DIGIT_LIMIT), "digits"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_NUMBERS))
+def test_huge_integers_exit_1_without_traceback(tmp_path, capsys, case):
+    build, expected = HUGE_NUMBERS[case]
+    argv = build(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err and expected in err
+    assert "Traceback" not in err
+
+
+BAD_PROFILES = {
+    "entry-not-object": {"left_knee": 5},
+    "entry-empty": {"left_knee": {}},
+    "baseline-string": {"left_knee": {"baseline_deg": "x"}},
+    "harmonic-one-element": {"left_knee": {"baseline_deg": 90.0,
+                                           "harmonics": [[5.0]]}},
+    "harmonic-not-a-list": {"left_knee": {"baseline_deg": 90.0,
+                                          "harmonics": [5.0]}},
+    "harmonics-not-a-list": {"left_knee": {"baseline_deg": 90.0,
+                                           "harmonics": 5}},
+    "harmonic-fractional-cycles": {"left_knee": {
+        "baseline_deg": 90.0, "harmonics": [[5.0, 1.5, 0.0]]}},
+    "negative-noise": {"left_knee": {"baseline_deg": 90.0,
+                                     "noise_sd_deg": -1.0}},
+    "document-not-object": [],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PROFILES))
+def test_bad_synth_profiles_exit_1_without_traceback(tmp_path, capsys, case):
+    profiles = _write_json(tmp_path / "profiles.json", BAD_PROFILES[case])
+    capsys.readouterr()
+    assert main(_synth_argv(tmp_path) + ["--profiles", profiles]) == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err and "Traceback" not in err

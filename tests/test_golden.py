@@ -1,15 +1,20 @@
-"""Golden-output lock for ``gaitnorm run`` on the demo fixture.
+"""Golden-output lock for every subcommand on the demo fixture.
 
-Every file the run writes, figure sidecars included, is pinned by its
-sha256.  Test c08 only shows that two runs agree with each other; this
-test shows that a refactor left every output byte as it was.  A change
-that alters output on purpose re-pins these hashes and says why.
+Every file ``gaitnorm run`` and each stage subcommand writes, figure
+sidecars included, is pinned by its sha256, and so is each subcommand's
+flag set.  Test c08 only shows that two runs agree with each other; these
+tests show that a refactor left every output byte and every flag as it
+was.  A change that alters output or flags on purpose re-pins them and
+says why.
 """
 
+import argparse
 import hashlib
 from pathlib import Path
 
-from gaitnorm.cli import main
+import pytest
+
+from gaitnorm.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 VIDEO_ID = "synthetic-walk"
@@ -102,6 +107,209 @@ GOLDEN = {
         "bd96fcebec9bc378bba5de65d9f550136e210bd5297011dda0dfb37dff160273",
 }
 
+KEYPOINTS = str(FIXTURES / "demo.keypoints.jsonl")
+ANNOTATIONS = str(FIXTURES / "demo.cycles.json")
+
+# Subcommand -> argv, in dependency order.  "{name}" is the output
+# directory of subcommand ``name``; a command's own directory holds only
+# what it writes.
+STAGE_COMMANDS = {
+    "angles": ["angles", "--keypoints", KEYPOINTS,
+               "--out", "{angles}/demo.angles.json"],
+    "segment": ["segment", "--keypoints", KEYPOINTS,
+                "--annotations", ANNOTATIONS,
+                "--out", "{segment}/demo.cycles.json"],
+    "build-norm": ["build-norm", "--cycles", "{segment}/demo.cycles.json",
+                   "--out", "{build-norm}/demo.model.json"],
+    "detect": ["detect", "--cycles", "{segment}/demo.cycles.json",
+               "--model", "{build-norm}/demo.model.json",
+               "--out-dir", "{detect}"],
+    "run": ["run", "--keypoints", KEYPOINTS, "--annotations", ANNOTATIONS,
+            "--out-dir", "{run}"],
+    # The last cycle's report from ``run`` carries its frame bounds, so
+    # the overlay records are written too.
+    "figures": ["figures", "--model", "{build-norm}/demo.model.json",
+                "--report", "{run}/synthetic-walk.c3.report.json",
+                "--cycles", "{segment}/demo.cycles.json",
+                "--keypoints", KEYPOINTS, "--out-dir", "{figures}"],
+    "synth": ["synth", "--out", "{synth}/demo.synth.json",
+              "--n", "5", "--seed", "0"],
+}
+
+# Subcommand -> file name -> sha256 of its bytes.
+STAGE_GOLDEN = {
+    "angles": {
+        "demo.angles.json":
+            "90288e3ffa11aad958f58989120e66fbf57af41f755887251b57a7f887e909f4",
+    },
+    "segment": {
+        "demo.cycles.json":
+            "e0fa5324d20f979855cffe4079b7682f5b23b77f781681ba828957221a98a35c",
+    },
+    "build-norm": {
+        "demo.model.json":
+            "78170288251a400390454c19df6fb4b476c032f5f6e15afeff2dfd2232f88d0a",
+    },
+    "detect": {
+        "demo.cycles.c0.report.json":
+            "bc5a045ab38d0b23098a00adcb6d6dc304667eae69a5340afd629cc51265364e",
+        "demo.cycles.c1.report.json":
+            "1b8970f4b8a50a85d1c9b397d8936b4958d867540ff415e33d133793b9f9ade8",
+        "demo.cycles.c2.report.json":
+            "d933049371822b1982a8ad3b084f1b245d12a68a6dde080db2d2370f55c37f01",
+        "demo.cycles.c3.report.json":
+            "abb3271774e0a1b77c1a22f93e9f4e2a31ee423ba6254137b5bc1abf98cd00e9",
+    },
+    "figures": {
+        "synthetic-walk.band.left_ankle.svg":
+            "ffd44f296c4950df6085eb825139cf172eef19038301b220fe9d23a064bdd483",
+        "synthetic-walk.band.left_ankle.svg.json":
+            "cae2ab608bf892613bce68667b57eec6b7a003c3156d99de10d1c8caa1a61c15",
+        "synthetic-walk.band.left_elbow.svg":
+            "f355a3711770ae7b515b2c26bab54911fa2428b44bdebb16545ba7fbf2ede1fe",
+        "synthetic-walk.band.left_elbow.svg.json":
+            "4aa691cedbf46e1e2ab6c8bfdb0be7616f00378457872d62a3f5f1eae7f10132",
+        "synthetic-walk.band.left_hip.svg":
+            "7b697794f17a1804a44d0e3767ef194bf32522ef368152f06432fcef3611a425",
+        "synthetic-walk.band.left_hip.svg.json":
+            "9641c94b86feb256d7e76b5b240bb10b54c24acc12fb228d361809d80c7f8294",
+        "synthetic-walk.band.left_knee.svg":
+            "f2bde20aa729c22342453c73b560814315df2dda8ea587a7a49ada41595f7123",
+        "synthetic-walk.band.left_knee.svg.json":
+            "61eda661e608fde697d34223a72d534ef75830e1bb07f8370e8acafc7dacacd1",
+        "synthetic-walk.band.left_shoulder.svg":
+            "beb01f97265b106c43982f5419ce113ede1e11043062e5db90631eb68646febe",
+        "synthetic-walk.band.left_shoulder.svg.json":
+            "5609588c043e45c5a9a59709c2c3582e359e5bc54927b9a114822216bef14864",
+        "synthetic-walk.band.right_ankle.svg":
+            "f969cea6d2dc0f8eda233aa4619175261b0fcf2b682d510f2b20623af0c0a25d",
+        "synthetic-walk.band.right_ankle.svg.json":
+            "9d3ed3ef19ceb99f796479f50e6072ebc50b26ee340ad9344369761c67eed543",
+        "synthetic-walk.band.right_elbow.svg":
+            "4167afe9499ed06d765eef473f726edff1d6ac9bb6bd42a77090275da7a2f13e",
+        "synthetic-walk.band.right_elbow.svg.json":
+            "417e0bb3df80f80c2df60d5770fd95850eaa6f7a29384ae9e81663bc2ba7a081",
+        "synthetic-walk.band.right_hip.svg":
+            "65d846dde45e45761b5421b7011ffa3a47692c86bce63397f7deaee22bf098ec",
+        "synthetic-walk.band.right_hip.svg.json":
+            "a3816ff9cba33aeac0bf51027949cd4d8d27d2340f28aaf78e321cd95ad88f21",
+        "synthetic-walk.band.right_knee.svg":
+            "c31cdd6095bb675ac86e47bcfa0cc617da78b8588180af379e229e598d364d70",
+        "synthetic-walk.band.right_knee.svg.json":
+            "c78b7fa6610e2bc33a7cde1adcf41291c102309208d8ef0e52685c4330442a97",
+        "synthetic-walk.band.right_shoulder.svg":
+            "489a4063f5fd8bb029b8244c2c25d9526bb2bdc29c350328efd34e64b7205a62",
+        "synthetic-walk.band.right_shoulder.svg.json":
+            "bf4806023e5b3d5506fbd871e6aac635d0f6493fb25214202208e96cdca40821",
+        "synthetic-walk.heatmap.svg":
+            "535408ef29f6a7f94e2c7b38e0448ce8f957214f0da5cae37e1b85c0b171cda0",
+        "synthetic-walk.heatmap.svg.json":
+            "ecb3f8373f60ee79ae913c4cf287f2c596d4ab30e0985f224f436bdd3a176bcf",
+        "synthetic-walk.multijoint.svg":
+            "771ee7729eb772a8a4fbb455662cbe88349ce8466866ea5e871432fbfeb59df7",
+        "synthetic-walk.multijoint.svg.json":
+            "638d5eed203d3d59075a1c99ed74f7dc68b7ba240cafc89e8a697199dc225874",
+        "synthetic-walk.overlays.json":
+            "2f950ec3a1be2a567f40502a10a66a075869535c89eb4f1d6cfacde57bbaaf4d",
+    },
+    "synth": {
+        "demo.synth.json":
+            "4a1d5332f9f9c416ddddf08ff273634e31138f1eaf4e8ac867ef741d95fe5b9e",
+    },
+}
+
+# Subcommand -> flag -> (dest, default, type, choices, required, action).
+_CONFIG = ("config", None, None, None, False, "store")
+_DETECTION = {
+    "--k": ("k", 1.0, "float", None, False, "store"),
+    "--sigma-floor-deg": ("sigma_floor_deg", 0.5, "float", None, False,
+                          "store"),
+    "--severity-clip": ("severity_clip", 3.0, "float", None, False, "store"),
+}
+_PHASE_SOURCE = ("phase_source", "frames", None, ("frames", "time"), False,
+                 "store")
+_STD_KIND = ("std_kind", "sample", None, ("sample", "population"), False,
+             "store")
+FLAG_SETS = {
+    "angles": {
+        "--config": _CONFIG,
+        "--keypoints": ("keypoints", None, None, None, True, "store"),
+        "--out": ("out", None, None, None, True, "store"),
+        "--video-id": ("video_id", None, None, None, False, "store"),
+        "--min-visibility": ("min_visibility", 0.5, "float", None, False,
+                             "store"),
+        "--strict": ("strict", False, None, None, False, "store_true"),
+    },
+    "segment": {
+        "--config": _CONFIG,
+        "--keypoints": ("keypoints", None, None, None, True, "store"),
+        "--annotations": ("annotations", None, None, None, True, "store"),
+        "--out": ("out", None, None, None, True, "store"),
+        "--grid-points": ("grid_points", 101, "int", None, False, "store"),
+        "--min-visibility": ("min_visibility", 0.5, "float", None, False,
+                             "store"),
+        "--strict": ("strict", False, None, None, False, "store_true"),
+        "--phase-source": _PHASE_SOURCE,
+    },
+    "build-norm": {
+        "--config": _CONFIG,
+        "--cycles": ("cycles", None, None, None, True, "store"),
+        "--out": ("out", None, None, None, True, "store"),
+        "--std-kind": _STD_KIND,
+    },
+    "detect": {
+        "--config": _CONFIG,
+        "--cycles": ("cycles", None, None, None, True, "store"),
+        "--model": ("model", None, None, None, True, "store"),
+        "--out-dir": ("out_dir", None, None, None, True, "store"),
+        "--video-id": ("video_id", None, None, None, False, "store"),
+        **_DETECTION,
+    },
+    "figures": {
+        "--config": _CONFIG,
+        "--model": ("model", None, None, None, True, "store"),
+        "--out-dir": ("out_dir", None, None, None, True, "store"),
+        "--report": ("report", None, None, None, False, "store"),
+        "--cycles": ("cycles", None, None, None, False, "store"),
+        "--keypoints": ("keypoints", None, None, None, False, "store"),
+        "--joint": ("joint", None, None, None, False, "append"),
+        "--video-id": ("video_id", None, None, None, False, "store"),
+        **_DETECTION,
+    },
+    "synth": {
+        "--config": _CONFIG,
+        "--out": ("out", None, None, None, True, "store"),
+        "--n": ("n", 20, "int", None, False, "store"),
+        "--seed": ("seed", 0, "int", None, False, "store"),
+        "--grid-points": ("grid_points", 101, "int", None, False, "store"),
+        "--profiles": ("profiles", None, None, None, False, "store"),
+    },
+    "run": {
+        "--config": _CONFIG,
+        "--keypoints": ("keypoints", None, None, None, True, "store"),
+        "--annotations": ("annotations", None, None, None, True, "store"),
+        "--out-dir": ("out_dir", None, None, None, True, "store"),
+        "--model": ("model", None, None, None, False, "store"),
+        "--video-id": ("video_id", None, None, None, False, "store"),
+        "--grid-points": ("grid_points", 101, "int", None, False, "store"),
+        "--min-visibility": ("min_visibility", 0.5, "float", None, False,
+                             "store"),
+        "--std-kind": _STD_KIND,
+        "--strict": ("strict", False, None, None, False, "store_true"),
+        "--phase-source": _PHASE_SOURCE,
+        **_DETECTION,
+    },
+}
+
+_ACTION_NAMES = {argparse._StoreAction: "store",
+                 argparse._StoreTrueAction: "store_true",
+                 argparse._AppendAction: "append"}
+
+
+def _digests(directory: Path) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in directory.iterdir()}
+
 
 def test_run_outputs_match_golden_hashes(tmp_path):
     out_dir = tmp_path / "out"
@@ -116,3 +324,39 @@ def test_run_outputs_match_golden_hashes(tmp_path):
     assert sorted(written) == sorted(expected)
     changed = sorted(n for n in expected if written[n] != expected[n])
     assert not changed, f"output bytes changed: {changed}"
+
+
+@pytest.fixture(scope="module")
+def stage_outputs(tmp_path_factory):
+    """Run every subcommand of ``STAGE_COMMANDS`` once, in order."""
+    root = tmp_path_factory.mktemp("stages")
+    dirs = {name: root / name for name in STAGE_COMMANDS}
+    for name, argv in STAGE_COMMANDS.items():
+        dirs[name].mkdir()
+        filled = [a.format(**{k: str(v) for k, v in dirs.items()})
+                  for a in argv]
+        assert main(filled) == 0, name
+    return dirs
+
+
+@pytest.mark.parametrize("command", sorted(STAGE_GOLDEN))
+def test_subcommand_outputs_match_golden_hashes(stage_outputs, command):
+    written = _digests(stage_outputs[command])
+    expected = STAGE_GOLDEN[command]
+    assert sorted(written) == sorted(expected)
+    changed = sorted(n for n in expected if written[n] != expected[n])
+    assert not changed, f"output bytes changed: {changed}"
+
+
+def test_subcommand_flag_sets_are_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flag_sets = {
+        name: {a.option_strings[-1]: (a.dest, a.default,
+                                      getattr(a.type, "__name__", a.type),
+                                      a.choices, a.required,
+                                      _ACTION_NAMES[type(a)])
+               for a in p._actions if not isinstance(a, argparse._HelpAction)}
+        for name, p in sub.choices.items()}
+    assert flag_sets == FLAG_SETS

@@ -427,3 +427,39 @@ class TestFloatList:
         with pytest.raises(ValidationError,
                            match=r"^x: expected an array of length 3$"):
             _float_list(values, "x", 3)
+
+
+def _profiles(data):
+    from gaitnorm.synth import profiles_from_json
+    return profiles_from_json(data)
+
+
+# Every loader decodes through the same helper.
+LOADERS = {
+    "pose-sequence": parse_pose_sequence,
+    "annotations": parse_annotation_document,
+    "model": load_norm_model,
+    "cycles": load_cycles,
+    "report": load_report,
+    "angles": load_angle_series,
+    "profiles": _profiles,
+}
+
+UNDECODABLE = {
+    "int-past-digit-limit": b"[" + b"9" * 5000 + b"]",
+    "nesting-past-recursion-limit": b"[" * 100_000,
+    "not-utf8": b'{"a": "\xff"}',
+    "truncated": b'{"a": [1, 2',
+}
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+@pytest.mark.parametrize("data", sorted(UNDECODABLE))
+def test_loaders_turn_undecodable_json_into_validation_errors(loader, data):
+    with pytest.raises(ValidationError, match="malformed"):
+        LOADERS[loader](UNDECODABLE[data])
+
+
+def test_float_list_rejects_ints_too_large_for_a_float():
+    with pytest.raises(ValidationError, match="too large"):
+        _float_list([1.0, 10 ** 400], "angle", 2)
