@@ -29,6 +29,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import figures as figs
 from .cycles import DEFAULT_GRID_POINTS, resample_cycle, segment_cycles
 from .detect import (DetectionConfig, build_report, frame_statuses,
@@ -36,7 +38,7 @@ from .detect import (DetectionConfig, build_report, frame_statuses,
 from .errors import ValidationError
 from .kinematics import DEFAULT_MIN_VISIBILITY, JOINT_NAMES, angle_series_set
 from .normative import build_normative_model, model_summary
-from .pose_io import (PHASE_SOURCES, _dump, _load_json, load_cycles,
+from .pose_io import (PHASE_SOURCES, _load_json, load_cycles,
                       load_norm_model, load_report, parse_annotation_document,
                       parse_pose_sequence, save_angle_series, save_cycles,
                       save_norm_model, save_report)
@@ -201,7 +203,19 @@ def _frame_times(seq, phase_source):
     """Frame index -> seconds for time phases, else None."""
     if phase_source != "time":
         return None
-    return {f.frame_index: f.time_s for f in seq.frames if f.time_s is not None}
+    timed = ~np.isnan(seq.time_s)
+    return dict(zip(seq.frame_index[timed].tolist(),
+                    seq.time_s[timed].tolist()))
+
+
+def _prefix(out_dir, video_id) -> str:
+    """``<out_dir>/<video_id>``, the start of every output name.  An id
+    holding a path separator or NUL is rejected, so that every name stays
+    inside ``out_dir``."""
+    if any(sep and sep in video_id for sep in ("/", os.sep, os.altsep, "\0")):
+        raise ValidationError(f"video id {video_id!r} must not contain a "
+                              f"path separator or NUL")
+    return os.path.join(out_dir, video_id)
 
 
 def _load_sequence(path, video_id=None, strict=False):
@@ -226,10 +240,10 @@ def _segment(args, video_id=None):
                               for s in slices]
 
 
-def _reports(annotated_cycles, model, cfg, video_id, out_dir,
+def _reports(annotated_cycles, model, cfg, video_id, prefix,
              phase_source="frames"):
     """Score each (annotation or None, cycle) pair and write its
-    ``<video_id>.c<i>.report.json``; yield (i, cycle, report) before the
+    ``<prefix>.c<i>.report.json``; yield (i, cycle, report) before the
     next pair is scored.  Valid joints the model cannot score are reported
     unknown: never silently dropped, never normal without a band."""
     for i, (annotation, cycle) in enumerate(annotated_cycles):
@@ -244,8 +258,7 @@ def _reports(annotated_cycles, model, cfg, video_id, out_dir,
         report = build_report(cycle, model, cfg, video_id=video_id,
                               annotation=annotation,
                               phase_source=phase_source)
-        path = out_dir / f"{video_id}.c{i}.report.json"
-        path.write_bytes(save_report(report))
+        Path(f"{prefix}.c{i}.report.json").write_bytes(save_report(report))
         yield i, cycle, report
 
 
@@ -277,8 +290,8 @@ def _overlays(seq, cycle_flags, grid_points, frame_times, prefix) -> int:
     (annotation, flags) pairs, phases mapped by the segmentation rule."""
     statuses = frame_statuses(cycle_flags, seq.frame_indices(), grid_points,
                               frame_times=frame_times)
-    records = figs.annotate_frames(seq, statuses)
-    Path(f"{prefix}.overlays.json").write_bytes(_dump(records))
+    Path(f"{prefix}.overlays.json").write_bytes(
+        figs.overlay_json(seq, statuses))
     return 1
 
 
@@ -289,7 +302,7 @@ def cmd_angles(args) -> int:
                             min_visibility=args.min_visibility)
     Path(args.out).write_bytes(out)
     print(f"wrote angle series for {len(series)} joints over "
-          f"{len(seq.frames)} frames to {args.out}")
+          f"{len(seq.frame_index)} frames to {args.out}")
     return 0
 
 
@@ -322,11 +335,12 @@ def cmd_build_norm(args) -> int:
 def cmd_detect(args) -> int:
     cycles = load_cycles(Path(args.cycles).read_bytes())
     model = load_norm_model(Path(args.model).read_bytes())
+    video_id = args.video_id or Path(args.cycles).stem
+    prefix = _prefix(args.out_dir, video_id)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    video_id = args.video_id or Path(args.cycles).stem
     reports = _reports([(None, c) for c in cycles], model,
-                       _detection_config(args), video_id, out_dir)
+                       _detection_config(args), video_id, prefix)
     print(f"wrote {sum(1 for _ in reports)} deviation report(s) to {out_dir}")
     return 0
 
@@ -334,8 +348,6 @@ def cmd_detect(args) -> int:
 def cmd_figures(args) -> int:
     model = load_norm_model(Path(args.model).read_bytes())
     cfg = _detection_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     report = None
     if args.report:
@@ -349,8 +361,10 @@ def cmd_figures(args) -> int:
             raise ValidationError(
                 f"no cycle with id {report.cycle_id!r} in {args.cycles}")
 
-    prefix = out_dir / (args.video_id or (report.video_id if report is not None
-                                          else Path(args.model).stem))
+    prefix = _prefix(args.out_dir, args.video_id or (
+        report.video_id if report is not None else Path(args.model).stem))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = _band_plots(model, args.joint or _model_joint_order(model), cfg,
                           prefix, report, cycle)
     if report is not None:
@@ -378,9 +392,9 @@ def cmd_synth(args) -> int:
 
 def cmd_run(args) -> int:
     seq, frame_times, pairs = _segment(args, args.video_id)
+    prefix = _prefix(args.out_dir, seq.video_id)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    prefix = out_dir / seq.video_id
     written = 0
 
     if args.model:
@@ -401,7 +415,7 @@ def cmd_run(args) -> int:
     cycle_flags = []
     for i, cycle, report in _reports(
             [(s.annotation, c) for s, c in pairs], model, cfg, seq.video_id,
-            out_dir, phase_source):
+            prefix, phase_source):
         cycle_flags.append((report.annotation, report.flag))
         written += 1 + _cycle_figures(report, cycle, model, cfg,
                                       f"{prefix}.c{i}")

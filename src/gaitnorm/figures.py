@@ -18,9 +18,16 @@ Four figure families:
 * heatmap -- joints x cycle-percent severity, darker = larger deviation
 * frame overlays -- per-frame skeleton + joint status records meant to be
   drawn over video frames by downstream tooling
+
+The overlay document is written by ``overlay_json`` straight from a
+``PoseSequence``'s arrays: one ``%`` template per (present landmarks, has
+a time), itself written by the package's JSON writer, filled with every
+value of the video in one ``%`` operation.  ``annotate_frames`` returns
+that document decoded, so there is one overlay format.
 """
 
 import functools
+import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,7 +38,7 @@ from .detect import (STATUS_UNKNOWN, DetectionConfig, FrameStatus)
 from .errors import ValidationError
 from .kinematics import JOINT_NAMES
 from .normative import NormativeModel
-from .pose_io import PoseSequence, _dump
+from .pose_io import KEYPOINT_NAMES, PoseSequence, _dump, _encode
 
 # Drawn between keypoints that are both present in a frame.
 SKELETON_EDGES: Tuple[Tuple[str, str], ...] = (
@@ -343,36 +350,90 @@ def render_heatmap(severity: np.ndarray,
     return FigureDoc(svg=_document(width, height, body), sidecar=sidecar)
 
 
-def annotate_frames(seq: PoseSequence,
-                    statuses: List[FrameStatus],
-                    joint_order: Sequence[str] = JOINT_NAMES) -> List[dict]:
-    """Per-frame overlay records for drawing skeletons over video.
+# Landmark columns in the sorted-key order JSON writes them.
+_SORTED_KEYPOINTS = sorted(range(len(KEYPOINT_NAMES)),
+                           key=KEYPOINT_NAMES.__getitem__)
 
-    Each record carries the frame's keypoint pixel positions, the
+
+class _Literal(str):
+    """A JSON token that ``%r`` writes unquoted."""
+
+    __repr__ = str.__str__
+
+
+@functools.lru_cache(maxsize=1024)
+def _record_template(present: Tuple[bool, ...], timed: bool) -> str:
+    """One overlay record as ``_encode`` writes it, with a ``%`` slot for
+    every value: the frame, the joint-status object, x, y and visibility
+    of each ``present`` landmark (a mask in ``KEYPOINT_NAMES`` order; the
+    slots follow the sorted names), and the time when ``timed``."""
+    names = {n for n, held in zip(KEYPOINT_NAMES, present) if held}
+    record = {
+        "frame": "%d",
+        "time_s": "%r" if timed else None,
+        "keypoints": {n: ["%r"] * 3 for n in names},
+        "edges": [[a, b] for a, b in SKELETON_EDGES
+                  if a in names and b in names],
+        "joint_status": "%s",
+    }
+    text = _encode(record, 1)
+    for slot in ("%d", "%r", "%s"):
+        text = text.replace(f'"{slot}"', slot)
+    return text
+
+
+def overlay_json(seq: PoseSequence, statuses: List[FrameStatus],
+                 joint_order: Sequence[str] = JOINT_NAMES) -> bytes:
+    """The overlay document: per frame, the keypoint pixel positions, the
     skeleton edges whose endpoints are both present, and the per-joint
     status key (normal/abnormal/unknown).  Frames without a status entry
     report every joint unknown.
+
+    The bytes are ``_dump`` of ``annotate_frames``'s records, written from
+    the arrays of ``seq``: one cached template per (present landmarks,
+    has a time) and one ``%`` over every value of the video.  Floats go
+    through ``%r``, the ``float.__repr__`` the JSON encoder uses.
     """
-    by_frame = {s.frame_index: s for s in statuses}
-    records = []
-    for frame in seq.frames:
-        status = by_frame.get(frame.frame_index)
-        joint_status = (dict(status.status) if status is not None
-                        else {j: STATUS_UNKNOWN for j in joint_order})
-        keypoints = {
-            name: [kp.point.x, kp.point.y, kp.visibility]
-            for name, kp in sorted(frame.keypoints.items())
-        }
-        edges = [[a, b] for a, b in SKELETON_EDGES
-                 if a in frame.keypoints and b in frame.keypoints]
-        records.append({
-            "frame": frame.frame_index,
-            "time_s": frame.time_s,
-            "keypoints": keypoints,
-            "edges": edges,
-            "joint_status": joint_status,
-        })
-    return records
+    n = len(seq.frame_index)
+    if n == 0:
+        return _dump([])
+    present = seq.present()
+    timed = ~np.isnan(seq.time_s)
+    by_frame = {s.frame_index: s.status for s in statuses}
+    unknown = {j: STATUS_UNKNOWN for j in joint_order}
+    frames = seq.frame_index.tolist()
+    status_items = [tuple(by_frame.get(f, unknown).items()) for f in frames]
+    status_text = {items: _encode(dict(items), 2)
+                   for items in set(status_items)}
+    # Per frame: frame, status, x, y, visibility per landmark, time.
+    floats = np.concatenate(
+        (seq.keypoints[:, _SORTED_KEYPOINTS].reshape(n, -1),
+         seq.time_s[:, None]), axis=1)
+    cells = np.empty((n, 2 + floats.shape[1]), dtype=object)
+    cells[:, 0] = frames
+    cells[:, 1] = [status_text[items] for items in status_items]
+    cells[:, 2:] = floats
+    used = np.ones(cells.shape, dtype=bool)
+    used[:, 2:-1] = np.repeat(present[:, _SORTED_KEYPOINTS], 3, axis=1)
+    used[:, -1] = timed
+    nonfinite = np.zeros(cells.shape, dtype=bool)
+    nonfinite[:, 2:] = ~np.isfinite(floats)
+    values = cells[used]
+    for i in np.flatnonzero(nonfinite[used]).tolist():
+        values[i] = _Literal(_encode(values[i], 0))  # NaN, Infinity
+
+    templates = map(_record_template, map(tuple, present.tolist()),
+                    timed.tolist())
+    text = "[\n " + ",\n ".join(templates) + "\n]\n"
+    return (text % tuple(values)).encode()
+
+
+def annotate_frames(seq: PoseSequence,
+                    statuses: List[FrameStatus],
+                    joint_order: Sequence[str] = JOINT_NAMES) -> List[dict]:
+    """Per-frame overlay records for drawing skeletons over video: the
+    ``overlay_json`` document, decoded."""
+    return json.loads(overlay_json(seq, statuses, joint_order))
 
 
 def write_figure(doc: FigureDoc, svg_path) -> None:

@@ -10,9 +10,9 @@ Ten angles make up the standard set: shoulder, elbow, hip, knee and ankle,
 each side.  ``JOINT_NAMES`` fixes their canonical order (proximal to
 distal, left before right) used for matrix rows and figure panels.
 
-Angles are computed a video at a time.  The keypoints are gathered once
-into coordinate and visibility arrays, and every joint's angles come out
-as one ``(n_frames, n_joints)`` float array, NaN where a sample is
+Angles are computed a video at a time, indexing the ``(n_frames, 16, 3)``
+keypoint array of a ``PoseSequence`` directly.  Every joint's angles come
+out as one ``(n_frames, n_joints)`` float array, NaN where a sample is
 missing, with a parallel uint8 array of missing-reason codes (indexes
 into ``MISSING_REASONS``).  ``AngleSeries`` is one column of those arrays;
 its per-sample ``AngleSample`` list is built only when ``samples`` is
@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateGeometryError, ValidationError
-from .pose_io import Keypoint, Point2D, PoseSequence
+from .pose_io import KEYPOINT_NAMES, PoseSequence
 
 # Canonical joint order for matrices and figures.
 JOINT_NAMES: Tuple[str, ...] = (
@@ -170,10 +170,6 @@ def standard_joint_set() -> List[JointDefinition]:
     return [by_name[n] for n in JOINT_NAMES]
 
 
-# Stands in for an absent keypoint; a NaN visibility marks it absent.
-_ABSENT = Keypoint(Point2D(math.nan, math.nan), math.nan)
-
-
 def _angle_columns(seq: PoseSequence, joints: Sequence[JointDefinition],
                   min_visibility: float = DEFAULT_MIN_VISIBILITY,
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,17 +187,14 @@ def _angle_columns(seq: PoseSequence, joints: Sequence[JointDefinition],
     if not 0.0 <= min_visibility <= 1.0:
         raise ValidationError(
             f"min_visibility must be in [0, 1], got {min_visibility}")
-    names = sorted({n for j in joints for n in (j.proximal, j.axis, j.distal)})
-    column = {n: i for i, n in enumerate(names)}
-    # (n_frames, n_names, 3): x, y, visibility per frame and keypoint.
-    kp = np.array([[(x, y, v) for (x, y), v in
-                    (f.keypoints.get(n, _ABSENT) for n in names)]
-                   for f in seq.frames], dtype=float).reshape(
-                       len(seq.frames), len(names), 3)
-    frames = np.array([f.frame_index for f in seq.frames], dtype=np.int64)
+    # x, y, visibility per frame and landmark; the last, all-NaN column
+    # stands in for a landmark the keypoint format lacks.
+    kp = np.concatenate((seq.keypoints,
+                         np.full((len(seq.keypoints), 1, 3), np.nan)), axis=1)
 
     def gather(attr):
-        idx = [column[getattr(j, attr)] for j in joints]
+        idx = [KEYPOINT_NAMES.index(n) if n in KEYPOINT_NAMES else -1
+               for n in (getattr(j, attr) for j in joints)]
         return kp[:, idx, 0], kp[:, idx, 1], kp[:, idx, 2]
 
     (ax, ay, av), (bx, by, bv), (cx, cy, cv) = (
@@ -222,7 +215,7 @@ def _angle_columns(seq: PoseSequence, joints: Sequence[JointDefinition],
     angle = np.abs(np.degrees(np.array(distal) - np.array(proximal)))
     angles = np.full(absent.shape, np.nan)
     angles[ok] = np.where(angle > 180.0, 360.0 - angle, angle)
-    return frames, angles, reasons
+    return seq.frame_index, angles, reasons
 
 
 def angle_series(seq: PoseSequence, joint: JointDefinition,

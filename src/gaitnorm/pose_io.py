@@ -16,6 +16,14 @@ safe to share across threads.  Serializers emit floats at full precision
 (``repr`` round-trip) with sorted keys, so ``load(save(x))`` reproduces
 ``x`` exactly and equal inputs produce byte-identical files.
 
+A keypoint sequence is held as arrays, not one object per sample: a
+``PoseSequence`` carries ``frame_index`` ``(n,)``, ``time_s`` ``(n,)`` and
+``keypoints`` ``(n, 16, 3)``, NaN where a time or a landmark is absent.
+``parse_pose_sequence`` decodes every line, then checks the numbers of the
+whole video as one array; it re-checks record by record only to name the
+first invalid value and its line.  ``PoseSequence.frames`` builds the
+per-frame ``KeypointFrame`` objects on demand.
+
 Every JSON document is written by ``_dump``, whose bytes are exactly
 ``json.dumps(doc, sort_keys=True, indent=1) + "\n"``.  The standard
 library runs its pure-Python encoder whenever ``indent`` is set, one call
@@ -32,7 +40,8 @@ import json
 import logging
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from itertools import chain, compress
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +62,7 @@ KEYPOINT_NAMES: Tuple[str, ...] = (
     "left_heel", "right_heel",
     "left_hallux", "right_hallux",
 )
-_KEYPOINT_SET = frozenset(KEYPOINT_NAMES)
+_KEYPOINT_COLUMN = {name: i for i, name in enumerate(KEYPOINT_NAMES)}
 
 CYCLE_LABELS: Tuple[str, ...] = ("typical", "atypical")
 
@@ -93,16 +102,70 @@ class KeypointFrame:
     time_s: Optional[float] = None
 
 
-@dataclass(frozen=True)
 class PoseSequence:
-    """Keypoint frames for one video, sorted by strictly increasing index."""
+    """Keypoints of one video as arrays over frames sorted by strictly
+    increasing index.
 
-    video_id: str
-    frames: Tuple[KeypointFrame, ...]
-    fps: Optional[float] = None
+    ``frame_index`` is int64 with shape ``(n,)``; ``time_s`` is float with
+    shape ``(n,)``, NaN where a frame has no time; ``keypoints`` is float
+    with shape ``(n, 16, 3)``: x, y and visibility per landmark in
+    ``KEYPOINT_NAMES`` order, NaN where a landmark is absent.
+
+    ``PoseSequence(video_id, frames, fps)`` builds the arrays from
+    ``KeypointFrame`` objects, and reading ``frames`` builds those objects
+    from the arrays.  Equality compares contents, NaN equal to NaN.
+    """
+
+    def __init__(self, video_id: str, frames: Sequence[KeypointFrame] = (),
+                 fps: Optional[float] = None, *, frame_index=None,
+                 time_s=None, keypoints=None):
+        if frame_index is None:
+            keypoints = np.full((len(frames), len(KEYPOINT_NAMES), 3), np.nan)
+            for row, frame in zip(keypoints, frames):
+                for name, ((x, y), vis) in frame.keypoints.items():
+                    if name not in _KEYPOINT_COLUMN:
+                        raise ValidationError(
+                            f"unknown keypoint name {name!r}")
+                    row[_KEYPOINT_COLUMN[name]] = (x, y, vis)
+            frame_index = [f.frame_index for f in frames]
+            time_s = [np.nan if f.time_s is None else f.time_s for f in frames]
+        self.video_id = video_id
+        self.fps = fps
+        self.frame_index = np.asarray(frame_index, dtype=np.int64)
+        self.time_s = np.asarray(time_s, dtype=float)
+        self.keypoints = np.asarray(keypoints, dtype=float).reshape(
+            len(self.frame_index), len(KEYPOINT_NAMES), 3)
+
+    def present(self) -> np.ndarray:
+        """``(n, 16)`` bool: which landmarks each frame holds."""
+        return ~np.isnan(self.keypoints).all(axis=2)
+
+    @property
+    def frames(self) -> Tuple[KeypointFrame, ...]:
+        return tuple(
+            KeypointFrame(f, {name: Keypoint(Point2D(x, y), vis)
+                              for name, held, (x, y, vis)
+                              in zip(KEYPOINT_NAMES, present, row) if held},
+                          None if t != t else t)
+            for f, t, present, row in zip(
+                self.frame_index.tolist(), self.time_s.tolist(),
+                self.present().tolist(), self.keypoints.tolist()))
 
     def frame_indices(self) -> List[int]:
-        return [f.frame_index for f in self.frames]
+        return self.frame_index.tolist()
+
+    def __eq__(self, other):
+        if not isinstance(other, PoseSequence):
+            return NotImplemented
+        return (self.video_id == other.video_id and self.fps == other.fps
+                and np.array_equal(self.frame_index, other.frame_index)
+                and np.array_equal(self.time_s, other.time_s, equal_nan=True)
+                and np.array_equal(self.keypoints, other.keypoints,
+                                   equal_nan=True))
+
+    def __repr__(self):
+        return (f"PoseSequence(video_id={self.video_id!r}, "
+                f"n_frames={len(self.frame_index)}, fps={self.fps!r})")
 
 
 @dataclass(frozen=True)
@@ -175,56 +238,129 @@ def parse_pose_sequence(data: bytes, strict: bool = False, *,
     Frames arriving out of order are sorted (with a warning); duplicate
     frame indices are rejected.
 
+    Every line is decoded first; then the numbers of the whole video are
+    checked at once, as one array.  Only when that check fails are the
+    records checked one by one, which names the first bad value and its
+    line.
+
     The line format carries no video identity or frame rate, so callers
     supply ``video_id`` and ``fps``.
     """
-    frames: List[KeypointFrame] = []
-    for lineno, raw in enumerate(data.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            record = _load_json(line, "record")
-            if not isinstance(record, dict):
-                raise ValidationError("malformed record: not a JSON object")
-            frames.append(_parse_frame(record, strict))
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from exc
+    lines = [(lineno, line) for lineno, raw
+             in enumerate(data.splitlines(), start=1) if (line := raw.strip())]
+    columns = _columns([line for _, line in lines], strict)
+    if columns is None:
+        for lineno, line in lines:
+            try:
+                record = _load_json(line, "record")
+                if not isinstance(record, dict):
+                    raise ValidationError(
+                        "malformed record: not a JSON object")
+                _check_record(record, strict)
+            except ValidationError as exc:
+                raise ValidationError(f"line {lineno}: {exc}") from exc
+        raise AssertionError("the array check rejected valid records")
+    frame_index, time_s, keypoints = columns
 
-    if len(frames) < 2:
+    if len(frame_index) < 2:
         raise ValidationError(
-            f"a pose sequence needs at least 2 frames, got {len(frames)}")
-
-    indices = [f.frame_index for f in frames]
-    if len(set(indices)) != len(indices):
-        dupes = sorted({i for i in indices if indices.count(i) > 1})
-        raise ValidationError(f"duplicate frame index: {dupes[0]}")
-    if indices != sorted(indices):
+            f"a pose sequence needs at least 2 frames, got {len(frame_index)}")
+    indices, counts = np.unique(frame_index, return_counts=True)
+    if (counts > 1).any():
+        raise ValidationError(
+            f"duplicate frame index: {indices[counts > 1][0]}")
+    if (np.diff(frame_index) < 0).any():
         logger.warning("pose sequence %r: frames arrived out of order; sorted "
                        "by frame index", video_id)
-        frames.sort(key=lambda f: f.frame_index)
+        order = np.argsort(frame_index)
+        frame_index, time_s, keypoints = (
+            frame_index[order], time_s[order], keypoints[order])
+    return PoseSequence(video_id, fps=fps, frame_index=frame_index,
+                        time_s=time_s, keypoints=keypoints)
 
-    return PoseSequence(video_id=video_id, frames=tuple(frames), fps=fps)
+
+def _columns(lines: List[bytes], strict: bool):
+    """``(frame_index, time_s, keypoints)`` arrays of the records on
+    ``lines``, or None when any record is invalid.
+
+    The checks run over the whole video: exact types per list (so bool,
+    an int subclass, is rejected), one float64 array of every number, one
+    ``isfinite`` and one visibility range comparison.
+    """
+    try:
+        records = list(map(json.loads, lines))
+    except (ValueError, RecursionError):
+        return None
+    if not {dict}.issuperset(map(type, records)):
+        return None
+    frames = [r.get("frame") for r in records]
+    times = [r.get("time_s") for r in records]
+    docs = [r.get("keypoints") for r in records]
+    if not ({int}.issuperset(map(type, frames))
+            and {dict}.issuperset(map(type, docs))):
+        return None
+    # Landmark column per key, by each distinct key layout of a record.
+    layouts = list(map(tuple, docs))
+    column = {layout: [_KEYPOINT_COLUMN.get(n, -1) for n in layout]
+              for layout in set(layouts)}
+    entries = list(chain.from_iterable(map(dict.values, docs)))
+    cols = np.fromiter(chain.from_iterable(map(column.__getitem__, layouts)),
+                       dtype=np.intp, count=len(entries))
+    rows = np.repeat(np.arange(len(docs)), list(map(len, layouts)))
+    known = cols >= 0
+    if not known.all():
+        if strict:
+            return None
+        entries = list(compress(entries, known.tolist()))
+        rows, cols = rows[known], cols[known]
+    if not ({list}.issuperset(map(type, entries))
+            and {3}.issuperset(map(len, entries))):
+        return None
+    timed = [t is not None for t in times]
+    numbers = list(chain(chain.from_iterable(entries), compress(times, timed)))
+    if not _JSON_NUMBERS.issuperset(map(type, numbers)):
+        return None
+    try:
+        frame_index = np.array(frames, dtype=np.int64)
+        values = np.array(numbers, dtype=float)
+    except OverflowError:  # an int too large for an int64 or a float
+        return None
+    xyv = values[:3 * len(entries)].reshape(-1, 3)
+    if not (np.isfinite(values).all() and (frame_index >= 0).all()
+            and ((xyv[:, 2] >= 0.0) & (xyv[:, 2] <= 1.0)).all()):
+        return None
+
+    if not known.all():
+        for frame, layout in zip(frames, layouts):
+            for name, col in zip(layout, column[layout]):
+                if col < 0:
+                    logger.warning("frame %d: skipping unknown keypoint "
+                                   "name %r", frame, name)
+    keypoints = np.full((len(docs), len(KEYPOINT_NAMES), 3), np.nan)
+    keypoints[rows, cols] = xyv
+    time_s = np.full(len(docs), np.nan)
+    time_s[timed] = values[3 * len(entries):]
+    return frame_index, time_s, keypoints
 
 
-def _parse_frame(record: dict, strict: bool) -> KeypointFrame:
+def _check_record(record: dict, strict: bool) -> None:
+    """Check one keypoint record, raising on its first invalid value."""
     if "frame" not in record:
         raise ValidationError("malformed record: missing 'frame'")
     frame_index = _require_int(record["frame"], "'frame'")
     if frame_index < 0:
         raise ValidationError(f"'frame' must be non-negative, got {frame_index}")
-
-    time_s = None
+    if frame_index >= 2 ** 63:
+        raise ValidationError(
+            f"'frame' must be below 2**63, got {frame_index}")
     if record.get("time_s") is not None:
-        time_s = _require_number(record["time_s"], "'time_s'")
+        _require_number(record["time_s"], "'time_s'")
 
     raw_kps = record.get("keypoints")
     if not isinstance(raw_kps, dict):
         raise ValidationError("malformed record: 'keypoints' must be an object")
-
-    keypoints: Dict[str, Keypoint] = {}
     for name, entry in raw_kps.items():
-        if name not in _KEYPOINT_SET:
+        if name not in _KEYPOINT_COLUMN:
             if strict:
                 raise ValidationError(f"unknown keypoint name {name!r}")
             logger.warning("frame %d: skipping unknown keypoint name %r",
@@ -233,16 +369,12 @@ def _parse_frame(record: dict, strict: bool) -> KeypointFrame:
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ValidationError(
                 f"keypoint {name!r} must be [x, y, visibility], got {entry!r}")
-        x = _require_number(entry[0], f"keypoint {name!r} x")
-        y = _require_number(entry[1], f"keypoint {name!r} y")
+        _require_number(entry[0], f"keypoint {name!r} x")
+        _require_number(entry[1], f"keypoint {name!r} y")
         vis = _require_number(entry[2], f"keypoint {name!r} visibility")
         if not 0.0 <= vis <= 1.0:
             raise ValidationError(
                 f"visibility out of range for {name!r}: {vis} (must be in [0, 1])")
-        keypoints[name] = Keypoint(Point2D(x, y), vis)
-
-    return KeypointFrame(frame_index=frame_index, keypoints=keypoints,
-                         time_s=time_s)
 
 
 def serialize_pose_sequence(seq: PoseSequence) -> bytes:
@@ -657,20 +789,39 @@ def save_angle_series(series_by_joint: dict, *, video_id: str = "",
 
 
 def load_angle_series(data: bytes) -> dict:
-    """Parse an angle-series file back into per-joint ``AngleSeries``."""
-    from .kinematics import AngleSample, AngleSeries  # deferred: avoids import cycle
+    """Parse an angle-series file back into per-joint ``AngleSeries``.
+
+    Each joint holds a list of ``[frame, angle or null, reason]`` rows,
+    ``reason`` one of ``kinematics.MISSING_REASONS``.
+    """
+    from .kinematics import MISSING_REASONS, AngleSeries  # deferred: avoids import cycle
 
     doc = _load_json(data, "angles file")
     if not isinstance(doc, dict) or doc.get("schema") != ANGLES_SCHEMA:
         raise ValidationError(f"schema mismatch: expected {ANGLES_SCHEMA!r}")
     out = {}
-    for name, rows in doc.get("joints", {}).items():
-        samples = []
+    joints = _require_object(doc.get("joints", {}), "'joints'")
+    for name, rows in joints.items():
+        if not isinstance(rows, list):
+            raise ValidationError(f"joint {name!r}: rows must be a list")
+        frames, angles, reasons = [], [], []
         for row in rows:
+            if not isinstance(row, list) or len(row) != 3:
+                raise ValidationError(
+                    f"joint {name!r}: a row must be [frame, angle or null, "
+                    f"reason], got {row!r}")
             frame, angle, reason = row
-            samples.append(AngleSample(
-                frame_index=int(frame),
-                angle_deg=None if angle is None else float(angle),
-                missing_reason=reason))
-        out[name] = AngleSeries(joint=name, samples=samples)
+            frames.append(_require_int(frame, f"joint {name!r} frame"))
+            angles.append(np.nan if angle is None
+                          else _require_number(angle, f"joint {name!r} angle"))
+            if reason not in MISSING_REASONS:
+                raise ValidationError(
+                    f"joint {name!r}: unknown missing reason {reason!r}")
+            reasons.append(MISSING_REASONS.index(reason))
+        try:
+            out[name] = AngleSeries(name, frames=frames, angles=angles,
+                                    reasons=reasons)
+        except OverflowError:
+            raise ValidationError(f"joint {name!r}: a frame does not fit in "
+                                  f"64 bits") from None
     return out

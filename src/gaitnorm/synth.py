@@ -91,6 +91,8 @@ def generate_cycle(profiles: Dict[str, JointProfile],
     Joints are processed in sorted name order so the RNG stream, and with
     it the output, is independent of dict insertion order.
     """
+    if grid_points < 2:
+        raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
     rng = np.random.default_rng(seed)
     angles = {}
     valid = {}

@@ -517,3 +517,96 @@ def test_bad_synth_profiles_exit_1_without_traceback(tmp_path, capsys, case):
     assert main(_synth_argv(tmp_path) + ["--profiles", profiles]) == 1
     err = capsys.readouterr().err
     assert "validation error" in err and "Traceback" not in err
+
+
+def _escaping_run(tmp_path, video_id):
+    ann = json.loads(ANNOTATIONS.read_text())
+    ann["video_id"] = video_id
+    return ["run", "--keypoints", str(KEYPOINTS), "--annotations",
+            _write_json(tmp_path / "in" / "ann.json", ann)]
+
+
+def _cohort(tmp_path):
+    cycles = tmp_path / "in" / "cohort.json"
+    model = tmp_path / "in" / "model.json"
+    assert main(["synth", "--out", str(cycles), "--n", "3"]) == 0
+    assert main(["build-norm", "--cycles", str(cycles), "--out",
+                 str(model)]) == 0
+    return str(cycles), str(model)
+
+
+def _escaping_detect(tmp_path, video_id):
+    cycles, model = _cohort(tmp_path)
+    return ["detect", "--cycles", cycles, "--model", model,
+            "--video-id", video_id]
+
+
+def _report_figures(tmp_path):
+    cycles, model = _cohort(tmp_path)
+    assert main(["detect", "--cycles", cycles, "--model", model,
+                 "--out-dir", str(tmp_path / "in"), "--video-id", "v"]) == 0
+    report = tmp_path / "in" / "v.c0.report.json"
+    return ["figures", "--model", model, "--report", str(report),
+            "--cycles", cycles], report
+
+
+def _escaping_figures(tmp_path, video_id):
+    return _report_figures(tmp_path)[0] + ["--video-id", video_id]
+
+
+def _escaping_report(tmp_path, video_id):
+    argv, report = _report_figures(tmp_path)
+    doc = json.loads(report.read_text())
+    doc["video_id"] = video_id
+    report.write_text(json.dumps(doc))
+    return argv
+
+
+ESCAPING_IDS = {
+    "run": _escaping_run,
+    "detect": _escaping_detect,
+    "figures": _escaping_figures,
+    "figures-report": _escaping_report,
+}
+
+
+def _files(root):
+    return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize("video_id", ["../escaped", "a/b", "<tmp>/abs",
+                                      "nul\0id"])
+@pytest.mark.parametrize("command", sorted(ESCAPING_IDS))
+def test_video_id_with_a_path_is_rejected(tmp_path, capsys, command,
+                                          video_id):
+    video_id = video_id.replace("<tmp>", str(tmp_path))  # absolute
+    (tmp_path / "in").mkdir(exist_ok=True)
+    argv = ESCAPING_IDS[command](tmp_path, video_id)
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert main(argv + ["--out-dir", str(tmp_path / "box" / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "path separator or NUL" in err and "Traceback" not in err
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("video_id", [".", "..", "..."])
+def test_dot_video_ids_stay_inside_out_dir(tmp_path, video_id):
+    (tmp_path / "in").mkdir()
+    out = tmp_path / "box" / "out"
+    assert main(_escaping_run(tmp_path, video_id) + ["--out-dir",
+                                                    str(out)]) == 0
+    outside = [p for p in _files(tmp_path)
+               if p.parts[0] != "in" and p.parts[:2] != ("box", "out")]
+    assert outside == [] and len(_files(out)) == 42
+
+
+@pytest.mark.parametrize("grid_points", ["-1", "0", "1"])
+def test_synth_grid_points_below_2_exit_1(tmp_path, capsys, grid_points):
+    out = tmp_path / "cohort.json"
+    capsys.readouterr()
+    assert main(["synth", "--out", str(out), "--grid-points",
+                 grid_points]) == 1
+    err = capsys.readouterr().err
+    assert "grid_points must be >= 2" in err and "Traceback" not in err
+    assert not out.exists()

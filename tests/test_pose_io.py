@@ -318,6 +318,35 @@ class TestAngleSeriesFile:
                  for s in series[j].samples]
 
 
+    @pytest.mark.parametrize("joints", [
+        [], "x", {"left_knee": {}}, {"left_knee": [[1]]},
+        {"left_knee": [5]}, {"left_knee": [[1, 90.0, None, 4]]},
+        {"left_knee": [[True, 90.0, None]]}, {"left_knee": [[1.0, 90.0, None]]},
+        {"left_knee": [["1", 90.0, None]]}, {"left_knee": [[1, "90", None]]},
+        {"left_knee": [[1, False, None]]}, {"left_knee": [[1, [90], None]]},
+        {"left_knee": [[1, float("nan"), None]]},
+        {"left_knee": [[1, None, "eclipse"]]}, {"left_knee": [[1, None, 2]]},
+        {"left_knee": [[1, None, ["absent_keypoint"]]]},
+        {"left_knee": [[2 ** 64, None, "absent_keypoint"]]},
+    ])
+    def test_wrong_field_types_rejected(self, joints):
+        doc = {"schema": "gaitnorm-angles/1", "joints": joints}
+        with pytest.raises(ValidationError):
+            load_angle_series(json.dumps(doc).encode())
+
+    def test_roundtrip_with_every_missing_reason(self):
+        from gaitnorm.kinematics import MISSING_REASONS, AngleSeries
+        series = {"left_knee": AngleSeries(
+            "left_knee", frames=[0, 3, 4, 9, 12],
+            angles=[91.5, np.nan, np.nan, np.nan, 0.0],
+            reasons=[0, 1, 2, 3, 0])}
+        again = load_angle_series(save_angle_series(series))
+        assert again["left_knee"].samples == series["left_knee"].samples
+        assert again["left_knee"].reasons.tolist() == [0, 1, 2, 3, 0]
+        assert {s.missing_reason for s in again["left_knee"].samples} == \
+            set(MISSING_REASONS)
+
+
 def _stdlib_dump(doc) -> bytes:
     """The reference ``_dump`` must reproduce byte for byte."""
     return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
@@ -375,7 +404,7 @@ class TestCanonicalEncoder:
                 _dump(doc)
 
     def test_demo_run_documents_match_stdlib(self, tmp_path, monkeypatch):
-        from gaitnorm import cli, figures, pose_io
+        from gaitnorm import figures, pose_io
         from gaitnorm.cli import main
 
         seen = []
@@ -384,17 +413,21 @@ class TestCanonicalEncoder:
             seen.append(doc)
             return _dump(doc)
 
-        for module in (cli, figures, pose_io):
+        for module in (figures, pose_io):
             monkeypatch.setattr(module, "_dump", recording_dump)
         fixtures = Path(__file__).parent / "fixtures"
         assert main(["run", "--keypoints",
                      str(fixtures / "demo.keypoints.jsonl"), "--annotations",
                      str(fixtures / "demo.cycles.json"), "--out-dir",
                      str(tmp_path)]) == 0
-        # every JSON file the run writes: model, reports, overlays, sidecars
-        assert len(seen) == len(list(tmp_path.glob("*.json"))) == 24
-        for doc in seen:
+        # every JSON file the run writes: model, reports, sidecars through
+        # _dump, and the overlays from figures.overlay_json's templates
+        overlays = tmp_path / "synthetic-walk.overlays.json"
+        assert len(seen) + 1 == len(list(tmp_path.glob("*.json"))) == 24
+        for doc in seen + [json.loads(overlays.read_bytes())]:
             assert _dump(doc) == _stdlib_dump(doc)
+        assert overlays.read_bytes() == _stdlib_dump(
+            json.loads(overlays.read_bytes()))
 
 
 class TestFloatList:
