@@ -264,12 +264,13 @@ def _reports(annotated_cycles, model, cfg, video_id, prefix,
 
 def _band_plots(model, joints, cfg, prefix, report=None, cycle=None) -> int:
     """``<prefix>.band.<joint>.svg`` per joint, with the cycle's curve and
-    flags drawn over the band when a report and its cycle are given."""
-    for joint in joints:
-        overlay = None
-        if cycle is not None and joint in report.flag:
-            overlay = (cycle, report.flag[joint])
-        doc = figs.render_band_plot(model, joint, overlay=overlay, cfg=cfg)
+    flags drawn over the band when a report and its cycle are given; all
+    are rendered before any is written, so a bad overlay writes nothing."""
+    overlays = {j: (cycle, report.flag[j]) for j in joints
+                if cycle is not None and j in report.flag}
+    docs = [figs.render_band_plot(model, j, overlay=overlays.get(j), cfg=cfg)
+            for j in joints]
+    for joint, doc in zip(joints, docs):
         figs.write_figure(doc, f"{prefix}.band.{joint}.svg")
     return len(joints)
 

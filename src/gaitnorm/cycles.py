@@ -10,10 +10,12 @@ extrapolated: spline extrapolation is wild and clinically misleading.
 
 The work is array-at-a-time.  A cycle is cut from a joint's sorted frame
 indices with two ``np.searchsorted`` calls, so each cut costs
-O(log frames); its phases are computed as one array, and the spline is
-evaluated over the whole grid in one call.  ``CycleSlice`` holds those
-(phase, angle) columns, NaN marking a missing angle; its list-of-pairs
-view is built only when ``samples`` is read.
+O(log frames), and its phases are computed as one array.  ``CycleSlice``
+holds those (phase, angle) columns, NaN marking a missing angle; its
+list-of-pairs view is built only when ``samples`` is read.  Resampling
+groups a cycle's joints by the bytes of their knot phases and fits each
+group with one multi-series spline (see ``spline``): one solve per knot
+layout, usually one per cycle, with values bit-identical to per-joint fits.
 """
 
 import logging
@@ -216,15 +218,16 @@ def _phase_function(ann: CycleAnnotation,
 
 def resample_cycle(cycle_slice: CycleSlice,
                    grid_points: int = DEFAULT_GRID_POINTS) -> NormalizedCycle:
-    """Resample one cycle onto the fixed phase grid, joint by joint.
+    """Resample one cycle onto the fixed phase grid.
 
     Per joint, a natural cubic spline is fitted through the non-missing
-    (phase, angle) samples and evaluated at all grid phases in one call.
-    A joint is marked invalid (all-NaN, ``valid=False``) instead of fitted
-    when it has fewer than 4 usable samples or its coverage leaves more
-    than half a percent uncovered at either cycle edge.  Grid phases
-    inside that half-percent tolerance but outside the fitted span take
-    the nearest knot's value rather than extrapolating.
+    (phase, angle) samples and evaluated at all grid phases; joints whose
+    samples sit at the same phases share one fit.  A joint is marked
+    invalid (all-NaN, ``valid=False``) instead of fitted when it has fewer
+    than 4 usable samples or its coverage leaves more than half a percent
+    uncovered at either cycle edge.  Grid phases inside that half-percent
+    tolerance but outside the fitted span take the nearest knot's value
+    rather than extrapolating.
 
     Spline overshoot is clamped to [0, 180]; a warning is logged when the
     clamp moves any value by more than 1 degree.
@@ -232,31 +235,41 @@ def resample_cycle(cycle_slice: CycleSlice,
     if grid_points < 2:
         raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
     grid = np.linspace(0.0, 100.0, grid_points)
-    angles: Dict[str, np.ndarray] = {}
     valid: Dict[str, bool] = {}
-
+    layouts = {}  # knot abscissae bytes -> (abscissae, joints, knot angles)
+    fitted = {}  # joint -> (grid values clamped, largest move of the clamp)
     for joint, (phases, raw) in cycle_slice.columns.items():
         present = ~np.isnan(raw)
         knot_x = phases[present]
-        if len(knot_x) < MIN_KNOTS_PER_CYCLE \
-                or knot_x[0] > EDGE_COVERAGE_PERCENT \
-                or knot_x[-1] < 100.0 - EDGE_COVERAGE_PERCENT:
+        valid[joint] = not (len(knot_x) < MIN_KNOTS_PER_CYCLE
+                            or knot_x[0] > EDGE_COVERAGE_PERCENT
+                            or knot_x[-1] < 100.0 - EDGE_COVERAGE_PERCENT)
+        if valid[joint]:
+            _, joints, knot_y = layouts.setdefault(knot_x.tobytes(),
+                                                   (knot_x, [], []))
+            joints.append(joint)
+            knot_y.append(raw[present])
+        else:
             logger.debug("cycle %s joint %s: insufficient coverage "
                          "(%d usable samples)", cycle_slice.cycle_id, joint,
                          len(knot_x))
-            angles[joint] = np.full(grid_points, np.nan)
-            valid[joint] = False
-            continue
-        coeffs = fit_natural_cubic(np.column_stack((knot_x, raw[present])))
-        values = eval_spline(coeffs, np.clip(grid, coeffs.x[0], coeffs.x[-1]))
+            fitted[joint] = (np.full(grid_points, np.nan), 0.0)
+
+    for knot_x, joints, knot_y in layouts.values():
+        coeffs = fit_natural_cubic(np.column_stack([knot_x] + knot_y))
+        values = eval_spline(coeffs, np.clip(grid, knot_x[0], knot_x[-1]))
+        values = values.reshape(grid_points, len(joints))
         clamped = np.clip(values, 0.0, 180.0)
-        worst = float(np.max(np.abs(values - clamped)))
+        worst = np.max(np.abs(values - clamped), axis=0)
+        fitted.update(zip(joints, zip(clamped.T.copy(), worst.tolist())))
+
+    angles: Dict[str, np.ndarray] = {}
+    for joint in valid:
+        angles[joint], worst = fitted[joint]
         if worst > 1.0:
             logger.warning("cycle %s joint %s: clamped spline overshoot of "
                            "%.2f deg into [0, 180]", cycle_slice.cycle_id,
                            joint, worst)
-        angles[joint] = clamped
-        valid[joint] = True
 
     return NormalizedCycle(label=cycle_slice.annotation.label,
                            grid_points=grid_points, angles=angles,

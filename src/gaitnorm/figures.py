@@ -3,12 +3,15 @@
 All documents are plain SVG built by string assembly with fixed-precision
 coordinates, so identical inputs produce byte-identical files (raster
 backends and plotting libraries do not guarantee that).  Coordinates are
-computed as arrays and each series is formatted by one ``%`` operation;
-the heatmap's per-cell markup that does not depend on the data is built
-once per matrix shape.  Every figure
-carries a machine-readable sidecar describing exactly what was plotted
-(series kinds and point counts); acceptance checks compare sidecars
-against the document instead of pixel content.
+computed as arrays and each series is formatted by one ``%`` operation.
+Markup that does not depend on the analyzed cycle is built once and
+cached by the values it formats: the heatmap cells per matrix shape, and
+a band panel's band, mean line, axes and dot ``cx`` per (panel box, y
+range, k, mean and SD bytes), so a cycle's panel formats only its dots'
+``cy`` and classes.  Every figure carries a machine-readable sidecar
+describing exactly what was plotted (series kinds and point counts);
+acceptance checks compare sidecars against the document instead of pixel
+content.
 
 Four figure families:
 
@@ -88,46 +91,61 @@ def _interleave(*columns) -> List:
     return [v for row in zip(*columns) for v in row]
 
 
-def _scales(values_min: float, values_max: float,
-            x0: float, x1: float, y0: float, y1: float, grid_points: int):
-    """Pixel x of every grid point, plus the degrees -> pixel y map (y axis
-    points up), which takes a number or an array."""
-    lo = float(np.floor(values_min)) - 5.0
-    hi = float(np.ceil(values_max)) + 5.0
-    if hi <= lo:
-        hi = lo + 1.0
-    xs = x0 + (x1 - x0) * np.arange(grid_points) / (grid_points - 1)
-
-    def sy(v):
-        return y1 - (y1 - y0) * (v - lo) / (hi - lo)
-
-    return xs, sy, lo, hi
-
-
 def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     """SVG ``points`` text: "x,y x,y ..." at three decimals."""
     return _fmt_all(" ".join(["%.3f,%.3f"] * len(xs)),
                     _interleave(xs.tolist(), ys.tolist()))
 
 
-def _band_elements(mean: np.ndarray, std: np.ndarray, k: float,
-                   xs: np.ndarray, sy) -> Tuple[str, str]:
-    """(band polygon, mean polyline) SVG fragments."""
-    upper = sy(mean + k * std)
-    lower = sy(mean - k * std)
-    band_pts = _points(np.concatenate((xs, xs[::-1])),
-                       np.concatenate((upper, lower[::-1])))
-    return (f'<polygon class="band" points="{band_pts}"/>',
-            f'<polyline class="mean" points="{_points(xs, sy(mean))}"/>')
+@functools.lru_cache(maxsize=256)
+def _panel(box: Tuple[float, float, float, float], lo: float, hi: float,
+           k: float, mean: bytes, std: bytes, labels: bool):
+    """Everything in a band panel that does not depend on the analyzed
+    cycle: the band polygon and mean line (drawn under the dots), the dot
+    template with each ``cx`` filled in and a class and ``cy`` slot per
+    grid point, the axes (drawn over the dots), and the degrees -> pixel y
+    map (y up).  ``mean`` and ``std`` are float64 bytes.  A pure function of the
+    values it formats, so an entry can never go stale."""
+    x0, x1, y0, y1 = box
+    mean, std = np.frombuffer(mean), np.frombuffer(std)
+    xs = x0 + (x1 - x0) * np.arange(len(mean)) / (len(mean) - 1)
+
+    def sy(v):
+        return y1 - (y1 - y0) * (v - lo) / (hi - lo)
+
+    band = _points(np.concatenate((xs, xs[::-1])),
+                   np.concatenate((sy(mean + k * std),
+                                   sy(mean - k * std)[::-1])))
+    under = (f'<polygon class="band" points="{band}"/>'
+             f'<polyline class="mean" points="{_points(xs, sy(mean))}"/>')
+    dots = "".join(f'<circle class="%s" cx="{cx}" cy="%.3f" r="2"/>'
+                   for cx in map(_fmt, xs.tolist()))
+    return under, dots, "".join(_axes(x0, x1, y0, y1, lo, hi, sy, labels)), sy
 
 
-def _overlay_elements(angles: np.ndarray, flags: np.ndarray,
-                      xs: np.ndarray, sy) -> Tuple[str, int, int]:
+def _band_panel(box, normals, k: float, angles: Optional[np.ndarray],
+                labels: bool):
+    """``_panel`` for one joint's band, its y range whole degrees with 5
+    degrees of margin around the band and ``angles``."""
+    values = [normals.mean + k * normals.std, normals.mean - k * normals.std]
+    if angles is not None:
+        values.append(angles)
+    lo = float(np.floor(min(float(v.min()) for v in values))) - 5.0
+    hi = float(np.ceil(max(float(v.max()) for v in values))) + 5.0
+    return _panel(box, lo, hi if hi > lo else lo + 1.0, k,
+                  np.asarray(normals.mean, float).tobytes(),
+                  np.asarray(normals.std, float).tobytes(), labels)
+
+
+def _dots(template: str, angles: np.ndarray, flags: np.ndarray,
+          sy) -> Tuple[str, int, int]:
+    """The cycle's grid samples as dots in ``_panel``'s template, abnormal
+    ones in the alert style: (markup, normal count, abnormal count)."""
     flags = np.asarray(flags, dtype=bool)
+    if len(flags) != len(angles):
+        raise ValidationError("overlay flags do not match the grid")
     classes = ["abnormal" if f else "normal" for f in flags.tolist()]
-    dots = _fmt_all('<circle class="%s" cx="%.3f" cy="%.3f" r="2"/>'
-                    * len(angles),
-                    _interleave(classes, xs.tolist(), sy(angles).tolist()))
+    dots = _fmt_all(template, _interleave(classes, sy(angles).tolist()))
     n_abnormal = int(np.count_nonzero(flags))
     return dots, len(angles) - n_abnormal, n_abnormal
 
@@ -179,32 +197,29 @@ def render_band_plot(model: NormativeModel, joint: str,
     jn = model.joints[joint]
     n = model.grid_points
 
-    values = [jn.mean + cfg.k * jn.std, jn.mean - cfg.k * jn.std]
+    angles = None
     if overlay is not None:
         cycle, flags = overlay
         if len(flags) != n or cycle.grid_points != n:
             raise ValidationError("overlay grid size does not match model")
-        values.append(cycle.angles[joint])
-    vmin = min(float(np.min(v)) for v in values)
-    vmax = max(float(np.max(v)) for v in values)
+        if not cycle.valid.get(joint, False):
+            raise ValidationError(f"overlay joint {joint!r} is invalid in "
+                                  f"cycle {cycle.cycle_id!r}")
+        angles = cycle.angles[joint]
 
-    x0, x1, y0, y1 = 50.0, 620.0, 30.0, 360.0
-    xs, sy, lo, hi = _scales(vmin, vmax, x0, x1, y0, y1, n)
-
+    x0, y0 = 50.0, 30.0
+    under, template, over, sy = _band_panel((x0, 620.0, y0, 360.0), jn,
+                                            cfg.k, angles, labels=True)
     body = [f'<text x="{_fmt(x0)}" y="18" font-size="13">{joint} '
-            f'(mean and {cfg.k:g} SD band, degrees vs cycle percent)</text>']
-    band, mean_line = _band_elements(jn.mean, jn.std, cfg.k, xs, sy)
-    body.append(band)
-    body.append(mean_line)
+            f'(mean and {cfg.k:g} SD band, degrees vs cycle percent)</text>',
+            under]
     series = [{"kind": "mean", "points": n}, {"kind": "band", "points": 2 * n}]
     if overlay is not None:
-        cycle, flags = overlay
-        dots, n_normal, n_abnormal = _overlay_elements(cycle.angles[joint],
-                                                       flags, xs, sy)
+        dots, n_normal, n_abnormal = _dots(template, angles, flags, sy)
         body.append(dots)
         series.append({"kind": "normal", "points": n_normal})
         series.append({"kind": "abnormal", "points": n_abnormal})
-    body.extend(_axes(x0, x1, y0, y1, lo, hi, sy))
+    body.append(over)
 
     sidecar = {
         "figure_kind": "band",
@@ -258,20 +273,13 @@ def render_multi_joint(flags_by_joint: Dict[str, np.ndarray],
                         f'text-anchor="middle" fill="#888">insufficient data</text>')
             panels.append({"joint": joint, "rendered": False})
             continue
-        jn = model.joints[joint]
         angles = cycle.angles[joint]
-        flags = flags_by_joint[joint]
-        vmin = min(float(np.min(jn.mean - cfg.k * jn.std)), float(np.min(angles)))
-        vmax = max(float(np.max(jn.mean + cfg.k * jn.std)), float(np.max(angles)))
-        x0, x1 = ox + 10.0, ox + panel_w - 10.0
-        y0, y1 = oy + 20.0, oy + panel_h - 10.0
-        xs, sy, lo, hi = _scales(vmin, vmax, x0, x1, y0, y1, n)
-        band, mean_line = _band_elements(jn.mean, jn.std, cfg.k, xs, sy)
-        body.append(band)
-        body.append(mean_line)
-        dots, n_normal, n_abnormal = _overlay_elements(angles, flags, xs, sy)
-        body.append(dots)
-        body.extend(_axes(x0, x1, y0, y1, lo, hi, sy, with_labels=False))
+        under, template, over, sy = _band_panel(
+            (ox + 10.0, ox + panel_w - 10.0, oy + 20.0, oy + panel_h - 10.0),
+            model.joints[joint], cfg.k, angles, labels=False)
+        dots, n_normal, n_abnormal = _dots(template, angles,
+                                           flags_by_joint[joint], sy)
+        body += [under, dots, over]
         panels.append({"joint": joint, "rendered": True,
                        "normal": n_normal, "abnormal": n_abnormal})
 

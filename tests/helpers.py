@@ -2,7 +2,8 @@
 
 These deliberately re-derive results along different routes than the
 package (dense linear solves, dot-product trigonometry, one object per
-keypoint record) so agreement is meaningful.
+keypoint record, one spline fit per joint, every figure panel formatted
+from scratch) so agreement is meaningful.
 """
 
 import logging
@@ -10,12 +11,15 @@ import math
 
 import numpy as np
 
-from gaitnorm.detect import STATUS_UNKNOWN
+from gaitnorm.cycles import EDGE_COVERAGE_PERCENT, MIN_KNOTS_PER_CYCLE
+from gaitnorm.detect import STATUS_UNKNOWN, DetectionConfig
 from gaitnorm.errors import ValidationError
-from gaitnorm.figures import SKELETON_EDGES
+from gaitnorm.figures import _STYLE, SKELETON_EDGES, _fmt
 from gaitnorm.kinematics import JOINT_NAMES
 from gaitnorm.pose_io import (KEYPOINT_NAMES, Keypoint, KeypointFrame, Point2D,
-                              _load_json, _require_int, _require_number)
+                              PoseSequence, _load_json, _require_int,
+                              _require_number)
+from gaitnorm.synth import generate_pose_sequence
 
 logger = logging.getLogger("gaitnorm.pose_io")
 
@@ -177,3 +181,172 @@ def reference_overlay_records(frames, statuses,
             "joint_status": joint_status,
         })
     return records
+
+
+def reference_spline_values(knot_x, knot_y, t) -> np.ndarray:
+    """One natural cubic spline through (knot_x, knot_y), evaluated at the
+    array ``t``: a scalar Thomas sweep over one right-hand side and one
+    libm ``pow`` per cube, the arithmetic the batched fit must repeat bit
+    for bit."""
+    x = np.asarray(knot_x, dtype=float)
+    y = np.asarray(knot_y, dtype=float)
+    n = len(x)
+    m = np.zeros(n)
+    if n > 2:
+        h = np.diff(x)
+        slope = np.diff(y) / h
+        sub, sup = h[:-1], h[1:]
+        d = 2.0 * (h[:-1] + h[1:])
+        r = 6.0 * (slope[1:] - slope[:-1])
+        for j in range(1, n - 2):
+            w = sub[j] / d[j - 1]
+            d[j] -= w * sup[j - 1]
+            r[j] -= w * r[j - 1]
+        u = np.empty(n - 2)
+        u[-1] = r[-1] / d[-1]
+        for j in range(n - 4, -1, -1):
+            u[j] = (r[j] - sup[j] * u[j + 1]) / d[j]
+        m[1:-1] = u
+    shape = np.shape(t)
+    t = np.asarray(t, dtype=float).ravel()
+    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, n - 2)
+    h = x[i + 1] - x[i]
+    left = x[i + 1] - t
+    right = t - x[i]
+    cube_left = np.array([math.pow(v, 3.0) for v in left.tolist()])
+    cube_right = np.array([math.pow(v, 3.0) for v in right.tolist()])
+    return (m[i] * cube_left / (6.0 * h) + m[i + 1] * cube_right / (6.0 * h)
+            + (y[i] / h - m[i] * h / 6.0) * left
+            + (y[i + 1] / h - m[i + 1] * h / 6.0) * right).reshape(shape)
+
+
+def reference_resample(cycle_slice, grid_points=101):
+    """``resample_cycle`` as one spline fit per joint: (angles, valid,
+    warning messages), with the package's coverage rule and clamp."""
+    grid = np.linspace(0.0, 100.0, grid_points)
+    angles, valid, warnings = {}, {}, []
+    for joint, (phases, raw) in cycle_slice.columns.items():
+        present = ~np.isnan(raw)
+        knot_x = phases[present]
+        if len(knot_x) < MIN_KNOTS_PER_CYCLE \
+                or knot_x[0] > EDGE_COVERAGE_PERCENT \
+                or knot_x[-1] < 100.0 - EDGE_COVERAGE_PERCENT:
+            angles[joint] = np.full(grid_points, np.nan)
+            valid[joint] = False
+            continue
+        values = reference_spline_values(
+            knot_x, raw[present], np.clip(grid, knot_x[0], knot_x[-1]))
+        clamped = np.clip(values, 0.0, 180.0)
+        worst = float(np.max(np.abs(values - clamped)))
+        if worst > 1.0:
+            warnings.append(f"cycle {cycle_slice.cycle_id} joint {joint}: "
+                            f"clamped spline overshoot of {worst:.2f} deg "
+                            f"into [0, 180]")
+        angles[joint] = clamped
+        valid[joint] = True
+    return angles, valid, warnings
+
+
+def _reference_scales(values_min, values_max, x0, x1, y0, y1, grid_points):
+    lo = float(np.floor(values_min)) - 5.0
+    hi = float(np.ceil(values_max)) + 5.0
+    if hi <= lo:
+        hi = lo + 1.0
+    xs = x0 + (x1 - x0) * np.arange(grid_points) / (grid_points - 1)
+
+    def sy(v):
+        return y1 - (y1 - y0) * (v - lo) / (hi - lo)
+
+    return xs, sy, lo, hi
+
+
+def _reference_points(xs, ys) -> str:
+    return " ".join(f"{_fmt(x)},{_fmt(y)}"
+                    for x, y in zip(xs.tolist(), ys.tolist()))
+
+
+def reference_multi_joint(flags_by_joint, cycle, model, cfg=None,
+                          joint_order=JOINT_NAMES):
+    """The multi-joint renderer that formats every panel from scratch, one
+    value at a time: (svg, sidecar)."""
+    cfg = cfg or DetectionConfig()
+    n = model.grid_points
+    if cycle.grid_points != n:
+        raise ValidationError("cycle grid size does not match model")
+    panel_w, panel_h, pad, cols = 380.0, 170.0, 16.0, 2
+    rows = (len(joint_order) + cols - 1) // cols
+    width = cols * panel_w + (cols + 1) * pad
+    height = rows * panel_h + (rows + 1) * pad
+    body, panels = [], []
+    for i, joint in enumerate(joint_order):
+        ox = pad + (i % cols) * (panel_w + pad)
+        oy = pad + (i // cols) * (panel_h + pad)
+        body.append(f'<rect x="{_fmt(ox)}" y="{_fmt(oy)}" '
+                    f'width="{_fmt(panel_w)}" height="{_fmt(panel_h)}" '
+                    f'fill="none" stroke="#999"/>')
+        body.append(f'<text x="{_fmt(ox + 6)}" y="{_fmt(oy + 14)}" '
+                    f'font-size="11">{joint}</text>')
+        if not (joint in model.joints and cycle.valid.get(joint, False)
+                and joint in flags_by_joint):
+            body.append(f'<text x="{_fmt(ox + panel_w / 2)}" '
+                        f'y="{_fmt(oy + panel_h / 2)}" font-size="11" '
+                        f'text-anchor="middle" fill="#888">insufficient data'
+                        f'</text>')
+            panels.append({"joint": joint, "rendered": False})
+            continue
+        jn = model.joints[joint]
+        angles = cycle.angles[joint]
+        flags = np.asarray(flags_by_joint[joint], dtype=bool)
+        upper, lower = jn.mean + cfg.k * jn.std, jn.mean - cfg.k * jn.std
+        x0, x1 = ox + 10.0, ox + panel_w - 10.0
+        y0, y1 = oy + 20.0, oy + panel_h - 10.0
+        xs, sy, lo, hi = _reference_scales(
+            min(float(np.min(lower)), float(np.min(angles))),
+            max(float(np.max(upper)), float(np.max(angles))),
+            x0, x1, y0, y1, n)
+        band = _reference_points(np.concatenate((xs, xs[::-1])),
+                                 np.concatenate((sy(upper), sy(lower)[::-1])))
+        body.append(f'<polygon class="band" points="{band}"/>')
+        body.append(f'<polyline class="mean" '
+                    f'points="{_reference_points(xs, sy(jn.mean))}"/>')
+        for x, y, f in zip(xs.tolist(), sy(angles).tolist(), flags.tolist()):
+            cls = "abnormal" if f else "normal"
+            body.append(f'<circle class="{cls}" cx="{_fmt(x)}" '
+                        f'cy="{_fmt(y)}" r="2"/>')
+        body.append(f'<line class="axis" x1="{_fmt(x0)}" y1="{_fmt(y1)}" '
+                    f'x2="{_fmt(x1)}" y2="{_fmt(y1)}"/>')
+        body.append(f'<line class="axis" x1="{_fmt(x0)}" y1="{_fmt(y0)}" '
+                    f'x2="{_fmt(x0)}" y2="{_fmt(y1)}"/>')
+        n_abnormal = int(np.count_nonzero(flags))
+        panels.append({"joint": joint, "rendered": True,
+                       "normal": len(angles) - n_abnormal,
+                       "abnormal": n_abnormal})
+    svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+           f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">'
+           f'<style>{_STYLE}</style>' + "".join(body) + "</svg>\n")
+    sidecar = {"figure_kind": "multi_joint", "grid_points": n, "k": cfg.k,
+               "panels": panels}
+    return svg, sidecar
+
+
+def occluded_walker(video_id="occluded-walk"):
+    """Six 40-frame cycles; the far-side elbow, wrist, knee and toe drop
+    below the visibility threshold in three short runs each, and the toe
+    stays hidden for most of the fourth cycle."""
+    seq, annotations = generate_pose_sequence(
+        n_cycles=6, frames_per_cycle=40, seed=5, video_id=video_id)
+    keypoints = seq.keypoints.copy()
+    rng = np.random.default_rng(5)
+    n = len(seq.frame_index)
+    for name in ("right_elbow", "right_wrist", "right_knee", "right_hallux"):
+        col = KEYPOINT_NAMES.index(name)
+        for _ in range(3):
+            start = int(rng.integers(0, n - 12))
+            stop = start + int(rng.integers(2, 8))
+            keypoints[start:stop, col, 2] = rng.uniform(0.05, 0.45,
+                                                        stop - start)
+    keypoints[122:160, KEYPOINT_NAMES.index("right_hallux"), 2] = 0.2
+    occluded = PoseSequence(video_id, frame_index=seq.frame_index,
+                            time_s=seq.time_s, keypoints=keypoints,
+                            fps=seq.fps)
+    return occluded, annotations

@@ -253,6 +253,32 @@ def test_figures_overlays_follow_the_report_phase_source(tmp_path):
             run_overlays[f]["joint_status"]
 
 
+def test_figures_rejects_a_scored_joint_the_cycle_lacks(tmp_path, capsys):
+    # The report scores every joint; the cycles file, segmented with a
+    # stricter visibility, has some of them invalid.  Drawing those would
+    # write "nan" coordinates and count the dots as normal.
+    run_dir = tmp_path / "run"
+    assert main(["run", "--keypoints", str(KEYPOINTS), "--annotations",
+                 str(ANNOTATIONS), "--out-dir", str(run_dir)]) == 0
+    strict = tmp_path / "strict.cycles.json"
+    assert main(["segment", "--keypoints", str(KEYPOINTS), "--annotations",
+                 str(ANNOTATIONS), "--min-visibility", "0.95",
+                 "--out", str(strict)]) == 0
+    report = run_dir / "synthetic-walk.c0.report.json"
+    cycle = load_cycles(strict.read_bytes())[0]
+    invalid = [j for j, ok in cycle.valid.items()
+               if not ok and j in load_report(report.read_bytes()).flag]
+    assert invalid
+    capsys.readouterr()
+    fig_dir = tmp_path / "figures"
+    assert main(["figures", "--model",
+                 str(run_dir / "synthetic-walk.model.json"),
+                 "--report", str(report), "--cycles", str(strict),
+                 "--out-dir", str(fig_dir)]) == 1
+    err = capsys.readouterr().err
+    assert any(repr(j) in err for j in invalid) and "Traceback" not in err
+    assert not fig_dir.exists() or not any(fig_dir.iterdir())
+
 def _write_json(path, doc) -> str:
     path.write_text(json.dumps(doc))
     return str(path)

@@ -5,9 +5,12 @@ import pytest
 
 from gaitnorm import (CycleAnnotation, ValidationError, phase_of_frame,
                       resample_cycle, segment_cycles)
+from gaitnorm import cycles as cycles_module, spline
 from gaitnorm.cycles import CycleSlice, _phase_function
 from gaitnorm.kinematics import AngleSample, AngleSeries, angle_series_set
 from gaitnorm.synth import generate_pose_sequence
+
+from helpers import occluded_walker, reference_resample
 
 
 def _series(joint, values_by_frame):
@@ -220,3 +223,88 @@ class TestResampleCycle:
         cycle = resample_cycle(_slice(pairs, label="atypical"), 101)
         assert cycle.label == "atypical"
         assert cycle.cycle_id == "v:0-10"
+
+
+def _layouts(cycle_slice):
+    """Distinct knot layouts among the joints the coverage rule keeps."""
+    valid = reference_resample(cycle_slice)[1]
+    return {phases[~np.isnan(angles)].tobytes()
+            for joint, (phases, angles) in cycle_slice.columns.items()
+            if valid[joint]}
+
+
+class TestResampleAgainstPerJointFits:
+    """``resample_cycle`` fits each knot layout once; it must equal one fit
+    per joint bit for bit, with the same warnings in the same order."""
+
+    def _check(self, slices, caplog):
+        for s in slices:
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="gaitnorm.cycles"):
+                cycle = resample_cycle(s, 101)
+            angles, valid, warnings = reference_resample(s, 101)
+            assert cycle.valid == valid
+            assert list(cycle.angles) == list(angles)
+            for joint in angles:
+                assert cycle.angles[joint].tobytes() == \
+                    angles[joint].tobytes(), (s.cycle_id, joint)
+            assert [r.getMessage() for r in caplog.records] == warnings
+
+    def test_occluded_walker(self, caplog):
+        seq, anns = occluded_walker()
+        slices = segment_cycles(angle_series_set(seq), anns, video_id="v")
+        # the walker reaches several layouts per cycle and invalid joints
+        assert max(len(_layouts(s)) for s in slices) >= 3
+        assert not all(all(reference_resample(s)[1].values())
+                       for s in slices)
+        self._check(slices, caplog)
+
+    def test_occluded_walker_jittered_time_phases(self, caplog):
+        seq, anns = occluded_walker()
+        rng = np.random.default_rng(43)
+        times = dict(zip(seq.frame_index.tolist(), np.cumsum(
+            rng.uniform(0.02, 0.05, len(seq.frame_index))).tolist()))
+        slices = segment_cycles(angle_series_set(seq), anns, video_id="v",
+                                frame_times=times)
+        self._check(slices, caplog)
+
+    def test_overshoot_warnings_follow_joint_order(self, caplog):
+        # Joints a and c share a layout that b does not: the fits run per
+        # layout, the warnings still come in joint order.  d has as many
+        # knots as b at other phases, so it must not share b's fit.
+        spiky = [2.0, 178.0] * 5 + [90.0]
+        phases = np.linspace(0.0, 100.0, 11)
+        other = np.concatenate((phases[:5], phases[6:]))
+        ann = CycleAnnotation(0, 10, "typical")
+        columns = {
+            "a": (phases, np.array(spiky)),
+            "b": (other, np.array(spiky[:5] + spiky[6:])),
+            "gap": (phases, np.array([np.nan] + spiky[1:])),
+            "c": (phases, 180.0 - np.array(spiky)),
+            "flat": (phases, np.full(11, 90.0)),
+            "d": (phases, 90.0 + 10.0 * np.sin(phases / 9.0)),
+        }
+        columns["d"][1][7] = np.nan
+        s = CycleSlice(ann, video_id="v", columns=columns)
+        self._check([s], caplog)
+        assert [r.getMessage().split()[3] for r in caplog.records] == \
+            ["a:", "b:", "c:"]
+
+    def test_one_fit_per_layout(self, monkeypatch):
+        fits = []
+
+        def counting_fit(knots):
+            fits.append(np.shape(knots))
+            return spline.fit_natural_cubic(knots)
+
+        monkeypatch.setattr(cycles_module, "fit_natural_cubic", counting_fit)
+        clean, anns = generate_pose_sequence(n_cycles=3, seed=4)
+        for s in segment_cycles(angle_series_set(clean), anns):
+            fits.clear()
+            resample_cycle(s)
+            assert fits == [(31, 11)]
+        seq, anns = occluded_walker()
+        for s in segment_cycles(angle_series_set(seq), anns):
+            fits.clear()
+            resample_cycle(s)
+            assert len(fits) == len(_layouts(s))

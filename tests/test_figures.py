@@ -10,10 +10,13 @@ from gaitnorm import (DetectionConfig, ValidationError, annotate_frames,
                       render_heatmap, render_multi_joint, severity_matrix,
                       write_figure, z_scores)
 from gaitnorm.detect import STATUS_NORMAL, STATUS_UNKNOWN
-from gaitnorm.figures import _fmt, _points
+from gaitnorm.cycles import NormalizedCycle
+from gaitnorm.figures import _fmt, _panel, _points
 from gaitnorm.kinematics import JOINT_NAMES
 from gaitnorm.synth import demo_profiles, generate_pose_sequence
 from gaitnorm.pose_io import CycleAnnotation
+
+from helpers import reference_multi_joint
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +75,18 @@ class TestBandPlot:
         doc = render_band_plot(model, "left_knee", overlay=(cycle, flags))
         kinds = {s["kind"]: s["points"] for s in doc.sidecar["series"]}
         assert kinds["abnormal"] == 10
+
+    def test_invalid_overlay_joint_rejected(self, model, cycle):
+        # an invalid joint's angles are NaN: drawing them would write
+        # "nan" coordinates and count the dots as normal
+        broken = NormalizedCycle(
+            label="typical", grid_points=101,
+            angles={**cycle.angles, "left_knee": np.full(101, np.nan)},
+            valid={**cycle.valid, "left_knee": False}, cycle_id="v:0-30")
+        flags = np.zeros(101, dtype=bool)
+        with pytest.raises(ValidationError, match="'left_knee'.*'v:0-30'"):
+            render_band_plot(model, "left_knee", overlay=(broken, flags))
+        render_band_plot(model, "left_hip", overlay=(broken, flags))
 
     def test_absent_joint_rejected(self, model):
         with pytest.raises(ValidationError, match="absent"):
@@ -182,6 +197,86 @@ class TestWriteFigure:
         assert path.read_text().startswith("<svg")
         sidecar = json.loads((tmp_path / "band.svg.json").read_text())
         assert sidecar == doc.sidecar
+
+
+def _random_cycle(rng, seed, offset=0.0):
+    """A demo cycle shifted by ``offset`` degrees, with random joints
+    invalid (all-NaN, as resampling leaves them)."""
+    base = generate_cycle(demo_profiles(), 101, seed=seed)
+    angles, valid = {}, {}
+    for joint in JOINT_NAMES:
+        valid[joint] = bool(rng.uniform() > 0.3)
+        angles[joint] = (base.angles[joint] + offset if valid[joint]
+                         else np.full(101, np.nan))
+    return NormalizedCycle(label="typical", grid_points=101, angles=angles,
+                           valid=valid, cycle_id=f"r:{seed}")
+
+
+def _random_flags(rng, share):
+    return {j: rng.uniform(size=101) < share for j in JOINT_NAMES}
+
+
+class TestMultiJointAgainstReference:
+    """Panel markup is cached per (panel, scale); every document must equal
+    the renderer that formats each panel from scratch."""
+
+    def _check(self, flags, cycle, model, cfg=None):
+        doc = render_multi_joint(flags, cycle, model, cfg)
+        svg, sidecar = reference_multi_joint(flags, cycle, model, cfg)
+        assert doc.svg == svg
+        assert doc.sidecar == sidecar
+
+    def test_random_cycles_with_invalid_joints(self, model):
+        rng = np.random.default_rng(61)
+        for seed in range(20):
+            cycle = _random_cycle(rng, 2000 + seed)
+            flags = _random_flags(rng, float(rng.uniform()))
+            if seed % 4 == 0:
+                del flags[JOINT_NAMES[seed % 10]]
+            self._check(flags, cycle, model,
+                        DetectionConfig(k=float(rng.choice([0.5, 1.0, 2.0]))))
+
+    def test_all_abnormal_flags(self, model, cycle):
+        self._check({j: np.ones(101, dtype=bool) for j in JOINT_NAMES},
+                    cycle, model)
+
+    def test_extreme_angles_force_new_scales(self, model):
+        rng = np.random.default_rng(62)
+        for offset in (-150.0, -60.5, -0.25, 33.3, 95.0, 180.0):
+            self._check(_random_flags(rng, 0.5),
+                        _random_cycle(rng, 3000, offset), model)
+
+    def test_alternating_models_of_one_shape(self, model):
+        other = build_normative_model(
+            generate_cohort(demo_profiles(), 40, seed=91), 101)
+        rng = np.random.default_rng(63)
+        cycle = _random_cycle(rng, 4000)
+        flags = _random_flags(rng, 0.3)
+        for m in (model, other, model, other, model):
+            self._check(flags, cycle, m)
+        assert render_multi_joint(flags, cycle, model).svg != \
+            render_multi_joint(flags, cycle, other).svg
+
+    def test_flags_must_match_the_grid(self, model, cycle):
+        flags = {j: np.zeros(101, dtype=bool) for j in JOINT_NAMES}
+        flags["left_knee"] = np.zeros(100, dtype=bool)
+        with pytest.raises(ValidationError):
+            render_multi_joint(flags, cycle, model)
+
+    def test_cache_is_bounded(self, model):
+        maxsize = _panel.cache_info().maxsize
+        assert maxsize is not None
+        rng = np.random.default_rng(64)
+        flags = _random_flags(rng, 0.5)
+        cycle = generate_cycle(demo_profiles(), 101, seed=5000)
+        for step in range(maxsize // 10 + 5):
+            # a whole-degree shift per document: every panel a new scale
+            shifted = NormalizedCycle(
+                label="typical", grid_points=101,
+                angles={j: a + 200.0 + step for j, a in cycle.angles.items()},
+                valid=dict(cycle.valid))
+            render_multi_joint(flags, shifted, model)
+        assert _panel.cache_info().currsize <= maxsize
 
 
 class TestEndToEndFigures:

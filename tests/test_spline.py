@@ -6,8 +6,8 @@ import pytest
 from gaitnorm import ValidationError, eval_spline, fit_natural_cubic
 
 from helpers import (dense_natural_spline_m, random_knots,
-                     spline_first_derivative, spline_second_derivative,
-                     spline_value_on_segment)
+                     reference_spline_values, spline_first_derivative,
+                     spline_second_derivative, spline_value_on_segment)
 
 
 class TestFit:
@@ -126,3 +126,76 @@ class TestAgainstDenseOracle:
                     spline_first_derivative(s, i, t), abs=1e-9)
                 assert spline_second_derivative(s, i - 1, t) == pytest.approx(
                     spline_second_derivative(s, i, t), abs=1e-9)
+
+
+class TestBatched:
+    """Rows (x, y_1..y_b) fit b series in one solve; each column must be
+    bit for bit the fit of its series alone."""
+
+    def _layout(self, rng):
+        knots = random_knots(rng, int(rng.integers(2, 40)))
+        return np.array([x for x, _ in knots])
+
+    def _check(self, x, ys, t):
+        batched = fit_natural_cubic(np.column_stack([x] + ys))
+        values = eval_spline(batched, t)
+        assert values.shape == t.shape + ((len(ys),) if len(ys) > 1 else ())
+        values = values.reshape(t.shape + (len(ys),))
+        for col, y in enumerate(ys):
+            single = fit_natural_cubic(np.column_stack((x, y)))
+            assert batched.m.reshape(len(x), -1)[:, col].tobytes() == \
+                single.m.tobytes()
+            assert values[..., col].tobytes() == \
+                eval_spline(single, t).tobytes()
+            assert values[..., col].tobytes() == \
+                reference_spline_values(x, y, t).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shared_layout_equals_single_fits(self, seed):
+        rng = np.random.default_rng([41, seed])
+        for _ in range(25):
+            x = self._layout(rng)
+            ys = [rng.uniform(-50.0, 180.0, len(x))
+                  for _ in range(int(rng.integers(1, 12)))]
+            t = np.concatenate(([x[0]], x, rng.uniform(x[0], x[-1], 150),
+                                [x[-1]]))
+            self._check(x, ys, t)
+
+    def test_distinct_layouts_each_equal_single_fits(self):
+        rng = np.random.default_rng(42)
+        layouts = [self._layout(rng) for _ in range(30)]
+        for x in layouts:
+            ys = [rng.normal(90.0, 40.0, len(x)) for _ in range(3)]
+            self._check(x, ys, rng.uniform(x[0], x[-1], (4, 25)))
+
+    def test_single_series_keeps_one_dimension(self):
+        s = fit_natural_cubic([(0, 0), (1, 1), (2, 0), (3, 1)])
+        assert s.y.shape == s.m.shape == (4,)
+        b = fit_natural_cubic([(0, 0, 5), (1, 1, 6), (2, 0, 5), (3, 1, 6)])
+        assert b.y.shape == b.m.shape == (4, 2)
+        assert eval_spline(b, 1.5).shape == (2,)
+        assert eval_spline(b, [0.5, 1.5, 2.5]).shape == (3, 2)
+
+
+BAD_KNOTS = [
+    ([1.0, 2.0, 3.0], "knots must be a sequence of (x, y) pairs"),
+    ([[0.0], [1.0]], "knots must be a sequence of (x, y) pairs"),
+    ([[[0.0, 1.0]], [[1.0, 2.0]]], "knots must be a sequence of (x, y) pairs"),
+    ([(0.0, 5.0)], "need at least 2 knots, got 1"),
+    (np.empty((0, 3)), "need at least 2 knots, got 0"),
+    ([(0, 0), (1, float("nan")), (2, 0)], "knot coordinates must be finite"),
+    ([(0, 0, 1), (1, 1, float("inf")), (2, 0, 1)],
+     "knot coordinates must be finite"),
+    ([(float("nan"), 0, 1), (1, 1, 1)], "knot coordinates must be finite"),
+    ([(0, 0), (1, 1), (1, 2), (2, 0)],
+     "knot abscissae must be strictly increasing"),
+    ([(0, 0, 0), (2, 1, 1), (1, 2, 2)],
+     "knot abscissae must be strictly increasing"),
+]
+
+
+@pytest.mark.parametrize("knots, message", BAD_KNOTS)
+def test_bad_knot_messages(knots, message):
+    with pytest.raises(ValidationError) as exc:
+        fit_natural_cubic(knots)
+    assert str(exc.value) == message
