@@ -7,8 +7,8 @@ normative mean/SD band per joint from a typical-cycle cohort, and flag,
 score and visualize per-joint deviations of analyzed cycles.
 """
 
-from .cycles import (CycleSlice, NormalizedCycle, phase_of_frame,
-                     resample_cycle, segment_cycles)
+from .cycles import (CycleSlice, NormalizedCycle, resample_cycle,
+                     segment_cycles)
 from .detect import (DetectionConfig, DeviationReport, FrameStatus,
                      build_report, flag_abnormal, frame_statuses,
                      severity_matrix, severity_values, z_scores)
@@ -22,7 +22,7 @@ from .normative import (JointNormals, NormativeModel, build_normative_model,
                         model_summary)
 from .pose_io import (KEYPOINT_NAMES, CycleAnnotation, Keypoint,
                       KeypointFrame, Point2D, PoseSequence, load_cycles,
-                      load_norm_model, load_report, parse_cycle_annotations,
+                      load_norm_model, load_report, parse_annotation_document,
                       parse_pose_sequence, save_cycles, save_norm_model,
                       save_report)
 from .spline import SplineCoefficients, eval_spline, fit_natural_cubic
@@ -30,7 +30,7 @@ from .synth import (AbnormalitySpec, JointProfile, demo_profiles,
                     generate_cohort, generate_cycle, generate_pose_sequence,
                     inject_abnormality, noise_free_curve)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AbnormalitySpec", "AngleSample", "AngleSeries", "CycleAnnotation",
@@ -44,8 +44,8 @@ __all__ = [
     "fit_natural_cubic", "flag_abnormal", "frame_statuses", "generate_cohort",
     "generate_cycle", "generate_pose_sequence", "inject_abnormality",
     "joint_angle", "load_cycles", "load_norm_model", "load_report",
-    "model_summary", "noise_free_curve", "parse_cycle_annotations",
-    "parse_pose_sequence", "phase_of_frame", "render_band_plot",
+    "model_summary", "noise_free_curve", "parse_annotation_document",
+    "parse_pose_sequence", "render_band_plot",
     "render_heatmap", "render_multi_joint", "resample_cycle", "save_cycles",
     "save_norm_model", "save_report", "segment_cycles", "severity_matrix",
     "severity_values", "standard_joint_set", "write_figure", "z_scores",

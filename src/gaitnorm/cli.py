@@ -37,7 +37,7 @@ from .detect import (DetectionConfig, build_report, frame_statuses,
                      severity_matrix)
 from .errors import ValidationError
 from .kinematics import DEFAULT_MIN_VISIBILITY, JOINT_NAMES, angle_series_set
-from .normative import build_normative_model, model_summary
+from .normative import STD_KINDS, build_normative_model, model_summary
 from .pose_io import (PHASE_SOURCES, _load_json, load_cycles,
                       load_norm_model, load_report, parse_annotation_document,
                       parse_pose_sequence, save_angle_series, save_cycles,
@@ -86,14 +86,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="interpolate cycle phase over frame index or "
                               "time_s")
     std_kind = _flags()
-    std_kind.add_argument("--std-kind", choices=("sample", "population"),
-                          default="sample")
-    detection = _flags()
-    detection.add_argument("--k", type=float, default=1.0,
+    std_kind.add_argument("--std-kind", choices=STD_KINDS,
+                          default=STD_KINDS[0])
+    detection, defaults = _flags(), DetectionConfig()
+    detection.add_argument("--k", type=float, default=defaults.k,
                            help="SD multiplier for the abnormality threshold")
-    detection.add_argument("--sigma-floor-deg", type=float, default=0.5,
+    detection.add_argument("--sigma-floor-deg", type=float,
+                           default=defaults.sigma_floor_deg,
                            help="lower bound on the SD used in z-scores")
-    detection.add_argument("--severity-clip", type=float, default=3.0,
+    detection.add_argument("--severity-clip", type=float,
+                           default=defaults.severity_clip,
                            help="|z| at which severity shading saturates")
 
     parser = _Parser(prog="gaitnorm",
@@ -262,14 +264,17 @@ def _reports(annotated_cycles, model, cfg, video_id, prefix,
         yield i, cycle, report
 
 
-def _band_plots(model, joints, cfg, prefix, report=None, cycle=None) -> int:
+def _band_plots(model, joints, cfg, out_dir, prefix, report=None,
+                cycle=None) -> int:
     """``<prefix>.band.<joint>.svg`` per joint, with the cycle's curve and
     flags drawn over the band when a report and its cycle are given; all
-    are rendered before any is written, so a bad overlay writes nothing."""
+    are rendered before ``out_dir`` is made and any is written, so a bad
+    overlay writes nothing."""
     overlays = {j: (cycle, report.flag[j]) for j in joints
                 if cycle is not None and j in report.flag}
     docs = [figs.render_band_plot(model, j, overlay=overlays.get(j), cfg=cfg)
             for j in joints]
+    out_dir.mkdir(parents=True, exist_ok=True)
     for joint, doc in zip(joints, docs):
         figs.write_figure(doc, f"{prefix}.band.{joint}.svg")
     return len(joints)
@@ -289,7 +294,7 @@ def _cycle_figures(report, cycle, model, cfg, prefix) -> int:
 def _overlays(seq, cycle_flags, grid_points, frame_times, prefix) -> int:
     """``<prefix>.overlays.json``: per-frame skeleton status records for
     (annotation, flags) pairs, phases mapped by the segmentation rule."""
-    statuses = frame_statuses(cycle_flags, seq.frame_indices(), grid_points,
+    statuses = frame_statuses(cycle_flags, seq.frame_index, grid_points,
                               frame_times=frame_times)
     Path(f"{prefix}.overlays.json").write_bytes(
         figs.overlay_json(seq, statuses))
@@ -365,9 +370,8 @@ def cmd_figures(args) -> int:
     prefix = _prefix(args.out_dir, args.video_id or (
         report.video_id if report is not None else Path(args.model).stem))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = _band_plots(model, args.joint or _model_joint_order(model), cfg,
-                          prefix, report, cycle)
+                          out_dir, prefix, report, cycle)
     if report is not None:
         written += _cycle_figures(report, cycle, model, cfg, prefix)
         if args.keypoints and report.annotation is not None:
@@ -420,7 +424,8 @@ def cmd_run(args) -> int:
         cycle_flags.append((report.annotation, report.flag))
         written += 1 + _cycle_figures(report, cycle, model, cfg,
                                       f"{prefix}.c{i}")
-    written += _band_plots(model, _model_joint_order(model), cfg, prefix)
+    written += _band_plots(model, _model_joint_order(model), cfg, out_dir,
+                           prefix)
     written += _overlays(seq, cycle_flags, model.grid_points, frame_times,
                          prefix)
 

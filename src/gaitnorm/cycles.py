@@ -10,9 +10,9 @@ extrapolated: spline extrapolation is wild and clinically misleading.
 
 The work is array-at-a-time.  A cycle is cut from a joint's sorted frame
 indices with two ``np.searchsorted`` calls, so each cut costs
-O(log frames), and its phases are computed as one array.  ``CycleSlice``
-holds those (phase, angle) columns, NaN marking a missing angle; its
-list-of-pairs view is built only when ``samples`` is read.  Resampling
+O(log frames), and its phases come as one array from ``_phases``, the one
+frame -> phase rule, which ``detect.frame_statuses`` shares.  ``CycleSlice``
+holds those (phase, angle) columns, NaN marking a missing angle.  Resampling
 groups a cycle's joints by the bytes of their knot phases and fits each
 group with one multi-series spline (see ``spline``): one solve per knot
 layout, usually one per cycle, with values bit-identical to per-joint fits.
@@ -20,7 +20,7 @@ layout, usually one per cycle, with values bit-identical to per-joint fits.
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -41,40 +41,21 @@ MIN_KNOTS_PER_CYCLE = 4
 # the fitted span.
 EDGE_COVERAGE_PERCENT = 0.5
 
-_Pairs = Sequence[Tuple[float, Optional[float]]]
-
-
 class CycleSlice:
     """Raw per-joint (phase, angle) samples for one annotated cycle.
 
     ``columns[joint]`` is a pair of equal-length float arrays, phases in
     percent and angles in degrees.  Missing samples stay in place as NaN
     angles so the resampler can see (and refuse to bridge) coverage gaps
-    at the cycle edges.  Passing ``samples`` (joint -> (phase, angle or
-    None) pairs) builds the columns from pairs; reading ``samples`` builds
-    the pairs from the columns.
+    at the cycle edges.
     """
 
-    def __init__(self, annotation: CycleAnnotation,
-                 samples: Optional[Mapping[str, _Pairs]] = None,
-                 video_id: str = "", *,
+    def __init__(self, annotation: CycleAnnotation, video_id: str = "", *,
                  columns: Optional[Dict[str, Tuple[np.ndarray,
                                                    np.ndarray]]] = None):
         self.annotation = annotation
         self.video_id = video_id
-        if samples is not None:
-            columns = {
-                joint: (np.array([p for p, _ in pairs], dtype=float),
-                        np.array([np.nan if a is None else a
-                                  for _, a in pairs], dtype=float))
-                for joint, pairs in samples.items()}
         self.columns = columns if columns is not None else {}
-
-    @property
-    def samples(self) -> Dict[str, List[Tuple[float, Optional[float]]]]:
-        return {joint: [(p, None if a != a else a)
-                        for p, a in zip(phases.tolist(), angles.tolist())]
-                for joint, (phases, angles) in self.columns.items()}
 
     @property
     def cycle_id(self) -> str:
@@ -106,20 +87,6 @@ class NormalizedCycle:
             return False
         return all(np.array_equal(self.angles[k], other.angles[k], equal_nan=True)
                    for k in self.angles)
-
-    def valid_joints(self) -> List[str]:
-        return [j for j, ok in self.valid.items() if ok]
-
-
-def phase_of_frame(cycle: CycleAnnotation, frame_index: int) -> float:
-    """Percent position of ``frame_index`` within ``cycle`` (0 at start,
-    100 at end, linear in frame index between)."""
-    if not cycle.start_frame <= frame_index <= cycle.end_frame:
-        raise ValidationError(
-            f"frame {frame_index} outside cycle "
-            f"[{cycle.start_frame}, {cycle.end_frame}]")
-    span = cycle.end_frame - cycle.start_frame
-    return 100.0 * (frame_index - cycle.start_frame) / span
 
 
 def segment_cycles(series_by_joint: Mapping[str, AngleSeries],
@@ -166,54 +133,37 @@ def _cut(frames: np.ndarray, ann: CycleAnnotation) -> slice:
                  int(np.searchsorted(frames, ann.end_frame, side="right")))
 
 
-def _check_time_span(ann: CycleAnnotation,
-                     frame_times: Mapping[int, float]) -> Tuple[float, float]:
-    for boundary in (ann.start_frame, ann.end_frame):
-        if boundary not in frame_times:
-            raise ValidationError(
-                f"time-based phases requested but frame {boundary} has no "
-                f"timestamp")
-    t0 = frame_times[ann.start_frame]
-    t1 = frame_times[ann.end_frame]
-    if t1 <= t0:
-        raise ValidationError(
-            f"cycle [{ann.start_frame}, {ann.end_frame}]: timestamps do "
-            f"not increase across the cycle")
-    return t0, t1
-
-
 def _phases(ann: CycleAnnotation, frames: np.ndarray,
             frame_times: Optional[Mapping[int, float]]) -> np.ndarray:
-    """Phases in percent of ``frames``, all within ``ann``: linear in frame
-    index, or in time when ``frame_times`` is given."""
+    """Phases in percent of ``frames`` (int64) in cycle ``ann``: linear in
+    frame index, or in time when ``frame_times`` (frame index -> seconds)
+    is given.  A frame without a timestamp, timestamps that do not increase
+    across the cycle, or a frame outside the cycle (by index or by time)
+    is a ``ValidationError``."""
     if frame_times is None:
-        span = ann.end_frame - ann.start_frame
-        return 100.0 * (frames - ann.start_frame) / span
-    t0, t1 = _check_time_span(ann, frame_times)
-    try:
-        times = np.array([frame_times[f] for f in frames.tolist()], dtype=float)
-    except KeyError as exc:
-        raise ValidationError(
-            f"time-based phases requested but frame {exc.args[0]} has no "
-            f"timestamp") from None
-    return 100.0 * (times - t0) / (t1 - t0)
-
-
-def _phase_function(ann: CycleAnnotation,
-                    frame_times: Optional[Mapping[int, float]]):
-    """Frame index -> phase in percent under the rule ``segment_cycles``
-    uses: ``phase_of_frame``, or linear in time with ``frame_times``."""
-    if frame_times is None:
-        return lambda f: phase_of_frame(ann, f)
-    t0, t1 = _check_time_span(ann, frame_times)
-
-    def phase(f: int) -> float:
-        if f not in frame_times:
+        x, x0, x1 = frames, ann.start_frame, ann.end_frame
+    else:
+        try:
+            x0, x1 = frame_times[ann.start_frame], frame_times[ann.end_frame]
+            if not x0 < x1:
+                raise ValidationError(
+                    f"cycle [{ann.start_frame}, {ann.end_frame}]: timestamps "
+                    f"do not increase across the cycle")
+            x = np.array([frame_times[f] for f in frames.tolist()],
+                         dtype=float)
+        except KeyError as exc:
             raise ValidationError(
-                f"time-based phases requested but frame {f} has no timestamp")
-        return 100.0 * (frame_times[f] - t0) / (t1 - t0)
-
-    return phase
+                f"time-based phases requested but frame {exc.args[0]} has "
+                f"no timestamp") from None
+    outside = ~((x >= x0) & (x <= x1))
+    if outside.any():
+        i = int(np.argmax(outside))
+        where = "" if frame_times is None else \
+            f" (timed {float(x[i])} s, not in [{x0}, {x1}] s)"
+        raise ValidationError(
+            f"cycle [{ann.start_frame}, {ann.end_frame}]: frame "
+            f"{int(frames[i])} lies outside the cycle{where}")
+    return 100.0 * (x - x0) / (x1 - x0)
 
 
 def resample_cycle(cycle_slice: CycleSlice,

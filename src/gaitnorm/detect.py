@@ -12,15 +12,12 @@ from dividing deviations by ~0; sub-half-degree precision is beyond what
 2D pose estimates deliver anyway.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cycles import NormalizedCycle, _phase_function
+from .cycles import NormalizedCycle, _phases
 from .errors import ValidationError
 from .kinematics import JOINT_NAMES
 from .normative import NormativeModel
@@ -29,6 +26,9 @@ from .pose_io import CycleAnnotation
 STATUS_NORMAL = "normal"
 STATUS_ABNORMAL = "abnormal"
 STATUS_UNKNOWN = "unknown"
+# Status by code: a flag (False, True) indexes the first two.
+_STATUSES = np.array([STATUS_NORMAL, STATUS_ABNORMAL, STATUS_UNKNOWN],
+                     dtype=object)
 
 
 @dataclass(frozen=True)
@@ -157,39 +157,34 @@ def frame_statuses(seq_cycles: Sequence[Tuple[CycleAnnotation, Dict[str, np.ndar
 
     Each frame inside an annotated cycle takes the flag at the nearest
     grid point of its phase; a frame on a shared boundary belongs to the
-    earlier cycle.  Phases follow the rule segmentation used: linear in
-    frame index, or in time when ``frame_times`` (frame index -> seconds)
-    is given.  Frames outside every cycle, and joints without flags for
-    their cycle, are reported unknown.  Each frame finds its cycle by
-    bisection, so the cost is O(frames * log cycles).
+    earlier cycle.  Phases follow ``cycles._phases``, the rule segmentation
+    used: linear in frame index, or in time when ``frame_times`` (frame
+    index -> seconds) is given, where a frame timed outside its cycle is a
+    ``ValidationError``.  Frames outside every cycle, and joints without
+    flags for their cycle, are reported unknown.
     """
     ordered = sorted(seq_cycles, key=lambda p: (p[0].start_frame, p[0].end_frame))
+    frames = np.fromiter(frames, dtype=np.int64)
     # The first cycle (in start order) that ends at or after frame f is the
-    # bisection of f in the running maximum of end frames; it holds f when
-    # it also starts at or before f.
-    reach = list(accumulate((ann.end_frame for ann, _ in ordered), max))
-    phase_fns: Dict[int, Callable[[int], float]] = {}
-    out = []
-    for f in frames:
-        i = bisect_left(reach, f)
-        if i == len(ordered) or ordered[i][0].start_frame > f:
-            out.append(FrameStatus(f, {j: STATUS_UNKNOWN for j in joint_order}))
-            continue
-        ann, flags = ordered[i]
-        if i not in phase_fns:
-            phase_fns[i] = _phase_function(ann, frame_times)
-        phase = phase_fns[i](f)
-        g = int(round(phase / 100.0 * (grid_points - 1)))
-        status = {}
-        for joint in joint_order:
-            if joint not in flags:
-                status[joint] = STATUS_UNKNOWN
-            elif flags[joint][g]:
-                status[joint] = STATUS_ABNORMAL
-            else:
-                status[joint] = STATUS_NORMAL
-        out.append(FrameStatus(f, status))
-    return out
+    # search position of f in the running maximum of end frames; it holds f
+    # when it also starts at or before f.
+    reach = np.maximum.accumulate(
+        np.array([ann.end_frame for ann, _ in ordered], dtype=np.int64))
+    which = np.searchsorted(reach, frames, side="left")
+    by_cycle = np.argsort(which, kind="stable")
+    bounds = np.searchsorted(which[by_cycle], np.arange(len(ordered) + 1))
+    codes = np.full((len(frames), len(joint_order)), 2, dtype=np.int8)
+    for (ann, flags), lo, hi in zip(ordered, bounds, bounds[1:]):
+        at = by_cycle[lo:hi]
+        at = at[frames[at] >= ann.start_frame]
+        if len(at):
+            phase = _phases(ann, frames[at], frame_times)
+            g = np.rint(phase / 100.0 * (grid_points - 1)).astype(np.int64)
+            for col, joint in enumerate(joint_order):
+                if joint in flags:
+                    codes[at, col] = np.asarray(flags[joint])[g]
+    return [FrameStatus(f, dict(zip(joint_order, row)))
+            for f, row in zip(frames.tolist(), _STATUSES[codes].tolist())]
 
 
 def build_report(cycle: NormalizedCycle, model: NormativeModel,

@@ -80,10 +80,6 @@ class AngleSample:
     angle_deg: Optional[float]
     missing_reason: Optional[str] = None
 
-    @property
-    def missing(self) -> bool:
-        return self.angle_deg is None
-
 
 class AngleSeries:
     """Per-frame angles of one joint as parallel arrays over strictly
@@ -91,23 +87,12 @@ class AngleSeries:
 
     ``frames`` holds the frame indices (int64), ``angles`` the angles in
     degrees (NaN where missing) and ``reasons`` the missing-reason codes
-    (uint8, indexes into ``MISSING_REASONS``).  Passing ``samples`` builds
-    the arrays from a list of ``AngleSample``; reading ``samples`` builds
-    that list from the arrays.
+    (uint8, indexes into ``MISSING_REASONS``).  Reading ``samples`` builds
+    a list of ``AngleSample`` from the arrays.
     """
 
-    def __init__(self, joint: str,
-                 samples: Optional[Sequence[AngleSample]] = None, *,
-                 frames=None, angles=None, reasons=None):
+    def __init__(self, joint: str, *, frames, angles, reasons):
         self.joint = joint
-        if samples is not None:
-            frames = [s.frame_index for s in samples]
-            angles = [np.nan if s.missing else s.angle_deg for s in samples]
-            try:
-                reasons = [_REASON_CODES[s.missing_reason] for s in samples]
-            except KeyError as exc:
-                raise ValidationError(
-                    f"unknown missing reason {exc.args[0]!r}") from None
         self.frames = np.asarray(frames, dtype=np.int64)
         self.angles = np.asarray(angles, dtype=float)
         self.reasons = np.asarray(reasons, dtype=np.uint8)

@@ -38,7 +38,7 @@ one array.
 import functools
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from itertools import chain, compress
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -151,9 +151,6 @@ class PoseSequence:
                 self.frame_index.tolist(), self.time_s.tolist(),
                 self.present().tolist(), self.keypoints.tolist()))
 
-    def frame_indices(self) -> List[int]:
-        return self.frame_index.tolist()
-
     def __eq__(self, other):
         if not isinstance(other, PoseSequence):
             return NotImplemented
@@ -187,6 +184,8 @@ class CycleAnnotation:
                 f"(got [{self.start_frame}, {self.end_frame}])")
         if self.start_frame < 0:
             raise ValidationError("cycle start_frame must be non-negative")
+        if self.end_frame >= 2 ** 63:  # frame indices are int64
+            raise ValidationError("cycle end_frame must be below 2**63")
         if self.label not in CYCLE_LABELS:
             raise ValidationError(
                 f"unknown cycle label {self.label!r}; expected one of {CYCLE_LABELS}")
@@ -394,7 +393,9 @@ def serialize_pose_sequence(seq: PoseSequence) -> bytes:
 
 
 def parse_annotation_document(data: bytes) -> Tuple[str, List[CycleAnnotation]]:
-    """Parse a cycle annotation file, returning (video_id, cycles).
+    """Parse a cycle annotation file, returning (video_id, cycles), the
+    cycles sorted by (start_frame, end_frame) whatever their order in the
+    file, so that per-cycle output names follow frame order.
 
     Expected document::
 
@@ -429,12 +430,7 @@ def parse_annotation_document(data: bytes) -> Tuple[str, List[CycleAnnotation]]:
                 f"cycles [{prev.start_frame}, {prev.end_frame}] and "
                 f"[{nxt.start_frame}, {nxt.end_frame}] overlap beyond a "
                 f"shared boundary frame")
-    return video_id, cycles
-
-
-def parse_cycle_annotations(data: bytes) -> List[CycleAnnotation]:
-    """Parse a cycle annotation file into validated annotations."""
-    return parse_annotation_document(data)[1]
+    return video_id, ordered
 
 
 def serialize_annotations(video_id: str, cycles: List[CycleAnnotation]) -> bytes:
@@ -551,7 +547,7 @@ def save_norm_model(model) -> bytes:
 
 def load_norm_model(data: bytes):
     """Parse and validate a ``gaitnorm/1`` normative model file."""
-    from .normative import JointNormals, NormativeModel  # deferred: avoids import cycle
+    from .normative import STD_KINDS, JointNormals, NormativeModel  # deferred: avoids import cycle
 
     doc = _load_json(data, "model file")
     if not isinstance(doc, dict):
@@ -564,7 +560,7 @@ def load_norm_model(data: bytes):
     if grid_points < 2:
         raise ValidationError(f"'grid_points' must be >= 2, got {grid_points}")
     std_kind = doc.get("std_kind")
-    if std_kind not in ("sample", "population"):
+    if std_kind not in STD_KINDS:
         raise ValidationError(f"unknown std_kind {std_kind!r}")
     raw_joints = _require_object(doc.get("joints"), "'joints'")
 
@@ -701,13 +697,10 @@ def load_report(data: bytes):
         raise ValidationError("report file must contain a 'joints' object")
     grid_points = _require_int(doc.get("grid_points"), "'grid_points'")
     cfg_doc = _require_object(doc.get("config", {}), "'config'")
-    config = DetectionConfig(
-        k=_require_number(cfg_doc.get("k", 1.0), "'config.k'"),
-        sigma_floor_deg=_require_number(cfg_doc.get("sigma_floor_deg", 0.5),
-                                        "'config.sigma_floor_deg'"),
-        severity_clip=_require_number(cfg_doc.get("severity_clip", 3.0),
-                                      "'config.severity_clip'"),
-    )
+    config = DetectionConfig(**{
+        f.name: _require_number(cfg_doc.get(f.name, f.default),
+                                f"'config.{f.name}'")
+        for f in fields(DetectionConfig)})
     z = {}
     flag = {}
     severity = {}

@@ -3,7 +3,8 @@
 These deliberately re-derive results along different routes than the
 package (dense linear solves, dot-product trigonometry, one object per
 keypoint record, one spline fit per joint, every figure panel formatted
-from scratch) so agreement is meaningful.
+from scratch, one frame at a time for phases and statuses) so agreement
+is meaningful.
 """
 
 import logging
@@ -12,7 +13,8 @@ import math
 import numpy as np
 
 from gaitnorm.cycles import EDGE_COVERAGE_PERCENT, MIN_KNOTS_PER_CYCLE
-from gaitnorm.detect import STATUS_UNKNOWN, DetectionConfig
+from gaitnorm.detect import (STATUS_ABNORMAL, STATUS_NORMAL, STATUS_UNKNOWN,
+                             DetectionConfig)
 from gaitnorm.errors import ValidationError
 from gaitnorm.figures import _STYLE, SKELETON_EDGES, _fmt
 from gaitnorm.kinematics import JOINT_NAMES
@@ -181,6 +183,43 @@ def reference_overlay_records(frames, statuses,
             "joint_status": joint_status,
         })
     return records
+
+
+def reference_phase(ann, frame_index, frame_times=None) -> float:
+    """Percent position of one frame in cycle ``ann``: linear in frame
+    index, or in time with ``frame_times`` (frame index -> seconds)."""
+    if frame_times is None:
+        if not ann.start_frame <= frame_index <= ann.end_frame:
+            raise ValidationError(
+                f"frame {frame_index} outside cycle "
+                f"[{ann.start_frame}, {ann.end_frame}]")
+        span = ann.end_frame - ann.start_frame
+        return 100.0 * (frame_index - ann.start_frame) / span
+    t0, t1 = frame_times[ann.start_frame], frame_times[ann.end_frame]
+    return 100.0 * (frame_times[frame_index] - t0) / (t1 - t0)
+
+
+def reference_frame_statuses(seq_cycles, frames, grid_points,
+                             joint_order=JOINT_NAMES, frame_times=None):
+    """(frame, {joint: status}) per frame, one frame at a time: a linear
+    scan for the first cycle in (start, end) order that holds the frame,
+    then ``round`` of its scalar phase to the nearest grid point."""
+    ordered = sorted(seq_cycles, key=lambda p: (p[0].start_frame,
+                                                p[0].end_frame))
+    out = []
+    for f in frames:
+        hit = next(((a, fl) for a, fl in ordered
+                    if a.start_frame <= f <= a.end_frame), None)
+        if hit is None:
+            out.append((f, {j: STATUS_UNKNOWN for j in joint_order}))
+            continue
+        ann, flags = hit
+        g = int(round(reference_phase(ann, f, frame_times) / 100.0
+                      * (grid_points - 1)))
+        out.append((f, {j: STATUS_UNKNOWN if j not in flags else
+                        STATUS_ABNORMAL if flags[j][g] else STATUS_NORMAL
+                        for j in joint_order}))
+    return out
 
 
 def reference_spline_values(knot_x, knot_y, t) -> np.ndarray:

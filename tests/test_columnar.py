@@ -19,7 +19,7 @@ from gaitnorm.errors import ValidationError
 from gaitnorm.figures import annotate_frames, overlay_json
 from gaitnorm.kinematics import JOINT_NAMES, JointDefinition, angle_series
 from gaitnorm.pose_io import (KEYPOINT_NAMES, Keypoint, KeypointFrame, Point2D,
-                              PoseSequence, _dump, parse_cycle_annotations,
+                              PoseSequence, _dump, parse_annotation_document,
                               parse_pose_sequence, serialize_pose_sequence)
 from gaitnorm.synth import generate_pose_sequence
 
@@ -109,7 +109,7 @@ def _statuses(seq, annotations, seed, phase_times=False):
         timed = ~np.isnan(seq.time_s)
         times = dict(zip(seq.frame_index[timed].tolist(),
                          seq.time_s[timed].tolist()))
-    return frame_statuses(cycle_flags, seq.frame_indices(), 101,
+    return frame_statuses(cycle_flags, seq.frame_index, 101,
                           frame_times=times)
 
 
@@ -249,7 +249,7 @@ class TestOverlayEqualsReference:
     def test_demo_fixture(self):
         data = DEMO.read_bytes()
         seq = parse_pose_sequence(data)
-        annotations = parse_cycle_annotations(
+        _, annotations = parse_annotation_document(
             (DEMO.parent / "demo.cycles.json").read_bytes())
         assert not np.isnan(seq.time_s).any()
         for phase_times in (False, True):
@@ -295,7 +295,7 @@ class TestPoseSequence:
         assert seq.fps == 25.0
         assert _exact(seq.frames) == _exact(frames)
         assert seq.keypoints.shape == (len(frames), len(KEYPOINT_NAMES), 3)
-        assert seq.frame_indices() == [f.frame_index for f in frames]
+        assert seq.frame_index.tolist() == [f.frame_index for f in frames]
 
     def test_equality_treats_nan_as_equal(self):
         frames = reference_frames(_random_keypoint_file(6))

@@ -3,24 +3,31 @@ import logging
 import numpy as np
 import pytest
 
-from gaitnorm import (CycleAnnotation, ValidationError, phase_of_frame,
-                      resample_cycle, segment_cycles)
+from gaitnorm import (CycleAnnotation, ValidationError, resample_cycle,
+                      segment_cycles)
 from gaitnorm import cycles as cycles_module, spline
-from gaitnorm.cycles import CycleSlice, _phase_function
-from gaitnorm.kinematics import AngleSample, AngleSeries, angle_series_set
+from gaitnorm.cycles import CycleSlice, _phases
+from gaitnorm.kinematics import AngleSeries, angle_series_set
 from gaitnorm.synth import generate_pose_sequence
 
-from helpers import occluded_walker, reference_resample
+from helpers import occluded_walker, reference_phase, reference_resample
 
 
 def _series(joint, values_by_frame):
-    samples = [AngleSample(f, v, None if v is not None else "low_visibility")
-               for f, v in values_by_frame]
-    return AngleSeries(joint=joint, samples=samples)
+    """A series from (frame, angle or None) pairs; None is low visibility."""
+    return AngleSeries(
+        joint, frames=[f for f, _ in values_by_frame],
+        angles=[np.nan if v is None else v for _, v in values_by_frame],
+        reasons=[0 if v is not None else 2 for _, v in values_by_frame])
 
 
 def _constant_series(joint, frames, value=90.0):
     return _series(joint, [(f, value) for f in frames])
+
+
+def phase_of_frame(ann, frame_index, frame_times=None):
+    return float(_phases(ann, np.array([frame_index], dtype=np.int64),
+                         frame_times)[0])
 
 
 class TestPhaseOfFrame:
@@ -35,10 +42,27 @@ class TestPhaseOfFrame:
 
     def test_outside_rejected(self):
         ann = CycleAnnotation(100, 150, "typical")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^cycle \[100, 150\]: "
+                                                  r"frame 99 lies outside"):
             phase_of_frame(ann, 99)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="frame 151 lies outside"):
             phase_of_frame(ann, 151)
+
+    @pytest.mark.parametrize("time_s", [-0.01, 1.01, float("nan")])
+    def test_timed_outside_rejected(self, time_s):
+        ann = CycleAnnotation(0, 10, "typical")
+        times = {f: 0.1 * f for f in range(11)}
+        times[4] = time_s
+        with pytest.raises(ValidationError, match=r"^cycle \[0, 10\]: frame 4 "
+                                                  r"lies outside the cycle "
+                                                  r"\(timed"):
+            _phases(ann, np.arange(11), times)
+
+    def test_timestamps_must_increase(self):
+        ann = CycleAnnotation(0, 10, "typical")
+        for times in ({0: 1.0, 10: 1.0}, {0: 1.0, 10: float("nan")}):
+            with pytest.raises(ValidationError, match="do not increase"):
+                _phases(ann, np.array([0, 10]), times)
 
     def test_strictly_monotone(self):
         rng = np.random.default_rng(31)
@@ -61,10 +85,10 @@ class TestSegmentCycles:
         slices = segment_cycles(series, [ann], video_id="v")
         assert len(slices) == 1
         for joint in series:
-            pairs = slices[0].samples[joint]
-            assert len(pairs) == 31
-            assert pairs[0][0] == 0.0
-            assert pairs[-1][0] == 100.0
+            phases, angles = slices[0].columns[joint]
+            assert len(phases) == len(angles) == 31
+            assert phases[0] == 0.0
+            assert phases[-1] == 100.0
 
     def test_adjacent_cycles_share_boundary_frame(self):
         frames = range(100, 201)
@@ -72,11 +96,11 @@ class TestSegmentCycles:
         anns = [CycleAnnotation(100, 150, "typical"),
                 CycleAnnotation(150, 200, "typical")]
         s1, s2 = segment_cycles(series, anns)
-        assert s1.samples["left_knee"][-1][0] == 100.0
-        assert s2.samples["left_knee"][0][0] == 0.0
+        assert s1.columns["left_knee"][0][-1] == 100.0
+        assert s2.columns["left_knee"][0][0] == 0.0
         # same frame 150 feeds both
-        assert len(s1.samples["left_knee"]) == 51
-        assert len(s2.samples["left_knee"]) == 51
+        assert len(s1.columns["left_knee"][0]) == 51
+        assert len(s2.columns["left_knee"][0]) == 51
 
     def test_annotation_beyond_series_rejected(self):
         series = {"left_knee": _constant_series("left_knee", range(0, 20))}
@@ -87,7 +111,8 @@ class TestSegmentCycles:
         values = [(f, 90.0 if f != 5 else None) for f in range(0, 11)]
         series = {"left_knee": _series("left_knee", values)}
         (s,) = segment_cycles(series, [CycleAnnotation(0, 10, "typical")])
-        assert s.samples["left_knee"][5][1] is None
+        angles = s.columns["left_knee"][1]
+        assert np.isnan(angles[5]) and np.isnan(angles).sum() == 1
 
     def test_time_based_phases(self):
         frames = list(range(0, 11))
@@ -96,7 +121,7 @@ class TestSegmentCycles:
         times = {f: 0.1 * f * f for f in frames}
         ann = CycleAnnotation(0, 10, "typical")
         (s,) = segment_cycles(series, [ann], frame_times=times)
-        phases = [p for p, _ in s.samples["left_knee"]]
+        phases = s.columns["left_knee"][0].tolist()
         assert phases[0] == 0.0 and phases[-1] == 100.0
         assert phases[5] == pytest.approx(25.0)  # 2.5 / 10.0 seconds
 
@@ -107,6 +132,19 @@ class TestSegmentCycles:
         with pytest.raises(ValidationError, match="no timestamp"):
             segment_cycles(series, [CycleAnnotation(0, 10, "typical")],
                            frame_times=times)
+
+    def test_frame_timed_outside_its_cycle_rejected(self):
+        # Without the check the phases reach the spline out of order, and
+        # the message would name knot abscissae instead of the frame.
+        frames = list(range(0, 21))
+        series = {"left_knee": _constant_series("left_knee", frames)}
+        times = {f: 0.1 * f for f in frames}
+        times[15] = 5.0
+        anns = [CycleAnnotation(0, 10, "typical"),
+                CycleAnnotation(10, 20, "typical")]
+        with pytest.raises(ValidationError, match=r"^cycle \[10, 20\]: frame "
+                                                  r"15 lies outside"):
+            segment_cycles(series, anns, frame_times=times)
 
 
 class TestSegmentPhases:
@@ -121,7 +159,7 @@ class TestSegmentPhases:
         series, anns = self._walk()
         slices = segment_cycles(series, anns, video_id="v")
         for ann, s in zip(anns, slices):
-            expected = [phase_of_frame(ann, f)
+            expected = [reference_phase(ann, f)
                         for f in range(ann.start_frame, ann.end_frame + 1)]
             for joint, (phases, angles) in s.columns.items():
                 assert phases.tolist() == expected
@@ -135,30 +173,35 @@ class TestSegmentPhases:
         times = dict(enumerate(np.cumsum(rng.uniform(0.01, 0.05, n)).tolist()))
         slices = segment_cycles(series, anns, frame_times=times)
         for ann, s in zip(anns, slices):
-            phase = _phase_function(ann, times)
-            expected = [phase(f)
-                        for f in range(ann.start_frame, ann.end_frame + 1)]
+            frames = range(ann.start_frame, ann.end_frame + 1)
+            expected = [reference_phase(ann, f, times) for f in frames]
             phases, _ = s.columns["left_knee"]
             assert phases.tolist() == expected
-            assert phases.tolist() != [phase_of_frame(ann, f) for f in
-                                       range(ann.start_frame,
-                                             ann.end_frame + 1)]
+            assert phases.tolist() != [reference_phase(ann, f)
+                                       for f in frames]
 
     def test_series_with_own_frames_cut_separately(self):
         knee = _constant_series("left_knee", range(0, 21))
         hip = _series("left_hip", [(f, 100.0 + f) for f in range(0, 21, 2)])
         (s,) = segment_cycles({"left_knee": knee, "left_hip": hip},
                               [CycleAnnotation(4, 12, "typical")])
-        assert s.samples["left_hip"] == [(0.0, 104.0), (25.0, 106.0),
-                                         (50.0, 108.0), (75.0, 110.0),
-                                         (100.0, 112.0)]
-        assert len(s.samples["left_knee"]) == 9
+        phases, angles = s.columns["left_hip"]
+        assert phases.tolist() == [0.0, 25.0, 50.0, 75.0, 100.0]
+        assert angles.tolist() == [104.0, 106.0, 108.0, 110.0, 112.0]
+        assert len(s.columns["left_knee"][0]) == 9
+
+
+def _columns(pairs):
+    """(phases, angles) columns from (phase, angle or None) pairs."""
+    return (np.array([p for p, _ in pairs], dtype=float),
+            np.array([np.nan if a is None else a for _, a in pairs],
+                     dtype=float))
 
 
 def _slice(values_by_phase, label="typical", joint="left_knee"):
     ann = CycleAnnotation(0, len(values_by_phase) - 1, label)
-    return CycleSlice(annotation=ann, samples={joint: values_by_phase},
-                      video_id="v")
+    return CycleSlice(ann, video_id="v",
+                      columns={joint: _columns(values_by_phase)})
 
 
 class TestResampleCycle:
@@ -181,7 +224,8 @@ class TestResampleCycle:
     def test_too_few_samples_invalidates_joint(self):
         pairs = [(0.0, 90.0), (50.0, 95.0), (100.0, 90.0)]
         ann = CycleAnnotation(0, 100, "typical")
-        cycle = resample_cycle(CycleSlice(ann, {"left_knee": pairs}), 101)
+        cycle = resample_cycle(
+            CycleSlice(ann, columns={"left_knee": _columns(pairs)}), 101)
         assert not cycle.valid["left_knee"]
         assert np.all(np.isnan(cycle.angles["left_knee"]))
 

@@ -5,10 +5,11 @@ from gaitnorm import (CycleAnnotation, DetectionConfig, NormalizedCycle,
                       ValidationError, build_report, flag_abnormal,
                       frame_statuses, severity_matrix, severity_values,
                       z_scores)
-from gaitnorm.cycles import phase_of_frame
 from gaitnorm.detect import (STATUS_ABNORMAL, STATUS_NORMAL, STATUS_UNKNOWN)
 from gaitnorm.kinematics import JOINT_NAMES
 from gaitnorm.normative import JointNormals, NormativeModel
+
+from helpers import reference_frame_statuses
 
 
 def _model(mean=60.0, std=5.0, joints=("left_knee",), grid=5):
@@ -196,31 +197,69 @@ class TestFrameStatuses:
         (status,) = frame_statuses([(ann, flags)], [5], 101)
         assert status.status["left_knee"] == STATUS_NORMAL
 
+    def _pairs(self, rng, n, joints=("left_knee",)):
+        pairs = []
+        for _ in range(n):
+            start = int(rng.integers(0, 80))
+            ann = CycleAnnotation(start, start + int(rng.integers(1, 30)),
+                                  "typical")
+            pairs.append((ann, {j: rng.uniform(size=101) < 0.3
+                                for j in joints}))
+        return pairs
+
+    def _check(self, pairs, frames, joint_order=JOINT_NAMES, times=None):
+        got = frame_statuses(pairs, frames, 101, joint_order,
+                             frame_times=times)
+        expected = reference_frame_statuses(pairs, frames, 101, joint_order,
+                                            frame_times=times)
+        assert [(s.frame_index, s.status) for s in got] == expected
+        assert all(type(s.frame_index) is int for s in got)
+        assert [list(s.status) for s in got] == [list(joint_order)] * len(got)
+
     def test_bisection_matches_linear_scan(self):
         # unsorted, overlapping and nested cycles: each frame still takes
         # the first cycle, in start order, that contains it
         rng = np.random.default_rng(41)
         for _ in range(50):
-            pairs = []
-            for _ in range(int(rng.integers(1, 8))):
-                start = int(rng.integers(0, 80))
-                ann = CycleAnnotation(start, start + int(rng.integers(1, 30)),
-                                      "typical")
-                pairs.append((ann, self._flags(where=rng.integers(0, 101, 20))))
-            frames = range(-2, 115)
-            ordered = sorted(pairs, key=lambda p: (p[0].start_frame,
-                                                   p[0].end_frame))
-            for f, status in zip(frames, frame_statuses(pairs, frames, 101)):
-                hit = next(((a, fl) for a, fl in ordered
-                            if a.start_frame <= f <= a.end_frame), None)
-                if hit is None:
-                    assert status.status["left_knee"] == STATUS_UNKNOWN
-                    continue
-                ann, flags = hit
-                g = round(phase_of_frame(ann, f) / 100.0 * 100)
-                expected = STATUS_ABNORMAL if flags["left_knee"][g] \
-                    else STATUS_NORMAL
-                assert status.status["left_knee"] == expected
+            pairs = self._pairs(rng, int(rng.integers(1, 8)))
+            self._check(pairs, range(-2, 115))
+
+    def test_equals_scalar_reference_on_random_inputs(self):
+        # Shuffled frames with repeats and frames outside every cycle,
+        # adjacent cycles sharing boundaries in shuffled order, joints
+        # without flags, and frame or jittered-time phases.
+        rng = np.random.default_rng(42)
+        joints = list(JOINT_NAMES[:6]) + ["extra"]
+        for trial in range(60):
+            bounds = np.cumsum(rng.integers(1, 25, int(rng.integers(1, 7))))
+            bounds += int(rng.integers(3, 40))
+            if rng.uniform() < 0.5:
+                bounds = np.concatenate(([bounds[0] - 3], bounds))
+            pairs = [(CycleAnnotation(int(a), int(b), "typical"),
+                      {j: rng.uniform(size=101) < 0.4
+                       for j in rng.permutation(joints)[:4].tolist()})
+                     for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+                     if rng.uniform() < 0.85]
+            pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+            frames = rng.integers(0, int(bounds[-1]) + 10, 80).tolist()
+            times = None
+            if trial % 2:
+                times = dict(enumerate(np.cumsum(rng.uniform(
+                    0.01, 0.05, int(bounds[-1]) + 10)).tolist()))
+            self._check(pairs, frames, joints, times)
+            self._check(pairs, np.array(frames), joints, times)
+        self._check([], [3, 1, 2])
+        self._check(self._pairs(rng, 3), [])
+
+    @pytest.mark.parametrize("time_s", [-0.01, 5.0])
+    def test_frame_timed_outside_its_cycle_rejected(self, time_s):
+        ann = CycleAnnotation(0, 30, "typical")
+        times = {f: f / 30 for f in range(31)}
+        times[15] = time_s
+        with pytest.raises(ValidationError, match=r"^cycle \[0, 30\]: frame "
+                                                  r"15 lies outside"):
+            frame_statuses([(ann, self._flags())], range(31), 101,
+                           frame_times=times)
 
 
 class TestConfigAndReport:

@@ -171,7 +171,7 @@ class TestAnnotateFrames:
         seq, anns = generate_pose_sequence(n_cycles=2, frames_per_cycle=20,
                                            seed=17, atypical_last=False)
         flags = {j: np.zeros(101, dtype=bool) for j in JOINT_NAMES}
-        statuses = frame_statuses([(anns[0], flags)], seq.frame_indices(), 101)
+        statuses = frame_statuses([(anns[0], flags)], seq.frame_index, 101)
         records = annotate_frames(seq, statuses)
         assert len(records) == len(seq.frames)
         first = records[0]

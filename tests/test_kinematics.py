@@ -8,8 +8,7 @@ from gaitnorm import (DegenerateGeometryError, JOINT_NAMES, angle_series,
                       angle_series_set, joint_angle, standard_joint_set)
 from gaitnorm.kinematics import (MISSING_ABSENT_KEYPOINT,
                                  MISSING_DEGENERATE,
-                                 MISSING_LOW_VISIBILITY, MISSING_REASONS,
-                                 AngleSample, AngleSeries)
+                                 MISSING_LOW_VISIBILITY, MISSING_REASONS)
 from gaitnorm.pose_io import (KEYPOINT_NAMES, Keypoint, KeypointFrame,
                               Point2D, PoseSequence, parse_pose_sequence)
 
@@ -156,7 +155,7 @@ class TestAngleSeries:
         seq = PoseSequence("v", (ok, dim))
         series = angle_series(seq, self._knee(), 0.5)
         assert series.samples[0].angle_deg == pytest.approx(90.0)
-        assert series.samples[1].missing
+        assert series.samples[1].angle_deg is None
         assert series.samples[1].missing_reason == MISSING_LOW_VISIBILITY
 
     def test_absent_keypoint(self):
@@ -193,8 +192,8 @@ class TestAngleSeries:
         series = angle_series_set(seq)
         assert set(series) == set(JOINT_NAMES)
         # only the knee triple is present in these frames
-        assert not series["left_knee"].samples[0].missing
-        assert series["right_knee"].samples[0].missing
+        assert series["left_knee"].samples[0].angle_deg is not None
+        assert series["right_knee"].samples[0].angle_deg is None
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -258,15 +257,3 @@ class TestAngleColumns:
         assert reasons == {0, 1, 2, 3}  # every path is exercised
         _assert_columns_match_reference(seq)
         _assert_columns_match_reference(seq, min_visibility=0.0)
-
-    def test_samples_roundtrip_through_arrays(self):
-        samples = [AngleSample(4, 91.5), AngleSample(5, None,
-                                                     MISSING_LOW_VISIBILITY),
-                   AngleSample(7, None)]
-        series = AngleSeries(joint="left_knee", samples=samples)
-        assert series.samples == samples
-        assert series.reasons.tolist() == [0, 2, 0]
-
-    def test_unknown_missing_reason_rejected(self):
-        with pytest.raises(ValueError, match="missing reason"):
-            AngleSeries("left_knee", [AngleSample(0, None, "eclipse")])

@@ -9,7 +9,7 @@ import pytest
 
 from gaitnorm import (CycleAnnotation, NormalizedCycle, ValidationError,
                       load_cycles, load_norm_model, load_report,
-                      parse_cycle_annotations, parse_pose_sequence,
+                      parse_pose_sequence,
                       save_cycles, save_norm_model, save_report)
 from gaitnorm.detect import DetectionConfig, build_report
 from gaitnorm.normative import JointNormals, NormativeModel
@@ -121,7 +121,7 @@ class TestAnnotations:
     def test_single(self):
         doc = json.dumps({"video_id": "v", "cycles": [
             {"start_frame": 10, "end_frame": 40, "label": "typical"}]}).encode()
-        cycles = parse_cycle_annotations(doc)
+        cycles = parse_annotation_document(doc)[1]
         assert cycles == [CycleAnnotation(10, 40, "typical")]
 
     def test_video_id_exposed(self):
@@ -133,27 +133,41 @@ class TestAnnotations:
         doc = json.dumps({"video_id": "v", "cycles": [
             {"start_frame": 10, "end_frame": 40, "label": "typical"},
             {"start_frame": 40, "end_frame": 70, "label": "atypical"}]}).encode()
-        cycles = parse_cycle_annotations(doc)
+        cycles = parse_annotation_document(doc)[1]
         assert len(cycles) == 2
+
+    def test_cycles_come_back_in_frame_order(self):
+        entries = [{"start_frame": s, "end_frame": s + 30, "label": "typical"}
+                   for s in (60, 0, 90, 30)]
+        doc = json.dumps({"video_id": "v", "cycles": entries}).encode()
+        cycles = parse_annotation_document(doc)[1]
+        assert [c.start_frame for c in cycles] == [0, 30, 60, 90]
 
     def test_true_overlap_rejected(self):
         doc = json.dumps({"video_id": "v", "cycles": [
             {"start_frame": 10, "end_frame": 40, "label": "typical"},
             {"start_frame": 30, "end_frame": 60, "label": "typical"}]}).encode()
         with pytest.raises(ValidationError, match="overlap"):
-            parse_cycle_annotations(doc)
+            parse_annotation_document(doc)
 
     def test_reversed_bounds_rejected(self):
         doc = json.dumps({"video_id": "v", "cycles": [
             {"start_frame": 40, "end_frame": 10, "label": "typical"}]}).encode()
         with pytest.raises(ValidationError, match="exceed"):
-            parse_cycle_annotations(doc)
+            parse_annotation_document(doc)
+
+    def test_end_frame_past_int64_rejected(self):
+        # frame_statuses holds cycle bounds in int64 arrays, as the
+        # keypoint parser holds frame indices
+        CycleAnnotation(0, 2 ** 63 - 1, "typical")
+        with pytest.raises(ValidationError, match="below 2"):
+            CycleAnnotation(0, 2 ** 63, "typical")
 
     def test_unknown_label_rejected(self):
         doc = json.dumps({"video_id": "v", "cycles": [
             {"start_frame": 1, "end_frame": 9, "label": "weird"}]}).encode()
         with pytest.raises(ValidationError, match="unknown cycle label"):
-            parse_cycle_annotations(doc)
+            parse_annotation_document(doc)
 
     def test_serialize_roundtrip(self):
         cycles = [CycleAnnotation(0, 30, "typical"),
