@@ -8,16 +8,29 @@ is written once, and every subcommand is a slice of the stages::
     _segment        annotations + keypoints -> angles    segment, run
                     -> cycle slices -> resampled cycles
     _reports        score cycles, write their reports    detect, run
+                    (and, in run, their _cycle_figures)
     _band_plots     band plot per model joint            figures, run
     _cycle_figures  multi-joint panel, severity heatmap  figures, run
     _overlays       per-frame skeleton status records    figures, run
 
 ``angles`` stops at the angle series and ``synth`` writes a synthetic
-cohort.  ``run`` composes every stage, one cycle at a time.  Its model
-step needs two typical cycles of the video; ``build-norm`` keeps its own,
-which needs one and drops atypical cycles with a warning.  Flags that
-subcommands share are declared once, in argparse parent parsers.  A JSON config file (``--config`` or ``$GAITNORM_CONFIG``)
-may carry any flag value by its long name; config values override
+cohort.  ``run`` composes every stage.  Its model step needs two typical
+cycles of the video; ``build-norm`` keeps its own, which needs one and
+drops atypical cycles with a warning.
+
+In ``detect`` and ``run`` each cycle is one job of ``_reports``: score it,
+write its report and, under ``run``, render and write its multi-joint
+panel and heatmap.  ``_map_cycles`` runs the jobs on a ``fork`` process
+pool with one worker per CPU the process may use (its affinity mask, so
+``taskset`` restricts it) and per 16 cycles, or in-process when that
+makes one; the bytes are the same.  Loading, the warnings, band plots,
+overlays and the summary stay in the parent.  ``figures`` renders every
+document before it makes ``--out-dir``, so a failing stage writes
+nothing.
+
+Flags that subcommands share are declared once, in argparse parent
+parsers.  A JSON config file (``--config`` or ``$GAITNORM_CONFIG``) may
+carry any flag value by its long name; config values override
 command-line flags and are checked by the flag's own type and choices.
 Exit codes: 0 on success, 1 on a validation error, 2 on an I/O error.
 """
@@ -242,13 +255,69 @@ def _segment(args, video_id=None):
                               for s in slices]
 
 
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (so ``taskset`` restricts it), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# A worker is forked only for this many cycles or more: starting and
+# stopping the pool costs some 30 ms, the time of ten ``detect`` cycle
+# jobs or five ``run`` ones.
+_MIN_CYCLES_PER_WORKER = 16
+
+_job = None  # the per-cycle job a fork worker inherits from ``_map_cycles``
+
+
+def _set_job(job):
+    global _job
+    _job = job
+
+
+def _run_job(i):
+    return _job(i)
+
+
+def _map_cycles(job, n):
+    """``[job(i) for i in range(n)]`` on a fork pool of one worker per usable
+    CPU and per ``_MIN_CYCLES_PER_WORKER`` cycles, in-process when that
+    makes one.  Workers inherit ``job`` and everything it closes over; only
+    indices go out and results come back.  The error of the lowest-numbered
+    failing cycle is raised, as in the serial loop; a worker that dies
+    (killed by a signal) is an ``OSError``.
+    """
+    workers = min(_cpus(), n // _MIN_CYCLES_PER_WORKER)
+    if workers <= 1 or not hasattr(os, "fork"):
+        return list(map(job, range(n)))
+    # Imported here: they would add to every command's start-up time.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
+    # About eight chunks per worker: enough to even out the load, few
+    # enough that queueing stays a small share of the work.
+    chunk = max(1, n // (8 * workers))
+    try:
+        with ProcessPoolExecutor(workers, get_context("fork"),
+                                 initializer=_set_job,
+                                 initargs=(job,)) as pool:
+            return list(pool.map(_run_job, range(n), chunksize=chunk))
+    except BrokenProcessPool:
+        raise OSError("a worker process writing per-cycle outputs died "
+                      "before finishing") from None
+
+
 def _reports(annotated_cycles, model, cfg, video_id, prefix,
-             phase_source="frames"):
+             phase_source="frames", figures=False):
     """Score each (annotation or None, cycle) pair and write its
-    ``<prefix>.c<i>.report.json``; yield (i, cycle, report) before the
-    next pair is scored.  Valid joints the model cannot score are reported
-    unknown: never silently dropped, never normal without a band."""
-    for i, (annotation, cycle) in enumerate(annotated_cycles):
+    ``<prefix>.c<i>.report.json`` and, with ``figures``, its multi-joint
+    panel and heatmap (``_cycle_figures``), each cycle one job of
+    ``_map_cycles``; return the (annotation, flags) pairs in cycle order.
+    Valid joints the model cannot score are reported unknown: never
+    silently dropped, never normal without a band."""
+    cycles = []
+    for annotation, cycle in annotated_cycles:
         missing = sorted(j for j, ok in cycle.valid.items()
                          if ok and j not in model.joints)
         if missing:
@@ -257,48 +326,63 @@ def _reports(annotated_cycles, model, cfg, video_id, prefix,
                            ", ".join(missing))
             cycle = replace(cycle, valid={j: ok and j in model.joints
                                           for j, ok in cycle.valid.items()})
+        cycles.append((annotation, cycle))
+
+    def job(i):
+        annotation, cycle = cycles[i]
         report = build_report(cycle, model, cfg, video_id=video_id,
                               annotation=annotation,
                               phase_source=phase_source)
-        Path(f"{prefix}.c{i}.report.json").write_bytes(save_report(report))
-        yield i, cycle, report
+        outputs = [(f"{prefix}.c{i}.report.json", save_report(report))]
+        if figures:
+            outputs += _cycle_figures(report, cycle, model, cfg,
+                                      f"{prefix}.c{i}")
+        _write(outputs)
+        return report.annotation, report.flag
+
+    return _map_cycles(job, len(cycles))
 
 
-def _band_plots(model, joints, cfg, out_dir, prefix, report=None,
-                cycle=None) -> int:
+def _write(outputs) -> int:
+    """Write (path, bytes or figure document) pairs in order; returns how
+    many documents were written (a figure's sidecar is not counted)."""
+    for path, data in outputs:
+        if isinstance(data, bytes):
+            Path(path).write_bytes(data)
+        else:
+            figs.write_figure(data, path)
+    return len(outputs)
+
+
+def _band_plots(model, joints, cfg, prefix, report=None, cycle=None):
     """``<prefix>.band.<joint>.svg`` per joint, with the cycle's curve and
-    flags drawn over the band when a report and its cycle are given; all
-    are rendered before ``out_dir`` is made and any is written, so a bad
-    overlay writes nothing."""
+    flags drawn over the band when a report and its cycle are given."""
     overlays = {j: (cycle, report.flag[j]) for j in joints
                 if cycle is not None and j in report.flag}
-    docs = [figs.render_band_plot(model, j, overlay=overlays.get(j), cfg=cfg)
+    return [(f"{prefix}.band.{j}.svg",
+             figs.render_band_plot(model, j, overlay=overlays.get(j), cfg=cfg))
             for j in joints]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for joint, doc in zip(joints, docs):
-        figs.write_figure(doc, f"{prefix}.band.{joint}.svg")
-    return len(joints)
 
 
-def _cycle_figures(report, cycle, model, cfg, prefix) -> int:
+def _cycle_figures(report, cycle, model, cfg, prefix):
     """``<prefix>.multijoint.svg`` when the cycle is at hand, and the
     severity heatmap ``<prefix>.heatmap.svg``."""
+    outputs = []
     if cycle is not None:
-        multi = figs.render_multi_joint(report.flag, cycle, model, cfg)
-        figs.write_figure(multi, f"{prefix}.multijoint.svg")
-    heat = figs.render_heatmap(severity_matrix(report.z, cfg))
-    figs.write_figure(heat, f"{prefix}.heatmap.svg")
-    return 1 if cycle is None else 2
+        outputs.append((f"{prefix}.multijoint.svg",
+                        figs.render_multi_joint(report.flag, cycle, model,
+                                                cfg)))
+    outputs.append((f"{prefix}.heatmap.svg",
+                    figs.render_heatmap(severity_matrix(report.z, cfg))))
+    return outputs
 
 
-def _overlays(seq, cycle_flags, grid_points, frame_times, prefix) -> int:
+def _overlays(seq, cycle_flags, grid_points, frame_times, prefix):
     """``<prefix>.overlays.json``: per-frame skeleton status records for
     (annotation, flags) pairs, phases mapped by the segmentation rule."""
     statuses = frame_statuses(cycle_flags, seq.frame_index, grid_points,
                               frame_times=frame_times)
-    Path(f"{prefix}.overlays.json").write_bytes(
-        figs.overlay_json(seq, statuses))
-    return 1
+    return [(f"{prefix}.overlays.json", figs.overlay_json(seq, statuses))]
 
 
 def cmd_angles(args) -> int:
@@ -347,7 +431,7 @@ def cmd_detect(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = _reports([(None, c) for c in cycles], model,
                        _detection_config(args), video_id, prefix)
-    print(f"wrote {sum(1 for _ in reports)} deviation report(s) to {out_dir}")
+    print(f"wrote {len(reports)} deviation report(s) to {out_dir}")
     return 0
 
 
@@ -369,18 +453,21 @@ def cmd_figures(args) -> int:
 
     prefix = _prefix(args.out_dir, args.video_id or (
         report.video_id if report is not None else Path(args.model).stem))
-    out_dir = Path(args.out_dir)
-    written = _band_plots(model, args.joint or _model_joint_order(model), cfg,
-                          out_dir, prefix, report, cycle)
+    outputs = _band_plots(model, args.joint or _model_joint_order(model),
+                          cfg, prefix, report, cycle)
     if report is not None:
-        written += _cycle_figures(report, cycle, model, cfg, prefix)
+        outputs += _cycle_figures(report, cycle, model, cfg, prefix)
         if args.keypoints and report.annotation is not None:
             seq = _load_sequence(args.keypoints, args.video_id)
-            written += _overlays(
+            outputs += _overlays(
                 seq, [(report.annotation, report.flag)], model.grid_points,
                 _frame_times(seq, report.phase_source), prefix)
 
-    print(f"wrote {written} figure document(s) to {out_dir}")
+    # Everything is rendered before out_dir is made, so a failing stage
+    # writes nothing.
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    print(f"wrote {_write(outputs)} figure document(s) to {out_dir}")
     return 0
 
 
@@ -417,17 +504,13 @@ def cmd_run(args) -> int:
 
     cfg = _detection_config(args)
     phase_source = "frames" if frame_times is None else "time"
-    cycle_flags = []
-    for i, cycle, report in _reports(
-            [(s.annotation, c) for s, c in pairs], model, cfg, seq.video_id,
-            prefix, phase_source):
-        cycle_flags.append((report.annotation, report.flag))
-        written += 1 + _cycle_figures(report, cycle, model, cfg,
-                                      f"{prefix}.c{i}")
-    written += _band_plots(model, _model_joint_order(model), cfg, out_dir,
-                           prefix)
-    written += _overlays(seq, cycle_flags, model.grid_points, frame_times,
-                         prefix)
+    cycle_flags = _reports([(s.annotation, c) for s, c in pairs], model, cfg,
+                           seq.video_id, prefix, phase_source, figures=True)
+    written += 3 * len(cycle_flags)  # report, multi-joint panel, heatmap
+    written += _write(_band_plots(model, _model_joint_order(model), cfg,
+                                  prefix))
+    written += _write(_overlays(seq, cycle_flags, model.grid_points,
+                                frame_times, prefix))
 
     print(f"analyzed {len(pairs)} cycle(s) of {seq.video_id!r}; wrote "
           f"{written} file(s) (plus figure sidecars) to {out_dir}")

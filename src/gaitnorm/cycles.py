@@ -137,9 +137,9 @@ def _phases(ann: CycleAnnotation, frames: np.ndarray,
             frame_times: Optional[Mapping[int, float]]) -> np.ndarray:
     """Phases in percent of ``frames`` (int64) in cycle ``ann``: linear in
     frame index, or in time when ``frame_times`` (frame index -> seconds)
-    is given.  A frame without a timestamp, timestamps that do not increase
-    across the cycle, or a frame outside the cycle (by index or by time)
-    is a ``ValidationError``."""
+    is given.  A frame without a timestamp, a frame outside the cycle (by
+    index or by time), or timestamps that do not strictly increase with
+    frame index inside the cycle is a ``ValidationError``."""
     if frame_times is None:
         x, x0, x1 = frames, ann.start_frame, ann.end_frame
     else:
@@ -163,6 +163,21 @@ def _phases(ann: CycleAnnotation, frames: np.ndarray,
         raise ValidationError(
             f"cycle [{ann.start_frame}, {ann.end_frame}]: frame "
             f"{int(frames[i])} lies outside the cycle{where}")
+    if frame_times is not None:
+        # The cycle's frames with its boundaries, in frame order: each later
+        # frame must be timed strictly after the one before it.
+        f = np.concatenate(([ann.start_frame], frames, [ann.end_frame]))
+        t = np.concatenate(([x0], x, [x1]))
+        order = np.argsort(f, kind="stable")
+        f, t = f[order], t[order]
+        stuck = (np.diff(f) > 0) & ~(np.diff(t) > 0)
+        if stuck.any():
+            i = int(np.argmax(stuck))
+            raise ValidationError(
+                f"cycle [{ann.start_frame}, {ann.end_frame}]: frame "
+                f"{int(f[i + 1])} is timed {float(t[i + 1])} s, not after "
+                f"frame {int(f[i])} ({float(t[i])} s); timestamps must "
+                f"strictly increase inside a cycle")
     return 100.0 * (x - x0) / (x1 - x0)
 
 

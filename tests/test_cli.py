@@ -293,6 +293,50 @@ def test_frame_timed_outside_its_cycle_exits_1(tmp_path, capsys, frame,
     assert message in err and "knot abscissae" not in err
 
 
+def test_figures_writes_nothing_when_a_later_stage_fails(tmp_path):
+    # The band plots used to be written before the overlay stage found
+    # the retimed frame, leaving 22 files behind.
+    run_dir = tmp_path / "run"
+    assert main(["run", "--keypoints", str(KEYPOINTS), "--annotations",
+                 str(ANNOTATIONS), "--out-dir", str(run_dir),
+                 "--phase-source", "time"]) == 0
+    fig_dir = tmp_path / "figures"
+    assert main(["figures", "--model",
+                 str(run_dir / "synthetic-walk.model.json"),
+                 "--report", str(run_dir / "synthetic-walk.c0.report.json"),
+                 "--keypoints", str(_retimed_demo(tmp_path, 15, 5.0)),
+                 "--out-dir", str(fig_dir)]) == 1
+    assert not fig_dir.exists()
+
+
+@pytest.mark.parametrize("time_s", [0.2, 0.4666666666666667])
+def test_timestamps_going_back_inside_a_cycle_exit_1(tmp_path, capsys,
+                                                      time_s):
+    # Frame 15 timed at or before frame 14 (0.4667 s) but inside [0, 1] s
+    # used to reach the spline fit ("knot abscissae must be strictly
+    # increasing") in `run`, and `figures` mapped it without complaint.
+    run_dir = tmp_path / "run"
+    assert main(["run", "--keypoints", str(KEYPOINTS), "--annotations",
+                 str(ANNOTATIONS), "--out-dir", str(run_dir),
+                 "--phase-source", "time"]) == 0
+    retimed = _retimed_demo(tmp_path, 15, time_s)
+    message = (f"gaitnorm: validation error: cycle [0, 30]: frame 15 is timed "
+               f"{time_s} s, not after frame 14 (0.4666666666666667 s); "
+               f"timestamps must strictly increase inside a cycle\n")
+    capsys.readouterr()
+    assert main(["run", "--keypoints", str(retimed), "--annotations",
+                 str(ANNOTATIONS), "--out-dir", str(tmp_path / "again"),
+                 "--phase-source", "time"]) == 1
+    assert capsys.readouterr().err == message
+    assert main(["figures", "--model",
+                 str(run_dir / "synthetic-walk.model.json"),
+                 "--report", str(run_dir / "synthetic-walk.c0.report.json"),
+                 "--keypoints", str(retimed),
+                 "--out-dir", str(tmp_path / "figures")]) == 1
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "figures").exists()
+
+
 @pytest.mark.parametrize("order", ["reversed", "shuffled"])
 def test_output_names_follow_frame_order_not_file_order(tmp_path, order):
     doc = json.loads(ANNOTATIONS.read_text())

@@ -64,6 +64,26 @@ class TestPhaseOfFrame:
             with pytest.raises(ValidationError, match="do not increase"):
                 _phases(ann, np.array([0, 10]), times)
 
+    @pytest.mark.parametrize("frame,time_s,before", [
+        (4, 0.2, 3),            # back before the previous frame
+        (4, 0.1 * 3, 3),        # level with the previous frame
+        (1, 0.0, 0),            # level with the cycle's start
+        (9, 1.0, None),         # level with the cycle's end
+    ])
+    def test_timestamps_must_strictly_increase_inside(self, frame, time_s,
+                                                      before):
+        ann = CycleAnnotation(0, 10, "typical")
+        times = {f: 0.1 * f for f in range(11)}
+        times[10] = 1.0
+        times[frame] = time_s
+        if before is None:  # the end frame is the one not after its neighbour
+            frame, before = 10, frame
+        message = (rf"^cycle \[0, 10\]: frame {frame} is timed [0-9.e-]+ s, "
+                   rf"not after frame {before} \(")
+        for frames in (np.arange(11), np.arange(11)[::-1]):
+            with pytest.raises(ValidationError, match=message):
+                _phases(ann, frames, times)
+
     def test_strictly_monotone(self):
         rng = np.random.default_rng(31)
         for _ in range(200):

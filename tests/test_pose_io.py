@@ -418,9 +418,12 @@ class TestCanonicalEncoder:
                 _dump(doc)
 
     def test_demo_run_documents_match_stdlib(self, tmp_path, monkeypatch):
-        from gaitnorm import figures, pose_io
+        from gaitnorm import cli, figures, pose_io
         from gaitnorm.cli import main
 
+        # One CPU: the per-cycle jobs run in this process, so the spy below
+        # sees the documents they write (a forked worker's calls are its own).
+        monkeypatch.setattr(cli, "_cpus", lambda: 1)
         seen = []
 
         def recording_dump(doc):
