@@ -7,8 +7,9 @@ is written once, and every subcommand is a slice of the stages::
     _load_sequence  parse a keypoint file                angles, figures
     _segment        annotations + keypoints -> angles    segment, run
                     -> cycle slices -> resampled cycles
-    _reports        score cycles, write their reports    detect, run
-                    (and, in run, their _cycle_figures)
+    _score          score every cycle, in the parent     detect, run
+    _write_cycles   write each cycle's report (and, in   detect, run
+                    run, its _cycle_figures) on the pool
     _band_plots     band plot per model joint            figures, run
     _cycle_figures  multi-joint panel, severity heatmap  figures, run
     _overlays       per-frame skeleton status records    figures, run
@@ -18,15 +19,19 @@ cohort.  ``run`` composes every stage.  Its model step needs two typical
 cycles of the video; ``build-norm`` keeps its own, which needs one and
 drops atypical cycles with a warning.
 
-In ``detect`` and ``run`` each cycle is one job of ``_reports``: score it,
-write its report and, under ``run``, render and write its multi-joint
-panel and heatmap.  ``_map_cycles`` runs the jobs on a ``fork`` process
-pool with one worker per CPU the process may use (its affinity mask, so
-``taskset`` restricts it) and per 16 cycles, or in-process when that
-makes one; the bytes are the same.  Loading, the warnings, band plots,
-overlays and the summary stay in the parent.  ``figures`` renders every
-document before it makes ``--out-dir``, so a failing stage writes
-nothing.
+``detect`` and ``run`` score every cycle in the parent, and ``run`` also
+maps every frame's status, before ``--out-dir`` is made, so a cycle that
+fails to score writes nothing.  Then each cycle is one job of
+``_write_cycles``: serialize its report and, under ``run``, render its
+multi-joint panel and heatmap, and write them.  ``_map_cycles`` runs the
+jobs on a ``fork`` process pool with one worker per CPU the process may
+use (its affinity mask, so ``taskset`` restricts it) and per 16 cycles,
+or in-process when that makes one; the bytes are the same.  While the
+workers write, the parent writes ``run``'s model, band plots and overlay,
+the overlay streamed in chunks of frames.  Loading, the warnings and the
+summary stay in the parent.  ``figures`` renders every document, and
+maps the overlay's frame statuses, before it makes ``--out-dir``, so a
+failing stage writes nothing.
 
 Flags that subcommands share are declared once, in argparse parent
 parsers.  A JSON config file (``--config`` or ``$GAITNORM_CONFIG``) may
@@ -280,17 +285,21 @@ def _run_job(i):
     return _job(i)
 
 
-def _map_cycles(job, n):
+def _map_cycles(job, n, meanwhile=lambda: None):
     """``[job(i) for i in range(n)]`` on a fork pool of one worker per usable
     CPU and per ``_MIN_CYCLES_PER_WORKER`` cycles, in-process when that
-    makes one.  Workers inherit ``job`` and everything it closes over; only
-    indices go out and results come back.  The error of the lowest-numbered
-    failing cycle is raised, as in the serial loop; a worker that dies
-    (killed by a signal) is an ``OSError``.
+    makes one, while the parent calls ``meanwhile()`` (in-process: after
+    the last job).  Workers inherit ``job`` and everything it closes over;
+    only indices go out and results come back.  The error of the
+    lowest-numbered failing cycle is raised, as in the serial loop, ahead
+    of any error of ``meanwhile``; a worker that dies (killed by a signal)
+    is an ``OSError``.
     """
     workers = min(_cpus(), n // _MIN_CYCLES_PER_WORKER)
     if workers <= 1 or not hasattr(os, "fork"):
-        return list(map(job, range(n)))
+        results = list(map(job, range(n)))
+        meanwhile()
+        return results
     # Imported here: they would add to every command's start-up time.
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -302,21 +311,23 @@ def _map_cycles(job, n):
         with ProcessPoolExecutor(workers, get_context("fork"),
                                  initializer=_set_job,
                                  initargs=(job,)) as pool:
-            return list(pool.map(_run_job, range(n), chunksize=chunk))
+            results = pool.map(_run_job, range(n), chunksize=chunk)
+            try:
+                meanwhile()
+            finally:
+                results = list(results)
+            return results
     except BrokenProcessPool:
         raise OSError("a worker process writing per-cycle outputs died "
                       "before finishing") from None
 
 
-def _reports(annotated_cycles, model, cfg, video_id, prefix,
-             phase_source="frames", figures=False):
-    """Score each (annotation or None, cycle) pair and write its
-    ``<prefix>.c<i>.report.json`` and, with ``figures``, its multi-joint
-    panel and heatmap (``_cycle_figures``), each cycle one job of
-    ``_map_cycles``; return the (annotation, flags) pairs in cycle order.
-    Valid joints the model cannot score are reported unknown: never
-    silently dropped, never normal without a band."""
-    cycles = []
+def _score(annotated_cycles, model, cfg, video_id, phase_source="frames"):
+    """Score each (annotation or None, cycle) pair, in cycle order, into
+    (report, cycle) pairs.  Valid joints the model cannot score are
+    reported unknown: never silently dropped, never normal without a
+    band."""
+    scored = []
     for annotation, cycle in annotated_cycles:
         missing = sorted(j for j, ok in cycle.valid.items()
                          if ok and j not in model.joints)
@@ -326,31 +337,41 @@ def _reports(annotated_cycles, model, cfg, video_id, prefix,
                            ", ".join(missing))
             cycle = replace(cycle, valid={j: ok and j in model.joints
                                           for j, ok in cycle.valid.items()})
-        cycles.append((annotation, cycle))
+        scored.append((build_report(cycle, model, cfg, video_id=video_id,
+                                    annotation=annotation,
+                                    phase_source=phase_source), cycle))
+    return scored
 
+
+def _write_cycles(scored, model, cfg, prefix, figures=False,
+                  meanwhile=lambda: None):
+    """Write each scored cycle's ``<prefix>.c<i>.report.json`` and, with
+    ``figures``, its multi-joint panel and heatmap (``_cycle_figures``),
+    each cycle one job of ``_map_cycles``, which calls ``meanwhile`` in
+    the parent."""
     def job(i):
-        annotation, cycle = cycles[i]
-        report = build_report(cycle, model, cfg, video_id=video_id,
-                              annotation=annotation,
-                              phase_source=phase_source)
+        report, cycle = scored[i]
         outputs = [(f"{prefix}.c{i}.report.json", save_report(report))]
         if figures:
             outputs += _cycle_figures(report, cycle, model, cfg,
                                       f"{prefix}.c{i}")
         _write(outputs)
-        return report.annotation, report.flag
 
-    return _map_cycles(job, len(cycles))
+    _map_cycles(job, len(scored), meanwhile)
 
 
 def _write(outputs) -> int:
-    """Write (path, bytes or figure document) pairs in order; returns how
-    many documents were written (a figure's sidecar is not counted)."""
+    """Write (path, bytes, figure document or iterable of byte chunks)
+    pairs in order; returns how many documents were written (a figure's
+    sidecar is not counted)."""
     for path, data in outputs:
         if isinstance(data, bytes):
             Path(path).write_bytes(data)
-        else:
+        elif isinstance(data, figs.FigureDoc):
             figs.write_figure(data, path)
+        else:
+            with open(path, "wb") as fh:
+                fh.writelines(data)
     return len(outputs)
 
 
@@ -379,10 +400,12 @@ def _cycle_figures(report, cycle, model, cfg, prefix):
 
 def _overlays(seq, cycle_flags, grid_points, frame_times, prefix):
     """``<prefix>.overlays.json``: per-frame skeleton status records for
-    (annotation, flags) pairs, phases mapped by the segmentation rule."""
+    (annotation, flags) pairs, phases mapped by the segmentation rule.
+    The statuses are mapped here; ``_write`` streams the document in
+    chunks of frames."""
     statuses = frame_statuses(cycle_flags, seq.frame_index, grid_points,
                               frame_times=frame_times)
-    return [(f"{prefix}.overlays.json", figs.overlay_json(seq, statuses))]
+    return [(f"{prefix}.overlays.json", figs.overlay_chunks(seq, statuses))]
 
 
 def cmd_angles(args) -> int:
@@ -427,11 +450,14 @@ def cmd_detect(args) -> int:
     model = load_norm_model(Path(args.model).read_bytes())
     video_id = args.video_id or Path(args.cycles).stem
     prefix = _prefix(args.out_dir, video_id)
+    cfg = _detection_config(args)
+    # Every cycle is scored before out_dir is made: a failing cycle
+    # writes nothing.
+    scored = _score([(None, c) for c in cycles], model, cfg, video_id)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = _reports([(None, c) for c in cycles], model,
-                       _detection_config(args), video_id, prefix)
-    print(f"wrote {len(reports)} deviation report(s) to {out_dir}")
+    _write_cycles(scored, model, cfg, prefix)
+    print(f"wrote {len(scored)} deviation report(s) to {out_dir}")
     return 0
 
 
@@ -463,8 +489,8 @@ def cmd_figures(args) -> int:
                 seq, [(report.annotation, report.flag)], model.grid_points,
                 _frame_times(seq, report.phase_source), prefix)
 
-    # Everything is rendered before out_dir is made, so a failing stage
-    # writes nothing.
+    # Everything is rendered, and the overlay's statuses mapped, before
+    # out_dir is made, so a failing stage writes nothing.
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(f"wrote {_write(outputs)} figure document(s) to {out_dir}")
@@ -485,10 +511,7 @@ def cmd_synth(args) -> int:
 def cmd_run(args) -> int:
     seq, frame_times, pairs = _segment(args, args.video_id)
     prefix = _prefix(args.out_dir, seq.video_id)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = 0
-
+    outputs = []
     if args.model:
         model = load_norm_model(Path(args.model).read_bytes())
     else:
@@ -499,19 +522,27 @@ def cmd_run(args) -> int:
                 f"cycle(s); pass --model or annotate more typical cycles")
         model = build_normative_model(typical, grid_points=args.grid_points,
                                       std_kind=args.std_kind)
-        Path(f"{prefix}.model.json").write_bytes(save_norm_model(model))
-        written += 1
+        outputs.append((f"{prefix}.model.json", save_norm_model(model)))
 
     cfg = _detection_config(args)
     phase_source = "frames" if frame_times is None else "time"
-    cycle_flags = _reports([(s.annotation, c) for s, c in pairs], model, cfg,
-                           seq.video_id, prefix, phase_source, figures=True)
-    written += 3 * len(cycle_flags)  # report, multi-joint panel, heatmap
-    written += _write(_band_plots(model, _model_joint_order(model), cfg,
-                                  prefix))
-    written += _write(_overlays(seq, cycle_flags, model.grid_points,
-                                frame_times, prefix))
-
+    # Every cycle is scored and every frame status mapped before out_dir
+    # is made: a failing cycle writes nothing.
+    scored = _score([(s.annotation, c) for s, c in pairs], model, cfg,
+                    seq.video_id, phase_source)
+    outputs += _overlays(seq, [(r.annotation, r.flag) for r, _ in scored],
+                         model.grid_points, frame_times, prefix)
+    joints = _model_joint_order(model)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # The parent renders the band plots and streams the overlay while the
+    # pool writes the cycles' files.
+    _write_cycles(scored, model, cfg, prefix, figures=True,
+                  meanwhile=lambda: _write(
+                      _band_plots(model, joints, cfg, prefix) + outputs))
+    # model and overlay, report + multi-joint panel + heatmap per cycle,
+    # band plots
+    written = len(outputs) + 3 * len(scored) + len(joints)
     print(f"analyzed {len(pairs)} cycle(s) of {seq.video_id!r}; wrote "
           f"{written} file(s) (plus figure sidecars) to {out_dir}")
     return 0

@@ -75,6 +75,26 @@ class DeviationReport:
     phase_source: str = "frames"
 
 
+def _z_rows(cycle: NormalizedCycle, model: NormativeModel,
+            cfg: DetectionConfig) -> Tuple[List[str], np.ndarray]:
+    """The valid joints of ``cycle`` in its order, and their z-scores as
+    one ``(joints, grid)`` array: each row is ``z_scores``'s array."""
+    if cycle.grid_points != model.grid_points:
+        raise ValidationError(
+            f"grid mismatch: cycle has {cycle.grid_points} points, model "
+            f"has {model.grid_points}")
+    joints = [j for j in cycle.angles if cycle.valid.get(j, False)]
+    absent = next((j for j in joints if j not in model.joints), None)
+    if absent is not None:
+        raise ValidationError(f"joint {absent!r} absent from model")
+    shape = (len(joints), model.grid_points)
+    angles = np.array([cycle.angles[j] for j in joints], float).reshape(shape)
+    mean = np.array([model.joints[j].mean for j in joints], float)
+    std = np.array([model.joints[j].std for j in joints], float)
+    sigma = np.maximum(std.reshape(shape), cfg.sigma_floor_deg)
+    return joints, (angles - mean.reshape(shape)) / sigma
+
+
 def z_scores(cycle: NormalizedCycle, model: NormativeModel,
              cfg: Optional[DetectionConfig] = None) -> Dict[str, np.ndarray]:
     """Signed per-grid-point z-scores for every valid joint of ``cycle``.
@@ -82,21 +102,7 @@ def z_scores(cycle: NormalizedCycle, model: NormativeModel,
     Raises on a grid size mismatch or when a valid joint of the cycle has
     no entry in the model.
     """
-    cfg = cfg or DetectionConfig()
-    if cycle.grid_points != model.grid_points:
-        raise ValidationError(
-            f"grid mismatch: cycle has {cycle.grid_points} points, model "
-            f"has {model.grid_points}")
-    out: Dict[str, np.ndarray] = {}
-    for joint in cycle.angles:
-        if not cycle.valid.get(joint, False):
-            continue
-        if joint not in model.joints:
-            raise ValidationError(f"joint {joint!r} absent from model")
-        jn = model.joints[joint]
-        sigma = np.maximum(jn.std, cfg.sigma_floor_deg)
-        out[joint] = (cycle.angles[joint] - jn.mean) / sigma
-    return out
+    return dict(zip(*_z_rows(cycle, model, cfg or DetectionConfig())))
 
 
 def flag_abnormal(z_by_joint: Dict[str, np.ndarray],
@@ -194,13 +200,16 @@ def build_report(cycle: NormalizedCycle, model: NormativeModel,
                  annotation: Optional[CycleAnnotation] = None,
                  joint_order: Sequence[str] = JOINT_NAMES,
                  phase_source: str = "frames") -> DeviationReport:
-    """Run the full per-cycle comparison and bundle it into a report."""
+    """Run the full per-cycle comparison and bundle it into a report.
+
+    Every valid joint is scored in one ``(joints, grid)`` operation; each
+    per-joint array is one row of it, bit for bit what ``z_scores``,
+    ``flag_abnormal`` and ``severity_values`` give joint by joint."""
     cfg = cfg or DetectionConfig()
-    z = z_scores(cycle, model, cfg)
-    flags = flag_abnormal(z, cfg)
-    severity = {j: severity_values(z[j], cfg) for j in z}
-    flagged_fraction = {j: float(np.mean(flags[j])) for j in flags}
-    unknown = [j for j in joint_order if j not in z]
+    joints, z = _z_rows(cycle, model, cfg)
+    flags = np.abs(z) > cfg.k
+    severity = severity_values(z, cfg)
+    unknown = [j for j in joint_order if j not in joints]
     return DeviationReport(
         video_id=video_id,
         cycle_id=cycle.cycle_id,
@@ -208,10 +217,10 @@ def build_report(cycle: NormalizedCycle, model: NormativeModel,
         annotation=annotation,
         grid_points=cycle.grid_points,
         config=cfg,
-        z=z,
-        flag=flags,
-        severity=severity,
-        flagged_fraction=flagged_fraction,
+        z=dict(zip(joints, z)),
+        flag=dict(zip(joints, flags)),
+        severity=dict(zip(joints, severity)),
+        flagged_fraction=dict(zip(joints, flags.mean(axis=1).tolist())),
         unknown_joints=unknown,
         phase_source=phase_source,
     )

@@ -22,20 +22,23 @@ Four figure families:
 * frame overlays -- per-frame skeleton + joint status records meant to be
   drawn over video frames by downstream tooling
 
-The overlay document is written by ``overlay_json`` straight from a
-``PoseSequence``'s arrays: one ``%`` template per (present landmarks, has
-a time), itself written by the package's JSON writer, filled with every
-value of the video in one ``%`` operation.  ``annotate_frames`` returns
-that document decoded, so there is one overlay format.
+The overlay document is written by ``overlay_chunks`` straight from a
+``PoseSequence``'s arrays, ``pose_io.CHUNK_FRAMES`` frames at a time, so
+a long video is streamed to its file in bounded memory: one ``%``
+template per (present landmarks, has a time), itself written by the
+package's JSON writer, filled with every value of a chunk in one ``%``
+operation.  ``overlay_json`` joins the chunks and ``annotate_frames``
+returns that document decoded, so there is one overlay format.
 """
 
 import functools
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import pose_io
 from .cycles import NormalizedCycle
 from .detect import (STATUS_UNKNOWN, DetectionConfig, FrameStatus)
 from .errors import ValidationError
@@ -390,50 +393,64 @@ def _record_template(present: Tuple[bool, ...], timed: bool) -> str:
     return text
 
 
-def overlay_json(seq: PoseSequence, statuses: List[FrameStatus],
-                 joint_order: Sequence[str] = JOINT_NAMES) -> bytes:
-    """The overlay document: per frame, the keypoint pixel positions, the
-    skeleton edges whose endpoints are both present, and the per-joint
-    status key (normal/abnormal/unknown).  Frames without a status entry
-    report every joint unknown.
+def overlay_chunks(seq: PoseSequence, statuses: List[FrameStatus],
+                   joint_order: Sequence[str] = JOINT_NAMES
+                   ) -> Iterator[bytes]:
+    """The overlay document, ``pose_io.CHUNK_FRAMES`` frames at a time:
+    per frame, the keypoint pixel positions, the skeleton edges whose
+    endpoints are both present, and the per-joint status key
+    (normal/abnormal/unknown).  Frames without a status entry report every
+    joint unknown.
 
-    The bytes are ``_dump`` of ``annotate_frames``'s records, written from
-    the arrays of ``seq``: one cached template per (present landmarks,
-    has a time) and one ``%`` over every value of the video.  Floats go
-    through ``%r``, the ``float.__repr__`` the JSON encoder uses.
+    The joined bytes are ``_dump`` of ``annotate_frames``'s records,
+    written from the arrays of ``seq``: one cached template per (present
+    landmarks, has a time) and one ``%`` over every value of a chunk.
+    Floats go through ``%r``, the ``float.__repr__`` the JSON encoder
+    uses.
     """
     n = len(seq.frame_index)
     if n == 0:
-        return _dump([])
-    present = seq.present()
-    timed = ~np.isnan(seq.time_s)
+        yield _dump([])
+        return
+    all_present, all_timed = seq.present(), ~np.isnan(seq.time_s)
     by_frame = {s.frame_index: s.status for s in statuses}
     unknown = {j: STATUS_UNKNOWN for j in joint_order}
-    frames = seq.frame_index.tolist()
-    status_items = [tuple(by_frame.get(f, unknown).items()) for f in frames]
-    status_text = {items: _encode(dict(items), 2)
-                   for items in set(status_items)}
-    # Per frame: frame, status, x, y, visibility per landmark, time.
-    floats = np.concatenate(
-        (seq.keypoints[:, _SORTED_KEYPOINTS].reshape(n, -1),
-         seq.time_s[:, None]), axis=1)
-    cells = np.empty((n, 2 + floats.shape[1]), dtype=object)
-    cells[:, 0] = frames
-    cells[:, 1] = [status_text[items] for items in status_items]
-    cells[:, 2:] = floats
-    used = np.ones(cells.shape, dtype=bool)
-    used[:, 2:-1] = np.repeat(present[:, _SORTED_KEYPOINTS], 3, axis=1)
-    used[:, -1] = timed
-    nonfinite = np.zeros(cells.shape, dtype=bool)
-    nonfinite[:, 2:] = ~np.isfinite(floats)
-    values = cells[used]
-    for i in np.flatnonzero(nonfinite[used]).tolist():
-        values[i] = _Literal(_encode(values[i], 0))  # NaN, Infinity
+    status_text = {}  # status items -> their JSON, shared by every chunk
+    for lo in range(0, n, pose_io.CHUNK_FRAMES):
+        hi = min(lo + pose_io.CHUNK_FRAMES, n)
+        frames = seq.frame_index[lo:hi].tolist()
+        present, timed = all_present[lo:hi], all_timed[lo:hi]
+        status_items = [tuple(by_frame.get(f, unknown).items())
+                        for f in frames]
+        for items in set(status_items).difference(status_text):
+            status_text[items] = _encode(dict(items), 2)
+        # Per frame: frame, status, x, y, visibility per landmark, time.
+        floats = np.concatenate(
+            (seq.keypoints[lo:hi, _SORTED_KEYPOINTS].reshape(hi - lo, -1),
+             seq.time_s[lo:hi, None]), axis=1)
+        cells = np.empty((hi - lo, 2 + floats.shape[1]), dtype=object)
+        cells[:, 0] = frames
+        cells[:, 1] = [status_text[items] for items in status_items]
+        cells[:, 2:] = floats
+        used = np.ones(cells.shape, dtype=bool)
+        used[:, 2:-1] = np.repeat(present[:, _SORTED_KEYPOINTS], 3, axis=1)
+        used[:, -1] = timed
+        nonfinite = np.zeros(cells.shape, dtype=bool)
+        nonfinite[:, 2:] = ~np.isfinite(floats)
+        values = cells[used]
+        for i in np.flatnonzero(nonfinite[used]).tolist():
+            values[i] = _Literal(_encode(values[i], 0))  # NaN, Infinity
+        templates = map(_record_template, map(tuple, present.tolist()),
+                        timed.tolist())
+        text = ",\n ".join(templates) % tuple(values)
+        yield (("[\n " if lo == 0 else ",\n ") + text).encode()
+    yield b"\n]\n"
 
-    templates = map(_record_template, map(tuple, present.tolist()),
-                    timed.tolist())
-    text = "[\n " + ",\n ".join(templates) + "\n]\n"
-    return (text % tuple(values)).encode()
+
+def overlay_json(seq: PoseSequence, statuses: List[FrameStatus],
+                 joint_order: Sequence[str] = JOINT_NAMES) -> bytes:
+    """The whole overlay document: ``overlay_chunks`` joined."""
+    return b"".join(overlay_chunks(seq, statuses, joint_order))
 
 
 def annotate_frames(seq: PoseSequence,

@@ -19,10 +19,11 @@ safe to share across threads.  Serializers emit floats at full precision
 A keypoint sequence is held as arrays, not one object per sample: a
 ``PoseSequence`` carries ``frame_index`` ``(n,)``, ``time_s`` ``(n,)`` and
 ``keypoints`` ``(n, 16, 3)``, NaN where a time or a landmark is absent.
-``parse_pose_sequence`` decodes every line, then checks the numbers of the
-whole video as one array; it re-checks record by record only to name the
-first invalid value and its line.  ``PoseSequence.frames`` builds the
-per-frame ``KeypointFrame`` objects on demand.
+``parse_pose_sequence`` decodes the lines ``CHUNK_FRAMES`` at a time and
+checks the numbers of each chunk as one array; it re-checks record by
+record only to name the first invalid value and its line.
+``PoseSequence.frames`` builds the per-frame ``KeypointFrame`` objects on
+demand.
 
 Every JSON document is written by ``_dump``, whose bytes are exactly
 ``json.dumps(doc, sort_keys=True, indent=1) + "\n"``.  The standard
@@ -69,6 +70,14 @@ CYCLE_LABELS: Tuple[str, ...] = ("typical", "atypical")
 # How a cycle's phase grid maps to frames: linear in frame index, or in
 # the frames' ``time_s``.
 PHASE_SOURCES: Tuple[str, ...] = ("frames", "time")
+
+# Frames per chunk wherever a whole video's records are handled a piece at
+# a time: keypoint lines decoded and checked here, overlay records written
+# by ``figures.overlay_chunks``.  Large enough that each chunk's array
+# operations and ``%`` formatting amortize their per-call cost, small
+# enough that a chunk's JSON objects and strings stay a few MB whatever
+# the length of the video.  The bytes do not depend on it.
+CHUNK_FRAMES = 512
 
 NORM_MODEL_SCHEMA = "gaitnorm/1"
 CYCLES_SCHEMA = "gaitnorm-cycles/1"
@@ -237,29 +246,30 @@ def parse_pose_sequence(data: bytes, strict: bool = False, *,
     Frames arriving out of order are sorted (with a warning); duplicate
     frame indices are rejected.
 
-    Every line is decoded first; then the numbers of the whole video are
-    checked at once, as one array.  Only when that check fails are the
-    records checked one by one, which names the first bad value and its
-    line.
+    Lines are decoded ``CHUNK_FRAMES`` at a time, and the numbers of each
+    chunk are checked at once, as one array.  Only when that check fails
+    are the records checked one by one, from the first line, which names
+    the first bad value and its line.  Unknown-name warnings are logged
+    once every chunk has passed, in line order.
 
     The line format carries no video identity or frame rate, so callers
     supply ``video_id`` and ``fps``.
     """
     lines = [(lineno, line) for lineno, raw
              in enumerate(data.splitlines(), start=1) if (line := raw.strip())]
-    columns = _columns([line for _, line in lines], strict)
-    if columns is None:
-        for lineno, line in lines:
-            try:
-                record = _load_json(line, "record")
-                if not isinstance(record, dict):
-                    raise ValidationError(
-                        "malformed record: not a JSON object")
-                _check_record(record, strict)
-            except ValidationError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from exc
-        raise AssertionError("the array check rejected valid records")
-    frame_index, time_s, keypoints = columns
+    chunks, skipped = [], []
+    # An empty file is one empty chunk.
+    for start in range(0, len(lines), CHUNK_FRAMES) or [0]:
+        columns = _columns([line for _, line in
+                            lines[start:start + CHUNK_FRAMES]], strict)
+        if columns is None:
+            _raise_first_error(lines, strict)
+        chunks.append(columns[:3])
+        skipped += columns[3]
+    for frame, name in skipped:
+        logger.warning("frame %d: skipping unknown keypoint name %r",
+                       frame, name)
+    frame_index, time_s, keypoints = map(np.concatenate, zip(*chunks))
 
     if len(frame_index) < 2:
         raise ValidationError(
@@ -278,13 +288,29 @@ def parse_pose_sequence(data: bytes, strict: bool = False, *,
                         time_s=time_s, keypoints=keypoints)
 
 
-def _columns(lines: List[bytes], strict: bool):
-    """``(frame_index, time_s, keypoints)`` arrays of the records on
-    ``lines``, or None when any record is invalid.
+def _raise_first_error(lines: List[Tuple[int, bytes]], strict: bool):
+    """Check (line number, line) records one by one and raise the first
+    invalid value's error, naming its line."""
+    for lineno, line in lines:
+        try:
+            record = _load_json(line, "record")
+            if not isinstance(record, dict):
+                raise ValidationError("malformed record: not a JSON object")
+            _check_record(record, strict)
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from exc
+    raise AssertionError("the array check rejected valid records")
 
-    The checks run over the whole video: exact types per list (so bool,
-    an int subclass, is rejected), one float64 array of every number, one
-    ``isfinite`` and one visibility range comparison.
+
+def _columns(lines: List[bytes], strict: bool):
+    """``(frame_index, time_s, keypoints, skipped)`` of the records on
+    ``lines``, or None when any record is invalid: three arrays, and the
+    (frame, name) pairs of unknown landmark names, in line order, that
+    the caller warns about.
+
+    The checks run over all ``lines`` at once: exact types per list (so
+    bool, an int subclass, is rejected), one float64 array of every
+    number, one ``isfinite`` and one visibility range comparison.
     """
     try:
         records = list(map(json.loads, lines))
@@ -329,17 +355,14 @@ def _columns(lines: List[bytes], strict: bool):
             and ((xyv[:, 2] >= 0.0) & (xyv[:, 2] <= 1.0)).all()):
         return None
 
-    if not known.all():
-        for frame, layout in zip(frames, layouts):
-            for name, col in zip(layout, column[layout]):
-                if col < 0:
-                    logger.warning("frame %d: skipping unknown keypoint "
-                                   "name %r", frame, name)
+    skipped = [] if known.all() else [
+        (frame, name) for frame, layout in zip(frames, layouts)
+        for name, col in zip(layout, column[layout]) if col < 0]
     keypoints = np.full((len(docs), len(KEYPOINT_NAMES), 3), np.nan)
     keypoints[rows, cols] = xyv
     time_s = np.full(len(docs), np.nan)
     time_s[timed] = values[3 * len(entries):]
-    return frame_index, time_s, keypoints
+    return frame_index, time_s, keypoints, skipped
 
 
 def _check_record(record: dict, strict: bool) -> None:

@@ -222,6 +222,29 @@ def reference_frame_statuses(seq_cycles, frames, grid_points,
     return out
 
 
+def reference_report(cycle, model, cfg=None, joint_order=JOINT_NAMES):
+    """z, flag, severity and flagged fraction per valid joint, and the
+    unknown joints, one joint and one grid sample at a time in Python
+    floats: ``(angle - mean) / max(std, floor)``, ``|z| > k``,
+    ``min(|z|, clip) / clip`` and the count of flags over the grid."""
+    cfg = cfg or DetectionConfig()
+    out = {"z": {}, "flag": {}, "severity": {}, "flagged_fraction": {}}
+    for joint, angles in cycle.angles.items():
+        if not cycle.valid.get(joint, False):
+            continue
+        normals = model.joints[joint]
+        z = [(a - m) / max(s, cfg.sigma_floor_deg) for a, m, s in
+             zip(angles.tolist(), normals.mean.tolist(), normals.std.tolist())]
+        flags = [abs(v) > cfg.k for v in z]
+        out["z"][joint] = np.array(z)
+        out["flag"][joint] = np.array(flags)
+        out["severity"][joint] = np.array(
+            [min(abs(v), cfg.severity_clip) / cfg.severity_clip for v in z])
+        out["flagged_fraction"][joint] = sum(flags) / len(flags)
+    out["unknown_joints"] = [j for j in joint_order if j not in out["z"]]
+    return out
+
+
 def reference_spline_values(knot_x, knot_y, t) -> np.ndarray:
     """One natural cubic spline through (knot_x, knot_y), evaluated at the
     array ``t``: a scalar Thomas sweep over one right-hand side and one

@@ -16,7 +16,8 @@ import pytest
 
 from gaitnorm.detect import frame_statuses
 from gaitnorm.errors import ValidationError
-from gaitnorm.figures import annotate_frames, overlay_json
+from gaitnorm import pose_io
+from gaitnorm.figures import annotate_frames, overlay_chunks, overlay_json
 from gaitnorm.kinematics import JOINT_NAMES, JointDefinition, angle_series
 from gaitnorm.pose_io import (KEYPOINT_NAMES, Keypoint, KeypointFrame, Point2D,
                               PoseSequence, _dump, parse_annotation_document,
@@ -286,6 +287,89 @@ class TestOverlayEqualsReference:
 
     def test_empty_sequence(self):
         assert overlay_json(PoseSequence("v"), []) == _dump([])
+
+
+class TestChunks:
+    """Keypoint lines are parsed, and the overlay document written,
+    ``pose_io.CHUNK_FRAMES`` frames at a time; the results must not
+    depend on the chunk size."""
+
+    @staticmethod
+    def _sizes(n):
+        return [1, 7, n - 1, n, n + 1]
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_overlay_equals_reference_at_every_chunk_size(self, monkeypatch,
+                                                          seed):
+        seq, annotations = _occluded_walker(seed)
+        assert not seq.present().all() and np.isnan(seq.time_s).any()
+        statuses = _statuses(seq, annotations, seed)
+        assert any(set(s.status.values()) == {"unknown"} for s in statuses)
+        expected = _dump(reference_overlay_records(seq.frames, statuses))
+        n = len(seq.frame_index)
+        for size in self._sizes(n):
+            monkeypatch.setattr(pose_io, "CHUNK_FRAMES", size)
+            chunks = list(overlay_chunks(seq, statuses))
+            assert len(chunks) == -(-n // size) + 1
+            assert b"".join(chunks) == expected
+            assert overlay_json(seq, statuses) == expected
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_parse_equals_reference_at_every_chunk_size(self, monkeypatch,
+                                                        seed, caplog):
+        data = _random_keypoint_file(seed)
+        with caplog.at_level(logging.WARNING, logger="gaitnorm.pose_io"):
+            expected = reference_frames(data)
+            warnings = [r.getMessage() for r in caplog.records]
+            n = len(expected)
+            for size in self._sizes(n):
+                monkeypatch.setattr(pose_io, "CHUNK_FRAMES", size)
+                caplog.clear()
+                seq = parse_pose_sequence(data)
+                assert _exact(seq.frames) == _exact(expected)
+                assert [r.getMessage() for r in caplog.records] == warnings
+
+    @staticmethod
+    def _unknown(frame):
+        return ('{"frame": %d, "keypoints": {"nose": [1, 2, 1], '
+                '"left_knee": [1.0, 2.0, 0.5], "ear": [0, 0, 0]}}' % frame)
+
+    def _parse_logged(self, data):
+        """(error or None, warnings) of one parse."""
+        handler = logging.Handler()
+        handler.emit = lambda record: logged.append(record.getMessage())
+        logged = []
+        logger = logging.getLogger("gaitnorm.pose_io")
+        logger.addHandler(handler)
+        try:
+            parse_pose_sequence(data)
+            return None, logged
+        except ValidationError as exc:
+            return str(exc), logged
+        finally:
+            logger.removeHandler(handler)
+
+    def test_bad_record_in_a_later_chunk(self, monkeypatch):
+        data = _file(*[self._unknown(f) for f in range(5)],
+                     MALFORMED["unknown-then-bad"].replace("1", "5", 1),
+                     GOOD % 9)
+        whole = self._parse_logged(data)
+        assert whole[0] == ("line 6: visibility out of range for "
+                            "'left_knee': 7.0 (must be in [0, 1])")
+        assert len(whole[1]) == len(set(whole[1])) == 11
+        for size in (2, 3, 5):  # the bad record in the second or third
+            monkeypatch.setattr(pose_io, "CHUNK_FRAMES", size)
+            assert self._parse_logged(data) == whole
+
+    def test_warnings_keep_frame_order_across_chunks(self, monkeypatch):
+        data = _file(*[self._unknown(f) if f % 3 else GOOD % f
+                       for f in range(12)])
+        monkeypatch.setattr(pose_io, "CHUNK_FRAMES", 4)
+        error, logged = self._parse_logged(data)
+        assert error is None
+        assert logged == [f"frame {f}: skipping unknown keypoint name {n!r}"
+                          for f in range(12) if f % 3
+                          for n in ("nose", "ear")]
 
 
 class TestPoseSequence:

@@ -7,9 +7,11 @@ from gaitnorm import (CycleAnnotation, DetectionConfig, NormalizedCycle,
                       z_scores)
 from gaitnorm.detect import (STATUS_ABNORMAL, STATUS_NORMAL, STATUS_UNKNOWN)
 from gaitnorm.kinematics import JOINT_NAMES
-from gaitnorm.normative import JointNormals, NormativeModel
+from gaitnorm.normative import (JointNormals, NormativeModel,
+                                build_normative_model)
+from gaitnorm.synth import demo_profiles, generate_cohort
 
-from helpers import reference_frame_statuses
+from helpers import reference_frame_statuses, reference_report
 
 
 def _model(mean=60.0, std=5.0, joints=("left_knee",), grid=5):
@@ -283,3 +285,59 @@ class TestConfigAndReport:
         np.testing.assert_allclose(report.severity["left_knee"], 1.2 / 3.0)
         assert report.video_id == "v"
         assert report.grid_points == 4
+
+
+class TestReportEqualsPerJointReference:
+    """``build_report`` scores every joint of a cycle as one array; the
+    reference scores one joint and one sample at a time."""
+
+    def _assert_equal(self, cycle, model, cfg):
+        report = build_report(cycle, model, cfg)
+        expected = reference_report(cycle, model, cfg)
+        for field in ("z", "flag", "severity"):
+            got = getattr(report, field)
+            assert list(got) == list(expected[field])
+            for joint, values in expected[field].items():
+                assert got[joint].dtype == values.dtype
+                assert got[joint].tobytes() == values.tobytes()
+        assert report.flagged_fraction == expected["flagged_fraction"]
+        assert report.unknown_joints == expected["unknown_joints"]
+        return report
+
+    @pytest.mark.parametrize("cfg", [
+        DetectionConfig(), DetectionConfig(2.5, 0.0, 1.5),
+        DetectionConfig(0.5, 4.0, 10.0)])
+    def test_synthetic_cohort(self, cfg):
+        cycles = generate_cohort(demo_profiles(), 60, seed=4)
+        model = build_normative_model(cycles[:30], cycles[0].grid_points)
+        for cycle in cycles:
+            self._assert_equal(cycle, model, cfg)
+
+    def test_floor_exact_threshold_and_invalid_joints(self):
+        grid, rng = 101, np.random.default_rng(8)
+        cfg = DetectionConfig(k=2.0, sigma_floor_deg=0.5)
+        # Whole-degree means and SDs of a few binary fractions, some below
+        # the floor, so mean +/- k * max(SD, floor) is exactly k SDs away.
+        model = NormativeModel(
+            grid_points=grid, std_kind="sample",
+            joints={j: JointNormals(
+                np.round(rng.uniform(20.0, 160.0, grid)),
+                rng.choice([0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0], grid), 12)
+                for j in JOINT_NAMES},
+            provenance=[])
+        angles, valid = {}, {}
+        for j, normals in model.joints.items():
+            sigma = np.maximum(normals.std, cfg.sigma_floor_deg)
+            angles[j] = normals.mean + rng.choice([-1.0, 1.0], grid) * (
+                cfg.k * sigma)
+            angles[j][::3] += rng.normal(0.0, 3.0, len(angles[j][::3]))
+            valid[j] = j not in ("right_elbow", "left_ankle")
+            if not valid[j]:
+                angles[j][:] = np.nan
+        cycle = NormalizedCycle("typical", grid, angles, valid, "c0")
+        report = self._assert_equal(cycle, model, cfg)
+        z = np.concatenate(list(report.z.values()))
+        at_k = np.abs(z) == cfg.k  # exactly at k: within the band
+        assert at_k.sum() > 400
+        assert not np.concatenate(list(report.flag.values()))[at_k].any()
+        assert report.unknown_joints == ["right_elbow", "left_ankle"]

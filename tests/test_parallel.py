@@ -1,10 +1,12 @@
 """Per-cycle jobs on a fork pool: same bytes and same failures as in-process.
 
-``detect`` and ``run`` hand each cycle's report (and, under ``run``, its
-multi-joint panel and heatmap) to ``cli._map_cycles``, which runs them on
-one forked worker per usable CPU, when each worker gets at least
-``cli._MIN_CYCLES_PER_WORKER`` cycles.  Pinning ``cli._cpus`` to 1 runs
-the same jobs in this process; pinning it to 3 forks workers on any host.
+``detect`` and ``run`` score every cycle in this process, then hand the
+writing of each cycle's report (and, under ``run``, its multi-joint panel
+and heatmap) to ``cli._map_cycles``, which runs them on one forked worker
+per usable CPU, when each worker gets at least
+``cli._MIN_CYCLES_PER_WORKER`` cycles, while this process writes the band
+plots and the overlay.  Pinning ``cli._cpus`` to 1 runs the same jobs in
+this process; pinning it to 3 forks workers on any host.
 """
 
 import os
@@ -20,7 +22,8 @@ from gaitnorm.cli import main
 from gaitnorm.errors import ValidationError
 from gaitnorm.pose_io import (save_cycles, serialize_annotations,
                               serialize_pose_sequence)
-from gaitnorm.synth import demo_profiles, generate_cohort
+from gaitnorm.synth import (demo_profiles, generate_cohort,
+                            generate_pose_sequence)
 
 from helpers import occluded_walker
 
@@ -50,16 +53,16 @@ def _files(out_dir):
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
 
-def _recording_pids(monkeypatch, log):
-    """Wrap ``cli.build_report`` so every call appends its process id."""
-    real = cli.build_report
+def _recording_pids(monkeypatch, log, name="save_report"):
+    """Wrap ``cli.<name>`` so every call appends its process id."""
+    real = getattr(cli, name)
 
     def recording(*args, **kwargs):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_report", recording)
+    monkeypatch.setattr(cli, name, recording)
 
 
 def _pids(log):
@@ -94,6 +97,8 @@ def test_detect_writes_the_same_bytes_on_one_or_many_cpus(
         monkeypatch.setattr(cli, "_cpus", lambda cpus=cpus: cpus)
         log = tmp_path / f"pids{cpus}"
         _recording_pids(monkeypatch, log)
+        scored = tmp_path / f"scored{cpus}"
+        _recording_pids(monkeypatch, scored, "build_report")
         out_dir = tmp_path / f"out{cpus}"
         assert _detect(cycles_path, model_path, out_dir) == 0
         outputs[cpus] = _files(out_dir)
@@ -101,8 +106,10 @@ def test_detect_writes_the_same_bytes_on_one_or_many_cpus(
         assert len(pids) == 40
         if cpus == SERIAL:
             assert set(pids) == {str(os.getpid())}
-        else:  # every report was built in a forked worker
+        else:  # every report was written in a forked worker
             assert str(os.getpid()) not in pids and len(set(pids)) > 1
+        # and every cycle was scored in this process, before the pool
+        assert _pids(scored) == [str(os.getpid())] * 40
         monkeypatch.undo()
     assert len(outputs[SERIAL]) == 40
     assert outputs[SERIAL] == outputs[PARALLEL]
@@ -178,18 +185,106 @@ def test_unwritable_report_path_exits_2_with_the_serial_message(
                    "'OUT/demo.c5.report.json'\n")
 
 
+@pytest.fixture
+def walk(tmp_path):
+    """Keypoint and annotation files of a 40-cycle walk."""
+    seq, annotations = generate_pose_sequence(n_cycles=40,
+                                              frames_per_cycle=20, seed=3)
+    kp_path = tmp_path / "walk.keypoints.jsonl"
+    ann_path = tmp_path / "walk.cycles.json"
+    kp_path.write_bytes(serialize_pose_sequence(seq))
+    ann_path.write_bytes(serialize_annotations(seq.video_id, annotations))
+    return kp_path, ann_path
+
+
+@pytest.mark.parametrize("cpus", [SERIAL, PARALLEL])
+@pytest.mark.parametrize("command", ["detect", "run"])
+def test_a_scoring_error_writes_nothing(tmp_path, monkeypatch, capsys,
+                                        cohort, walk, command, cpus):
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    real, calls = cli.build_report, []
+
+    def failing(cycle, *args, **kwargs):
+        calls.append(cycle.cycle_id)
+        if len(calls) == 8:
+            raise ValidationError(f"cycle {cycle.cycle_id} is bad")
+        return real(cycle, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_report", failing)
+    out_dir = tmp_path / "out"
+    if command == "detect":
+        rc = _detect(cohort[1], cohort[2], out_dir)
+    else:
+        rc = main(["run", "--keypoints", str(walk[0]), "--annotations",
+                   str(walk[1]), "--out-dir", str(out_dir)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"gaitnorm: validation error: cycle "
+                                       f"{calls[7]} is bad\n")
+    assert not out_dir.exists()
+
+
+def test_lowest_failing_write_raises_the_serial_validation_error(
+        tmp_path, monkeypatch, capsys, cohort):
+    cycles = cohort[0]
+    bad = {cycles[7].cycle_id, cycles[33].cycle_id}
+    real = cli.save_report
+
+    def failing(report, *args, **kwargs):
+        if report.cycle_id in bad:
+            raise ValidationError(f"report {report.cycle_id} is bad")
+        return real(report, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "save_report", failing)
+    results = [_failing_detect(tmp_path, monkeypatch, capsys, cohort, cpus,
+                               lambda out_dir: None)
+               for cpus in (SERIAL, PARALLEL)]
+    expected = (f"gaitnorm: validation error: report {cycles[7].cycle_id} "
+                f"is bad\n")
+    assert results == [(1, expected)] * 2
+
+
+@pytest.mark.parametrize("cpus,forked", [(1, False), (2, True)])
+def test_meanwhile_runs_in_the_parent(monkeypatch, cpus, forked):
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    n, parent = 2 * cli._MIN_CYCLES_PER_WORKER, os.getpid()
+    ran = []
+    pids = cli._map_cycles(lambda i: os.getpid(), n,
+                           lambda: ran.append(os.getpid()))
+    assert ran == [parent]
+    assert (parent not in pids) is forked
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failing_cycle_outranks_a_failing_meanwhile(monkeypatch, cpus):
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+
+    def job(i):
+        if i in (9, 20):
+            raise ValidationError(f"cycle {i}")
+        return i
+
+    def meanwhile():
+        raise OSError("meanwhile")
+
+    n = 2 * cli._MIN_CYCLES_PER_WORKER
+    with pytest.raises(ValidationError, match="^cycle 9$"):
+        cli._map_cycles(job, n, meanwhile)
+    with pytest.raises(OSError, match="^meanwhile$"):
+        cli._map_cycles(lambda i: i, n, meanwhile)
+
+
 KILLED_WORKER = textwrap.dedent("""
     import os, signal, sys
     from gaitnorm import cli
 
-    parent, real = os.getpid(), cli.build_report
+    parent, real = os.getpid(), cli.save_report
 
-    def dying(cycle, *args, **kwargs):
-        if os.getpid() != parent and cycle.cycle_id == sys.argv[1]:
+    def dying(report, *args, **kwargs):
+        if os.getpid() != parent and report.cycle_id == sys.argv[1]:
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(cycle, *args, **kwargs)
+        return real(report, *args, **kwargs)
 
-    cli.build_report = dying
+    cli.save_report = dying
     cli._cpus = lambda: 2
     sys.exit(cli.main(sys.argv[2:]))
 """)
