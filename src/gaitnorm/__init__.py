@@ -9,15 +9,14 @@ score and visualize per-joint deviations of analyzed cycles.
 
 from .cycles import (CycleSlice, NormalizedCycle, resample_cycle,
                      segment_cycles)
-from .detect import (DetectionConfig, DeviationReport, FrameStatus,
-                     build_report, flag_abnormal, frame_statuses,
-                     severity_matrix, severity_values, z_scores)
+from .detect import (DetectionConfig, DeviationReport, build_report,
+                     frame_statuses, severity_matrix, severity_values)
 from .errors import DegenerateGeometryError, GaitNormError, ValidationError
 from .figures import (FigureDoc, annotate_frames, render_band_plot,
                       render_heatmap, render_multi_joint, write_figure)
 from .kinematics import (JOINT_NAMES, AngleSample, AngleSeries,
-                         JointDefinition, angle_series, angle_series_set,
-                         joint_angle, standard_joint_set)
+                         JointDefinition, angle_series_set, joint_angle,
+                         standard_joint_set)
 from .normative import (JointNormals, NormativeModel, build_normative_model,
                         model_summary)
 from .pose_io import (KEYPOINT_NAMES, CycleAnnotation, Keypoint,
@@ -30,23 +29,23 @@ from .synth import (AbnormalitySpec, JointProfile, demo_profiles,
                     generate_cohort, generate_cycle, generate_pose_sequence,
                     inject_abnormality, noise_free_curve)
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "AbnormalitySpec", "AngleSample", "AngleSeries", "CycleAnnotation",
     "CycleSlice", "DegenerateGeometryError", "DetectionConfig",
-    "DeviationReport", "FigureDoc", "FrameStatus", "GaitNormError",
-    "JOINT_NAMES", "JointDefinition", "JointNormals", "JointProfile",
-    "KEYPOINT_NAMES", "Keypoint", "KeypointFrame", "NormalizedCycle",
-    "NormativeModel", "Point2D", "PoseSequence", "SplineCoefficients",
-    "ValidationError", "angle_series", "angle_series_set", "annotate_frames",
-    "build_normative_model", "build_report", "demo_profiles", "eval_spline",
-    "fit_natural_cubic", "flag_abnormal", "frame_statuses", "generate_cohort",
-    "generate_cycle", "generate_pose_sequence", "inject_abnormality",
-    "joint_angle", "load_cycles", "load_norm_model", "load_report",
-    "model_summary", "noise_free_curve", "parse_annotation_document",
-    "parse_pose_sequence", "render_band_plot",
-    "render_heatmap", "render_multi_joint", "resample_cycle", "save_cycles",
-    "save_norm_model", "save_report", "segment_cycles", "severity_matrix",
-    "severity_values", "standard_joint_set", "write_figure", "z_scores",
+    "DeviationReport", "FigureDoc", "GaitNormError", "JOINT_NAMES",
+    "JointDefinition", "JointNormals", "JointProfile", "KEYPOINT_NAMES",
+    "Keypoint", "KeypointFrame", "NormalizedCycle", "NormativeModel",
+    "Point2D", "PoseSequence", "SplineCoefficients", "ValidationError",
+    "angle_series_set", "annotate_frames", "build_normative_model",
+    "build_report", "demo_profiles", "eval_spline", "fit_natural_cubic",
+    "frame_statuses", "generate_cohort", "generate_cycle",
+    "generate_pose_sequence", "inject_abnormality", "joint_angle",
+    "load_cycles", "load_norm_model", "load_report", "model_summary",
+    "noise_free_curve", "parse_annotation_document", "parse_pose_sequence",
+    "render_band_plot", "render_heatmap", "render_multi_joint",
+    "resample_cycle", "save_cycles", "save_norm_model", "save_report",
+    "segment_cycles", "severity_matrix", "severity_values",
+    "standard_joint_set", "write_figure",
 ]

@@ -15,9 +15,10 @@ is written once, and every subcommand is a slice of the stages::
     _overlays       per-frame skeleton status records    figures, run
 
 ``angles`` stops at the angle series and ``synth`` writes a synthetic
-cohort.  ``run`` composes every stage.  Its model step needs two typical
-cycles of the video; ``build-norm`` keeps its own, which needs one and
-drops atypical cycles with a warning.
+cohort.  ``run`` composes every stage.  Its model step uses the video's
+typical cycles; ``build-norm`` drops atypical cycles with a warning.
+Both build with ``build_normative_model``, which needs a joint valid in
+two of them.
 
 ``detect`` and ``run`` score every cycle in the parent, and ``run`` also
 maps every frame's status, before ``--out-dir`` is made, so a cycle that
@@ -44,7 +45,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -106,9 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
     std_kind = _flags()
     std_kind.add_argument("--std-kind", choices=STD_KINDS,
                           default=STD_KINDS[0])
-    detection, defaults = _flags(), DetectionConfig()
-    detection.add_argument("--k", type=float, default=defaults.k,
-                           help="SD multiplier for the abnormality threshold")
+    k, defaults = _flags(), DetectionConfig()
+    k.add_argument("--k", type=float, default=defaults.k,
+                   help="SD multiplier for the abnormality threshold")
+    detection = _flags(k)
     detection.add_argument("--sigma-floor-deg", type=float,
                            default=defaults.sigma_floor_deg,
                            help="lower bound on the SD used in z-scores")
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", required=True)
     p.add_argument("--model", required=True)
 
-    p = command("figures", cmd_figures, [out_dir, video, detection],
+    p = command("figures", cmd_figures, [out_dir, video, k],
                 "render band plots, multi-joint panels, heatmap")
     p.add_argument("--model", required=True)
     p.add_argument("--report", help="deviation report to overlay / render")
@@ -324,23 +325,10 @@ def _map_cycles(job, n, meanwhile=lambda: None):
 
 def _score(annotated_cycles, model, cfg, video_id, phase_source="frames"):
     """Score each (annotation or None, cycle) pair, in cycle order, into
-    (report, cycle) pairs.  Valid joints the model cannot score are
-    reported unknown: never silently dropped, never normal without a
-    band."""
-    scored = []
-    for annotation, cycle in annotated_cycles:
-        missing = sorted(j for j, ok in cycle.valid.items()
-                         if ok and j not in model.joints)
-        if missing:
-            logger.warning("cycle %s: joint(s) %s absent from the model; "
-                           "reporting them unknown", cycle.cycle_id,
-                           ", ".join(missing))
-            cycle = replace(cycle, valid={j: ok and j in model.joints
-                                          for j, ok in cycle.valid.items()})
-        scored.append((build_report(cycle, model, cfg, video_id=video_id,
-                                    annotation=annotation,
-                                    phase_source=phase_source), cycle))
-    return scored
+    (report, cycle) pairs."""
+    return [(build_report(cycle, model, cfg, video_id=video_id,
+                          annotation=annotation, phase_source=phase_source),
+             cycle) for annotation, cycle in annotated_cycles]
 
 
 def _write_cycles(scored, model, cfg, prefix, figures=False,
@@ -394,7 +382,7 @@ def _cycle_figures(report, cycle, model, cfg, prefix):
                         figs.render_multi_joint(report.flag, cycle, model,
                                                 cfg)))
     outputs.append((f"{prefix}.heatmap.svg",
-                    figs.render_heatmap(severity_matrix(report.z, cfg))))
+                    figs.render_heatmap(severity_matrix(report))))
     return outputs
 
 
@@ -433,10 +421,10 @@ def cmd_build_norm(args) -> int:
     if dropped:
         logger.warning("ignoring %d atypical cycle(s) for the normative "
                        "cohort", dropped)
-    if not typical:
-        raise ValidationError("no typical cycles in input; cannot build a "
-                              "normative model")
-    model = build_normative_model(typical, grid_points=typical[0].grid_points,
+    # One file holds one grid; with no typical cycle the model is refused
+    # whatever the grid.
+    grid_points = typical[0].grid_points if typical else 0
+    model = build_normative_model(typical, grid_points=grid_points,
                                   std_kind=args.std_kind)
     Path(args.out).write_bytes(save_norm_model(model))
     summary = model_summary(model)
@@ -463,7 +451,7 @@ def cmd_detect(args) -> int:
 
 def cmd_figures(args) -> int:
     model = load_norm_model(Path(args.model).read_bytes())
-    cfg = _detection_config(args)
+    cfg = DetectionConfig(args.k)
 
     report = None
     if args.report:
@@ -516,10 +504,6 @@ def cmd_run(args) -> int:
         model = load_norm_model(Path(args.model).read_bytes())
     else:
         typical = [c for _, c in pairs if c.label == "typical"]
-        if len(typical) < 2:
-            raise ValidationError(
-                f"cannot build a normative model from {len(typical)} typical "
-                f"cycle(s); pass --model or annotate more typical cycles")
         model = build_normative_model(typical, grid_points=args.grid_points,
                                       std_kind=args.std_kind)
         outputs.append((f"{prefix}.model.json", save_norm_model(model)))

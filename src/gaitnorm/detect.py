@@ -12,6 +12,7 @@ from dividing deviations by ~0; sub-half-degree precision is beyond what
 2D pose estimates deliver anyway.
 """
 
+import logging
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -22,6 +23,8 @@ from .errors import ValidationError
 from .kinematics import JOINT_NAMES
 from .normative import NormativeModel
 from .pose_io import CycleAnnotation
+
+logger = logging.getLogger(__name__)
 
 STATUS_NORMAL = "normal"
 STATUS_ABNORMAL = "abnormal"
@@ -54,11 +57,11 @@ class DetectionConfig:
 class DeviationReport:
     """Deviation of one analyzed cycle from the normative model.
 
-    Joints that were invalid in the analyzed cycle appear in
-    ``unknown_joints`` rather than in the per-joint arrays: unknown is
-    never silently reported as normal.  ``phase_source`` names the rule
-    that mapped the cycle's frames to its phase grid (see
-    ``frame_statuses``).
+    Joints that were invalid in the analyzed cycle, or that the model
+    lacks, appear in ``unknown_joints`` rather than in the per-joint
+    arrays: unknown is never silently reported as normal.
+    ``phase_source`` names the rule that mapped the cycle's frames to its
+    phase grid (see ``frame_statuses``).
     """
 
     video_id: str
@@ -75,44 +78,6 @@ class DeviationReport:
     phase_source: str = "frames"
 
 
-def _z_rows(cycle: NormalizedCycle, model: NormativeModel,
-            cfg: DetectionConfig) -> Tuple[List[str], np.ndarray]:
-    """The valid joints of ``cycle`` in its order, and their z-scores as
-    one ``(joints, grid)`` array: each row is ``z_scores``'s array."""
-    if cycle.grid_points != model.grid_points:
-        raise ValidationError(
-            f"grid mismatch: cycle has {cycle.grid_points} points, model "
-            f"has {model.grid_points}")
-    joints = [j for j in cycle.angles if cycle.valid.get(j, False)]
-    absent = next((j for j in joints if j not in model.joints), None)
-    if absent is not None:
-        raise ValidationError(f"joint {absent!r} absent from model")
-    shape = (len(joints), model.grid_points)
-    angles = np.array([cycle.angles[j] for j in joints], float).reshape(shape)
-    mean = np.array([model.joints[j].mean for j in joints], float)
-    std = np.array([model.joints[j].std for j in joints], float)
-    sigma = np.maximum(std.reshape(shape), cfg.sigma_floor_deg)
-    return joints, (angles - mean.reshape(shape)) / sigma
-
-
-def z_scores(cycle: NormalizedCycle, model: NormativeModel,
-             cfg: Optional[DetectionConfig] = None) -> Dict[str, np.ndarray]:
-    """Signed per-grid-point z-scores for every valid joint of ``cycle``.
-
-    Raises on a grid size mismatch or when a valid joint of the cycle has
-    no entry in the model.
-    """
-    return dict(zip(*_z_rows(cycle, model, cfg or DetectionConfig())))
-
-
-def flag_abnormal(z_by_joint: Dict[str, np.ndarray],
-                  cfg: Optional[DetectionConfig] = None
-                  ) -> Dict[str, np.ndarray]:
-    """Boolean abnormality flags: ``|z| > k`` (strict inequality)."""
-    cfg = cfg or DetectionConfig()
-    return {joint: np.abs(z) > cfg.k for joint, z in z_by_joint.items()}
-
-
 def severity_values(z: np.ndarray,
                     cfg: Optional[DetectionConfig] = None) -> np.ndarray:
     """Map signed z-scores to severity in [0, 1]: ``min(|z|, clip)/clip``."""
@@ -120,37 +85,16 @@ def severity_values(z: np.ndarray,
     return np.minimum(np.abs(z), cfg.severity_clip) / cfg.severity_clip
 
 
-def severity_matrix(z_by_joint: Dict[str, np.ndarray],
-                    cfg: Optional[DetectionConfig] = None,
+def severity_matrix(report: DeviationReport,
                     joint_order: Sequence[str] = JOINT_NAMES) -> np.ndarray:
-    """Severity matrix, one row per joint of ``joint_order``.
-
-    Rows follow the canonical ten-joint order unless overridden.  Joints
-    missing from ``z_by_joint`` produce all-NaN rows so the shape stays
-    fixed for a full-joint analysis.
-    """
-    cfg = cfg or DetectionConfig()
-    lengths = {len(z) for z in z_by_joint.values()}
-    if len(lengths) > 1:
-        raise ValidationError(f"joints disagree on grid size: {sorted(lengths)}")
-    if not lengths:
-        raise ValidationError("no z-scores given")
-    grid = lengths.pop()
-    rows = []
-    for joint in joint_order:
-        if joint in z_by_joint:
-            rows.append(severity_values(z_by_joint[joint], cfg))
-        else:
-            rows.append(np.full(grid, np.nan))
-    return np.vstack(rows)
-
-
-@dataclass(frozen=True)
-class FrameStatus:
-    """Per-joint normal/abnormal/unknown status for one video frame."""
-
-    frame_index: int
-    status: Dict[str, str]
+    """The report's severity as a ``(len(joint_order), grid_points)``
+    matrix, one row per joint of ``joint_order``.  A joint with no
+    severity in the report (unknown, or not in the analysis) is an
+    all-NaN row, so the shape stays fixed even when every joint of the
+    cycle is unknown."""
+    blank = np.full(report.grid_points, np.nan)
+    return np.array([report.severity.get(j, blank) for j in joint_order],
+                    dtype=float).reshape(len(joint_order), report.grid_points)
 
 
 def frame_statuses(seq_cycles: Sequence[Tuple[CycleAnnotation, Dict[str, np.ndarray]]],
@@ -158,8 +102,10 @@ def frame_statuses(seq_cycles: Sequence[Tuple[CycleAnnotation, Dict[str, np.ndar
                    grid_points: int,
                    joint_order: Sequence[str] = JOINT_NAMES,
                    frame_times: Optional[Mapping[int, float]] = None,
-                   ) -> List[FrameStatus]:
-    """Map per-cycle grid flags back onto video frames.
+                   ) -> np.ndarray:
+    """Map per-cycle grid flags back onto video frames: an object array
+    of status strings, one row per frame of ``frames`` (in that order)
+    and one column per joint of ``joint_order``.
 
     Each frame inside an annotated cycle takes the flag at the nearest
     grid point of its phase; a frame on a shared boundary belongs to the
@@ -189,8 +135,7 @@ def frame_statuses(seq_cycles: Sequence[Tuple[CycleAnnotation, Dict[str, np.ndar
             for col, joint in enumerate(joint_order):
                 if joint in flags:
                     codes[at, col] = np.asarray(flags[joint])[g]
-    return [FrameStatus(f, dict(zip(joint_order, row)))
-            for f, row in zip(frames.tolist(), _STATUSES[codes].tolist())]
+    return _STATUSES[codes]
 
 
 def build_report(cycle: NormalizedCycle, model: NormativeModel,
@@ -200,13 +145,33 @@ def build_report(cycle: NormalizedCycle, model: NormativeModel,
                  annotation: Optional[CycleAnnotation] = None,
                  joint_order: Sequence[str] = JOINT_NAMES,
                  phase_source: str = "frames") -> DeviationReport:
-    """Run the full per-cycle comparison and bundle it into a report.
+    """Score one cycle against the model: the only place z-scores, flags
+    and severity are computed.
 
-    Every valid joint is scored in one ``(joints, grid)`` operation; each
-    per-joint array is one row of it, bit for bit what ``z_scores``,
-    ``flag_abnormal`` and ``severity_values`` give joint by joint."""
+    Every valid joint the model holds is scored in one ``(joints, grid)``
+    operation, and each per-joint array is one row of it.  A valid joint
+    absent from the model is logged and reported unknown, like an
+    invalid one: never silently dropped, never normal without a band.
+    Raises on a grid size mismatch.
+    """
     cfg = cfg or DetectionConfig()
-    joints, z = _z_rows(cycle, model, cfg)
+    if cycle.grid_points != model.grid_points:
+        raise ValidationError(
+            f"grid mismatch: cycle has {cycle.grid_points} points, model "
+            f"has {model.grid_points}")
+    valid = [j for j in cycle.angles if cycle.valid.get(j, False)]
+    absent = sorted(set(valid).difference(model.joints))
+    if absent:
+        logger.warning("cycle %s: joint(s) %s absent from the model; "
+                       "reporting them unknown", cycle.cycle_id,
+                       ", ".join(absent))
+    joints = [j for j in valid if j in model.joints]
+    shape = (len(joints), model.grid_points)
+    angles = np.array([cycle.angles[j] for j in joints], float).reshape(shape)
+    mean = np.array([model.joints[j].mean for j in joints], float)
+    std = np.array([model.joints[j].std for j in joints], float)
+    sigma = np.maximum(std.reshape(shape), cfg.sigma_floor_deg)
+    z = (angles - mean.reshape(shape)) / sigma
     flags = np.abs(z) > cfg.k
     severity = severity_values(z, cfg)
     unknown = [j for j in joint_order if j not in joints]

@@ -27,8 +27,8 @@ The overlay document is written by ``overlay_chunks`` straight from a
 a long video is streamed to its file in bounded memory: one ``%``
 template per (present landmarks, has a time), itself written by the
 package's JSON writer, filled with every value of a chunk in one ``%``
-operation.  ``overlay_json`` joins the chunks and ``annotate_frames``
-returns that document decoded, so there is one overlay format.
+operation.  ``annotate_frames`` returns the joined document decoded, so
+there is one overlay format.
 """
 
 import functools
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import pose_io
 from .cycles import NormalizedCycle
-from .detect import (STATUS_UNKNOWN, DetectionConfig, FrameStatus)
+from .detect import DetectionConfig
 from .errors import ValidationError
 from .kinematics import JOINT_NAMES
 from .normative import NormativeModel
@@ -393,44 +393,47 @@ def _record_template(present: Tuple[bool, ...], timed: bool) -> str:
     return text
 
 
-def overlay_chunks(seq: PoseSequence, statuses: List[FrameStatus],
+def overlay_chunks(seq: PoseSequence, statuses: np.ndarray,
                    joint_order: Sequence[str] = JOINT_NAMES
                    ) -> Iterator[bytes]:
     """The overlay document, ``pose_io.CHUNK_FRAMES`` frames at a time:
     per frame, the keypoint pixel positions, the skeleton edges whose
     endpoints are both present, and the per-joint status key
-    (normal/abnormal/unknown).  Frames without a status entry report every
-    joint unknown.
+    (normal/abnormal/unknown).  ``statuses`` holds one row per frame of
+    ``seq`` and one column per joint of ``joint_order``, as
+    ``detect.frame_statuses`` returns them.
 
     The joined bytes are ``_dump`` of ``annotate_frames``'s records,
     written from the arrays of ``seq``: one cached template per (present
-    landmarks, has a time) and one ``%`` over every value of a chunk.
-    Floats go through ``%r``, the ``float.__repr__`` the JSON encoder
-    uses.
+    landmarks, has a time), each distinct status row encoded once, and
+    one ``%`` over every value of a chunk.  Floats go through ``%r``, the
+    ``float.__repr__`` the JSON encoder uses.
     """
     n = len(seq.frame_index)
+    statuses = np.asarray(statuses, dtype=object)
+    if statuses.shape != (n, len(joint_order)):
+        raise ValidationError(
+            f"statuses must have shape {(n, len(joint_order))} (frames, "
+            f"joints), got {statuses.shape}")
     if n == 0:
         yield _dump([])
         return
     all_present, all_timed = seq.present(), ~np.isnan(seq.time_s)
-    by_frame = {s.frame_index: s.status for s in statuses}
-    unknown = {j: STATUS_UNKNOWN for j in joint_order}
-    status_text = {}  # status items -> their JSON, shared by every chunk
+    status_text = {}  # status row -> its JSON, shared by every chunk
     for lo in range(0, n, pose_io.CHUNK_FRAMES):
         hi = min(lo + pose_io.CHUNK_FRAMES, n)
         frames = seq.frame_index[lo:hi].tolist()
         present, timed = all_present[lo:hi], all_timed[lo:hi]
-        status_items = [tuple(by_frame.get(f, unknown).items())
-                        for f in frames]
-        for items in set(status_items).difference(status_text):
-            status_text[items] = _encode(dict(items), 2)
+        rows = list(map(tuple, statuses[lo:hi].tolist()))
+        for row in set(rows).difference(status_text):
+            status_text[row] = _encode(dict(zip(joint_order, row)), 2)
         # Per frame: frame, status, x, y, visibility per landmark, time.
         floats = np.concatenate(
             (seq.keypoints[lo:hi, _SORTED_KEYPOINTS].reshape(hi - lo, -1),
              seq.time_s[lo:hi, None]), axis=1)
         cells = np.empty((hi - lo, 2 + floats.shape[1]), dtype=object)
         cells[:, 0] = frames
-        cells[:, 1] = [status_text[items] for items in status_items]
+        cells[:, 1] = [status_text[row] for row in rows]
         cells[:, 2:] = floats
         used = np.ones(cells.shape, dtype=bool)
         used[:, 2:-1] = np.repeat(present[:, _SORTED_KEYPOINTS], 3, axis=1)
@@ -447,18 +450,11 @@ def overlay_chunks(seq: PoseSequence, statuses: List[FrameStatus],
     yield b"\n]\n"
 
 
-def overlay_json(seq: PoseSequence, statuses: List[FrameStatus],
-                 joint_order: Sequence[str] = JOINT_NAMES) -> bytes:
-    """The whole overlay document: ``overlay_chunks`` joined."""
-    return b"".join(overlay_chunks(seq, statuses, joint_order))
-
-
-def annotate_frames(seq: PoseSequence,
-                    statuses: List[FrameStatus],
+def annotate_frames(seq: PoseSequence, statuses: np.ndarray,
                     joint_order: Sequence[str] = JOINT_NAMES) -> List[dict]:
     """Per-frame overlay records for drawing skeletons over video: the
-    ``overlay_json`` document, decoded."""
-    return json.loads(overlay_json(seq, statuses, joint_order))
+    ``overlay_chunks`` document, decoded."""
+    return json.loads(b"".join(overlay_chunks(seq, statuses, joint_order)))
 
 
 def write_figure(doc: FigureDoc, svg_path) -> None:

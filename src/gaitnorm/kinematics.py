@@ -203,19 +203,13 @@ def _angle_columns(seq: PoseSequence, joints: Sequence[JointDefinition],
     return seq.frame_index, angles, reasons
 
 
-def angle_series(seq: PoseSequence, joint: JointDefinition,
-                 min_visibility: float = DEFAULT_MIN_VISIBILITY) -> AngleSeries:
-    """One angle sample per frame of ``seq`` for ``joint``; missing
-    samples carry their reason as described in ``_angle_columns``."""
-    return angle_series_set(seq, min_visibility, [joint])[joint.name]
-
-
 def angle_series_set(seq: PoseSequence,
                      min_visibility: float = DEFAULT_MIN_VISIBILITY,
                      joints: Optional[List[JointDefinition]] = None,
                      ) -> Dict[str, AngleSeries]:
     """Angle series for every joint of the standard set (or ``joints``),
-    each a column of one ``_angle_columns`` call."""
+    each a column of one ``_angle_columns`` call; missing samples carry
+    their reason as described there."""
     if joints is None:
         joints = standard_joint_set()
     frames, angles, reasons = _angle_columns(seq, joints, min_visibility)

@@ -81,10 +81,8 @@ def build_normative_model(cycles: List[NormalizedCycle],
     Every cycle must be labeled typical and share ``grid_points``.  A
     joint enters the model only when at least 2 cycles have valid data
     for it (the sample SD needs n >= 2); joints below that are omitted
-    with a warning.
+    with a warning, and a model with no joint left is refused.
     """
-    if not cycles:
-        raise ValidationError("cannot build a normative model from no cycles")
     if std_kind not in STD_KINDS:
         raise ValidationError(f"unknown std_kind {std_kind!r}; expected one "
                               f"of {STD_KINDS}")
@@ -114,6 +112,10 @@ def build_normative_model(cycles: List[NormalizedCycle],
             mean=arr.mean(axis=0),
             std=arr.std(axis=0, ddof=ddof),
             n_cycles=arr.shape[0])
+    if not joints:
+        raise ValidationError(
+            f"cannot build a normative model: no joint is valid in 2 or "
+            f"more of the {len(cycles)} typical cycle(s)")
 
     provenance = [c.cycle_id or "" for c in ordered]
     return NormativeModel(grid_points=grid_points, std_kind=std_kind,

@@ -403,14 +403,13 @@ def serialize_pose_sequence(seq: PoseSequence) -> bytes:
     """Inverse of ``parse_pose_sequence`` (minus video_id/fps, which the
     line format does not carry)."""
     lines = []
-    for f in seq.frames:
-        record = {"frame": f.frame_index}
-        if f.time_s is not None:
-            record["time_s"] = f.time_s
-        record["keypoints"] = {
-            name: [kp.point.x, kp.point.y, kp.visibility]
-            for name, kp in sorted(f.keypoints.items())
-        }
+    for f, t, present, row in zip(
+            seq.frame_index.tolist(), seq.time_s.tolist(),
+            seq.present().tolist(), seq.keypoints.tolist()):
+        record = {"frame": f, "keypoints": dict(
+            compress(zip(KEYPOINT_NAMES, row), present))}
+        if t == t:  # not NaN: the frame has a time
+            record["time_s"] = t
         lines.append(json.dumps(record, sort_keys=True))
     return ("\n".join(lines) + "\n").encode()
 
@@ -740,6 +739,9 @@ def load_report(data: bytes):
         flag[name] = np.array(flags, dtype=bool)
         severity[name] = _float_list(entry.get("severity"),
                                      f"joint {name!r} severity", grid_points)
+        if not ((severity[name] >= 0.0) & (severity[name] <= 1.0)).all():
+            raise ValidationError(
+                f"joint {name!r} severity: values must be in [0, 1]")
         flagged_fraction[name] = _require_number(
             entry.get("flagged_fraction", 0.0), f"joint {name!r} flagged_fraction")
 

@@ -21,9 +21,8 @@ import numpy as np
 
 from .cycles import DEFAULT_GRID_POINTS, NormalizedCycle
 from .errors import ValidationError
-from .pose_io import (CycleAnnotation, Keypoint, KeypointFrame, Point2D,
-                      PoseSequence, _dump, _load_json, _require_int,
-                      _require_number, _require_object)
+from .pose_io import (CycleAnnotation, PoseSequence, _dump, _load_json,
+                      _require_int, _require_number, _require_object)
 
 INJECTION_KINDS = ("offset", "amplitude_scale", "phase_shift")
 
@@ -256,14 +255,17 @@ def generate_pose_sequence(n_cycles: int = 4,
     rng = np.random.default_rng(seed)
     fps = 30.0
     n_frames = n_cycles * frames_per_cycle + 1
-    frames = []
+    # x, y, visibility per frame, side (left, right) and landmark kind in
+    # KEYPOINT_NAMES order; swapping the side and kind axes gives the
+    # KEYPOINT_NAMES columns.
+    keypoints = np.empty((n_frames, 2, 8, 3))
+    keypoints[..., 2] = 0.97
     for t in range(n_frames):
         phi = 2.0 * math.pi * t / frames_per_cycle
         x0 = 300.0 + 1.5 * t
         shoulder_y = 200.0 + 3.0 * math.sin(2.0 * phi)
         hip_y = 320.0 + 2.0 * math.sin(2.0 * phi)
-        kps: Dict[str, Keypoint] = {}
-        for side, side_phase in (("left", 0.0), ("right", math.pi)):
+        for side, side_phase in enumerate((0.0, math.pi)):
             ps = phi + side_phase
             shoulder = (x0, shoulder_y)
             hip = (x0 + 2.0 * math.sin(ps), hip_y)
@@ -285,16 +287,16 @@ def generate_pose_sequence(n_cycles: int = 4,
             beta = alpha + 0.5 + 0.25 * math.sin(ps + 0.6)
             wrist = (elbow[0] + 65.0 * math.sin(beta),
                      elbow[1] + 65.0 * math.cos(beta))
-            for name, (x, y) in (("shoulder", shoulder), ("elbow", elbow),
-                                 ("wrist", wrist), ("hip", hip),
-                                 ("knee", knee), ("ankle", ankle),
-                                 ("heel", heel), ("hallux", hallux)):
-                jx = x + rng.normal(0.0, 0.4)
-                jy = y + rng.normal(0.0, 0.4)
-                vis = float(np.clip(0.97 + rng.normal(0.0, 0.01), 0.9, 1.0))
-                kps[f"{side}_{name}"] = Keypoint(Point2D(jx, jy), vis)
-        frames.append(KeypointFrame(frame_index=t, keypoints=kps,
-                                    time_s=t / fps))
+            keypoints[t, side, :, :2] = (shoulder, elbow, wrist, hip, knee,
+                                         ankle, heel, hallux)
+    # One seeded jitter per value, drawn in frame, side, landmark, then x,
+    # y, visibility order.
+    keypoints += rng.normal(0.0, (0.4, 0.4, 0.01), keypoints.shape)
+    keypoints[..., 2] = np.clip(keypoints[..., 2], 0.9, 1.0)
+    frame_index = np.arange(n_frames)
+    seq = PoseSequence(video_id, fps=fps, frame_index=frame_index,
+                       time_s=frame_index / fps,
+                       keypoints=keypoints.transpose(0, 2, 1, 3))
 
     annotations = []
     for i in range(n_cycles):
@@ -303,5 +305,4 @@ def generate_pose_sequence(n_cycles: int = 4,
             start_frame=i * frames_per_cycle,
             end_frame=(i + 1) * frames_per_cycle,
             label=label))
-    seq = PoseSequence(video_id=video_id, frames=tuple(frames), fps=fps)
     return seq, annotations

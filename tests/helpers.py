@@ -162,13 +162,12 @@ def _reference_frame(record: dict, strict: bool) -> KeypointFrame:
 
 def reference_overlay_records(frames, statuses,
                               joint_order=JOINT_NAMES) -> list:
-    """Overlay records built one ``KeypointFrame`` at a time."""
-    by_frame = {s.frame_index: s for s in statuses}
+    """Overlay records built one ``KeypointFrame`` at a time, each frame
+    with its row of ``statuses`` (one status per joint of
+    ``joint_order``)."""
     records = []
-    for frame in frames:
-        status = by_frame.get(frame.frame_index)
-        joint_status = (dict(status.status) if status is not None
-                        else {j: STATUS_UNKNOWN for j in joint_order})
+    for frame, row in zip(frames, statuses, strict=True):
+        joint_status = dict(zip(joint_order, row, strict=True))
         keypoints = {
             name: [kp.point.x, kp.point.y, kp.visibility]
             for name, kp in sorted(frame.keypoints.items())
@@ -201,9 +200,10 @@ def reference_phase(ann, frame_index, frame_times=None) -> float:
 
 def reference_frame_statuses(seq_cycles, frames, grid_points,
                              joint_order=JOINT_NAMES, frame_times=None):
-    """(frame, {joint: status}) per frame, one frame at a time: a linear
-    scan for the first cycle in (start, end) order that holds the frame,
-    then ``round`` of its scalar phase to the nearest grid point."""
+    """A list of statuses per frame, one per joint of ``joint_order``,
+    one frame at a time: a linear scan for the first cycle in (start,
+    end) order that holds the frame, then ``round`` of its scalar phase
+    to the nearest grid point."""
     ordered = sorted(seq_cycles, key=lambda p: (p[0].start_frame,
                                                 p[0].end_frame))
     out = []
@@ -211,14 +211,14 @@ def reference_frame_statuses(seq_cycles, frames, grid_points,
         hit = next(((a, fl) for a, fl in ordered
                     if a.start_frame <= f <= a.end_frame), None)
         if hit is None:
-            out.append((f, {j: STATUS_UNKNOWN for j in joint_order}))
+            out.append([STATUS_UNKNOWN] * len(joint_order))
             continue
         ann, flags = hit
         g = int(round(reference_phase(ann, f, frame_times) / 100.0
                       * (grid_points - 1)))
-        out.append((f, {j: STATUS_UNKNOWN if j not in flags else
-                        STATUS_ABNORMAL if flags[j][g] else STATUS_NORMAL
-                        for j in joint_order}))
+        out.append([STATUS_UNKNOWN if j not in flags else
+                    STATUS_ABNORMAL if flags[j][g] else STATUS_NORMAL
+                    for j in joint_order])
     return out
 
 
@@ -226,11 +226,12 @@ def reference_report(cycle, model, cfg=None, joint_order=JOINT_NAMES):
     """z, flag, severity and flagged fraction per valid joint, and the
     unknown joints, one joint and one grid sample at a time in Python
     floats: ``(angle - mean) / max(std, floor)``, ``|z| > k``,
-    ``min(|z|, clip) / clip`` and the count of flags over the grid."""
+    ``min(|z|, clip) / clip`` and the count of flags over the grid.  A
+    valid joint the model lacks is unknown, like an invalid one."""
     cfg = cfg or DetectionConfig()
     out = {"z": {}, "flag": {}, "severity": {}, "flagged_fraction": {}}
     for joint, angles in cycle.angles.items():
-        if not cycle.valid.get(joint, False):
+        if not cycle.valid.get(joint, False) or joint not in model.joints:
             continue
         normals = model.joints[joint]
         z = [(a - m) / max(s, cfg.sigma_floor_deg) for a, m, s in
@@ -412,3 +413,19 @@ def occluded_walker(video_id="occluded-walk"):
                             time_s=seq.time_s, keypoints=keypoints,
                             fps=seq.fps)
     return occluded, annotations
+
+
+def dimmed_walker(n_cycles, frames_per_cycle, dimmed_cycle,
+                  video_id="dimmed-walk"):
+    """A walker whose every landmark drops below the visibility threshold
+    on the frames of ``dimmed_cycle`` but its first and its last two, too
+    few knots for any joint: every joint of that cycle is unknown."""
+    seq, annotations = generate_pose_sequence(
+        n_cycles=n_cycles, frames_per_cycle=frames_per_cycle, seed=7,
+        video_id=video_id)
+    keypoints = seq.keypoints.copy()
+    start = dimmed_cycle * frames_per_cycle
+    keypoints[start + 1:start + frames_per_cycle - 1, :, 2] = 0.2
+    dimmed = PoseSequence(video_id, frame_index=seq.frame_index,
+                          time_s=seq.time_s, keypoints=keypoints, fps=seq.fps)
+    return dimmed, annotations

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from gaitnorm import (DetectionConfig, build_normative_model, build_report,
-                      flag_abnormal, generate_cohort, generate_cycle,
-                      inject_abnormality, joint_angle, noise_free_curve,
-                      severity_matrix, standard_joint_set, z_scores)
+                      generate_cohort, generate_cycle, inject_abnormality,
+                      joint_angle, noise_free_curve, severity_matrix,
+                      standard_joint_set)
 from gaitnorm.cli import main
 from gaitnorm.cycles import resample_cycle, segment_cycles
 from gaitnorm.kinematics import JOINT_NAMES, angle_series_set
@@ -161,7 +161,7 @@ def test_c06_flag_rate_calibration(profiles, reference_model):
     total = 0
     flagged = 0
     for cycle in held_out:
-        flags = flag_abnormal(z_scores(cycle, reference_model, cfg), cfg)
+        flags = build_report(cycle, reference_model, cfg).flag
         for joint in flags:
             total += flags[joint].size
             flagged += int(flags[joint].sum())
@@ -185,8 +185,8 @@ def test_c07_injection_detection(profiles, reference_model):
                            kind="offset", magnitude=3.0 * SIGMA_TRUE)
     injected = inject_abnormality(held, spec)
 
-    z = z_scores(injected, reference_model, cfg)
-    flags = flag_abnormal(z, cfg)
+    report = build_report(injected, reference_model, cfg)
+    flags = report.flag
     window_rate = float(np.mean(flags["left_knee"][30:61]))
     assert window_rate >= 0.95, f"window flag rate {window_rate:.3f}"
 
@@ -196,11 +196,11 @@ def test_c07_injection_detection(profiles, reference_model):
 
     # the injection must not leak: other joints flag exactly as they
     # would have without it
-    clean_flags = flag_abnormal(z_scores(held, reference_model, cfg), cfg)
+    clean_flags = build_report(held, reference_model, cfg).flag
     for joint in others:
         np.testing.assert_array_equal(flags[joint], clean_flags[joint])
 
-    matrix = severity_matrix(z, cfg)
+    matrix = severity_matrix(report)
     knee_row = list(JOINT_NAMES).index("left_knee")
     knee_window_severity = float(np.mean(matrix[knee_row, 30:61]))
     other_row_severity = max(float(np.mean(matrix[r]))
@@ -242,7 +242,7 @@ def test_c09_shape_contracts(profiles, reference_model):
     cfg = DetectionConfig()
     cycle = generate_cycle(profiles, 101, seed=42)
     report = build_report(cycle, reference_model, cfg)
-    matrix = severity_matrix(report.z, cfg)
+    matrix = severity_matrix(report)
     assert matrix.shape == (10, 101)
     assert all(len(arr) == 101 for arr in cycle.angles.values())
 

@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 from gaitnorm.cli import main
+from gaitnorm.kinematics import JOINT_NAMES
 from gaitnorm.pose_io import (KeypointFrame, PoseSequence, load_cycles,
-                              load_norm_model, load_report,
+                              load_norm_model, load_report, save_cycles,
                               serialize_annotations, serialize_pose_sequence)
-from gaitnorm.synth import generate_pose_sequence
+from gaitnorm.synth import (demo_profiles, generate_cohort,
+                            generate_pose_sequence)
+
+from helpers import dimmed_walker
 
 FIXTURES = Path(__file__).parent / "fixtures"
 KEYPOINTS = FIXTURES / "demo.keypoints.jsonl"
@@ -179,6 +183,102 @@ def test_detect_reports_model_missing_joint_as_unknown(tmp_path):
     report = load_report((reports_dir / "v.c0.report.json").read_bytes())
     assert "left_hip" in report.unknown_joints
     assert set(report.z) == {"left_knee"}
+
+
+def _write_walk(tmp_path, seq, annotations):
+    kp_path = tmp_path / "walk.keypoints.jsonl"
+    ann_path = tmp_path / "walk.cycles.json"
+    kp_path.write_bytes(serialize_pose_sequence(seq))
+    ann_path.write_bytes(serialize_annotations(seq.video_id, annotations))
+    return kp_path, ann_path
+
+
+def test_run_reports_a_cycle_with_every_joint_unknown(tmp_path):
+    # cycle 1 keeps too few knots for any joint: it is reported, drawn and
+    # overlaid as unknown, and the run goes on
+    kp_path, ann_path = _write_walk(tmp_path, *dimmed_walker(4, 30, 1))
+    out = tmp_path / "out"
+    assert main(["run", "--keypoints", str(kp_path), "--annotations",
+                 str(ann_path), "--out-dir", str(out)]) == 0
+    prefix = out / "dimmed-walk"
+    report = load_report(Path(f"{prefix}.c1.report.json").read_bytes())
+    assert report.unknown_joints == list(JOINT_NAMES)
+    assert report.z == report.severity == {}
+    heatmap = json.loads(Path(f"{prefix}.c1.heatmap.svg.json").read_text())
+    assert heatmap["blank_rows"] == list(JOINT_NAMES)
+    assert heatmap["max_severity"] is None
+    multi = json.loads(Path(f"{prefix}.c1.multijoint.svg.json").read_text())
+    assert not any(p["rendered"] for p in multi["panels"])
+    overlay = json.loads(Path(f"{prefix}.overlays.json").read_text())
+    assert {s for r in overlay[31:59] for s in r["joint_status"].values()} \
+        == {"unknown"}
+    assert "normal" in overlay[10]["joint_status"].values()
+    for i in (0, 2, 3):
+        assert load_report(Path(f"{prefix}.c{i}.report.json").read_bytes()
+                           ).unknown_joints == []
+
+    # figures draws the same report the same way
+    assert main(["segment", "--keypoints", str(kp_path), "--annotations",
+                 str(ann_path), "--out", str(tmp_path / "cycles.json")]) == 0
+    assert main(["figures", "--model", f"{prefix}.model.json",
+                 "--report", f"{prefix}.c1.report.json",
+                 "--cycles", str(tmp_path / "cycles.json"),
+                 "--out-dir", str(tmp_path / "fig")]) == 0
+    for name in ("heatmap.svg", "heatmap.svg.json", "multijoint.svg"):
+        assert (tmp_path / "fig" / f"dimmed-walk.{name}").read_bytes() == \
+            Path(f"{prefix}.c1.{name}").read_bytes()
+
+
+def _one_cycle_cohort(tmp_path):
+    path = tmp_path / "one.cycles.json"
+    assert main(["synth", "--out", str(path), "--n", "1"]) == 0
+    return path
+
+
+def _invalid_cohort(tmp_path):
+    path = tmp_path / "invalid.cycles.json"
+    path.write_text(json.dumps({
+        "schema": "gaitnorm-cycles/1", "grid_points": 3,
+        "cycles": [{"label": "typical", "cycle_id": c,
+                    "joints": {"left_knee": {"valid": False, "angle": None}}}
+                   for c in "abc"]}))
+    return path
+
+
+def _atypical_cohort(tmp_path):
+    path = tmp_path / "atypical.cycles.json"
+    cohort = generate_cohort(demo_profiles(), 3, seed=2)
+    for cycle in cohort:
+        cycle.label = "atypical"
+    path.write_bytes(save_cycles(cohort))
+    return path
+
+
+@pytest.mark.parametrize("cohort,n", [(_one_cycle_cohort, 1),
+                                      (_invalid_cohort, 3),
+                                      (_atypical_cohort, 0)],
+                         ids=["one-typical-cycle", "every-joint-invalid",
+                              "no-typical-cycle"])
+def test_build_norm_refuses_a_model_without_joints(tmp_path, capsys, cohort,
+                                                    n):
+    model = tmp_path / "model.json"
+    assert main(["build-norm", "--cycles", str(cohort(tmp_path)),
+                 "--out", str(model)]) == 1
+    assert capsys.readouterr().err.endswith(
+        f"gaitnorm: validation error: cannot build a normative model: no "
+        f"joint is valid in 2 or more of the {n} typical cycle(s)\n")
+    assert not model.exists()
+
+
+def test_run_refuses_a_model_from_one_typical_cycle(tmp_path, capsys):
+    seq, annotations = generate_pose_sequence(n_cycles=2)  # 1 typical
+    kp_path, ann_path = _write_walk(tmp_path, seq, annotations)
+    out = tmp_path / "out"
+    assert main(["run", "--keypoints", str(kp_path), "--annotations",
+                 str(ann_path), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.endswith(
+        "no joint is valid in 2 or more of the 1 typical cycle(s)\n")
+    assert not out.exists()
 
 
 def test_custom_profiles(tmp_path):
@@ -433,6 +533,11 @@ WRONG_FIELD_TYPES = {
         t, lambda d: _first_joint(d).update(flagged_fraction="x")),
     "report-without-label": lambda t: _bad_report(
         t, lambda d: d["cycle"].pop("label")),
+    # the heatmap draws the report's severity as it is stored
+    "report-severity-above-one": lambda t: _bad_report(
+        t, lambda d: _first_joint(d)["severity"].__setitem__(3, 1.5)),
+    "report-negative-severity": lambda t: _bad_report(
+        t, lambda d: _first_joint(d)["severity"].__setitem__(0, -0.25)),
 }
 
 

@@ -17,8 +17,8 @@ import pytest
 from gaitnorm.detect import frame_statuses
 from gaitnorm.errors import ValidationError
 from gaitnorm import pose_io
-from gaitnorm.figures import annotate_frames, overlay_chunks, overlay_json
-from gaitnorm.kinematics import JOINT_NAMES, JointDefinition, angle_series
+from gaitnorm.figures import annotate_frames, overlay_chunks
+from gaitnorm.kinematics import JOINT_NAMES, JointDefinition, angle_series_set
 from gaitnorm.pose_io import (KEYPOINT_NAMES, Keypoint, KeypointFrame, Point2D,
                               PoseSequence, _dump, parse_annotation_document,
                               parse_pose_sequence, serialize_pose_sequence)
@@ -112,6 +112,15 @@ def _statuses(seq, annotations, seed, phase_times=False):
                          seq.time_s[timed].tolist()))
     return frame_statuses(cycle_flags, seq.frame_index, 101,
                           frame_times=times)
+
+
+def _no_statuses(seq, joint_order=JOINT_NAMES):
+    """Every joint of every frame unknown: no cycle holds any frame."""
+    return frame_statuses([], seq.frame_index, 101, joint_order)
+
+
+def _overlay(seq, statuses, joint_order=JOINT_NAMES) -> bytes:
+    return b"".join(overlay_chunks(seq, statuses, joint_order))
 
 
 class TestParseEqualsReference:
@@ -244,7 +253,7 @@ class TestErrorsEqualReference:
 class TestOverlayEqualsReference:
     def _check(self, seq, frames, statuses, joint_order=JOINT_NAMES):
         records = reference_overlay_records(frames, statuses, joint_order)
-        assert overlay_json(seq, statuses, joint_order) == _dump(records)
+        assert _overlay(seq, statuses, joint_order) == _dump(records)
         assert annotate_frames(seq, statuses, joint_order) == records
 
     def test_demo_fixture(self):
@@ -261,9 +270,11 @@ class TestOverlayEqualsReference:
     def test_random_sequence(self, seed):
         data = _random_keypoint_file(seed)
         seq = parse_pose_sequence(data)
-        statuses = _statuses(seq, _occluded_walker(seed)[1], seed)[::2]
+        statuses = _statuses(seq, _occluded_walker(seed)[1], seed)
         self._check(seq, reference_frames(data), statuses)
-        self._check(seq, reference_frames(data), [], ("left_knee", "extra"))
+        joints = ("left_knee", "extra")
+        self._check(seq, reference_frames(data), _no_statuses(seq, joints),
+                    joints)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_occluded_walker(self, seed):
@@ -280,13 +291,14 @@ class TestOverlayEqualsReference:
                "left_hip": Keypoint(Point2D(math.inf, -math.inf), 0.5)}
         frames = (KeypointFrame(0, kps, math.inf), KeypointFrame(1, kps))
         seq = PoseSequence("v", frames)
-        text = overlay_json(seq, []).decode()
+        text = _overlay(seq, _no_statuses(seq)).decode()
         assert "NaN" in text and "-Infinity" in text and "nan" not in text
         assert text.encode() == _dump(reference_overlay_records(
-            seq.frames, []))
+            seq.frames, _no_statuses(seq)))
 
     def test_empty_sequence(self):
-        assert overlay_json(PoseSequence("v"), []) == _dump([])
+        seq = PoseSequence("v")
+        assert _overlay(seq, _no_statuses(seq)) == _dump([])
 
 
 class TestChunks:
@@ -304,7 +316,8 @@ class TestChunks:
         seq, annotations = _occluded_walker(seed)
         assert not seq.present().all() and np.isnan(seq.time_s).any()
         statuses = _statuses(seq, annotations, seed)
-        assert any(set(s.status.values()) == {"unknown"} for s in statuses)
+        assert any(set(row) == {"unknown"} for row in statuses.tolist())
+        assert len(set(map(tuple, statuses.tolist()))) > 1
         expected = _dump(reference_overlay_records(seq.frames, statuses))
         n = len(seq.frame_index)
         for size in self._sizes(n):
@@ -312,7 +325,6 @@ class TestChunks:
             chunks = list(overlay_chunks(seq, statuses))
             assert len(chunks) == -(-n // size) + 1
             assert b"".join(chunks) == expected
-            assert overlay_json(seq, statuses) == expected
 
     @pytest.mark.parametrize("seed", range(2))
     def test_parse_equals_reference_at_every_chunk_size(self, monkeypatch,
@@ -397,6 +409,6 @@ class TestPoseSequence:
 def test_joint_on_a_landmark_the_format_lacks_is_absent():
     seq = parse_pose_sequence(DEMO.read_bytes())
     joint = JointDefinition("left_nose", "left_hip", "left_knee", "nose")
-    series = angle_series(seq, joint)
+    series = angle_series_set(seq, joints=[joint])["left_nose"]
     assert series.reasons.tolist() == [1] * len(seq.frame_index)
     assert np.isnan(series.angles).all()

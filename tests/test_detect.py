@@ -1,10 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
 
 from gaitnorm import (CycleAnnotation, DetectionConfig, NormalizedCycle,
-                      ValidationError, build_report, flag_abnormal,
-                      frame_statuses, severity_matrix, severity_values,
-                      z_scores)
+                      ValidationError, build_report, frame_statuses,
+                      load_report, save_report, severity_matrix,
+                      severity_values)
 from gaitnorm.detect import (STATUS_ABNORMAL, STATUS_NORMAL, STATUS_UNKNOWN)
 from gaitnorm.kinematics import JOINT_NAMES
 from gaitnorm.normative import (JointNormals, NormativeModel,
@@ -24,59 +26,83 @@ def _model(mean=60.0, std=5.0, joints=("left_knee",), grid=5):
 
 
 def _cycle(value, joints=("left_knee",), grid=5, label="typical"):
+    """A cycle holding ``value`` (a number, or one per grid point) for
+    every joint of ``joints``."""
     return NormalizedCycle(
         label=label, grid_points=grid,
-        angles={j: np.full(grid, float(value)) for j in joints},
+        angles={j: np.broadcast_to(np.asarray(value, float), grid).copy()
+                for j in joints},
         valid={j: True for j in joints},
         cycle_id="x")
 
 
+def _knee(cycle, model, cfg=None):
+    """The left knee's z-scores, flags and severity from ``build_report``,
+    the only place they are computed."""
+    report = build_report(cycle, model, cfg)
+    return (report.z["left_knee"], report.flag["left_knee"],
+            report.severity["left_knee"])
+
+
 class TestZScores:
     def test_basic_value(self):
-        z = z_scores(_cycle(66.0), _model(60.0, 5.0))
-        np.testing.assert_allclose(z["left_knee"], 1.2)
+        z, _, _ = _knee(_cycle(66.0), _model(60.0, 5.0))
+        np.testing.assert_allclose(z, 1.2)
 
     def test_zero_when_on_mean(self):
-        z = z_scores(_cycle(60.0), _model(60.0, 5.0))
-        np.testing.assert_allclose(z["left_knee"], 0.0)
+        z, _, _ = _knee(_cycle(60.0), _model(60.0, 5.0))
+        np.testing.assert_allclose(z, 0.0)
 
     def test_sigma_floor(self):
-        z = z_scores(_cycle(61.0), _model(60.0, 0.0),
-                     DetectionConfig(sigma_floor_deg=0.5))
-        np.testing.assert_allclose(z["left_knee"], 2.0)
+        z, _, _ = _knee(_cycle(61.0), _model(60.0, 0.0),
+                        DetectionConfig(sigma_floor_deg=0.5))
+        np.testing.assert_allclose(z, 2.0)
 
     def test_signed(self):
-        z = z_scores(_cycle(55.0), _model(60.0, 5.0))
-        np.testing.assert_allclose(z["left_knee"], -1.0)
+        z, _, _ = _knee(_cycle(55.0), _model(60.0, 5.0))
+        np.testing.assert_allclose(z, -1.0)
 
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="grid mismatch"):
-            z_scores(_cycle(60.0, grid=7), _model())
+            build_report(_cycle(60.0, grid=7), _model())
 
-    def test_joint_absent_from_model_rejected(self):
-        with pytest.raises(ValidationError, match="absent from model"):
-            z_scores(_cycle(60.0, joints=("left_knee", "left_hip")), _model())
+    def test_joint_absent_from_model_reported_unknown(self, caplog):
+        # a valid joint the model cannot score is unknown, with a warning,
+        # never dropped and never normal
+        cycle = _cycle(60.0, joints=("left_knee", "left_hip"))
+        with caplog.at_level(logging.WARNING, logger="gaitnorm.detect"):
+            report = build_report(cycle, _model())
+        assert set(report.z) == set(report.flag) == set(report.severity) \
+            == set(report.flagged_fraction) == {"left_knee"}
+        assert "left_hip" in report.unknown_joints
+        assert "left_knee" not in report.unknown_joints
+        assert [r.getMessage() for r in caplog.records] == [
+            "cycle x: joint(s) left_hip absent from the model; reporting "
+            "them unknown"]
 
     def test_invalid_joint_skipped(self):
         cycle = _cycle(60.0, joints=("left_knee", "left_hip"))
         cycle.valid["left_hip"] = False
-        z = z_scores(cycle, _model())
-        assert set(z) == {"left_knee"}
+        report = build_report(cycle, _model())
+        assert set(report.z) == {"left_knee"}
+        assert "left_hip" in report.unknown_joints
 
 
 class TestFlags:
     def test_above_threshold_flagged(self):
-        flags = flag_abnormal({"j": np.array([1.2])}, DetectionConfig())
-        assert flags["j"][0]
+        _, flags, _ = _knee(_cycle(66.0), _model(60.0, 5.0))  # z = 1.2
+        assert flags.all()
 
     def test_below_threshold_not_flagged(self):
-        flags = flag_abnormal({"j": np.array([0.8])}, DetectionConfig())
-        assert not flags["j"][0]
+        _, flags, _ = _knee(_cycle(64.0), _model(60.0, 5.0))  # z = 0.8
+        assert not flags.any()
 
     def test_exactly_at_threshold_not_flagged(self):
         # a sample exactly at k standard deviations is within the band
-        flags = flag_abnormal({"j": np.array([1.0, -1.0])}, DetectionConfig())
-        assert not flags["j"].any()
+        z, flags, _ = _knee(_cycle([65.0, 55.0], grid=2),
+                            _model(60.0, 5.0, grid=2))
+        assert z.tolist() == [1.0, -1.0]
+        assert not flags.any()
 
     def test_threshold_consistency_property(self):
         rng = np.random.default_rng(41)
@@ -87,34 +113,44 @@ class TestFlags:
             std = rng.uniform(0, 6)
             model = _model(mean, std, grid=1)
             cycle = _cycle(angle, grid=1)
-            z = z_scores(cycle, model, cfg)
-            flag = flag_abnormal(z, cfg)["left_knee"][0]
+            _, flags, _ = _knee(cycle, model, cfg)
             sigma = max(std, cfg.sigma_floor_deg)
-            assert flag == (abs(angle - mean) > cfg.k * sigma)
+            assert flags[0] == (abs(angle - mean) > cfg.k * sigma)
 
     def test_monotonicity_property(self):
         rng = np.random.default_rng(42)
         cfg = DetectionConfig()
         mean, std = 90.0, 4.0
         deltas = np.sort(rng.uniform(0, 40, size=30))
-        zs = [abs(z_scores(_cycle(mean + d), _model(mean, std), cfg)
-                  ["left_knee"][0]) for d in deltas]
-        sev = [severity_values(np.array([z]), cfg)[0] for z in zs]
+        scored = [_knee(_cycle(mean + d, grid=1), _model(mean, std, grid=1),
+                        cfg) for d in deltas]
+        zs = [abs(z[0]) for z, _, _ in scored]
+        sev = [severity[0] for _, _, severity in scored]
         assert all(b >= a for a, b in zip(zs, zs[1:]))
         assert all(b >= a for a, b in zip(sev, sev[1:]))
 
 
+def _full_report(value=60.0, grid=101, invalid=(), cfg=None):
+    """A report over every joint of ``JOINT_NAMES`` against a 60 +/- 5
+    degree band, ``invalid`` joints unknown."""
+    cycle = _cycle(value, joints=JOINT_NAMES, grid=grid)
+    for joint in invalid:
+        cycle.valid[joint] = False
+        cycle.angles[joint][:] = np.nan
+    return build_report(cycle, _model(60.0, 5.0, JOINT_NAMES, grid), cfg)
+
+
 class TestSeverity:
     def test_zero_z_gives_zero_matrix(self):
-        z = {j: np.zeros(101) for j in JOINT_NAMES}
-        matrix = severity_matrix(z)
+        matrix = severity_matrix(_full_report())
         assert matrix.shape == (10, 101)
         np.testing.assert_allclose(matrix, 0.0)
 
     def test_clip_boundary(self):
-        z = {j: np.zeros(101) for j in JOINT_NAMES}
-        z["left_knee"][7] = 3.0
-        matrix = severity_matrix(z, DetectionConfig(severity_clip=3.0))
+        values = np.full(101, 60.0)
+        values[7] = 75.0  # z = 3
+        matrix = severity_matrix(
+            _full_report(values, cfg=DetectionConfig(severity_clip=3.0)))
         row = list(JOINT_NAMES).index("left_knee")
         assert matrix[row, 7] == 1.0
 
@@ -128,19 +164,43 @@ class TestSeverity:
         np.testing.assert_array_equal(severity_values(z), severity_values(-z))
 
     def test_shape_with_all_joints(self):
-        z = {j: np.zeros(101) for j in JOINT_NAMES}
-        assert severity_matrix(z).shape == (10, 101)
+        assert severity_matrix(_full_report()).shape == (10, 101)
 
     def test_missing_joint_yields_nan_row(self):
-        z = {j: np.zeros(101) for j in JOINT_NAMES if j != "left_hip"}
-        matrix = severity_matrix(z)
+        matrix = severity_matrix(_full_report(invalid=["left_hip"]))
         row = list(JOINT_NAMES).index("left_hip")
         assert np.all(np.isnan(matrix[row]))
+        assert not np.isnan(np.delete(matrix, row, axis=0)).any()
         assert matrix.shape == (10, 101)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            severity_matrix({})
+    def test_every_joint_unknown_gives_all_nan_rows(self):
+        # a cycle with no scored joint still has a full-shape matrix
+        report = _full_report(grid=7, invalid=JOINT_NAMES)
+        assert report.severity == {}
+        matrix = severity_matrix(report)
+        assert matrix.shape == (10, 7)
+        assert np.isnan(matrix).all()
+        assert severity_matrix(report, ["left_knee"]).shape == (1, 7)
+        assert severity_matrix(report, []).shape == (0, 7)
+
+    def test_reads_the_reports_severity(self):
+        # the matrix is the report's own severity, rows in joint order,
+        # not a recomputation from z under some other clip
+        values = np.linspace(40.0, 80.0, 101)
+        report = _full_report(values, cfg=DetectionConfig(severity_clip=1.5))
+        loaded = load_report(save_report(report))
+        order = list(reversed(JOINT_NAMES))
+        for r in (report, loaded):
+            matrix = severity_matrix(r, order)
+            for row, joint in zip(matrix, order):
+                assert row.tobytes() == report.severity[joint].tobytes()
+        assert severity_matrix(report).max() == 1.0  # saturates at 1.5 SD
+
+
+def _status(pairs, frame, **kwargs):
+    """{joint: status} of one frame."""
+    (row,) = frame_statuses(pairs, [frame], 101, **kwargs)
+    return dict(zip(JOINT_NAMES, row))
 
 
 class TestFrameStatuses:
@@ -154,50 +214,50 @@ class TestFrameStatuses:
         # cycle of 1000 frames: frame 504 sits at phase 50.4% -> grid 50
         ann = CycleAnnotation(0, 1000, "typical")
         flags = self._flags(where=[50])
-        (status,) = frame_statuses([(ann, flags)], [504], 101)
-        assert status.status["left_knee"] == STATUS_ABNORMAL
-        (status,) = frame_statuses([(ann, flags)], [496], 101)
-        assert status.status["left_knee"] == STATUS_ABNORMAL  # 49.6 -> 50
-        (status,) = frame_statuses([(ann, flags)], [514], 101)
-        assert status.status["left_knee"] == STATUS_NORMAL  # 51.4 -> 51
+        status = _status([(ann, flags)], 504)
+        assert status["left_knee"] == STATUS_ABNORMAL
+        status = _status([(ann, flags)], 496)
+        assert status["left_knee"] == STATUS_ABNORMAL  # 49.6 -> 50
+        status = _status([(ann, flags)], 514)
+        assert status["left_knee"] == STATUS_NORMAL  # 51.4 -> 51
 
     def test_frame_outside_cycles_unknown(self):
         ann = CycleAnnotation(100, 150, "typical")
-        (status,) = frame_statuses([(ann, self._flags())], [10], 101)
-        assert all(v == STATUS_UNKNOWN for v in status.status.values())
+        status = _status([(ann, self._flags())], 10)
+        assert all(v == STATUS_UNKNOWN for v in status.values())
 
     def test_flagged_window_maps_to_frames(self):
         ann = CycleAnnotation(0, 100, "typical")
         flags = self._flags(where=range(30, 61))
         statuses = frame_statuses([(ann, flags)], range(0, 101), 101)
-        for s in statuses:
-            expected = STATUS_ABNORMAL if 30 <= s.frame_index <= 60 \
+        knee = list(JOINT_NAMES).index("left_knee")
+        for frame, row in enumerate(statuses):
+            expected = STATUS_ABNORMAL if 30 <= frame <= 60 \
                 else STATUS_NORMAL
-            assert s.status["left_knee"] == expected
+            assert row[knee] == expected
 
     def test_joint_without_flags_unknown(self):
         ann = CycleAnnotation(0, 100, "typical")
-        (status,) = frame_statuses([(ann, self._flags())], [50], 101)
-        assert status.status["left_hip"] == STATUS_UNKNOWN
+        status = _status([(ann, self._flags())], 50)
+        assert status["left_hip"] == STATUS_UNKNOWN
 
     def test_boundary_frame_belongs_to_earlier_cycle(self):
         a1 = CycleAnnotation(0, 50, "typical")
         a2 = CycleAnnotation(50, 100, "typical")
         f1 = self._flags(where=[100])  # flagged at 100% of first cycle
         f2 = self._flags(where=[])
-        (status,) = frame_statuses([(a1, f1), (a2, f2)], [50], 101)
-        assert status.status["left_knee"] == STATUS_ABNORMAL
+        status = _status([(a1, f1), (a2, f2)], 50)
+        assert status["left_knee"] == STATUS_ABNORMAL
 
     def test_time_phases_pick_grid_point(self):
         # frame 5 is at 50% by index but 25% by time (quadratic timestamps)
         ann = CycleAnnotation(0, 10, "typical")
         times = {f: 0.1 * f * f for f in range(11)}
         flags = self._flags(where=[25])
-        (status,) = frame_statuses([(ann, flags)], [5], 101,
-                                   frame_times=times)
-        assert status.status["left_knee"] == STATUS_ABNORMAL
-        (status,) = frame_statuses([(ann, flags)], [5], 101)
-        assert status.status["left_knee"] == STATUS_NORMAL
+        status = _status([(ann, flags)], 5, frame_times=times)
+        assert status["left_knee"] == STATUS_ABNORMAL
+        status = _status([(ann, flags)], 5)
+        assert status["left_knee"] == STATUS_NORMAL
 
     def _pairs(self, rng, n, joints=("left_knee",)):
         pairs = []
@@ -214,9 +274,9 @@ class TestFrameStatuses:
                              frame_times=times)
         expected = reference_frame_statuses(pairs, frames, 101, joint_order,
                                             frame_times=times)
-        assert [(s.frame_index, s.status) for s in got] == expected
-        assert all(type(s.frame_index) is int for s in got)
-        assert [list(s.status) for s in got] == [list(joint_order)] * len(got)
+        assert got.shape == (len(frames), len(joint_order))
+        assert got.dtype == object
+        assert got.tolist() == expected
 
     def test_bisection_matches_linear_scan(self):
         # unsorted, overlapping and nested cycles: each frame still takes
@@ -341,3 +401,14 @@ class TestReportEqualsPerJointReference:
         assert at_k.sum() > 400
         assert not np.concatenate(list(report.flag.values()))[at_k].any()
         assert report.unknown_joints == ["right_elbow", "left_ankle"]
+
+    def test_joints_absent_from_the_model(self, caplog):
+        cycles = generate_cohort(demo_profiles(), 12, seed=6)
+        model = build_normative_model(cycles[:6], cycles[0].grid_points)
+        del model.joints["right_ankle"], model.joints["left_knee"]
+        with caplog.at_level(logging.WARNING, logger="gaitnorm.detect"):
+            for cycle in cycles[6:]:
+                report = self._assert_equal(cycle, model, DetectionConfig())
+                assert report.unknown_joints == ["left_knee", "right_ankle"]
+        assert len(caplog.records) == 6
+        assert "left_knee, right_ankle absent" in caplog.records[0].message

@@ -8,7 +8,7 @@ from gaitnorm import (DetectionConfig, ValidationError, annotate_frames,
                       build_normative_model, build_report, frame_statuses,
                       generate_cohort, generate_cycle, render_band_plot,
                       render_heatmap, render_multi_joint, severity_matrix,
-                      write_figure, z_scores)
+                      write_figure)
 from gaitnorm.detect import STATUS_NORMAL, STATUS_UNKNOWN
 from gaitnorm.cycles import NormalizedCycle
 from gaitnorm.figures import _fmt, _panel, _points
@@ -53,7 +53,7 @@ class TestBandPlot:
 
     def test_overlay_counts_match_svg(self, model, cycle):
         cfg = DetectionConfig()
-        z = z_scores(cycle, model, cfg)
+        z = build_report(cycle, model, cfg).z
         flags = np.abs(z["left_knee"]) > cfg.k
         doc = render_band_plot(model, "left_knee", overlay=(cycle, flags))
         kinds = {s["kind"]: s["points"] for s in doc.sidecar["series"]}
@@ -181,12 +181,21 @@ class TestAnnotateFrames:
         assert set(first["keypoints"]) >= {"left_knee", "right_hallux"}
         assert ["left_hip", "left_knee"] in first["edges"]
 
-    def test_missing_status_means_unknown(self):
+    def test_frames_outside_every_cycle_are_unknown(self):
         seq, _ = generate_pose_sequence(n_cycles=1, frames_per_cycle=10,
                                         seed=18)
-        records = annotate_frames(seq, [])
+        records = annotate_frames(seq, frame_statuses([], seq.frame_index,
+                                                      101))
         assert all(v == STATUS_UNKNOWN
                    for v in records[0]["joint_status"].values())
+
+    @pytest.mark.parametrize("shape", [(10, 10), (12, 9), (0, 10)])
+    def test_one_status_row_per_frame_and_joint(self, shape):
+        seq, _ = generate_pose_sequence(n_cycles=1, frames_per_cycle=10,
+                                        seed=18)
+        with pytest.raises(ValidationError, match=r"statuses must have "
+                                                  r"shape \(11, 10\)"):
+            annotate_frames(seq, np.full(shape, STATUS_UNKNOWN, object))
 
 
 class TestWriteFigure:
@@ -283,7 +292,7 @@ class TestEndToEndFigures:
     def test_report_to_figures(self, model, cycle):
         report = build_report(cycle, model, video_id="demo",
                               annotation=CycleAnnotation(0, 30, "typical"))
-        heat = render_heatmap(severity_matrix(report.z))
+        heat = render_heatmap(severity_matrix(report))
         assert heat.sidecar["rows"] == 10
         multi = render_multi_joint(report.flag, cycle, model)
         assert sum(p["rendered"] for p in multi.sidecar["panels"]) == 10

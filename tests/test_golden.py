@@ -274,7 +274,9 @@ FLAG_SETS = {
         "--keypoints": ("keypoints", None, None, None, False, "store"),
         "--joint": ("joint", None, None, None, False, "append"),
         "--video-id": ("video_id", None, None, None, False, "store"),
-        **_DETECTION,
+        # the heatmap draws the report's own severity, so of the
+        # detection flags only --k (the band width) reaches a figure
+        "--k": _DETECTION["--k"],
     },
     "synth": {
         "--config": _CONFIG,

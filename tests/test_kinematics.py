@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaitnorm import (DegenerateGeometryError, JOINT_NAMES, angle_series,
+from gaitnorm import (DegenerateGeometryError, JOINT_NAMES,
                       angle_series_set, joint_angle, standard_joint_set)
 from gaitnorm.kinematics import (MISSING_ABSENT_KEYPOINT,
                                  MISSING_DEGENERATE,
@@ -143,7 +143,7 @@ class TestAngleSeries:
     def test_constant_geometry(self):
         seq = PoseSequence("v", tuple(_frame(i, _right_angle_coords())
                                       for i in range(3)))
-        series = angle_series(seq, self._knee(), 0.5)
+        series = angle_series_set(seq, 0.5, [self._knee()])["left_knee"]
         assert [s.angle_deg for s in series.samples] == [90.0, 90.0, 90.0]
         assert [s.frame_index for s in series.samples] == [0, 1, 2]
 
@@ -153,7 +153,7 @@ class TestAngleSeries:
         dim = _frame(1, coords, vis={"left_hip": 1.0, "left_knee": 0.1,
                                      "left_ankle": 1.0})
         seq = PoseSequence("v", (ok, dim))
-        series = angle_series(seq, self._knee(), 0.5)
+        series = angle_series_set(seq, 0.5, [self._knee()])["left_knee"]
         assert series.samples[0].angle_deg == pytest.approx(90.0)
         assert series.samples[1].angle_deg is None
         assert series.samples[1].missing_reason == MISSING_LOW_VISIBILITY
@@ -162,14 +162,14 @@ class TestAngleSeries:
         coords = _right_angle_coords()
         missing = {k: v for k, v in coords.items() if k != "left_ankle"}
         seq = PoseSequence("v", (_frame(0, coords), _frame(1, missing)))
-        series = angle_series(seq, self._knee(), 0.5)
+        series = angle_series_set(seq, 0.5, [self._knee()])["left_knee"]
         assert series.samples[1].missing_reason == MISSING_ABSENT_KEYPOINT
 
     def test_ankle_missing_hallux(self):
         coords = {"left_knee": (0.0, -50.0), "left_ankle": (0.0, 0.0)}
         seq = PoseSequence("v", (_frame(0, coords), _frame(1, coords)))
         ankle = next(j for j in standard_joint_set() if j.name == "left_ankle")
-        series = angle_series(seq, ankle, 0.5)
+        series = angle_series_set(seq, 0.5, [ankle])["left_ankle"]
         assert all(s.missing_reason == MISSING_ABSENT_KEYPOINT
                    for s in series.samples)
 
@@ -177,14 +177,14 @@ class TestAngleSeries:
         coords = _right_angle_coords()
         degenerate = dict(coords, left_hip=(0.0, 0.0))  # hip == knee
         seq = PoseSequence("v", (_frame(0, coords), _frame(1, degenerate)))
-        series = angle_series(seq, self._knee(), 0.5)
+        series = angle_series_set(seq, 0.5, [self._knee()])["left_knee"]
         assert series.samples[1].missing_reason == MISSING_DEGENERATE
 
     def test_bad_min_visibility(self):
         seq = PoseSequence("v", tuple(_frame(i, _right_angle_coords())
                                       for i in range(2)))
         with pytest.raises(ValueError):
-            angle_series(seq, self._knee(), 1.5)
+            angle_series_set(seq, 1.5, [self._knee()])
 
     def test_series_set_covers_all_joints(self):
         seq = PoseSequence("v", tuple(_frame(i, _right_angle_coords())

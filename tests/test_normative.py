@@ -62,8 +62,22 @@ class TestBuild:
         assert model.joints["left_knee"].n_cycles == 2
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValidationError, match="no cycles"):
+        with pytest.raises(ValidationError, match="no joint is valid in 2 or "
+                                                  "more of the 0 typical"):
             build_normative_model([], 101)
+
+    # The same rule refuses every model without a joint valid in 2 or
+    # more cycles.
+    @pytest.mark.parametrize("cycles", [
+        [_cycle(90, "a")],
+        [_cycle(90, "a", valid=False), _cycle(90, "b", valid=False)],
+        [_cycle(90, "a", joint="left_hip"), _cycle(90, "b")]],
+        ids=["one-cycle", "every-joint-invalid", "no-joint-twice"])
+    def test_no_joint_in_two_cycles_rejected(self, cycles):
+        with pytest.raises(ValidationError, match=(
+                r"^cannot build a normative model: no joint is valid in 2 "
+                rf"or more of the {len(cycles)} typical cycle\(s\)$")):
+            build_normative_model(cycles, 101)
 
     def test_mixed_grids_rejected(self):
         with pytest.raises(ValidationError, match="mixed grid"):

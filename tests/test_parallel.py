@@ -25,7 +25,7 @@ from gaitnorm.pose_io import (save_cycles, serialize_annotations,
 from gaitnorm.synth import (demo_profiles, generate_cohort,
                             generate_pose_sequence)
 
-from helpers import occluded_walker
+from helpers import dimmed_walker, occluded_walker
 
 SRC = Path(cli.__file__).resolve().parents[1]
 SERIAL, PARALLEL = 1, 3
@@ -183,6 +183,28 @@ def test_unwritable_report_path_exits_2_with_the_serial_message(
     assert rc == 2
     assert err == ("gaitnorm: i/o error: [Errno 21] Is a directory: "
                    "'OUT/demo.c5.report.json'\n")
+
+
+def test_run_with_an_all_unknown_cycle_writes_the_same_bytes_on_one_or_many_cpus(
+        tmp_path, monkeypatch):
+    # cycle 17 of 40 has every joint unknown; its report, heatmap and
+    # multi-joint panel are written by a worker under PARALLEL
+    seq, annotations = dimmed_walker(40, 20, 17)
+    kp_path = tmp_path / "walk.keypoints.jsonl"
+    ann_path = tmp_path / "walk.cycles.json"
+    kp_path.write_bytes(serialize_pose_sequence(seq))
+    ann_path.write_bytes(serialize_annotations(seq.video_id, annotations))
+    outputs = {}
+    for cpus in (SERIAL, PARALLEL):
+        monkeypatch.setattr(cli, "_cpus", lambda cpus=cpus: cpus)
+        out_dir = tmp_path / f"out{cpus}"
+        assert main(["run", "--keypoints", str(kp_path), "--annotations",
+                     str(ann_path), "--out-dir", str(out_dir)]) == 0
+        outputs[cpus] = _files(out_dir)
+    assert len(outputs[SERIAL]) == 40 * 5 + 20 + 2
+    assert b'"blank_rows": []' not in \
+        outputs[SERIAL]["dimmed-walk.c17.heatmap.svg.json"]
+    assert outputs[SERIAL] == outputs[PARALLEL]
 
 
 @pytest.fixture

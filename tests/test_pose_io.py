@@ -438,7 +438,7 @@ class TestCanonicalEncoder:
                      str(fixtures / "demo.cycles.json"), "--out-dir",
                      str(tmp_path)]) == 0
         # every JSON file the run writes: model, reports, sidecars through
-        # _dump, and the overlays from figures.overlay_json's templates
+        # _dump, and the overlays from figures.overlay_chunks's templates
         overlays = tmp_path / "synthetic-walk.overlays.json"
         assert len(seen) + 1 == len(list(tmp_path.glob("*.json"))) == 24
         for doc in seen + [json.loads(overlays.read_bytes())]:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from gaitnorm import (ValidationError, build_normative_model, generate_cohort,
                       save_cycles)
 from gaitnorm.kinematics import angle_series_set
 from gaitnorm.cycles import resample_cycle, segment_cycles
+from gaitnorm.pose_io import serialize_pose_sequence
 from gaitnorm.synth import (AbnormalitySpec, JointProfile, demo_profiles,
                             generate_pose_sequence, profiles_from_json,
                             profiles_to_json)
@@ -209,3 +212,27 @@ class TestGeneratePoseSequence:
         assert all(all(c.valid.values()) for c in cycles)
         model = build_normative_model(cycles, 101)
         assert len(model.joints) == 10
+
+    # The serialized walker at the benchmark's two walker shapes (smoke
+    # sizes): (cycles, frames per cycle) -> seed -> sha256.  The bench
+    # inputs, and with them every bench digest, depend on these bytes.
+    WALKER_SHA256 = {
+        (6, 30): {
+            1: "2a6fc2a1259735f6fd33790d02032b4e71c6d89d49aaf8b01f8e37e7b83a7250",
+            2: "d977213af4803ec649f59aafc0dbb538d96fa06270494ed2ef9bbdb3871be1ef",
+        },
+        (3, 400): {
+            1: "83e222cec25d0dded939f1dbb4ad17fe22dcf1ddc6c9431d5b6644b51af9c9d0",
+            2: "d581f2c4eb34c180decd77dde20dcc7ab7d9feba6cf1e6ca250dc980f4f8cd2f",
+        },
+    }
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("shape", sorted(WALKER_SHA256))
+    def test_serialized_walker_bytes_are_pinned(self, shape, seed):
+        seq, _ = generate_pose_sequence(n_cycles=shape[0],
+                                        frames_per_cycle=shape[1], seed=seed)
+        digest = hashlib.sha256(serialize_pose_sequence(seq)).hexdigest()
+        assert digest == self.WALKER_SHA256[shape][seed]
+        assert seq.keypoints.shape == (shape[0] * shape[1] + 1, 16, 3)
+        assert (seq.time_s == seq.frame_index / 30.0).all()
