@@ -10,7 +10,7 @@ score and visualize per-joint deviations of analyzed cycles.
 from .cycles import (CycleSlice, NormalizedCycle, resample_cycle,
                      segment_cycles)
 from .detect import (DetectionConfig, DeviationReport, build_report,
-                     frame_statuses, severity_matrix, severity_values)
+                     frame_statuses, judge, severity_matrix)
 from .errors import DegenerateGeometryError, GaitNormError, ValidationError
 from .figures import (FigureDoc, annotate_frames, render_band_plot,
                       render_heatmap, render_multi_joint, write_figure)
@@ -29,7 +29,7 @@ from .synth import (AbnormalitySpec, JointProfile, demo_profiles,
                     generate_cohort, generate_cycle, generate_pose_sequence,
                     inject_abnormality, noise_free_curve)
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AbnormalitySpec", "AngleSample", "AngleSeries", "CycleAnnotation",
@@ -41,11 +41,11 @@ __all__ = [
     "angle_series_set", "annotate_frames", "build_normative_model",
     "build_report", "demo_profiles", "eval_spline", "fit_natural_cubic",
     "frame_statuses", "generate_cohort", "generate_cycle",
-    "generate_pose_sequence", "inject_abnormality", "joint_angle",
+    "generate_pose_sequence", "inject_abnormality", "joint_angle", "judge",
     "load_cycles", "load_norm_model", "load_report", "model_summary",
     "noise_free_curve", "parse_annotation_document", "parse_pose_sequence",
     "render_band_plot", "render_heatmap", "render_multi_joint",
     "resample_cycle", "save_cycles", "save_norm_model", "save_report",
-    "segment_cycles", "severity_matrix", "severity_values",
+    "segment_cycles", "severity_matrix",
     "standard_joint_set", "write_figure",
 ]

@@ -106,10 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     std_kind = _flags()
     std_kind.add_argument("--std-kind", choices=STD_KINDS,
                           default=STD_KINDS[0])
-    k, defaults = _flags(), DetectionConfig()
-    k.add_argument("--k", type=float, default=defaults.k,
-                   help="SD multiplier for the abnormality threshold")
-    detection = _flags(k)
+    detection, defaults = _flags(), DetectionConfig()
+    detection.add_argument("--k", type=float, default=defaults.k,
+                           help="SD multiplier for the abnormality threshold")
     detection.add_argument("--sigma-floor-deg", type=float,
                            default=defaults.sigma_floor_deg,
                            help="lower bound on the SD used in z-scores")
@@ -142,9 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", required=True)
     p.add_argument("--model", required=True)
 
-    p = command("figures", cmd_figures, [out_dir, video, k],
+    p = command("figures", cmd_figures, [out_dir, video],
                 "render band plots, multi-joint panels, heatmap")
     p.add_argument("--model", required=True)
+    p.add_argument("--k", type=float, help=f"SD multiplier of the band "
+                   f"(default: the report's config.k, else {defaults.k:g})")
     p.add_argument("--report", help="deviation report to overlay / render")
     p.add_argument("--cycles",
                    help="cycles file holding the report's analyzed cycle")
@@ -451,11 +452,16 @@ def cmd_detect(args) -> int:
 
 def cmd_figures(args) -> int:
     model = load_norm_model(Path(args.model).read_bytes())
-    cfg = DetectionConfig(args.k)
-
     report = None
     if args.report:
         report = load_report(Path(args.report).read_bytes())
+        # The band is drawn at the k the report's flags were decided at,
+        # so every dot outside the band is drawn abnormal.
+        if args.k not in (None, report.config.k):
+            raise ValidationError(f"--k {args.k} differs from the report's "
+                                  f"config.k {report.config.k}")
+    cfg = report.config if report is not None else (
+        DetectionConfig() if args.k is None else DetectionConfig(args.k))
     cycle = None
     if args.cycles and report is not None:
         candidates = load_cycles(Path(args.cycles).read_bytes())

@@ -6,6 +6,8 @@ when ``|z|`` strictly exceeds the SD multiplier ``k`` (default 1, the
 one-standard-deviation rule); a sample exactly at k standard deviations
 counts as within the band.  Severity compresses ``|z|`` into [0, 1] by
 clipping at ``severity_clip`` standard deviations, for heatmap shading.
+A report stores only z and the config; ``judge`` derives the rest whenever
+a ``DeviationReport`` is made, by ``build_report`` or ``load_report``.
 
 The sigma floor (default half a degree) keeps a near-deterministic cohort
 from dividing deviations by ~0; sub-half-degree precision is beyond what
@@ -71,18 +73,29 @@ class DeviationReport:
     grid_points: int
     config: DetectionConfig
     z: Dict[str, np.ndarray]
-    flag: Dict[str, np.ndarray]
-    severity: Dict[str, np.ndarray]
-    flagged_fraction: Dict[str, float]
     unknown_joints: List[str] = field(default_factory=list)
     phase_source: str = "frames"
+    # Derived from z and config by ``judge``, never stored or passed in.
+    flag: Dict[str, np.ndarray] = field(init=False)
+    severity: Dict[str, np.ndarray] = field(init=False)
+    flagged_fraction: Dict[str, float] = field(init=False)
+
+    def __post_init__(self):
+        z = np.array(list(self.z.values()), float).reshape(
+            len(self.z), self.grid_points)
+        flags, severity, fraction = judge(z, self.config)
+        self.flag = dict(zip(self.z, flags))
+        self.severity = dict(zip(self.z, severity))
+        self.flagged_fraction = dict(zip(self.z, fraction.tolist()))
 
 
-def severity_values(z: np.ndarray,
-                    cfg: Optional[DetectionConfig] = None) -> np.ndarray:
-    """Map signed z-scores to severity in [0, 1]: ``min(|z|, clip)/clip``."""
-    cfg = cfg or DetectionConfig()
-    return np.minimum(np.abs(z), cfg.severity_clip) / cfg.severity_clip
+def judge(z: np.ndarray, cfg: DetectionConfig) -> Tuple[np.ndarray, ...]:
+    """Flags, severity and flagged fraction of a ``(joints, grid)`` z
+    matrix: ``|z| > k``, ``min(|z|, clip)/clip`` in [0, 1], and the mean
+    of each row's flags.  The only place these are decided."""
+    flags = np.abs(z) > cfg.k
+    severity = np.minimum(np.abs(z), cfg.severity_clip) / cfg.severity_clip
+    return flags, severity, flags.mean(axis=1)
 
 
 def severity_matrix(report: DeviationReport,
@@ -145,8 +158,8 @@ def build_report(cycle: NormalizedCycle, model: NormativeModel,
                  annotation: Optional[CycleAnnotation] = None,
                  joint_order: Sequence[str] = JOINT_NAMES,
                  phase_source: str = "frames") -> DeviationReport:
-    """Score one cycle against the model: the only place z-scores, flags
-    and severity are computed.
+    """Score one cycle against the model: the only place z-scores are
+    computed (flags and severity follow from them, see ``judge``).
 
     Every valid joint the model holds is scored in one ``(joints, grid)``
     operation, and each per-joint array is one row of it.  A valid joint
@@ -172,8 +185,6 @@ def build_report(cycle: NormalizedCycle, model: NormativeModel,
     std = np.array([model.joints[j].std for j in joints], float)
     sigma = np.maximum(std.reshape(shape), cfg.sigma_floor_deg)
     z = (angles - mean.reshape(shape)) / sigma
-    flags = np.abs(z) > cfg.k
-    severity = severity_values(z, cfg)
     unknown = [j for j in joint_order if j not in joints]
     return DeviationReport(
         video_id=video_id,
@@ -183,9 +194,6 @@ def build_report(cycle: NormalizedCycle, model: NormativeModel,
         grid_points=cycle.grid_points,
         config=cfg,
         z=dict(zip(joints, z)),
-        flag=dict(zip(joints, flags)),
-        severity=dict(zip(joints, severity)),
-        flagged_fraction=dict(zip(joints, flags.mean(axis=1).tolist())),
         unknown_joints=unknown,
         phase_source=phase_source,
     )

@@ -8,7 +8,8 @@ Six file families are handled here:
 * per-joint angle series -- ``gaitnorm-angles/1``
 * normalized-cycle cohorts -- ``gaitnorm-cycles/1``
 * normative models -- ``gaitnorm/1``
-* deviation reports -- one JSON document per analyzed cycle
+* deviation reports -- ``gaitnorm-report/2``, one document per analyzed
+  cycle, holding z per scored joint and the config that decides the rest
 
 Parsing is pure and deterministic: the same bytes always produce the same
 structures, and parsed values are never mutated afterwards, so they are
@@ -82,6 +83,7 @@ CHUNK_FRAMES = 512
 NORM_MODEL_SCHEMA = "gaitnorm/1"
 CYCLES_SCHEMA = "gaitnorm-cycles/1"
 ANGLES_SCHEMA = "gaitnorm-angles/1"
+REPORT_SCHEMA = "gaitnorm-report/2"
 
 
 class Point2D(NamedTuple):
@@ -680,15 +682,8 @@ def load_cycles(data: bytes):
 
 
 def save_report(report) -> bytes:
-    """Serialize a ``DeviationReport`` for one analyzed cycle."""
-    joints = {}
-    for name in report.z:
-        joints[name] = {
-            "z": _floats(report.z[name]),
-            "flag": np.asarray(report.flag[name], dtype=bool).tolist(),
-            "severity": _floats(report.severity[name]),
-            "flagged_fraction": float(report.flagged_fraction[name]),
-        }
+    """Serialize a ``DeviationReport``: z per scored joint, and the config."""
+    joints = {name: {"z": _floats(z)} for name, z in report.z.items()}
     cycle_meta = {"cycle_id": report.cycle_id, "label": report.label}
     if report.annotation is not None:
         cycle_meta["start_frame"] = report.annotation.start_frame
@@ -696,6 +691,7 @@ def save_report(report) -> bytes:
     if report.phase_source != "frames":
         cycle_meta["phase_source"] = report.phase_source
     doc = {
+        "schema": REPORT_SCHEMA,
         "video_id": report.video_id,
         "cycle": cycle_meta,
         "grid_points": int(report.grid_points),
@@ -711,39 +707,28 @@ def save_report(report) -> bytes:
 
 
 def load_report(data: bytes):
-    """Parse a deviation report file."""
+    """Parse a deviation report file; flags and severity are derived from
+    its z and config, as ``build_report`` derives them."""
     from .detect import DetectionConfig, DeviationReport  # deferred: avoids import cycle
 
     doc = _load_json(data, "report file")
     if not isinstance(doc, dict) or not isinstance(doc.get("joints"), dict):
         raise ValidationError("report file must contain a 'joints' object")
+    if doc.get("schema") != REPORT_SCHEMA:
+        raise ValidationError(f"schema mismatch: expected {REPORT_SCHEMA!r}, "
+                              f"got {doc.get('schema')!r}; re-run 'gaitnorm "
+                              f"detect' to rewrite an older report")
     grid_points = _require_int(doc.get("grid_points"), "'grid_points'")
-    cfg_doc = _require_object(doc.get("config", {}), "'config'")
+    if grid_points < 2:
+        raise ValidationError(f"'grid_points' must be >= 2, got {grid_points}")
+    cfg_doc = _require_object(doc.get("config"), "'config'")
     config = DetectionConfig(**{
-        f.name: _require_number(cfg_doc.get(f.name, f.default),
-                                f"'config.{f.name}'")
+        f.name: _require_number(cfg_doc.get(f.name), f"'config.{f.name}'")
         for f in fields(DetectionConfig)})
     z = {}
-    flag = {}
-    severity = {}
-    flagged_fraction = {}
     for name, entry in doc["joints"].items():
         _require_object(entry, f"joint {name!r}")
         z[name] = _float_list(entry.get("z"), f"joint {name!r} z", grid_points)
-        flags = entry.get("flag")
-        if not isinstance(flags, list) or len(flags) != grid_points:
-            raise ValidationError(f"joint {name!r} flag: expected an array of "
-                                  f"length {grid_points}")
-        if not {bool}.issuperset(map(type, flags)):
-            raise ValidationError(f"joint {name!r} flag: expected booleans")
-        flag[name] = np.array(flags, dtype=bool)
-        severity[name] = _float_list(entry.get("severity"),
-                                     f"joint {name!r} severity", grid_points)
-        if not ((severity[name] >= 0.0) & (severity[name] <= 1.0)).all():
-            raise ValidationError(
-                f"joint {name!r} severity: values must be in [0, 1]")
-        flagged_fraction[name] = _require_number(
-            entry.get("flagged_fraction", 0.0), f"joint {name!r} flagged_fraction")
 
     cycle_meta = _require_object(doc.get("cycle"), "'cycle'")
     label = cycle_meta.get("label")
@@ -773,6 +758,10 @@ def load_report(data: bytes):
     if not isinstance(unknown_joints, list) or not all(
             isinstance(j, str) for j in unknown_joints):
         raise ValidationError("'unknown_joints' must be a list of strings")
+    both = [j for j in unknown_joints if j in z]
+    if both:
+        raise ValidationError(
+            f"joint {both[0]!r} is both scored and listed in 'unknown_joints'")
     return DeviationReport(
         video_id=video_id,
         cycle_id=cycle_id,
@@ -781,9 +770,6 @@ def load_report(data: bytes):
         grid_points=grid_points,
         config=config,
         z=z,
-        flag=flag,
-        severity=severity,
-        flagged_fraction=flagged_fraction,
         unknown_joints=list(unknown_joints),
         phase_source=phase_source,
     )

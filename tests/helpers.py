@@ -246,6 +246,20 @@ def reference_report(cycle, model, cfg=None, joint_order=JOINT_NAMES):
     return out
 
 
+def assert_same_judgment(got, want):
+    """``got``'s z, flag and severity rows equal ``want``'s bit for bit,
+    and so do the flagged fractions; ``want`` is a ``DeviationReport`` or
+    a ``reference_report`` dict."""
+    want = want if isinstance(want, dict) else vars(want)
+    for name in ("z", "flag", "severity"):
+        rows = getattr(got, name)
+        assert sorted(rows) == sorted(want[name])
+        for joint, values in want[name].items():
+            assert rows[joint].dtype == values.dtype
+            assert rows[joint].tobytes() == values.tobytes()
+    assert got.flagged_fraction == want["flagged_fraction"]
+
+
 def reference_spline_values(knot_x, knot_y, t) -> np.ndarray:
     """One natural cubic spline through (knot_x, knot_y), evaluated at the
     array ``t``: a scalar Thomas sweep over one right-hand side and one

@@ -529,15 +529,17 @@ WRONG_FIELD_TYPES = {
     "model-joint-not-object": _bad_model,
     "report-string-start-frame": lambda t: _bad_report(
         t, lambda d: d["cycle"].update(start_frame="3", end_frame=40)),
-    "report-string-flagged-fraction": lambda t: _bad_report(
-        t, lambda d: _first_joint(d).update(flagged_fraction="x")),
+    "report-string-in-z": lambda t: _bad_report(
+        t, lambda d: _first_joint(d)["z"].__setitem__(5, "x")),
+    "report-bool-in-z": lambda t: _bad_report(
+        t, lambda d: _first_joint(d)["z"].__setitem__(3, True)),
     "report-without-label": lambda t: _bad_report(
         t, lambda d: d["cycle"].pop("label")),
-    # the heatmap draws the report's severity as it is stored
-    "report-severity-above-one": lambda t: _bad_report(
-        t, lambda d: _first_joint(d)["severity"].__setitem__(3, 1.5)),
-    "report-negative-severity": lambda t: _bad_report(
-        t, lambda d: _first_joint(d)["severity"].__setitem__(0, -0.25)),
+    # flags and severity are derived from z and the config on load
+    "report-without-config-k": lambda t: _bad_report(
+        t, lambda d: d["config"].pop("k")),
+    "report-unversioned": lambda t: _bad_report(
+        t, lambda d: d.pop("schema")),
 }
 
 
@@ -548,6 +550,69 @@ def test_wrong_field_types_exit_1_without_traceback(tmp_path, capsys, case):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "validation error" in err and "Traceback" not in err
+
+
+def test_report_scoring_a_joint_it_lists_unknown_exits_1(tmp_path, capsys):
+    # figures used to draw the joint as scored (no blank row)
+    argv = _bad_report(tmp_path,
+                       lambda d: d["unknown_joints"].append("left_knee"))
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "'left_knee' is both scored and listed in 'unknown_joints'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "fig").exists()
+
+
+def _figures_of_a_k2_report(tmp_path):
+    """``figures`` argv for cycle 0 of a 12-cycle cohort detected at
+    ``--k 2``, and that report's path."""
+    cohort, model = tmp_path / "cohort.json", tmp_path / "model.json"
+    assert main(["synth", "--out", str(cohort), "--n", "12",
+                 "--seed", "4"]) == 0
+    assert main(["build-norm", "--cycles", str(cohort),
+                 "--out", str(model)]) == 0
+    assert main(["detect", "--cycles", str(cohort), "--model", str(model),
+                 "--out-dir", str(tmp_path / "det"), "--video-id", "v",
+                 "--k", "2"]) == 0
+    report = tmp_path / "det" / "v.c0.report.json"
+    return ["figures", "--model", str(model), "--report", str(report),
+            "--cycles", str(cohort), "--out-dir", str(tmp_path / "fig")], \
+        report
+
+
+@pytest.mark.parametrize("explicit", [[], ["--k", "2"]])
+def test_figures_draw_the_band_at_the_reports_k(tmp_path, explicit):
+    # The band used to be drawn at figures' own default k of 1 while the
+    # dots were coloured by the report's k of 2: 34 samples lay outside
+    # the drawn left-knee band, 4 of them drawn abnormal.
+    argv, report_path = _figures_of_a_k2_report(tmp_path)
+    assert main(argv + explicit) == 0
+    report = load_report(report_path.read_bytes())
+    band = json.loads((tmp_path / "fig" / "v.band.left_knee.svg.json"
+                       ).read_text())
+    multi = json.loads((tmp_path / "fig" / "v.multijoint.svg.json"
+                        ).read_text())
+    assert band["k"] == multi["k"] == report.config.k == 2.0
+    drawn = {s["kind"]: s["points"] for s in band["series"]}
+    outside = int((np.abs(report.z["left_knee"]) > band["k"]).sum())
+    assert drawn["abnormal"] == outside > 0
+    assert drawn["normal"] == report.grid_points - outside
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_figures_k_other_than_the_reports_exits_1(tmp_path, capsys, how):
+    argv, _ = _figures_of_a_k2_report(tmp_path)
+    if how == "flag":
+        argv += ["--k", "1.5"]
+    else:
+        argv += ["--config", _write_json(tmp_path / "c.json", {"k": 1.5})]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "--k 1.5 differs from the report's config.k 2.0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "fig").exists()
 
 
 def _jittered_walker(tmp_path):

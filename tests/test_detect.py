@@ -5,8 +5,7 @@ import pytest
 
 from gaitnorm import (CycleAnnotation, DetectionConfig, NormalizedCycle,
                       ValidationError, build_report, frame_statuses,
-                      load_report, save_report, severity_matrix,
-                      severity_values)
+                      judge, load_report, save_report, severity_matrix)
 from gaitnorm.detect import (STATUS_ABNORMAL, STATUS_NORMAL, STATUS_UNKNOWN)
 from gaitnorm.kinematics import JOINT_NAMES
 from gaitnorm.normative import (JointNormals, NormativeModel,
@@ -155,13 +154,14 @@ class TestSeverity:
         assert matrix[row, 7] == 1.0
 
     def test_beyond_clip_saturates(self):
-        sev = severity_values(np.array([9.0]), DetectionConfig())
-        assert sev[0] == 1.0
+        _, sev, _ = judge(np.array([[9.0]]), DetectionConfig())
+        assert sev[0, 0] == 1.0
 
     def test_sign_flip_invariance(self):
         rng = np.random.default_rng(43)
-        z = rng.normal(0, 2, size=101)
-        np.testing.assert_array_equal(severity_values(z), severity_values(-z))
+        z = rng.normal(0, 2, size=(3, 101))
+        cfg = DetectionConfig()
+        np.testing.assert_array_equal(judge(z, cfg)[1], judge(-z, cfg)[1])
 
     def test_shape_with_all_joints(self):
         assert severity_matrix(_full_report()).shape == (10, 101)

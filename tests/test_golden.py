@@ -70,7 +70,7 @@ GOLDEN = {
     "c0.multijoint.svg.json":
         "341287e8c513d90f5e2539d1ee7b6876dc46d78c05c9e543025c6b46032a8abf",
     "c0.report.json":
-        "51a75d6c06c0f56a8b25f37dd6b615018603f858a580d676b4d1328f4dbecf2e",
+        "2534eae1f10b7366272b58a245b7ddd9c5bced22c7b7ae4483446d1624952cfe",
     "c1.heatmap.svg":
         "f6d2bc5db73451a0067bf93e4b478b28e2abd04a0ae1cf5bf12a7debd585e98a",
     "c1.heatmap.svg.json":
@@ -80,7 +80,7 @@ GOLDEN = {
     "c1.multijoint.svg.json":
         "f6880009df5d7117eaf4f23b5a013e53eefa51a39d74d944fa5e6b3f22b44b11",
     "c1.report.json":
-        "3b1971723e1b1b923e327f7913520e633831d45dfa4cd6cfd841ec5e1f800b9e",
+        "2c0db148683887aeb65b3106811365285758ab7f0ca0efd6e877f3af5b4ce723",
     "c2.heatmap.svg":
         "ef678f06fc8ec9d97d07dd5888159b08e3a7fb5cbfc5d8221b5671eef07220c5",
     "c2.heatmap.svg.json":
@@ -90,7 +90,7 @@ GOLDEN = {
     "c2.multijoint.svg.json":
         "7f939caee16941b395f1b38729a98c8dd3a1bdf24a82b5724303304fce8c0144",
     "c2.report.json":
-        "758c0517e4b4a5761f8cbca32985679ea01322b30a22adc95fe809bc3262d70a",
+        "9a0802451ae38e56f4cfdb434d37bfce9b8fdb3e5a42f6beb92273f3aeb478a6",
     "c3.heatmap.svg":
         "535408ef29f6a7f94e2c7b38e0448ce8f957214f0da5cae37e1b85c0b171cda0",
     "c3.heatmap.svg.json":
@@ -100,7 +100,7 @@ GOLDEN = {
     "c3.multijoint.svg.json":
         "638d5eed203d3d59075a1c99ed74f7dc68b7ba240cafc89e8a697199dc225874",
     "c3.report.json":
-        "bbb10dd68aecdfd7adde8b264156b70d207c1d594e44d1a52406461786eac28e",
+        "867499aa766d06de5b5789cf46273ee5844fd59a6acb316932079cde2e4608f5",
     "model.json":
         "78170288251a400390454c19df6fb4b476c032f5f6e15afeff2dfd2232f88d0a",
     "overlays.json":
@@ -152,13 +152,13 @@ STAGE_GOLDEN = {
     },
     "detect": {
         "demo.cycles.c0.report.json":
-            "bc5a045ab38d0b23098a00adcb6d6dc304667eae69a5340afd629cc51265364e",
+            "ed8043d0559855464ded69d34aa377cec41cdcc9143e51dc0fd24d49de680001",
         "demo.cycles.c1.report.json":
-            "1b8970f4b8a50a85d1c9b397d8936b4958d867540ff415e33d133793b9f9ade8",
+            "aad4361adbcea1f9e9ce2dde548b0003dc241682cbd2dcbe0d9b05741c3d894a",
         "demo.cycles.c2.report.json":
-            "d933049371822b1982a8ad3b084f1b245d12a68a6dde080db2d2370f55c37f01",
+            "66d320c11dc94efefcbaf120273ae96499c138dbea6a41f697e28d60a28f474e",
         "demo.cycles.c3.report.json":
-            "abb3271774e0a1b77c1a22f93e9f4e2a31ee423ba6254137b5bc1abf98cd00e9",
+            "9be9139471756fc4bfed252c9c6f8369bddbb9756c90e27cf5142474f2838904",
     },
     "figures": {
         "synthetic-walk.band.left_ankle.svg":
@@ -275,8 +275,10 @@ FLAG_SETS = {
         "--joint": ("joint", None, None, None, False, "append"),
         "--video-id": ("video_id", None, None, None, False, "store"),
         # the heatmap draws the report's own severity, so of the
-        # detection flags only --k (the band width) reaches a figure
-        "--k": _DETECTION["--k"],
+        # detection flags only --k (the band width) reaches a figure; it
+        # defaults to the report's config.k, so the band and the dots
+        # share one k (1.0 without a report)
+        "--k": ("k", None, "float", None, False, "store"),
     },
     "synth": {
         "--config": _CONFIG,

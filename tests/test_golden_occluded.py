@@ -69,7 +69,7 @@ GOLDEN = {
     "c0.multijoint.svg.json":
         "7fb7d0ef19bbd3077ce79b18a8edaea1946cc08faedfce8ca9a8e5c7009fa91a",
     "c0.report.json":
-        "87fe612669d2470fcf7a2d9b4c361f591580566e52f7c4c3835d20ada9ce84e2",
+        "aec9ee0ef6695860a8373d1c372ace063ea7d13c304fe38bdb4fdf2049921a96",
     "c1.heatmap.svg":
         "1023ec58d14d8dac864c6102191462b6eb3aeb9727dea4b7681413edab7fe018",
     "c1.heatmap.svg.json":
@@ -79,7 +79,7 @@ GOLDEN = {
     "c1.multijoint.svg.json":
         "f17c84b0da4509f59f67143d715435c731326a86d88de53e1e22f2ca9462d497",
     "c1.report.json":
-        "094cc2f77111ff38287f68d87eeeb5d56267e2b6f6d9ff55389cc0d1e813ad5f",
+        "4632343eec1e4a5db6701db5debb07f61e68a9289742f788809fdbae6e9f59b0",
     "c2.heatmap.svg":
         "d428f914cb51f165c6559bd750990ff130017f6a6dcd9ca2672b289924fca072",
     "c2.heatmap.svg.json":
@@ -89,7 +89,7 @@ GOLDEN = {
     "c2.multijoint.svg.json":
         "aa596ccb74aa1fe114748f922accd05f5874853dc87cee01fa71b5979669ee39",
     "c2.report.json":
-        "d98b00094d299c2c3ef9b1c6a9f3dd7eed11599badd7fd7816523111eec8da57",
+        "8a217bae3920461519a8b0dc772eda01b7a82a17a2f00b19f07931857da6bb1e",
     "c3.heatmap.svg":
         "52da360d7a0bca9dcf7f4927f0c1a9d6127ea6b38a67543632587cdd419884c0",
     "c3.heatmap.svg.json":
@@ -99,7 +99,7 @@ GOLDEN = {
     "c3.multijoint.svg.json":
         "e5279017841ba35b473b34a5de515bb201eb8dbaf05962ed1dd4fedd08b90f7a",
     "c3.report.json":
-        "8a54b132fe2e90ef86fc270fbde72e485a29d6ffe4644716d30032f974cb23ba",
+        "c77191c944868266b0ecef4be98cc6c581e506d240922a0ba46633ae1dee2b59",
     "c4.heatmap.svg":
         "037809ed9d1e144b503a3427b632fa342edbe31a9e1c51f6d1be1538b06f55fc",
     "c4.heatmap.svg.json":
@@ -109,7 +109,7 @@ GOLDEN = {
     "c4.multijoint.svg.json":
         "afd6f1669062a3211c3ed10e700891cd12ef7e40bfc9d5f99efd6b7dc9d36f9e",
     "c4.report.json":
-        "22e59755e48d26de5c87e5c90881324e4b367df52520bd72583a29f27872f374",
+        "e5338b59828e135929b2ab6bb41ba47b5a40eb2e82a551370668fef81d1f8ac3",
     "c5.heatmap.svg":
         "3bc461fb586a954b3917d78554dca26ec5b6005c1aa668534f24389f1585bfb3",
     "c5.heatmap.svg.json":
@@ -119,7 +119,7 @@ GOLDEN = {
     "c5.multijoint.svg.json":
         "2a6daf1b47ede7ad045fa2026598e0b38da9eeda37d438fc83de6184f450e1ce",
     "c5.report.json":
-        "c1484bf48aa8fb4d1d373c782f25d07048aaf5c3f5344e577cb4f45884410c86",
+        "26f35484a9fd042258ca427eff97bbd5cdaed6c80298784a78a3cace71d46141",
     "model.json":
         "fded178cc7a9a528e95326c7574af6a7ca14ab0838b0577b6f62f99daf84e6b8",
     "overlays.json":

@@ -20,14 +20,15 @@ import pytest
 from gaitnorm import cli
 from gaitnorm.cli import main
 from gaitnorm.errors import ValidationError
-from gaitnorm.pose_io import (save_cycles, serialize_annotations,
-                              serialize_pose_sequence)
+from gaitnorm.pose_io import (load_report, save_cycles,
+                              serialize_annotations, serialize_pose_sequence)
 from gaitnorm.synth import (demo_profiles, generate_cohort,
                             generate_pose_sequence)
 
-from helpers import dimmed_walker, occluded_walker
+from helpers import assert_same_judgment, dimmed_walker, occluded_walker
 
 SRC = Path(cli.__file__).resolve().parents[1]
+FIXTURES = Path(__file__).parent / "fixtures"
 SERIAL, PARALLEL = 1, 3
 
 
@@ -324,3 +325,51 @@ def test_killed_worker_exits_2_with_one_line(tmp_path, cohort):
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert proc.stderr.startswith("gaitnorm: i/o error: a worker process")
+
+
+def _walker_files(tmp_path, inputs, walk):
+    if inputs == "demo":
+        return FIXTURES / "demo.keypoints.jsonl", FIXTURES / "demo.cycles.json"
+    if inputs == "walk-40":
+        return walk
+    seq, annotations = occluded_walker()
+    kp_path, ann_path = tmp_path / "occ.jsonl", tmp_path / "occ.cycles.json"
+    kp_path.write_bytes(serialize_pose_sequence(seq))
+    ann_path.write_bytes(serialize_annotations(seq.video_id, annotations))
+    return kp_path, ann_path
+
+
+@pytest.mark.parametrize("inputs", ["demo", "occluded", "walk-40"])
+@pytest.mark.parametrize("command", ["detect", "run"])
+def test_written_reports_reload_as_built(tmp_path, monkeypatch, walk,
+                                         inputs, command):
+    # A report stores only z and the config; reading it back derives the
+    # flags, severity and flagged fractions build_report derived, bit for
+    # bit, whichever process wrote the file.
+    kp_path, ann_path = _walker_files(tmp_path, inputs, walk)
+    real, built = cli.build_report, []
+
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    out_dir = tmp_path / "out"
+    if command == "run":
+        monkeypatch.setattr(cli, "build_report", recording)
+        assert main(["run", "--keypoints", str(kp_path), "--annotations",
+                     str(ann_path), "--out-dir", str(out_dir)]) == 0
+    else:
+        cycles, model = tmp_path / "c.json", tmp_path / "m.json"
+        assert main(["segment", "--keypoints", str(kp_path), "--annotations",
+                     str(ann_path), "--out", str(cycles)]) == 0
+        assert main(["build-norm", "--cycles", str(cycles),
+                     "--out", str(model)]) == 0
+        monkeypatch.setattr(cli, "build_report", recording)
+        assert _detect(cycles, model, out_dir) == 0
+    assert built
+    for i, report in enumerate(built):
+        path, = out_dir.glob(f"*.c{i}.report.json")
+        loaded = load_report(path.read_bytes())
+        assert_same_judgment(loaded, report)
+        assert loaded.unknown_joints == report.unknown_joints
+        assert loaded.config == report.config

@@ -315,6 +315,57 @@ class TestReportFile:
             load_report(json.dumps(doc).encode())
 
 
+    def _doc(self):
+        model = _small_model()
+        cycle = NormalizedCycle(
+            label="typical", grid_points=101,
+            angles={"left_knee": model.joints["left_knee"].mean + 4.0},
+            valid={"left_knee": True}, cycle_id="walk:0-30")
+        return json.loads(save_report(build_report(cycle, model)))
+
+    def test_stores_only_z_and_the_config(self):
+        doc = self._doc()
+        assert doc["schema"] == "gaitnorm-report/2"
+        assert list(doc["joints"]["left_knee"]) == ["z"]
+        assert doc["config"] == {"k": 1.0, "sigma_floor_deg": 0.5,
+                                 "severity_clip": 3.0}
+
+    def test_unversioned_report_rejected(self):
+        # a pre-0.4 report: flags and severity stored, no schema
+        doc = self._doc()
+        del doc["schema"]
+        doc["joints"]["left_knee"].update(flag=[True] * 101,
+                                          severity=[0.5] * 101)
+        with pytest.raises(ValidationError, match=re.escape(
+                "schema mismatch: expected 'gaitnorm-report/2', got None; "
+                "re-run 'gaitnorm detect' to rewrite an older report")):
+            load_report(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("key", ["k", "sigma_floor_deg", "severity_clip"])
+    def test_every_config_field_required(self, key):
+        doc = self._doc()
+        del doc["config"][key]
+        with pytest.raises(ValidationError,
+                           match=rf"^'config\.{key}' must be a number"):
+            load_report(json.dumps(doc).encode())
+        del doc["config"]
+        with pytest.raises(ValidationError, match="^'config' must be an"):
+            load_report(json.dumps(doc).encode())
+
+    def test_flags_follow_the_stored_config(self):
+        doc = self._doc()  # left knee 4 degrees above the mean
+        doc["config"]["k"] = 1e6
+        assert not load_report(json.dumps(doc).encode()).flag[
+            "left_knee"].any()
+
+    @pytest.mark.parametrize("grid_points", [1, 0, -3])
+    def test_grid_below_two_points_rejected(self, grid_points):
+        doc = self._doc()
+        doc["grid_points"], doc["joints"] = grid_points, {}
+        with pytest.raises(ValidationError, match="'grid_points' must be"):
+            load_report(json.dumps(doc).encode())
+
+
 class TestAngleSeriesFile:
     def test_roundtrip(self):
         from gaitnorm.synth import generate_pose_sequence
