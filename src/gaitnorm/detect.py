@@ -45,6 +45,10 @@ class DetectionConfig:
     severity_clip: float = 3.0     # |z| at which severity shading saturates
 
     def __post_init__(self):
+        for name in ("k", "sigma_floor_deg", "severity_clip"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if not self.k > 0:
             raise ValidationError(f"k must be > 0, got {self.k}")
         if self.sigma_floor_deg < 0:

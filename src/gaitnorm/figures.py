@@ -19,8 +19,15 @@ Four figure families:
   optionally overlaid with an analyzed cycle's normal/abnormal samples
 * multi-joint -- the band plot repeated as a 10-panel grid
 * heatmap -- joints x cycle-percent severity, darker = larger deviation
-* frame overlays -- per-frame skeleton + joint status records meant to be
+* frame overlays -- per-frame keypoint + joint status records meant to be
   drawn over video frames by downstream tooling
+
+An overlay record holds ``frame``, ``time_s`` (full precision, ``null``
+when the frame has no time), ``keypoints`` (name -> [x, y, visibility]
+of each present landmark, rounded to 1/1000 px) and ``joint_status``
+(joint -> normal/abnormal/unknown).  The skeleton is not stored: a
+downstream drawer joins the ``SKELETON_EDGES`` pairs whose two landmarks
+are both in the record's ``keypoints``.
 
 The overlay document is written by ``overlay_chunks`` straight from a
 ``PoseSequence``'s arrays, ``pose_io.CHUNK_FRAMES`` frames at a time, so
@@ -46,7 +53,8 @@ from .kinematics import JOINT_NAMES
 from .normative import NormativeModel
 from .pose_io import KEYPOINT_NAMES, PoseSequence, _dump, _encode
 
-# Drawn between keypoints that are both present in a frame.
+# Drawn between keypoints that are both present in a frame's overlay
+# record; the record does not list them.
 SKELETON_EDGES: Tuple[Tuple[str, str], ...] = (
     ("left_shoulder", "right_shoulder"),
     ("left_hip", "right_hip"),
@@ -366,6 +374,21 @@ _SORTED_KEYPOINTS = sorted(range(len(KEYPOINT_NAMES)),
                            key=KEYPOINT_NAMES.__getitem__)
 
 
+# Overlay keypoints are written at 1/1000 px, far below the noise of any
+# 2D pose estimator.  A value of 2**52 or more has no thousandths to drop,
+# and ``np.round`` would overflow on one near the float64 maximum, so such
+# values (and NaN, infinities) are written as they are.
+_UNROUNDED = 2.0 ** 52
+
+
+def _drawing_precision(values: np.ndarray) -> np.ndarray:
+    """``values`` rounded to three decimals (half to even), with ``-0.0``
+    made ``0.0``; NaN, infinities and |v| >= 2**52 are kept."""
+    small = np.abs(values) < _UNROUNDED
+    rounded = np.round(np.where(small, values, 0.0), 3) + 0.0
+    return np.where(small, rounded, values)
+
+
 class _Literal(str):
     """A JSON token that ``%r`` writes unquoted."""
 
@@ -383,8 +406,6 @@ def _record_template(present: Tuple[bool, ...], timed: bool) -> str:
         "frame": "%d",
         "time_s": "%r" if timed else None,
         "keypoints": {n: ["%r"] * 3 for n in names},
-        "edges": [[a, b] for a, b in SKELETON_EDGES
-                  if a in names and b in names],
         "joint_status": "%s",
     }
     text = _encode(record, 1)
@@ -397,16 +418,16 @@ def overlay_chunks(seq: PoseSequence, statuses: np.ndarray,
                    joint_order: Sequence[str] = JOINT_NAMES
                    ) -> Iterator[bytes]:
     """The overlay document, ``pose_io.CHUNK_FRAMES`` frames at a time:
-    per frame, the keypoint pixel positions, the skeleton edges whose
-    endpoints are both present, and the per-joint status key
-    (normal/abnormal/unknown).  ``statuses`` holds one row per frame of
-    ``seq`` and one column per joint of ``joint_order``, as
-    ``detect.frame_statuses`` returns them.
+    per frame, its time, the keypoint pixel positions and visibilities at
+    1/1000 px, and the per-joint status key (normal/abnormal/unknown).
+    ``statuses`` holds one row per frame of ``seq`` and one column per
+    joint of ``joint_order``, as ``detect.frame_statuses`` returns them.
 
     The joined bytes are ``_dump`` of ``annotate_frames``'s records,
     written from the arrays of ``seq``: one cached template per (present
     landmarks, has a time), each distinct status row encoded once, and
-    one ``%`` over every value of a chunk.  Floats go through ``%r``, the
+    one ``%`` over every value of a chunk, its keypoints rounded first by
+    ``_drawing_precision``.  Floats go through ``%r``, the
     ``float.__repr__`` the JSON encoder uses.
     """
     n = len(seq.frame_index)
@@ -429,7 +450,8 @@ def overlay_chunks(seq: PoseSequence, statuses: np.ndarray,
             status_text[row] = _encode(dict(zip(joint_order, row)), 2)
         # Per frame: frame, status, x, y, visibility per landmark, time.
         floats = np.concatenate(
-            (seq.keypoints[lo:hi, _SORTED_KEYPOINTS].reshape(hi - lo, -1),
+            (_drawing_precision(
+                seq.keypoints[lo:hi, _SORTED_KEYPOINTS].reshape(hi - lo, -1)),
              seq.time_s[lo:hi, None]), axis=1)
         cells = np.empty((hi - lo, 2 + floats.shape[1]), dtype=object)
         cells[:, 0] = frames

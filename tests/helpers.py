@@ -16,7 +16,7 @@ from gaitnorm.cycles import EDGE_COVERAGE_PERCENT, MIN_KNOTS_PER_CYCLE
 from gaitnorm.detect import (STATUS_ABNORMAL, STATUS_NORMAL, STATUS_UNKNOWN,
                              DetectionConfig)
 from gaitnorm.errors import ValidationError
-from gaitnorm.figures import _STYLE, SKELETON_EDGES, _fmt
+from gaitnorm.figures import _STYLE, _fmt
 from gaitnorm.kinematics import JOINT_NAMES
 from gaitnorm.pose_io import (KEYPOINT_NAMES, Keypoint, KeypointFrame, Point2D,
                               PoseSequence, _load_json, _require_int,
@@ -160,25 +160,32 @@ def _reference_frame(record: dict, strict: bool) -> KeypointFrame:
                          time_s=time_s)
 
 
+def drawing_precision(v: float) -> float:
+    """One overlay keypoint value at 1/1000 px, in Python floats: rounded
+    half to even, ``-0.0`` made ``0.0``; NaN, infinities and
+    |v| >= 2**52, which hold no thousandths, are kept."""
+    if abs(v) < 2.0 ** 52:  # False for NaN
+        return round(v * 1000.0) / 1000.0 + 0.0
+    return v
+
+
 def reference_overlay_records(frames, statuses,
                               joint_order=JOINT_NAMES) -> list:
-    """Overlay records built one ``KeypointFrame`` at a time, each frame
-    with its row of ``statuses`` (one status per joint of
-    ``joint_order``)."""
+    """Overlay records built one ``KeypointFrame`` and one value at a
+    time, each frame with its row of ``statuses`` (one status per joint
+    of ``joint_order``)."""
     records = []
     for frame, row in zip(frames, statuses, strict=True):
         joint_status = dict(zip(joint_order, row, strict=True))
         keypoints = {
-            name: [kp.point.x, kp.point.y, kp.visibility]
+            name: [drawing_precision(v)
+                   for v in (kp.point.x, kp.point.y, kp.visibility)]
             for name, kp in sorted(frame.keypoints.items())
         }
-        edges = [[a, b] for a, b in SKELETON_EDGES
-                 if a in frame.keypoints and b in frame.keypoints]
         records.append({
             "frame": frame.frame_index,
             "time_s": frame.time_s,
             "keypoints": keypoints,
-            "edges": edges,
             "joint_status": joint_status,
         })
     return records

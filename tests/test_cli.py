@@ -910,3 +910,34 @@ def test_synth_grid_points_below_2_exit_1(tmp_path, capsys, grid_points):
     err = capsys.readouterr().err
     assert "grid_points must be >= 2" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def _detect_argv(tmp_path):
+    model = tmp_path / "model.json"
+    assert main(_synth_argv(tmp_path)) == 0
+    assert main(["build-norm", "--cycles", str(tmp_path / "cohort.json"),
+                 "--out", str(model)]) == 0
+    return ["detect", "--cycles", str(tmp_path / "cohort.json"),
+            "--model", str(model), "--out-dir", str(tmp_path / "out")]
+
+
+# A NaN sigma floor used to make every z NaN, so every joint read normal;
+# an infinite k or severity clip wrote reports no loader could read back.
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("field", ["k", "sigma_floor_deg", "severity_clip"])
+@pytest.mark.parametrize("build", [_detect_argv, _run_argv],
+                         ids=["detect", "run"])
+def test_nonfinite_detection_config_exits_1(tmp_path, capsys, build, field,
+                                            value, how):
+    argv = build(tmp_path)
+    if how == "flag":
+        argv += [f"--{field.replace('_', '-')}", value]
+    else:
+        argv += _config(tmp_path, {field: float(value)})
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"validation error: {field} must be finite, got {value}\n" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -301,6 +301,55 @@ class TestOverlayEqualsReference:
         assert _overlay(seq, _no_statuses(seq)) == _dump([])
 
 
+class TestDrawingPrecision:
+    """Overlay keypoints are written at 1/1000 px, times at full
+    precision, and no record lists skeleton edges."""
+
+    @staticmethod
+    def _records(seq):
+        return annotate_frames(seq, _no_statuses(seq))
+
+    @pytest.mark.parametrize("seq", [
+        _occluded_walker(0)[0],
+        parse_pose_sequence(_random_keypoint_file(0)),
+        parse_pose_sequence(_random_keypoint_file(1))],
+        ids=["walker", "random-0", "random-1"])
+    def test_values_within_half_a_thousandth(self, seq):
+        records = self._records(seq)
+        rounded = 0
+        for record, frame in zip(records, seq.frames, strict=True):
+            assert "edges" not in record
+            assert record["time_s"] == frame.time_s
+            assert sorted(record["keypoints"]) == sorted(frame.keypoints)
+            for name, kp in frame.keypoints.items():
+                want = (kp.point.x, kp.point.y, kp.visibility)
+                for got, v in zip(record["keypoints"][name], want):
+                    # 0.0005, plus the float rounding of v * 1000 / 1000:
+                    # 1e-13 at 1000 px
+                    assert abs(got - v) <= 0.0005 + np.spacing(abs(v))
+                    rounded += got != v
+        assert rounded
+
+    def test_negative_zero_and_huge_values(self):
+        kps = {"left_knee": Keypoint(Point2D(-0.0004, 1e306), 0.0),
+               "left_hip": Keypoint(Point2D(-0.0, -2.0 ** 52), 0.9996),
+               "left_ankle": Keypoint(Point2D(2.0 ** 52 - 0.5, -1.0005),
+                                      0.0015),
+               # np.round(v, 3) would move these by 1
+               "right_knee": Keypoint(Point2D(5542319793850645.0,
+                                              -7310185019960640.0), 1.0)}
+        seq = PoseSequence("v", (KeypointFrame(0, kps, -0.0004),))
+        [record] = json.loads(_overlay(seq, _no_statuses(seq)))
+        assert repr(record["time_s"]) == "-0.0004"
+        assert {name: list(map(repr, values))
+                for name, values in record["keypoints"].items()} == {
+            "left_knee": ["0.0", "1e+306", "0.0"],
+            "left_hip": ["0.0", "-4503599627370496.0", "1.0"],
+            "left_ankle": ["4503599627370495.5", "-1.0", "0.002"],
+            "right_knee": ["5542319793850645.0", "-7310185019960640.0",
+                           "1.0"]}
+
+
 class TestChunks:
     """Keypoint lines are parsed, and the overlay document written,
     ``pose_io.CHUNK_FRAMES`` frames at a time; the results must not

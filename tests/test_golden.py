@@ -104,7 +104,7 @@ GOLDEN = {
     "model.json":
         "78170288251a400390454c19df6fb4b476c032f5f6e15afeff2dfd2232f88d0a",
     "overlays.json":
-        "bd96fcebec9bc378bba5de65d9f550136e210bd5297011dda0dfb37dff160273",
+        "8ca0139d1203118cbcc220c5ba69ce144f391c0592bcf671a38c541eaac04de1",
 }
 
 KEYPOINTS = str(FIXTURES / "demo.keypoints.jsonl")
@@ -210,7 +210,7 @@ STAGE_GOLDEN = {
         "synthetic-walk.multijoint.svg.json":
             "638d5eed203d3d59075a1c99ed74f7dc68b7ba240cafc89e8a697199dc225874",
         "synthetic-walk.overlays.json":
-            "2f950ec3a1be2a567f40502a10a66a075869535c89eb4f1d6cfacde57bbaaf4d",
+            "576fb30e040082c9099f62887e1c2646f08bf268ae342f2a8fede879dd4a23f9",
     },
     "synth": {
         "demo.synth.json":

@@ -123,7 +123,7 @@ GOLDEN = {
     "model.json":
         "fded178cc7a9a528e95326c7574af6a7ca14ab0838b0577b6f62f99daf84e6b8",
     "overlays.json":
-        "cbdea557a1fbfa8880eeb762a8250f2edfb61edbaab532978b8d5633ce353511",
+        "48d0e241c36cd57d382d964038057810d573a220af73a6fbe63a3b2b5e166ab4",
 }
 
 
