@@ -6,12 +6,16 @@ when ``|z|`` strictly exceeds the SD multiplier ``k`` (default 1, the
 one-standard-deviation rule); a sample exactly at k standard deviations
 counts as within the band.  Severity compresses ``|z|`` into [0, 1] by
 clipping at ``severity_clip`` standard deviations, for heatmap shading.
-A report stores only z and the config; ``judge`` derives the rest whenever
-a ``DeviationReport`` is made, by ``build_report`` or ``load_report``.
+A report stores only z, at 1/1000 SD, and the config; ``build_report``
+rounds z to that precision before anything is decided from it, and
+``judge`` derives the rest whenever a ``DeviationReport`` is made, by
+``build_report`` or ``load_report``.
 
 The sigma floor (default half a degree) keeps a near-deterministic cohort
 from dividing deviations by ~0; sub-half-degree precision is beyond what
-2D pose estimates deliver anyway.
+2D pose estimates deliver anyway.  A floor of 0 (or a subnormal one) on a
+model with zero SD can still make z infinite or NaN, and ``build_report``
+rejects such a cycle rather than write it.
 """
 
 import logging
@@ -24,7 +28,7 @@ from .cycles import NormalizedCycle, _phases
 from .errors import ValidationError
 from .kinematics import JOINT_NAMES
 from .normative import NormativeModel
-from .pose_io import CycleAnnotation
+from .pose_io import REPORT_Z_DECIMALS, CycleAnnotation, at_precision
 
 logger = logging.getLogger(__name__)
 
@@ -163,13 +167,15 @@ def build_report(cycle: NormalizedCycle, model: NormativeModel,
                  joint_order: Sequence[str] = JOINT_NAMES,
                  phase_source: str = "frames") -> DeviationReport:
     """Score one cycle against the model: the only place z-scores are
-    computed (flags and severity follow from them, see ``judge``).
+    computed, rounded to ``REPORT_Z_DECIMALS`` (flags and severity follow
+    from the rounded z, see ``judge``, so they are what the written
+    report yields).
 
     Every valid joint the model holds is scored in one ``(joints, grid)``
     operation, and each per-joint array is one row of it.  A valid joint
     absent from the model is logged and reported unknown, like an
     invalid one: never silently dropped, never normal without a band.
-    Raises on a grid size mismatch.
+    Raises on a grid size mismatch and on a z that is not finite.
     """
     cfg = cfg or DetectionConfig()
     if cycle.grid_points != model.grid_points:
@@ -185,10 +191,20 @@ def build_report(cycle: NormalizedCycle, model: NormativeModel,
     joints = [j for j in valid if j in model.joints]
     shape = (len(joints), model.grid_points)
     angles = np.array([cycle.angles[j] for j in joints], float).reshape(shape)
-    mean = np.array([model.joints[j].mean for j in joints], float)
-    std = np.array([model.joints[j].std for j in joints], float)
-    sigma = np.maximum(std.reshape(shape), cfg.sigma_floor_deg)
-    z = (angles - mean.reshape(shape)) / sigma
+    mean = np.array([model.joints[j].mean for j in joints], float).reshape(shape)
+    std = np.array([model.joints[j].std for j in joints], float).reshape(shape)
+    sigma = np.maximum(std, cfg.sigma_floor_deg)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = (angles - mean) / sigma
+    bad = np.argwhere(~np.isfinite(z))
+    if len(bad):
+        row, g = bad[0]
+        raise ValidationError(
+            f"cycle {cycle.cycle_id}: joint {joints[row]!r} z is "
+            f"{z[row, g]} at grid point {g} (angle {angles[row, g]}, mean "
+            f"{mean[row, g]}, SD after the sigma floor {sigma[row, g]}); "
+            f"raise the sigma floor")
+    z = at_precision(z, REPORT_Z_DECIMALS)
     unknown = [j for j in joint_order if j not in joints]
     return DeviationReport(
         video_id=video_id,

@@ -374,21 +374,6 @@ _SORTED_KEYPOINTS = sorted(range(len(KEYPOINT_NAMES)),
                            key=KEYPOINT_NAMES.__getitem__)
 
 
-# Overlay keypoints are written at 1/1000 px, far below the noise of any
-# 2D pose estimator.  A value of 2**52 or more has no thousandths to drop,
-# and ``np.round`` would overflow on one near the float64 maximum, so such
-# values (and NaN, infinities) are written as they are.
-_UNROUNDED = 2.0 ** 52
-
-
-def _drawing_precision(values: np.ndarray) -> np.ndarray:
-    """``values`` rounded to three decimals (half to even), with ``-0.0``
-    made ``0.0``; NaN, infinities and |v| >= 2**52 are kept."""
-    small = np.abs(values) < _UNROUNDED
-    rounded = np.round(np.where(small, values, 0.0), 3) + 0.0
-    return np.where(small, rounded, values)
-
-
 class _Literal(str):
     """A JSON token that ``%r`` writes unquoted."""
 
@@ -427,7 +412,7 @@ def overlay_chunks(seq: PoseSequence, statuses: np.ndarray,
     written from the arrays of ``seq``: one cached template per (present
     landmarks, has a time), each distinct status row encoded once, and
     one ``%`` over every value of a chunk, its keypoints rounded first by
-    ``_drawing_precision``.  Floats go through ``%r``, the
+    ``pose_io.at_precision``.  Floats go through ``%r``, the
     ``float.__repr__`` the JSON encoder uses.
     """
     n = len(seq.frame_index)
@@ -450,8 +435,9 @@ def overlay_chunks(seq: PoseSequence, statuses: np.ndarray,
             status_text[row] = _encode(dict(zip(joint_order, row)), 2)
         # Per frame: frame, status, x, y, visibility per landmark, time.
         floats = np.concatenate(
-            (_drawing_precision(
-                seq.keypoints[lo:hi, _SORTED_KEYPOINTS].reshape(hi - lo, -1)),
+            (pose_io.at_precision(
+                seq.keypoints[lo:hi, _SORTED_KEYPOINTS].reshape(hi - lo, -1),
+                pose_io.OVERLAY_DECIMALS),
              seq.time_s[lo:hi, None]), axis=1)
         cells = np.empty((hi - lo, 2 + floats.shape[1]), dtype=object)
         cells[:, 0] = frames

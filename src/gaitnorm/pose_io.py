@@ -15,7 +15,11 @@ Parsing is pure and deterministic: the same bytes always produce the same
 structures, and parsed values are never mutated afterwards, so they are
 safe to share across threads.  Serializers emit floats at full precision
 (``repr`` round-trip) with sorted keys, so ``load(save(x))`` reproduces
-``x`` exactly and equal inputs produce byte-identical files.
+``x`` exactly and equal inputs produce byte-identical files.  Two values
+are not written at full precision: report z (1/1000 SD) and overlay
+keypoints (1/1000 px).  ``at_precision`` rounds both; report z is
+rounded in ``detect.build_report``, before anything is decided from it,
+and ``save_report`` writes the z it is given in full.
 
 A keypoint sequence is held as arrays, not one object per sample: a
 ``PoseSequence`` carries ``frame_index`` ``(n,)``, ``time_s`` ``(n,)`` and
@@ -79,6 +83,19 @@ PHASE_SOURCES: Tuple[str, ...] = ("frames", "time")
 # enough that a chunk's JSON objects and strings stay a few MB whatever
 # the length of the video.  The bytes do not depend on it.
 CHUNK_FRAMES = 512
+
+# Decimals of the two values written at a stated precision rather than in
+# full (see ``at_precision``): overlay keypoints at 1/1000 px, far below
+# the noise of any 2D pose estimator, and report z at 1/1000 SD, a step of
+# 0.0005 deg of joint angle where the SD sits at the default 0.5 deg
+# sigma floor and 0.005 deg at an SD of 5 deg.
+OVERLAY_DECIMALS = 3
+REPORT_Z_DECIMALS = 3
+# From 2**42 up a float64 step is 1/1024 or more, so a thousandth is no
+# finer than the float grid: rounding there could only move a value (by
+# up to 0.5 below 2**52), never shorten it, and ``np.round`` would
+# overflow near the float64 maximum.
+_UNROUNDED = 2.0 ** 42
 
 NORM_MODEL_SCHEMA = "gaitnorm/1"
 CYCLES_SCHEMA = "gaitnorm-cycles/1"
@@ -519,6 +536,18 @@ def _encode(obj, depth: int) -> str:
 def _dump(doc) -> bytes:
     # Canonical bytes: sorted keys, repr-precision floats, trailing newline.
     return (_encode(doc, 0) + "\n").encode()
+
+
+def at_precision(values: np.ndarray, decimals: int) -> np.ndarray:
+    """``values`` rounded to ``decimals`` (3 or fewer) places, half to even,
+    with ``-0.0`` made ``0.0``.  NaN, infinities and |v| >= 2**42 are kept
+    as they are.  Every value moves by less than one unit of the last
+    place: at most half a unit plus the float rounding of
+    ``v * 10**decimals`` and of the quotient back, under two float steps
+    of ``v`` together."""
+    small = np.abs(values) < _UNROUNDED
+    rounded = np.round(np.where(small, values, 0.0), decimals) + 0.0
+    return np.where(small, rounded, values)
 
 
 def _floats(values) -> List[float]:

@@ -160,13 +160,21 @@ def _reference_frame(record: dict, strict: bool) -> KeypointFrame:
                          time_s=time_s)
 
 
-def drawing_precision(v: float) -> float:
-    """One overlay keypoint value at 1/1000 px, in Python floats: rounded
-    half to even, ``-0.0`` made ``0.0``; NaN, infinities and
-    |v| >= 2**52, which hold no thousandths, are kept."""
-    if abs(v) < 2.0 ** 52:  # False for NaN
+def at_thousandths(v: float) -> float:
+    """One overlay keypoint or report z value as written, in Python floats:
+    rounded to 1/1000 half to even, ``-0.0`` made ``0.0``; NaN, infinities
+    and |v| >= 2**42, where a float step is 1/1024 or more, are kept."""
+    if abs(v) < 2.0 ** 42:  # False for NaN
         return round(v * 1000.0) / 1000.0 + 0.0
     return v
+
+
+def thousandths_bound(v) -> float:
+    """How far ``at_thousandths`` may move ``v``: half a thousandth, plus
+    the float rounding of ``v * 1000`` and of the quotient back, under two
+    float steps of ``v`` together (``round(0.40549999999999997, 3)`` is
+    0.406, 0.0005 plus 1.008 steps away)."""
+    return 0.0005 + 2 * math.ulp(v)
 
 
 def reference_overlay_records(frames, statuses,
@@ -178,7 +186,7 @@ def reference_overlay_records(frames, statuses,
     for frame, row in zip(frames, statuses, strict=True):
         joint_status = dict(zip(joint_order, row, strict=True))
         keypoints = {
-            name: [drawing_precision(v)
+            name: [at_thousandths(v)
                    for v in (kp.point.x, kp.point.y, kp.visibility)]
             for name, kp in sorted(frame.keypoints.items())
         }
@@ -232,17 +240,19 @@ def reference_frame_statuses(seq_cycles, frames, grid_points,
 def reference_report(cycle, model, cfg=None, joint_order=JOINT_NAMES):
     """z, flag, severity and flagged fraction per valid joint, and the
     unknown joints, one joint and one grid sample at a time in Python
-    floats: ``(angle - mean) / max(std, floor)``, ``|z| > k``,
-    ``min(|z|, clip) / clip`` and the count of flags over the grid.  A
-    valid joint the model lacks is unknown, like an invalid one."""
+    floats: ``(angle - mean) / max(std, floor)`` at 1/1000
+    (``at_thousandths``), then ``|z| > k``, ``min(|z|, clip) / clip`` and
+    the count of flags over the grid, all of the rounded z.  A valid joint
+    the model lacks is unknown, like an invalid one."""
     cfg = cfg or DetectionConfig()
     out = {"z": {}, "flag": {}, "severity": {}, "flagged_fraction": {}}
     for joint, angles in cycle.angles.items():
         if not cycle.valid.get(joint, False) or joint not in model.joints:
             continue
         normals = model.joints[joint]
-        z = [(a - m) / max(s, cfg.sigma_floor_deg) for a, m, s in
-             zip(angles.tolist(), normals.mean.tolist(), normals.std.tolist())]
+        z = [at_thousandths((a - m) / max(s, cfg.sigma_floor_deg))
+             for a, m, s in zip(angles.tolist(), normals.mean.tolist(),
+                                normals.std.tolist())]
         flags = [abs(v) > cfg.k for v in z]
         out["z"][joint] = np.array(z)
         out["flag"][joint] = np.array(flags)

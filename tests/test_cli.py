@@ -941,3 +941,54 @@ def test_nonfinite_detection_config_exits_1(tmp_path, capsys, build, field,
     assert f"validation error: {field} must be finite, got {value}\n" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def _zero_sd_model(tmp_path) -> Path:
+    """A model built from two copies of one synthetic cycle: every SD is
+    0, so only the sigma floor keeps z finite."""
+    cycle = generate_cohort(demo_profiles(), 1, seed=5)[0]
+    twins = tmp_path / "twins.json"
+    twins.write_bytes(save_cycles([cycle, cycle]))
+    model = tmp_path / "zero-sd.model.json"
+    assert main(["build-norm", "--cycles", str(twins),
+                 "--out", str(model)]) == 0
+    assert not any(j.std.any()
+                   for j in load_norm_model(model.read_bytes()).joints.values())
+    return model
+
+
+# With no sigma floor, a zero SD made z infinite (NaN on the mean): detect
+# wrote reports with Infinity and NaN tokens, and read every NaN joint as
+# normal.
+@pytest.mark.parametrize("floor", ["0", "5e-324"])
+@pytest.mark.parametrize("command", ["detect", "run"])
+def test_nonfinite_z_exits_1_and_writes_nothing(tmp_path, capsys, command,
+                                                floor):
+    model = _zero_sd_model(tmp_path)
+    if command == "detect":
+        cohort = tmp_path / "cohort.json"
+        cohort.write_bytes(save_cycles(
+            generate_cohort(demo_profiles(), 3, seed=6)))
+        argv = ["detect", "--cycles", str(cohort), "--model", str(model),
+                "--out-dir", str(tmp_path / "out")]
+    else:
+        argv = _run_argv(tmp_path) + ["--model", str(model)]
+    capsys.readouterr()
+    assert main(argv + ["--sigma-floor-deg", floor]) == 1
+    err = capsys.readouterr().err
+    assert "validation error: cycle " in err
+    assert " z is inf at grid point " in err or " z is -inf" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cycle_on_a_zero_sd_mean_exits_1(tmp_path, capsys):
+    # the cycle the model was built from: 0 / 0 at every grid point
+    model = _zero_sd_model(tmp_path)
+    capsys.readouterr()
+    assert main(["detect", "--cycles", str(tmp_path / "twins.json"),
+                 "--model", str(model), "--out-dir", str(tmp_path / "out"),
+                 "--sigma-floor-deg", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "z is nan at grid point 0" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

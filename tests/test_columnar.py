@@ -337,7 +337,14 @@ class TestDrawingPrecision:
                                       0.0015),
                # np.round(v, 3) would move these by 1
                "right_knee": Keypoint(Point2D(5542319793850645.0,
-                                              -7310185019960640.0), 1.0)}
+                                              -7310185019960640.0), 1.0),
+               # from 2**42 up values are kept: np.round(v, 3) would
+               # move the first by 0.5; the largest float below 2**42 is
+               # rounded, by 1/2048
+               "right_hip": Keypoint(Point2D(4503599627370485.5,
+                                             2.0 ** 42 - 2.0 ** -11), 1.0),
+               "right_ankle": Keypoint(Point2D(-(2.0 ** 42), 2.0 ** 42
+                                               + 2.0 ** -10), 1.0)}
         seq = PoseSequence("v", (KeypointFrame(0, kps, -0.0004),))
         [record] = json.loads(_overlay(seq, _no_statuses(seq)))
         assert repr(record["time_s"]) == "-0.0004"
@@ -347,7 +354,9 @@ class TestDrawingPrecision:
             "left_hip": ["0.0", "-4503599627370496.0", "1.0"],
             "left_ankle": ["4503599627370495.5", "-1.0", "0.002"],
             "right_knee": ["5542319793850645.0", "-7310185019960640.0",
-                           "1.0"]}
+                           "1.0"],
+            "right_hip": ["4503599627370485.5", "4398046511104.0", "1.0"],
+            "right_ankle": ["-4398046511104.0", "4398046511104.001", "1.0"]}
 
 
 class TestChunks:

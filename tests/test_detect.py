@@ -61,6 +61,31 @@ class TestZScores:
         z, _, _ = _knee(_cycle(55.0), _model(60.0, 5.0))
         np.testing.assert_allclose(z, -1.0)
 
+    # A zero SD with no sigma floor, or a subnormal one, used to give
+    # reports infinite or NaN z (and NaN read normal).
+    @pytest.mark.parametrize("value, floor, z", [
+        (66.0, 0.0, "inf"), (54.0, 0.0, "-inf"), (60.0, 0.0, "nan"),
+        (61.0, 5e-324, "inf")])
+    def test_nonfinite_z_rejected(self, value, floor, z):
+        model = _model(60.0, 5.0)
+        model.joints["left_knee"].std[2] = 0.0
+        with pytest.raises(ValidationError, match=(
+                rf"^cycle x: joint 'left_knee' z is {z} at grid point 2 "
+                rf"\(angle {value}, mean 60.0, SD after the sigma floor "
+                rf"{floor}\); raise the sigma floor$")):
+            build_report(_cycle([61.0, 59.0, value, 61.0, 59.0]), model,
+                         DetectionConfig(sigma_floor_deg=floor))
+
+    def test_z_rounded_to_a_thousandth_before_flags(self):
+        # 65.0025 is 1.0005 SD before rounding, written 1.0 and within
+        # the band; 65.0035 is 1.0007, written 1.001 and abnormal
+        report = build_report(_cycle([65.0025, 65.0035, 60.0, 55.0, 59.9999]),
+                              _model(60.0, 5.0))
+        assert report.z["left_knee"].tolist() == [1.0, 1.001, 0.0, -1.0, 0.0]
+        assert report.flag["left_knee"].tolist() == [
+            False, True, False, False, False]
+        assert not np.signbit(report.z["left_knee"][4])  # -0.00002: 0.0
+
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="grid mismatch"):
             build_report(_cycle(60.0, grid=7), _model())

@@ -62,37 +62,37 @@ GOLDEN = {
     "band.right_shoulder.svg.json":
         "7cf68ac66193ba1749ab11e7cfbe59128120ae23d49aa9b3175d89adea5a5325",
     "c0.heatmap.svg":
-        "3f177bdafb20d78bc9e1e2349ffd84f620a463087273cf7c9317aa59be197428",
+        "30d3a13bf95f5c41d6bded3b426b78dd7bfce9e8b386988802c4441dffaa7693",
     "c0.heatmap.svg.json":
-        "c9831e211aec1a86bdf5bdd1b245fbb53462172dee8c942e54f2c83dc5ae157b",
+        "c8ca81f0949232e1f2817ccce54c2528b9b09e40ddf0964fbaa3b6982316bab5",
     "c0.multijoint.svg":
-        "d3847c792b6a437c27670aba910f4da29aa6fb4df2a5fbaaa5598f7a71800921",
+        "beced7e1dfe9baddbb60673152a434247e3286d6232112a8af09588599dd6366",
     "c0.multijoint.svg.json":
-        "341287e8c513d90f5e2539d1ee7b6876dc46d78c05c9e543025c6b46032a8abf",
+        "71e3e7d24322d2d0f93f7faea8d881a07f43dc2996d4ea6700eee3797156a01e",
     "c0.report.json":
-        "2534eae1f10b7366272b58a245b7ddd9c5bced22c7b7ae4483446d1624952cfe",
+        "41e4caff3e59292aba16f9e60c348331aea8a971c0c4d6d42c012762d8af8dae",
     "c1.heatmap.svg":
-        "f6d2bc5db73451a0067bf93e4b478b28e2abd04a0ae1cf5bf12a7debd585e98a",
+        "4a1f77257e68947ff1d14f0b90f44658c4276a31dba2adaa6c5051fb49f24aa2",
     "c1.heatmap.svg.json":
-        "161821a476bf902bf9cec4b35da7fdafe137a29dbfb725c3bd5d703f84832eee",
+        "c8ca81f0949232e1f2817ccce54c2528b9b09e40ddf0964fbaa3b6982316bab5",
     "c1.multijoint.svg":
-        "75dc09dbd8c36369a8baac759a93955827411863cd1687c89ef7873f6bda2e45",
+        "20934f6f4ace88acbab70487296512c95c437a98f0f9ac085aec8159be184808",
     "c1.multijoint.svg.json":
-        "f6880009df5d7117eaf4f23b5a013e53eefa51a39d74d944fa5e6b3f22b44b11",
+        "550de01127406d3bd48d4e067b0c4bcca7f189dee76e807ed0c506ec696fe105",
     "c1.report.json":
-        "2c0db148683887aeb65b3106811365285758ab7f0ca0efd6e877f3af5b4ce723",
+        "544dc4b65fcccfc38daa23b162e5c6db3fbe4098512dab61a33590c57f2c2a81",
     "c2.heatmap.svg":
-        "ef678f06fc8ec9d97d07dd5888159b08e3a7fb5cbfc5d8221b5671eef07220c5",
+        "37a9f247089ced7ed3ded86b2afbf005cfb19bd77c549429c4f85b50381b3f44",
     "c2.heatmap.svg.json":
-        "13f882a546362b7e95210174598f18f427bb4107e05041aeaf299516faeee8b0",
+        "c8ca81f0949232e1f2817ccce54c2528b9b09e40ddf0964fbaa3b6982316bab5",
     "c2.multijoint.svg":
         "c56473113f16309776058f0e824b6f630961b4055e68dba55003e68ec42ab974",
     "c2.multijoint.svg.json":
         "7f939caee16941b395f1b38729a98c8dd3a1bdf24a82b5724303304fce8c0144",
     "c2.report.json":
-        "9a0802451ae38e56f4cfdb434d37bfce9b8fdb3e5a42f6beb92273f3aeb478a6",
+        "fa63832760dac37dbe73fe60ffbb031fb08e1011dc2bd9d12c6778f100033747",
     "c3.heatmap.svg":
-        "535408ef29f6a7f94e2c7b38e0448ce8f957214f0da5cae37e1b85c0b171cda0",
+        "c25aede87d432601a8ec11cfe70f3f82b653a9319e7b95e401e164f6c2789c23",
     "c3.heatmap.svg.json":
         "ecb3f8373f60ee79ae913c4cf287f2c596d4ab30e0985f224f436bdd3a176bcf",
     "c3.multijoint.svg":
@@ -100,7 +100,7 @@ GOLDEN = {
     "c3.multijoint.svg.json":
         "638d5eed203d3d59075a1c99ed74f7dc68b7ba240cafc89e8a697199dc225874",
     "c3.report.json":
-        "867499aa766d06de5b5789cf46273ee5844fd59a6acb316932079cde2e4608f5",
+        "56ca938e2f9bd49e0d4cb46f3d73df86c4daa533037edbd2721a910810e28651",
     "model.json":
         "78170288251a400390454c19df6fb4b476c032f5f6e15afeff2dfd2232f88d0a",
     "overlays.json":
@@ -152,13 +152,13 @@ STAGE_GOLDEN = {
     },
     "detect": {
         "demo.cycles.c0.report.json":
-            "ed8043d0559855464ded69d34aa377cec41cdcc9143e51dc0fd24d49de680001",
+            "a377d3e8a0749d48df39dabe0481614c15a7a3024f6ca21f28f5a84bb09b780c",
         "demo.cycles.c1.report.json":
-            "aad4361adbcea1f9e9ce2dde548b0003dc241682cbd2dcbe0d9b05741c3d894a",
+            "856a39661fd3dca708839d7072300b6d95e43a3a57e1a12e62d119d20a304d84",
         "demo.cycles.c2.report.json":
-            "66d320c11dc94efefcbaf120273ae96499c138dbea6a41f697e28d60a28f474e",
+            "39274914d9620de676acaeaee4cf3f99d05c1c035b594dfbe90d1e3c74479dd0",
         "demo.cycles.c3.report.json":
-            "9be9139471756fc4bfed252c9c6f8369bddbb9756c90e27cf5142474f2838904",
+            "00ddf3f05a7dbce16499b91a8afe7c06ad47e1df806ec9244d028c0eeddeb4fa",
     },
     "figures": {
         "synthetic-walk.band.left_ankle.svg":
@@ -202,7 +202,7 @@ STAGE_GOLDEN = {
         "synthetic-walk.band.right_shoulder.svg.json":
             "bf4806023e5b3d5506fbd871e6aac635d0f6493fb25214202208e96cdca40821",
         "synthetic-walk.heatmap.svg":
-            "535408ef29f6a7f94e2c7b38e0448ce8f957214f0da5cae37e1b85c0b171cda0",
+            "c25aede87d432601a8ec11cfe70f3f82b653a9319e7b95e401e164f6c2789c23",
         "synthetic-walk.heatmap.svg.json":
             "ecb3f8373f60ee79ae913c4cf287f2c596d4ab30e0985f224f436bdd3a176bcf",
         "synthetic-walk.multijoint.svg":

@@ -61,69 +61,69 @@ GOLDEN = {
     "band.right_shoulder.svg.json":
         "7cf68ac66193ba1749ab11e7cfbe59128120ae23d49aa9b3175d89adea5a5325",
     "c0.heatmap.svg":
-        "5c2170b5f63e58b3873b0c9ca08ae860efef0bfa51ec1fcd523edbdb37b66fd7",
+        "8e13c256d2e64c45e5e7f5936596b9c57995bae44b2b4cacd29623af8efe5369",
     "c0.heatmap.svg.json":
-        "cdbd6ec3fd84b01462b8e9b887e39e983f5832030037b98dcf0a0ad35df803d7",
+        "90bb446ba3a87d044cdbf5ee08fece6907917065ce3cb062dabfeac547301bf7",
     "c0.multijoint.svg":
         "82eed5e93ee53d58ef61de09be7f18af7368aa41b057dadeb6ba98b1fb31d3b9",
     "c0.multijoint.svg.json":
         "7fb7d0ef19bbd3077ce79b18a8edaea1946cc08faedfce8ca9a8e5c7009fa91a",
     "c0.report.json":
-        "aec9ee0ef6695860a8373d1c372ace063ea7d13c304fe38bdb4fdf2049921a96",
+        "a3af86e80e40b5eb7a5c9dac1e267297b60aca13e0283be20ba0ee71e42acf0c",
     "c1.heatmap.svg":
-        "1023ec58d14d8dac864c6102191462b6eb3aeb9727dea4b7681413edab7fe018",
+        "0b8ae3fda59ba90a03f38506de938ea480a058bc95c5f53e619513a313d965cc",
     "c1.heatmap.svg.json":
-        "8c8e32e47da60e1c4f0d89b0949dc55401402c0c91d6d8f600536cc8e10f454f",
+        "22433f761ac48e08574497f1349cf7a47a2454293b2247eaf2d4ee69a60a07b0",
     "c1.multijoint.svg":
         "e68734b5d0ae9e17e371ba02515f8f8d16cd510bcf84b35b21aebe94592a67e8",
     "c1.multijoint.svg.json":
         "f17c84b0da4509f59f67143d715435c731326a86d88de53e1e22f2ca9462d497",
     "c1.report.json":
-        "4632343eec1e4a5db6701db5debb07f61e68a9289742f788809fdbae6e9f59b0",
+        "34b3d53897bf49550d1b06cd9a31b4add475f39f9d0093fe8b410619aebf5447",
     "c2.heatmap.svg":
-        "d428f914cb51f165c6559bd750990ff130017f6a6dcd9ca2672b289924fca072",
+        "fcee22e241e5eb8449058289d01863c4ddec0063f73331c392664049c1d42e4c",
     "c2.heatmap.svg.json":
-        "d61ef3837b0a7067fd8d4b001147106b5fcb05d0099b001918bc395c52e805aa",
+        "8609869051bfa587e37625f1dd6763e50ad205f981d4b99f4bb6508fa9e9ffdd",
     "c2.multijoint.svg":
         "eb58cc434b8a5d7685ed6b49b077d692b5b0d1d35ac1660f1e2e7652d412d264",
     "c2.multijoint.svg.json":
         "aa596ccb74aa1fe114748f922accd05f5874853dc87cee01fa71b5979669ee39",
     "c2.report.json":
-        "8a217bae3920461519a8b0dc772eda01b7a82a17a2f00b19f07931857da6bb1e",
+        "038d70a9d7a352f783413cfe7faec4781a917af5c0259bfa8d6d4b84578c2948",
     "c3.heatmap.svg":
-        "52da360d7a0bca9dcf7f4927f0c1a9d6127ea6b38a67543632587cdd419884c0",
+        "ac0ad80537f3f0317f9d110d97707572b2539363bb430cac062eaa55c3b11018",
     "c3.heatmap.svg.json":
-        "bf64d12cce87c8247dbec875210f6ba081e2bf7e0d7e254f007690897b8d2690",
+        "76da23a813d5129a8a5e7c420799ec76e31985b5e235ed010c27c2b03a5bc99f",
     "c3.multijoint.svg":
-        "c2db9fe3f845de036d2e327183a044a090dbcd33019152cec2b1d90db214c5ba",
+        "de885b6acbea2a1b76d3f42a0d6f890ccfbd5cb18524c158b654d4941e176a8d",
     "c3.multijoint.svg.json":
-        "e5279017841ba35b473b34a5de515bb201eb8dbaf05962ed1dd4fedd08b90f7a",
+        "ddd628999257270e09f1750c8bdbbbf7126ed8a81b2751e160efe4030c66c453",
     "c3.report.json":
-        "c77191c944868266b0ecef4be98cc6c581e506d240922a0ba46633ae1dee2b59",
+        "1e2d16baeaf1671a290cb1b5b60366609d698f21390253a0754e8418d81816a8",
     "c4.heatmap.svg":
-        "037809ed9d1e144b503a3427b632fa342edbe31a9e1c51f6d1be1538b06f55fc",
+        "f6655f1013c1434f4a03f64c29bef7c59ac875681514768b83f175fb63aaca9d",
     "c4.heatmap.svg.json":
-        "67e6cb0b0cc303455f173b1c5ad08f85e6a69986fe27ad6c3b24355e44c5eb98",
+        "f4d1887729d3d708a55136ff822d8cb5eb17cbc5533b090029eec1422e2b09c1",
     "c4.multijoint.svg":
         "5c38743fe0e15d48ce44f0649633777b65d8b24f1fc7d67026ceef34e207cf91",
     "c4.multijoint.svg.json":
         "afd6f1669062a3211c3ed10e700891cd12ef7e40bfc9d5f99efd6b7dc9d36f9e",
     "c4.report.json":
-        "e5338b59828e135929b2ab6bb41ba47b5a40eb2e82a551370668fef81d1f8ac3",
+        "65b3110e43f9401eb195f28bc27a5eb6c73b91c2494f35efac8f7e6fd1560d60",
     "c5.heatmap.svg":
-        "3bc461fb586a954b3917d78554dca26ec5b6005c1aa668534f24389f1585bfb3",
+        "f81e171debf3ad2d77fae0d5aa9a83e7b8c862180f4cd08ad3f08408181b0899",
     "c5.heatmap.svg.json":
         "ecb3f8373f60ee79ae913c4cf287f2c596d4ab30e0985f224f436bdd3a176bcf",
     "c5.multijoint.svg":
-        "a43af0c9b4ac3d40ce51c3f67e4d6d80e056a80a448eb06215ec80418606973e",
+        "2fb42370808b25cf56ee311b19d176519636c8c3c24bb488d93b8a98a2ace652",
     "c5.multijoint.svg.json":
-        "2a6daf1b47ede7ad045fa2026598e0b38da9eeda37d438fc83de6184f450e1ce",
+        "77f0da6f25eb5292d315ee206adcf0b9d9a74bb948ca84aae11d29395de950bb",
     "c5.report.json":
-        "26f35484a9fd042258ca427eff97bbd5cdaed6c80298784a78a3cace71d46141",
+        "5ae2c175a1246fb7a03bcc4117567245e4f3f69c0eb49e03c1dcbc66c4af1610",
     "model.json":
         "fded178cc7a9a528e95326c7574af6a7ca14ab0838b0577b6f62f99daf84e6b8",
     "overlays.json":
-        "48d0e241c36cd57d382d964038057810d573a220af73a6fbe63a3b2b5e166ab4",
+        "202fd877dbeb5e9ccba3e5ad359e0bed196cab6d66240db4481e31b10a30a8af",
 }
 
 

@@ -13,10 +13,13 @@ from gaitnorm import (CycleAnnotation, NormalizedCycle, ValidationError,
                       save_cycles, save_norm_model, save_report)
 from gaitnorm.detect import DetectionConfig, build_report
 from gaitnorm.normative import JointNormals, NormativeModel
-from gaitnorm.pose_io import (_dump, _float_list, load_angle_series,
-                              parse_annotation_document, save_angle_series,
-                              serialize_annotations, serialize_pose_sequence)
+from gaitnorm.pose_io import (_dump, _float_list, at_precision,
+                              load_angle_series, parse_annotation_document,
+                              save_angle_series, serialize_annotations,
+                              serialize_pose_sequence)
 from gaitnorm.kinematics import angle_series_set
+
+from helpers import at_thousandths
 
 
 def _line(frame, kps, time_s=None):
@@ -364,6 +367,69 @@ class TestReportFile:
         doc["grid_points"], doc["joints"] = grid_points, {}
         with pytest.raises(ValidationError, match="'grid_points' must be"):
             load_report(json.dumps(doc).encode())
+
+
+    def test_z_written_at_thousandths(self):
+        doc = self._doc()  # left knee 4 degrees above the mean
+        z = doc["joints"]["left_knee"]["z"]
+        knee = _small_model().joints["left_knee"]
+        exact = [((m + 4.0) - m) / s for m, s in
+                 zip(knee.mean.tolist(), knee.std.tolist())]
+        assert z == [at_thousandths(v) for v in exact] != exact
+        assert all(round(v, 3) == v for v in z)
+
+    def test_full_precision_report_judged_on_its_z(self):
+        # a report written before 0.6.0 holds z in full; it loads as it
+        # is, and is judged on the z it holds
+        doc = self._doc()
+        doc["joints"]["left_knee"]["z"] = [1.0004, -1.0004] * 50 + [1.0]
+        report = load_report(json.dumps(doc).encode())
+        assert report.z["left_knee"][:2].tolist() == [1.0004, -1.0004]
+        assert report.flag["left_knee"].tolist() == [True] * 100 + [False]
+
+
+class TestAtPrecision:
+    """``at_precision`` rounds report z and overlay keypoints to 1/1000,
+    and keeps NaN, infinities and magnitudes of 2**42 or more."""
+
+    @staticmethod
+    def _every_magnitude(seed, n=200_000):
+        """Finite floats of random sign, exponent and mantissa bits, so
+        every magnitude from subnormals to 1.8e308 is drawn, plus floats
+        just below and above 2**42 and near half-thousandths."""
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2 ** 63, n, dtype=np.uint64, endpoint=True)
+        bits |= rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+        v = bits.view(np.float64)
+        edge = 2.0 ** 42 + rng.integers(-4096, 4096, n // 10) * 2.0 ** -11
+        half = (rng.integers(0, 10 ** 9, n // 10) + 0.5) / 1000 * 2.0 ** (
+            rng.integers(-10, 13, n // 10).astype(float))
+        v = np.concatenate((v, edge, -edge, half, -half))
+        return v[np.isfinite(v)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_moves_every_value_less_than_a_thousandth(self, seed):
+        v = self._every_magnitude(seed)
+        w = at_precision(v, 3)
+        small = np.abs(v) < 2.0 ** 42
+        moved = np.abs(w[small] - v[small])
+        # half a thousandth, plus the float rounding of v * 1000 and of
+        # the quotient back
+        assert (moved <= 0.0005 + 2 * np.spacing(np.abs(v[small]))).all()
+        assert (moved < 0.001).all()
+        assert not np.signbit(w[small][w[small] == 0]).any()
+        assert w[~small].tobytes() == v[~small].tobytes()
+        assert small.sum() > len(v) // 4 and (~small).sum() > len(v) // 4
+
+    def test_equals_the_scalar_rule(self):
+        v = self._every_magnitude(3, n=20_000)
+        assert at_precision(v, 3).tobytes() == np.array(
+            [at_thousandths(x) for x in v.tolist()]).tobytes()
+
+    def test_nonfinite_kept(self):
+        v = np.array([np.nan, np.inf, -np.inf, -0.0004, -0.0])
+        assert repr(at_precision(v, 3).tolist()) == \
+            "[nan, inf, -inf, 0.0, 0.0]"
 
 
 class TestAngleSeriesFile:
