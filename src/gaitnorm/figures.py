@@ -4,14 +4,15 @@ All documents are plain SVG built by string assembly with fixed-precision
 coordinates, so identical inputs produce byte-identical files (raster
 backends and plotting libraries do not guarantee that).  Coordinates are
 computed as arrays and each series is formatted by one ``%`` operation.
-Markup that does not depend on the analyzed cycle is built once and
-cached by the values it formats: the heatmap cells per matrix shape, and
-a band panel's band, mean line, axes and dot ``cx`` per (panel box, y
-range, k, mean and SD bytes), so a cycle's panel formats only its dots'
-``cy`` and classes.  Every figure carries a machine-readable sidecar
-describing exactly what was plotted (series kinds and point counts);
-acceptance checks compare sidecars against the document instead of pixel
-content.
+A heatmap is one ``<path>`` per shade, a subpath per cell; a cycle's
+dots are one ``<path>`` per class, a zero-length subpath per dot that
+``_STYLE`` strokes as an r=2 disc.  Markup that does not depend on the
+analyzed cycle is cached by the values it formats: the cell subpaths per
+matrix shape, and a band panel's band, mean line, axes and dot ``cx`` per
+(panel box, y range, k, mean and SD bytes).  Every figure carries a
+machine-readable sidecar describing exactly what was plotted (series
+kinds and point counts); acceptance checks compare sidecars against the
+document instead of pixel content.
 
 Four figure families:
 
@@ -41,6 +42,7 @@ there is one overlay format.
 import functools
 import json
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,8 +73,8 @@ SKELETON_EDGES: Tuple[Tuple[str, str], ...] = (
 _STYLE = (
     "polyline.mean{fill:none;stroke:#1f4e8c;stroke-width:1.5}"
     "polygon.band{fill:#9ec3e6;fill-opacity:0.45;stroke:none}"
-    "circle.normal{fill:#1f4e8c}"
-    "circle.abnormal{fill:#c0392b}"
+    "path.normal{stroke:#1f4e8c;stroke-width:4;stroke-linecap:round}"
+    "path.abnormal{stroke:#c0392b;stroke-width:4;stroke-linecap:round}"
     "line.axis{stroke:#444;stroke-width:1}"
     "line.tick{stroke:#444;stroke-width:1}"
     "text{font-family:sans-serif;fill:#222}"
@@ -98,24 +100,27 @@ def _fmt_all(template: str, values: Sequence) -> str:
     return (template % tuple(values)).replace("-0.000", "0.000")
 
 
-def _interleave(*columns) -> List:
-    return [v for row in zip(*columns) for v in row]
+def _short_all(values: Sequence[float]) -> List[str]:
+    """Each value as ``_fmt`` writes it less trailing zeros and a trailing
+    ``.`` (``26``, ``155.6``), formatted with one ``%``."""
+    return [s.rstrip("0").rstrip(".")
+            for s in _fmt_all("%.3f " * len(values), values).split()]
 
 
 def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     """SVG ``points`` text: "x,y x,y ..." at three decimals."""
     return _fmt_all(" ".join(["%.3f,%.3f"] * len(xs)),
-                    _interleave(xs.tolist(), ys.tolist()))
+                    np.column_stack((xs, ys)).ravel().tolist())
 
 
 @functools.lru_cache(maxsize=256)
 def _panel(box: Tuple[float, float, float, float], lo: float, hi: float,
            k: float, mean: bytes, std: bytes, labels: bool):
     """Everything in a band panel that does not depend on the analyzed
-    cycle: the band polygon and mean line (drawn under the dots), the dot
-    template with each ``cx`` filled in and a class and ``cy`` slot per
-    grid point, the axes (drawn over the dots), and the degrees -> pixel y
-    map (y up).  ``mean`` and ``std`` are float64 bytes.  A pure function of the
+    cycle: the band polygon and mean line (drawn under the dots), each
+    grid point's dot subpath up to its ``cy`` (``M{cx} ``), the axes
+    (drawn over the dots), and the degrees -> pixel y map (y up).
+    ``mean`` and ``std`` are float64 bytes.  A pure function of the
     values it formats, so an entry can never go stale."""
     x0, x1, y0, y1 = box
     mean, std = np.frombuffer(mean), np.frombuffer(std)
@@ -129,8 +134,7 @@ def _panel(box: Tuple[float, float, float, float], lo: float, hi: float,
                                    sy(mean - k * std)[::-1])))
     under = (f'<polygon class="band" points="{band}"/>'
              f'<polyline class="mean" points="{_points(xs, sy(mean))}"/>')
-    dots = "".join(f'<circle class="%s" cx="{cx}" cy="%.3f" r="2"/>'
-                   for cx in map(_fmt, xs.tolist()))
+    dots = tuple(f"M{cx} " for cx in _short_all(xs.tolist()))
     return under, dots, "".join(_axes(x0, x1, y0, y1, lo, hi, sy, labels)), sy
 
 
@@ -148,17 +152,20 @@ def _band_panel(box, normals, k: float, angles: Optional[np.ndarray],
                   np.asarray(normals.std, float).tobytes(), labels)
 
 
-def _dots(template: str, angles: np.ndarray, flags: np.ndarray,
+def _dots(prefixes: Tuple[str, ...], angles: np.ndarray, flags: np.ndarray,
           sy) -> Tuple[str, int, int]:
-    """The cycle's grid samples as dots in ``_panel``'s template, abnormal
-    ones in the alert style: (markup, normal count, abnormal count)."""
+    """The cycle's grid samples as a path of normal dots, then one of
+    abnormal dots, each left out when empty: (markup, counts of each)."""
     flags = np.asarray(flags, dtype=bool)
     if len(flags) != len(angles):
         raise ValidationError("overlay flags do not match the grid")
-    classes = ["abnormal" if f else "normal" for f in flags.tolist()]
-    dots = _fmt_all(template, _interleave(classes, sy(angles).tolist()))
+    dots = list(map(str.__add__, prefixes, _short_all(sy(angles).tolist())))
+    paths = [f'<path class="{cls}" d="{"h0".join(compress(dots, mask))}h0"/>'
+             for cls, mask in (("normal", (~flags).tolist()),
+                               ("abnormal", flags.tolist()))
+             if any(mask)]
     n_abnormal = int(np.count_nonzero(flags))
-    return dots, len(angles) - n_abnormal, n_abnormal
+    return "".join(paths), len(angles) - n_abnormal, n_abnormal
 
 
 def _axes(x0, x1, y0, y1, lo, hi, sy, with_labels: bool = True) -> List[str]:
@@ -219,26 +226,20 @@ def render_band_plot(model: NormativeModel, joint: str,
         angles = cycle.angles[joint]
 
     x0, y0 = 50.0, 30.0
-    under, template, over, sy = _band_panel((x0, 620.0, y0, 360.0), jn,
+    under, prefixes, over, sy = _band_panel((x0, 620.0, y0, 360.0), jn,
                                             cfg.k, angles, labels=True)
     body = [f'<text x="{_fmt(x0)}" y="18" font-size="13">{joint} '
             f'(mean and {cfg.k:g} SD band, degrees vs cycle percent)</text>',
             under]
     series = [{"kind": "mean", "points": n}, {"kind": "band", "points": 2 * n}]
     if overlay is not None:
-        dots, n_normal, n_abnormal = _dots(template, angles, flags, sy)
+        dots, n_normal, n_abnormal = _dots(prefixes, angles, flags, sy)
         body.append(dots)
-        series.append({"kind": "normal", "points": n_normal})
-        series.append({"kind": "abnormal", "points": n_abnormal})
+        series += [{"kind": "normal", "points": n_normal},
+                   {"kind": "abnormal", "points": n_abnormal}]
     body.append(over)
-
-    sidecar = {
-        "figure_kind": "band",
-        "joint": joint,
-        "grid_points": n,
-        "k": cfg.k,
-        "series": series,
-    }
+    sidecar = {"figure_kind": "band", "joint": joint, "grid_points": n,
+               "k": cfg.k, "series": series}
     return FigureDoc(svg=_document(640, 400, body), sidecar=sidecar)
 
 
@@ -257,15 +258,12 @@ def render_multi_joint(flags_by_joint: Dict[str, np.ndarray],
     n = model.grid_points
     if cycle.grid_points != n:
         raise ValidationError("cycle grid size does not match model")
-    panel_w, panel_h = 380.0, 170.0
-    pad = 16.0
-    cols = 2
+    panel_w, panel_h, pad, cols = 380.0, 170.0, 16.0, 2
     rows = (len(joint_order) + cols - 1) // cols
     width = cols * panel_w + (cols + 1) * pad
     height = rows * panel_h + (rows + 1) * pad
 
-    body = []
-    panels = []
+    body, panels = [], []
     for i, joint in enumerate(joint_order):
         col, row = i % cols, i // cols
         ox = pad + col * (panel_w + pad)
@@ -285,21 +283,16 @@ def render_multi_joint(flags_by_joint: Dict[str, np.ndarray],
             panels.append({"joint": joint, "rendered": False})
             continue
         angles = cycle.angles[joint]
-        under, template, over, sy = _band_panel(
+        under, prefixes, over, sy = _band_panel(
             (ox + 10.0, ox + panel_w - 10.0, oy + 20.0, oy + panel_h - 10.0),
             model.joints[joint], cfg.k, angles, labels=False)
-        dots, n_normal, n_abnormal = _dots(template, angles,
+        dots, n_normal, n_abnormal = _dots(prefixes, angles,
                                            flags_by_joint[joint], sy)
         body += [under, dots, over]
         panels.append({"joint": joint, "rendered": True,
                        "normal": n_normal, "abnormal": n_abnormal})
-
-    sidecar = {
-        "figure_kind": "multi_joint",
-        "grid_points": n,
-        "k": cfg.k,
-        "panels": panels,
-    }
+    sidecar = {"figure_kind": "multi_joint", "grid_points": n, "k": cfg.k,
+               "panels": panels}
     return FigureDoc(svg=_document(width, height, body), sidecar=sidecar)
 
 
@@ -309,17 +302,14 @@ _FILLS = tuple(f"rgb({v},{v},{v})" for v in range(256)) + ("#f5f5f5",)
 
 
 @functools.lru_cache(maxsize=8)
-def _heatmap_rows(n_rows: int, n_cols: int) -> Tuple[str, ...]:
-    """Per row, the markup of its cells with a ``%s`` slot for each fill:
+def _heatmap_cells(n_rows: int, n_cols: int) -> np.ndarray:
+    """Each cell's subpath (``M110 20h8v24h-8z``) in row-major order:
     everything in a heatmap that depends only on the matrix shape."""
-    cell_x = [_fmt(_HEAT_LEFT + c * _CELL_W) for c in range(n_cols)]
-    size = f'width="{_fmt(_CELL_W)}" height="{_fmt(_CELL_H)}"'
-    rows = []
-    for r in range(n_rows):
-        y = _fmt(_HEAT_TOP + r * _CELL_H)
-        rows.append("".join(f'<rect class="cell" x="{x}" y="{y}" {size} '
-                            f'fill="%s"/>' for x in cell_x))
-    return tuple(rows)
+    xs = _short_all([_HEAT_LEFT + c * _CELL_W for c in range(n_cols)])
+    ys = _short_all([_HEAT_TOP + r * _CELL_H for r in range(n_rows)])
+    w, h, back = _short_all([_CELL_W, _CELL_H, -_CELL_W])
+    return np.array([f"M{x} {y}h{w}v{h}h{back}z" for y in ys for x in xs],
+                    dtype=object)
 
 
 def render_heatmap(severity: np.ndarray,
@@ -341,17 +331,22 @@ def render_heatmap(severity: np.ndarray,
     width = left + n_cols * _CELL_W + 20.0
     height = top + n_rows * _CELL_H + 40.0
 
-    blank = np.all(np.isnan(severity), axis=1)
-    blank_rows = [joint_names[r] for r in np.flatnonzero(blank)]
+    blank_rows = [joint_names[r]
+                  for r in np.flatnonzero(np.isnan(severity).all(axis=1))]
     # Shade 0-255 indexes _FILLS; index 256 is the NaN fill.
     shade = np.rint(255.0 * (1.0 - np.clip(severity, 0.0, 1.0)))
-    codes = np.where(np.isnan(severity), 256, shade).astype(int).tolist()
-    body = []
-    for r, row_template in enumerate(_heatmap_rows(n_rows, n_cols)):
+    codes = np.where(np.isnan(severity), 256, shade).astype(int).ravel()
+    # One path per shade used, in shade order, its cells in row-major order.
+    cells = _heatmap_cells(n_rows, n_cols)[
+        np.argsort(codes, kind="stable")].tolist()
+    used, counts = np.unique(codes, return_counts=True)
+    body = [f'<path fill="{_FILLS[c]}" d="{"".join(cells[end - n:end])}"/>'
+            for c, n, end in zip(used.tolist(), counts.tolist(),
+                                 np.cumsum(counts).tolist())]
+    for r in range(n_rows):
         y = top + r * _CELL_H
         body.append(f'<text x="{_fmt(left - 6)}" y="{_fmt(y + _CELL_H / 2 + 4)}" '
                     f'font-size="11" text-anchor="end">{joint_names[r]}</text>')
-        body.append(row_template % tuple(_FILLS[c] for c in codes[r]))
     for pct in (0, 25, 50, 75, 100):
         x = left + pct / 100.0 * (n_cols - 1) * _CELL_W + _CELL_W / 2.0
         body.append(f'<text x="{_fmt(x)}" y="{_fmt(top + n_rows * _CELL_H + 16)}" '

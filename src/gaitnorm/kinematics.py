@@ -193,10 +193,12 @@ def _angle_columns(seq: PoseSequence, joints: Sequence[JointDefinition],
     reasons[absent] = _REASON_CODES[MISSING_ABSENT_KEYPOINT]
 
     ok = reasons == 0
-    distal = list(map(math.atan2, (cy - by)[ok].tolist(),
-                      (cx - bx)[ok].tolist()))
-    proximal = list(map(math.atan2, (ay - by)[ok].tolist(),
-                        (ax - bx)[ok].tolist()))
+    # A ray near the float limit overflows to inf; atan2 still takes it.
+    with np.errstate(over="ignore"):
+        distal = list(map(math.atan2, (cy - by)[ok].tolist(),
+                          (cx - bx)[ok].tolist()))
+        proximal = list(map(math.atan2, (ay - by)[ok].tolist(),
+                            (ax - bx)[ok].tolist()))
     angle = np.abs(np.degrees(np.array(distal) - np.array(proximal)))
     angles = np.full(absent.shape, np.nan)
     angles[ok] = np.where(angle > 180.0, 360.0 - angle, angle)

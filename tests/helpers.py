@@ -4,11 +4,15 @@ These deliberately re-derive results along different routes than the
 package (dense linear solves, dot-product trigonometry, one object per
 keypoint record, one spline fit per joint, every figure panel formatted
 from scratch, one frame at a time for phases and statuses) so agreement
-is meaningful.
+is meaningful.  Figures are compared as drawings: ``decode_heatmap`` and
+``decode_dots`` read the cells and dots back out of a document, and the
+references compute them one value at a time.
 """
 
 import logging
 import math
+import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 
@@ -362,7 +366,9 @@ def _reference_points(xs, ys) -> str:
 def reference_multi_joint(flags_by_joint, cycle, model, cfg=None,
                           joint_order=JOINT_NAMES):
     """The multi-joint renderer that formats every panel from scratch, one
-    value at a time: (svg, sidecar)."""
+    value at a time: (svg without its dot paths, the dots of each panel
+    as ``decode_dots`` gives them, sidecar).  A dot is centred at its
+    grid point's x and the cycle's y, each at three decimals."""
     cfg = cfg or DetectionConfig()
     n = model.grid_points
     if cycle.grid_points != n:
@@ -371,7 +377,7 @@ def reference_multi_joint(flags_by_joint, cycle, model, cfg=None,
     rows = (len(joint_order) + cols - 1) // cols
     width = cols * panel_w + (cols + 1) * pad
     height = rows * panel_h + (rows + 1) * pad
-    body, panels = [], []
+    body, dots, panels = [], [], []
     for i, joint in enumerate(joint_order):
         ox = pad + (i % cols) * (panel_w + pad)
         oy = pad + (i // cols) * (panel_h + pad)
@@ -380,6 +386,7 @@ def reference_multi_joint(flags_by_joint, cycle, model, cfg=None,
                     f'fill="none" stroke="#999"/>')
         body.append(f'<text x="{_fmt(ox + 6)}" y="{_fmt(oy + 14)}" '
                     f'font-size="11">{joint}</text>')
+        dots.append(set())
         if not (joint in model.joints and cycle.valid.get(joint, False)
                 and joint in flags_by_joint):
             body.append(f'<text x="{_fmt(ox + panel_w / 2)}" '
@@ -404,9 +411,8 @@ def reference_multi_joint(flags_by_joint, cycle, model, cfg=None,
         body.append(f'<polyline class="mean" '
                     f'points="{_reference_points(xs, sy(jn.mean))}"/>')
         for x, y, f in zip(xs.tolist(), sy(angles).tolist(), flags.tolist()):
-            cls = "abnormal" if f else "normal"
-            body.append(f'<circle class="{cls}" cx="{_fmt(x)}" '
-                        f'cy="{_fmt(y)}" r="2"/>')
+            dots[-1].add((float(_fmt(x)), float(_fmt(y)),
+                          "abnormal" if f else "normal"))
         body.append(f'<line class="axis" x1="{_fmt(x0)}" y1="{_fmt(y1)}" '
                     f'x2="{_fmt(x1)}" y2="{_fmt(y1)}"/>')
         body.append(f'<line class="axis" x1="{_fmt(x0)}" y1="{_fmt(y0)}" '
@@ -420,7 +426,102 @@ def reference_multi_joint(flags_by_joint, cycle, model, cfg=None,
            f'<style>{_STYLE}</style>' + "".join(body) + "</svg>\n")
     sidecar = {"figure_kind": "multi_joint", "grid_points": n, "k": cfg.k,
                "panels": panels}
-    return svg, sidecar
+    return svg, dots, sidecar
+
+
+# Heatmap geometry: one 8 x 24 cell per (row, col), the first at (110, 20).
+HEAT_LEFT, HEAT_TOP, CELL_W, CELL_H = 110.0, 20.0, 8.0, 24.0
+
+
+def reference_heatmap(severity) -> dict:
+    """{(row, col): fill} of a severity matrix, one value at a time:
+    ``round(255 * (1 - clip(s, 0, 1)))`` gray, half to even, or
+    ``#f5f5f5`` where ``s`` is NaN."""
+    cells = {}
+    for r, row in enumerate(np.asarray(severity, dtype=float).tolist()):
+        for c, s in enumerate(row):
+            if math.isnan(s):
+                cells[r, c] = "#f5f5f5"
+            else:
+                v = round(255.0 * (1.0 - min(max(s, 0.0), 1.0)))
+                cells[r, c] = f"rgb({v},{v},{v})"
+    return cells
+
+
+_SVG = "{http://www.w3.org/2000/svg}"
+_NUM = r"(-?\d+(?:\.\d+)?)"
+# A number as the figures write cells and dots: at most three decimals,
+# no trailing zero, no trailing ".", no "-0".
+_SHORT = re.compile(r"-?(?:0|[1-9]\d*)(?:\.\d{0,2}[1-9])?")
+_CELL_PATH = re.compile(rf"M{_NUM} {_NUM}h{_NUM}v{_NUM}h{_NUM}z")
+_DOT_PATH = re.compile(rf"M{_NUM} {_NUM}h0")
+_DOT_ELEMENT = re.compile(r'<path class="(?:normal|abnormal)" d="[^"]*"/>')
+
+
+def _subpaths(pattern, d: str) -> list:
+    """The numbers of each subpath of ``d``, which must be ``pattern``
+    repeated, every number in the short form."""
+    found, pos = [], 0
+    for m in pattern.finditer(d):
+        assert m.start() == pos, f"unreadable path data at {pos}: {d[:80]!r}"
+        for token in m.groups():
+            assert _SHORT.fullmatch(token) and token != "-0", token
+        found.append(tuple(map(float, m.groups())))
+        pos = m.end()
+    assert found and pos == len(d), f"unreadable path data: {d[:80]!r}"
+    return found
+
+
+def decode_heatmap(svg: str) -> dict:
+    """{(row, col): fill} of a heatmap document, read from its fill paths;
+    every cell is an 8 x 24 subpath on the grid and is drawn once, and the
+    document draws nothing else but text."""
+    cells = {}
+    for el in ET.fromstring(svg).iter():
+        tag = el.tag.replace(_SVG, "")
+        if tag in ("svg", "style", "text"):
+            continue
+        assert tag == "path" and "class" not in el.attrib, tag
+        for x, y, w, h, back in _subpaths(_CELL_PATH, el.get("d")):
+            assert (w, h, back) == (CELL_W, CELL_H, -CELL_W), (x, y)
+            row, col = (y - HEAT_TOP) / CELL_H, (x - HEAT_LEFT) / CELL_W
+            assert row == int(row) >= 0 and col == int(col) >= 0, (x, y)
+            assert (int(row), int(col)) not in cells, f"cell {(row, col)} twice"
+            cells[int(row), int(col)] = el.get("fill")
+    return cells
+
+
+def decode_dots(svg: str) -> list:
+    """The dots of each panel of a band plot or multi-joint document, one
+    set of (cx, cy, class) per panel: a panel starts at its frame
+    ``<rect>`` (a band plot has none and is one panel).  Within a panel
+    each class is at most one non-empty path, normal before abnormal, and
+    no dot is drawn twice."""
+    panels, classes = [], []
+    for el in ET.fromstring(svg):
+        tag = el.tag.replace(_SVG, "")
+        if tag == "rect":
+            panels.append(set())
+            classes.append([])
+        assert tag != "circle", "a dot drawn as a circle"
+        cls = el.get("class")
+        if tag != "path" or cls not in ("normal", "abnormal"):
+            continue
+        if not panels:
+            panels.append(set())
+            classes.append([])
+        classes[-1].append(cls)
+        assert classes[-1] in (["normal"], ["abnormal"],
+                               ["normal", "abnormal"]), classes[-1]
+        for cx, cy in _subpaths(_DOT_PATH, el.get("d")):
+            assert (cx, cy, cls) not in panels[-1], (cx, cy, cls)
+            panels[-1].add((cx, cy, cls))
+    return panels
+
+
+def without_dots(svg: str) -> str:
+    """``svg`` with its dot paths taken out."""
+    return _DOT_ELEMENT.sub("", svg)
 
 
 def occluded_walker(video_id="occluded-walk"):

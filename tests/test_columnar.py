@@ -24,7 +24,8 @@ from gaitnorm.pose_io import (KEYPOINT_NAMES, Keypoint, KeypointFrame, Point2D,
                               parse_pose_sequence, serialize_pose_sequence)
 from gaitnorm.synth import generate_pose_sequence
 
-from helpers import reference_frames, reference_overlay_records
+from helpers import (reference_frames, reference_overlay_records,
+                     thousandths_bound)
 
 DEMO = Path(__file__).parent / "fixtures" / "demo.keypoints.jsonl"
 
@@ -98,6 +99,20 @@ def _occluded_walker(seed):
         time_s = frame.time_s if rng.uniform() < 0.8 else None
         frames.append(KeypointFrame(frame.frame_index, kps, time_s))
     return PoseSequence(seq.video_id, tuple(frames)), annotations
+
+
+def _half_thousandths():
+    """Every keypoint value a half-thousandth or one float step either
+    side of one, 0.40549999999999997 and 0.34450000000000003 among them:
+    rounded to 1/1000, those two move by more than 0.0005 plus one float
+    step."""
+    halves = np.array([(k + 0.5) / 1000.0 for k in range(300, 500)])
+    values = np.concatenate((halves, np.nextafter(halves, 0.0),
+                             np.nextafter(halves, 1.0)))
+    n = -(-len(values) // (3 * len(KEYPOINT_NAMES)))
+    keypoints = np.resize(values, (n, len(KEYPOINT_NAMES), 3))
+    return PoseSequence("half", frame_index=np.arange(n),
+                        time_s=np.full(n, np.nan), keypoints=keypoints)
 
 
 def _statuses(seq, annotations, seed, phase_times=False):
@@ -312,8 +327,9 @@ class TestDrawingPrecision:
     @pytest.mark.parametrize("seq", [
         _occluded_walker(0)[0],
         parse_pose_sequence(_random_keypoint_file(0)),
-        parse_pose_sequence(_random_keypoint_file(1))],
-        ids=["walker", "random-0", "random-1"])
+        parse_pose_sequence(_random_keypoint_file(1)),
+        _half_thousandths()],
+        ids=["walker", "random-0", "random-1", "half-thousandths"])
     def test_values_within_half_a_thousandth(self, seq):
         records = self._records(seq)
         rounded = 0
@@ -324,11 +340,23 @@ class TestDrawingPrecision:
             for name, kp in frame.keypoints.items():
                 want = (kp.point.x, kp.point.y, kp.visibility)
                 for got, v in zip(record["keypoints"][name], want):
-                    # 0.0005, plus the float rounding of v * 1000 / 1000:
-                    # 1e-13 at 1000 px
-                    assert abs(got - v) <= 0.0005 + np.spacing(abs(v))
+                    assert abs(got - v) <= thousandths_bound(v)
                     rounded += got != v
         assert rounded
+
+    def test_half_thousandths_move_by_more_than_one_float_step(self):
+        # the cases that need thousandths_bound's second float step
+        seq = _half_thousandths()
+        moved = {v: got for record, frame in zip(self._records(seq),
+                                                   seq.frames, strict=True)
+                 for name, kp in frame.keypoints.items()
+                 for got, v in zip(record["keypoints"][name],
+                                   (kp.point.x, kp.point.y, kp.visibility))}
+        beyond = sorted(v for v, got in moved.items()
+                        if abs(got - v) > 0.0005 + np.spacing(abs(v)))
+        assert beyond == [0.34450000000000003, 0.40549999999999997]
+        assert moved[0.40549999999999997] == 0.406
+        assert moved[0.34450000000000003] == 0.344
 
     def test_negative_zero_and_huge_values(self):
         kps = {"left_knee": Keypoint(Point2D(-0.0004, 1e306), 0.0),

@@ -1,22 +1,29 @@
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gaitnorm import (DetectionConfig, ValidationError, annotate_frames,
                       build_normative_model, build_report, frame_statuses,
-                      generate_cohort, generate_cycle, render_band_plot,
+                      generate_cohort, generate_cycle, load_cycles,
+                      load_norm_model, load_report, render_band_plot,
                       render_heatmap, render_multi_joint, severity_matrix,
                       write_figure)
+from gaitnorm.cli import main
 from gaitnorm.detect import STATUS_NORMAL, STATUS_UNKNOWN
 from gaitnorm.cycles import NormalizedCycle
-from gaitnorm.figures import _fmt, _panel, _points
+from gaitnorm.figures import _dots, _fmt, _panel, _points
 from gaitnorm.kinematics import JOINT_NAMES
 from gaitnorm.synth import demo_profiles, generate_pose_sequence
-from gaitnorm.pose_io import CycleAnnotation
+from gaitnorm.pose_io import (CycleAnnotation, serialize_annotations,
+                              serialize_pose_sequence)
 
-from helpers import reference_multi_joint
+from helpers import (decode_dots, decode_heatmap, reference_heatmap,
+                     reference_multi_joint, without_dots)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +49,13 @@ def _count(doc, tag, cls=None):
     return sum(1 for n in nodes if n.get("class") == cls)
 
 
+def _dot_counts(doc):
+    """Dots drawn per class, over every panel of ``doc``."""
+    dots = [d for panel in decode_dots(doc.svg) for d in panel]
+    return {cls: sum(1 for d in dots if d[2] == cls)
+            for cls in ("normal", "abnormal")}
+
+
 class TestBandPlot:
     def test_model_only(self, model):
         doc = render_band_plot(model, "left_knee")
@@ -49,7 +63,7 @@ class TestBandPlot:
         assert kinds == {"mean": 101, "band": 202}
         assert _count(doc, "polyline", "mean") == 1
         assert _count(doc, "polygon", "band") == 1
-        assert _count(doc, "circle") == 0
+        assert decode_dots(doc.svg) == []
 
     def test_overlay_counts_match_svg(self, model, cycle):
         cfg = DetectionConfig()
@@ -59,15 +73,18 @@ class TestBandPlot:
         kinds = {s["kind"]: s["points"] for s in doc.sidecar["series"]}
         assert kinds["normal"] + kinds["abnormal"] == 101
         assert kinds["abnormal"] == int(flags.sum())
-        assert _count(doc, "circle", "normal") == kinds["normal"]
-        assert _count(doc, "circle", "abnormal") == kinds["abnormal"]
+        assert _dot_counts(doc) == {"normal": kinds["normal"],
+                                    "abnormal": kinds["abnormal"]}
 
     def test_zero_flags_zero_abnormal_points(self, model, cycle):
         flags = np.zeros(101, dtype=bool)
         doc = render_band_plot(model, "left_knee", overlay=(cycle, flags))
         kinds = {s["kind"]: s["points"] for s in doc.sidecar["series"]}
         assert kinds["abnormal"] == 0
-        assert _count(doc, "circle", "abnormal") == 0
+        assert _dot_counts(doc) == {"normal": 101, "abnormal": 0}
+        # a class without dots has no path
+        assert _count(doc, "path", "abnormal") == 0
+        assert _count(doc, "path", "normal") == 1
 
     def test_ten_flags(self, model, cycle):
         flags = np.zeros(101, dtype=bool)
@@ -75,6 +92,9 @@ class TestBandPlot:
         doc = render_band_plot(model, "left_knee", overlay=(cycle, flags))
         kinds = {s["kind"]: s["points"] for s in doc.sidecar["series"]}
         assert kinds["abnormal"] == 10
+        [dots] = decode_dots(doc.svg)
+        assert sorted(round((x - 50.0) / 5.7) for x, _, cls in dots
+                      if cls == "abnormal") == list(range(10, 20))
 
     def test_invalid_overlay_joint_rejected(self, model, cycle):
         # an invalid joint's angles are NaN: drawing them would write
@@ -129,16 +149,64 @@ class TestHeatmap:
     def test_zero_matrix_uniformly_light(self):
         doc = render_heatmap(np.zeros((10, 101)))
         assert doc.sidecar["max_severity"] == 0.0
-        root_cells = _count(doc, "rect", "cell")
-        assert root_cells == 10 * 101
-        assert doc.svg.count("rgb(255,255,255)") == 10 * 101
+        cells = decode_heatmap(doc.svg)
+        assert sorted(cells) == [(r, c) for r in range(10)
+                                 for c in range(101)]
+        assert set(cells.values()) == {"rgb(255,255,255)"}
+        # one path per shade used
+        assert _count(doc, "path") == 1
 
     def test_single_saturated_cell(self):
         matrix = np.zeros((10, 101))
         matrix[3, 40] = 1.0
         doc = render_heatmap(matrix)
-        assert doc.svg.count("rgb(0,0,0)") == 1
+        cells = decode_heatmap(doc.svg)
+        assert [rc for rc, fill in cells.items()
+                if fill == "rgb(0,0,0)"] == [(3, 40)]
         assert doc.sidecar["max_severity"] == 1.0
+
+    def test_severity_exactly_0_and_1_and_beyond(self):
+        matrix = np.zeros((10, 101))
+        matrix[:, ::2] = 1.0
+        matrix[0, :4] = [-0.0, 1.5, -2.0, np.inf]
+        cells = decode_heatmap(render_heatmap(matrix).svg)
+        assert cells == reference_heatmap(matrix)
+        assert cells[0, 0] == "rgb(255,255,255)"
+        assert cells[0, 1] == cells[0, 3] == cells[1, 2] == "rgb(0,0,0)"
+        assert cells[0, 2] == cells[1, 1] == "rgb(255,255,255)"
+
+    def test_nan_row_drawn_as_blank_cells(self):
+        matrix = np.full((10, 101), 0.5)
+        matrix[2, :] = np.nan
+        matrix[5, 7] = np.nan  # one NaN cell in a scored row
+        doc = render_heatmap(matrix)
+        cells = decode_heatmap(doc.svg)
+        assert cells == reference_heatmap(matrix)
+        blank = sorted(rc for rc, fill in cells.items() if fill == "#f5f5f5")
+        assert blank == [(2, c) for c in range(101)] + [(5, 7)]
+        assert doc.sidecar["blank_rows"] == [JOINT_NAMES[2]]
+        # the NaN fill comes after every gray
+        assert doc.svg.rindex('fill="rgb(') < doc.svg.index('fill="#f5f5f5"')
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_matrices_against_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = [(10, 101), (1, 1), (3, 7), (12, 51), (10, 101),
+                      (2, 300)][seed]
+        matrix = rng.uniform(-0.2, 1.2, (rows, cols))
+        # half-gray steps, exact ends, NaN cells and an all-NaN row
+        matrix[rng.uniform(size=matrix.shape) < 0.2] = np.nan
+        steps = rng.integers(0, 511, matrix.shape) / 510.0
+        matrix = np.where(rng.uniform(size=matrix.shape) < 0.3, steps, matrix)
+        if rows > 1:
+            matrix[rng.integers(rows)] = np.nan
+        doc = render_heatmap(matrix, [f"j{r}" for r in range(rows)])
+        assert decode_heatmap(doc.svg) == reference_heatmap(matrix)
+        fills = [el.get("fill") for el in _svg_root(doc)
+                 if el.tag.endswith("path")]
+        order = [256 if f == "#f5f5f5" else int(f[4:].split(",")[0])
+                 for f in fills]
+        assert order == sorted(set(order))
 
     def test_shape_in_sidecar(self):
         doc = render_heatmap(np.zeros((10, 101)))
@@ -227,13 +295,15 @@ def _random_flags(rng, share):
 
 
 class TestMultiJointAgainstReference:
-    """Panel markup is cached per (panel, scale); every document must equal
-    the renderer that formats each panel from scratch."""
+    """Panel markup is cached per (panel, scale); every document must draw
+    what the renderer that formats each panel from scratch draws: the same
+    markup apart from the dots, and the same dots, decoded."""
 
     def _check(self, flags, cycle, model, cfg=None):
         doc = render_multi_joint(flags, cycle, model, cfg)
-        svg, sidecar = reference_multi_joint(flags, cycle, model, cfg)
-        assert doc.svg == svg
+        svg, dots, sidecar = reference_multi_joint(flags, cycle, model, cfg)
+        assert without_dots(doc.svg) == svg
+        assert decode_dots(doc.svg) == dots
         assert doc.sidecar == sidecar
 
     def test_random_cycles_with_invalid_joints(self, model):
@@ -267,6 +337,13 @@ class TestMultiJointAgainstReference:
         assert render_multi_joint(flags, cycle, model).svg != \
             render_multi_joint(flags, cycle, other).svg
 
+    def test_one_class_empty(self, model, cycle):
+        flags = {j: np.full(101, j.startswith("left")) for j in JOINT_NAMES}
+        self._check(flags, cycle, model)
+        doc = render_multi_joint(flags, cycle, model)
+        assert _count(doc, "path", "normal") == 5
+        assert _count(doc, "path", "abnormal") == 5
+
     def test_flags_must_match_the_grid(self, model, cycle):
         flags = {j: np.zeros(101, dtype=bool) for j in JOINT_NAMES}
         flags["left_knee"] = np.zeros(100, dtype=bool)
@@ -287,6 +364,76 @@ class TestMultiJointAgainstReference:
                 valid=dict(cycle.valid))
             render_multi_joint(flags, shifted, model)
         assert _panel.cache_info().currsize <= maxsize
+
+
+class TestDotCoordinates:
+    def test_negative_zero_and_trailing_zeros(self):
+        # cy values formatting as -0.000, 0.000, whole numbers and fewer
+        # than three decimals; -0.0004 and 0.0004 round to 0.000
+        xs = (26.0, 29.6, 33.2, 36.8, 40.4, 44.0, 47.6)
+        ys = np.array([-0.0004, -0.0, 0.0004, 12.5, 100.0, -7.25, 3.14159])
+        flags = np.array([False, True, False, True, False, True, False])
+        prefixes = tuple(f"M{x:g} " for x in xs)
+        markup, n_normal, n_abnormal = _dots(prefixes, ys, flags,
+                                             lambda v: v)
+        assert (n_normal, n_abnormal) == (4, 3)
+        assert "-0h" not in markup and "-0.000" not in markup
+        [dots] = decode_dots(f'<svg xmlns="http://www.w3.org/2000/svg">'
+                             f'{markup}</svg>')
+        assert dots == {(x, float(_fmt(y)), "abnormal" if f else "normal")
+                        for x, y, f in zip(xs, ys.tolist(), flags.tolist())}
+        assert markup == (
+            '<path class="normal" d="M26 0h0M33.2 0h0M40.4 100h0'
+            'M47.6 3.142h0"/>'
+            '<path class="abnormal" d="M29.6 0h0M36.8 12.5h0M44 -7.25h0"/>')
+
+
+def _run_figures_against_reference(tmp_path, keypoints, annotations):
+    """``run`` on a keypoint file, then every heatmap and multi-joint
+    panel it drew decoded and compared with the references, drawn from
+    its own reports and model and from ``segment``'s cycles."""
+    out, seg = tmp_path / "run", tmp_path / "seg.json"
+    assert main(["run", "--keypoints", str(keypoints),
+                 "--annotations", str(annotations),
+                 "--out-dir", str(out)]) == 0
+    assert main(["segment", "--keypoints", str(keypoints),
+                 "--annotations", str(annotations), "--out", str(seg)]) == 0
+    model = load_norm_model(next(out.glob("*.model.json")).read_bytes())
+    cycles = load_cycles(seg.read_bytes())
+    reports = sorted(out.glob("*.report.json"),
+                     key=lambda p: int(p.name.split(".")[-3][1:]))
+    assert len(reports) == len(cycles) > 0
+    for path, cycle in zip(reports, cycles):
+        report = load_report(path.read_bytes())
+        prefix = str(path)[:-len(".report.json")]
+        heat = Path(prefix + ".heatmap.svg").read_text()
+        assert decode_heatmap(heat) == reference_heatmap(
+            severity_matrix(report))
+        multi = Path(prefix + ".multijoint.svg").read_text()
+        svg, dots, sidecar = reference_multi_joint(report.flag, cycle, model,
+                                                   report.config)
+        assert without_dots(multi) == svg
+        assert decode_dots(multi) == dots
+        assert json.loads(Path(prefix + ".multijoint.svg.json").read_text()) \
+            == sidecar
+    return len(reports)
+
+
+class TestRunFiguresAgainstReference:
+    def test_demo_fixture(self, tmp_path):
+        assert _run_figures_against_reference(
+            tmp_path, FIXTURES / "demo.keypoints.jsonl",
+            FIXTURES / "demo.cycles.json") == 4
+
+    def test_forty_cycle_walk(self, tmp_path):
+        seq, cycles = generate_pose_sequence(n_cycles=40, seed=3,
+                                             video_id="walk")
+        keypoints = tmp_path / "walk.keypoints.jsonl"
+        annotations = tmp_path / "walk.cycles.json"
+        keypoints.write_bytes(serialize_pose_sequence(seq))
+        annotations.write_bytes(serialize_annotations("walk", cycles))
+        assert _run_figures_against_reference(tmp_path, keypoints,
+                                              annotations) == 40
 
 
 class TestEndToEndFigures:

@@ -22,81 +22,81 @@ VIDEO_ID = "synthetic-walk"
 # File name (after the "<video_id>." prefix) -> sha256 of its bytes.
 GOLDEN = {
     "band.left_ankle.svg":
-        "d06a488305676d3f81cbe3add5118b0ca08d87f588afa5aca77b65b8704f8eb1",
+        "157726954213a75e69b2c498726185e914aacd8997707df3c2b3fffbe11d7a65",
     "band.left_ankle.svg.json":
         "f0bb9b67102332ede4b0b70da5107195147ed94c343c77dad037d4158c9f7c1a",
     "band.left_elbow.svg":
-        "2f488c931cd5e3fb4ca7bcce3dd5415cfaabae5572161e454a102247d8a22462",
+        "229026952ae279ab22256c9c0821b144a6b35b6c645eb5b518d0385a295dd9cb",
     "band.left_elbow.svg.json":
         "fad535fd1f82439452b09ef01f2c3cef5913a1840dbafeaa3a323c090029c9e9",
     "band.left_hip.svg":
-        "fbd3a14343805e06e09f69ba211904025b30e2b2ff5572e59435c835460d9926",
+        "45954b379508251c3d0c30febd3883929626be8316d376fb590d87f39e88875c",
     "band.left_hip.svg.json":
         "48135cc6bfc29db26dffeb7fae6418fd9ff0f0dd5fd5bfb70f9abedc7066b259",
     "band.left_knee.svg":
-        "008cc155744c145609537696a4c31d5d15e370d9956547a1dec03bee83f7aedc",
+        "17695be50c6817df327ff9e3814835a5785e7c518bb54abb6e8755ca0b98bbc8",
     "band.left_knee.svg.json":
         "b0b6e8b7ce481656337a9e504b3555ed84cf3e88f2f77b7a83ecc505ade7ea7e",
     "band.left_shoulder.svg":
-        "c60aa56a13cdf38f72f4fe7213794807f07ac9371c318cce5a94045f399222ae",
+        "3cb7dbdb92c8d18d04244d4d87c99a025d2c9189b1bfbc8af10ada6543161902",
     "band.left_shoulder.svg.json":
         "6f1d580f30c46c53f1322dc12e187410ca7a766d0d1839943ae3f0c4782a4389",
     "band.right_ankle.svg":
-        "090a1402c9b3929c3595970f0dc8e477767a979eef2b0da43f683da25d5589c6",
+        "fee2be5a3fa913a5498a5e9bd3641ef14dd69e581a8755c9a24296e0e423b01c",
     "band.right_ankle.svg.json":
         "53e3590cbc7bf790daf168f0d56483a257fc89b7af5cfc55d9de59274a9e8c9a",
     "band.right_elbow.svg":
-        "aa4147d66fc49c8fcb54102b044a1eaa84dbba68ceade0bf87d9fc3d6aeb8eb7",
+        "d4ec751e644688b98707f3a186cbd59df761376787b82daf211db086974f5ded",
     "band.right_elbow.svg.json":
         "792084c670b85a74b165a94d18ef6ad8a7d5a28b0a9af0c87a4fd934f0bce345",
     "band.right_hip.svg":
-        "14412d037e3c9d0e3dbda69441a3f3cb32bbc5e85ee023629c3d3258c8f31ed3",
+        "ba649770cf1d85cacacd001ffeb1d5b8d7c43b19e604eabaa44193084ed3930d",
     "band.right_hip.svg.json":
         "f483cff522a308c3b23aea68c114be723ce00022c8cba82e6bcb5796e871e70c",
     "band.right_knee.svg":
-        "7973ecace82186bb403688b371ea5bde2aa00f296e4c50e53e2fa4029ca48308",
+        "d6dd6b7313a98402cebbb45a6acb328edc0a390de2d3e9fb0b1d1f1350ad1d66",
     "band.right_knee.svg.json":
         "e90f6711bb6900ae47ef1fe96774deb551f36a8ce00b90c6e61ce7831a92d395",
     "band.right_shoulder.svg":
-        "3319226ef472bba25e66c6312e373f4a5ea1f63256e862225820208bc2e2d620",
+        "97badbab527f1eae65a462d92a7b85b84b54543543d4c4e37acf9c791d6d47f6",
     "band.right_shoulder.svg.json":
         "7cf68ac66193ba1749ab11e7cfbe59128120ae23d49aa9b3175d89adea5a5325",
     "c0.heatmap.svg":
-        "30d3a13bf95f5c41d6bded3b426b78dd7bfce9e8b386988802c4441dffaa7693",
+        "5b815a268d0db7f3fa7bb3c576e6ff8a4a14b382687af373cced43e13f07cd61",
     "c0.heatmap.svg.json":
         "c8ca81f0949232e1f2817ccce54c2528b9b09e40ddf0964fbaa3b6982316bab5",
     "c0.multijoint.svg":
-        "beced7e1dfe9baddbb60673152a434247e3286d6232112a8af09588599dd6366",
+        "fce76f9154e0d747c456baa50067ff68aadf82f80ebffc6dfedadf42a3633c87",
     "c0.multijoint.svg.json":
         "71e3e7d24322d2d0f93f7faea8d881a07f43dc2996d4ea6700eee3797156a01e",
     "c0.report.json":
         "41e4caff3e59292aba16f9e60c348331aea8a971c0c4d6d42c012762d8af8dae",
     "c1.heatmap.svg":
-        "4a1f77257e68947ff1d14f0b90f44658c4276a31dba2adaa6c5051fb49f24aa2",
+        "a8b36a71368866c4745cc69c55f3e82a004ae29175093d3e42c165d03090d2aa",
     "c1.heatmap.svg.json":
         "c8ca81f0949232e1f2817ccce54c2528b9b09e40ddf0964fbaa3b6982316bab5",
     "c1.multijoint.svg":
-        "20934f6f4ace88acbab70487296512c95c437a98f0f9ac085aec8159be184808",
+        "af2752ab08fa0a2400db3888d787a6d80e0b9bba18db4b911b9de6489ece12e5",
     "c1.multijoint.svg.json":
         "550de01127406d3bd48d4e067b0c4bcca7f189dee76e807ed0c506ec696fe105",
     "c1.report.json":
         "544dc4b65fcccfc38daa23b162e5c6db3fbe4098512dab61a33590c57f2c2a81",
     "c2.heatmap.svg":
-        "37a9f247089ced7ed3ded86b2afbf005cfb19bd77c549429c4f85b50381b3f44",
+        "2afc263be8a3b0ee0965c7f48effe935d7acd75e1957f642089e4be8a121d231",
     "c2.heatmap.svg.json":
         "c8ca81f0949232e1f2817ccce54c2528b9b09e40ddf0964fbaa3b6982316bab5",
     "c2.multijoint.svg":
-        "c56473113f16309776058f0e824b6f630961b4055e68dba55003e68ec42ab974",
+        "d6aa407b6138b408052d78abbb206fcd19b07b11634f9e156d8f81b625d993f1",
     "c2.multijoint.svg.json":
         "7f939caee16941b395f1b38729a98c8dd3a1bdf24a82b5724303304fce8c0144",
     "c2.report.json":
         "fa63832760dac37dbe73fe60ffbb031fb08e1011dc2bd9d12c6778f100033747",
     "c3.heatmap.svg":
-        "c25aede87d432601a8ec11cfe70f3f82b653a9319e7b95e401e164f6c2789c23",
+        "944b9cdeae6a1cdaed25edf71a91f32fb9b023e9940adf9c70a8374ea19a0bb1",
     "c3.heatmap.svg.json":
         "ecb3f8373f60ee79ae913c4cf287f2c596d4ab30e0985f224f436bdd3a176bcf",
     "c3.multijoint.svg":
-        "771ee7729eb772a8a4fbb455662cbe88349ce8466866ea5e871432fbfeb59df7",
+        "de07f91224d055772b2252bfa0a2c9f33026c8c90ecb7a1537c237b06a54ff3b",
     "c3.multijoint.svg.json":
         "638d5eed203d3d59075a1c99ed74f7dc68b7ba240cafc89e8a697199dc225874",
     "c3.report.json":
@@ -162,51 +162,51 @@ STAGE_GOLDEN = {
     },
     "figures": {
         "synthetic-walk.band.left_ankle.svg":
-            "ffd44f296c4950df6085eb825139cf172eef19038301b220fe9d23a064bdd483",
+            "b16b2637c69bcc5efcf3782f4857ad36aa824843e91e16f66cc414aebdc4bf4a",
         "synthetic-walk.band.left_ankle.svg.json":
             "cae2ab608bf892613bce68667b57eec6b7a003c3156d99de10d1c8caa1a61c15",
         "synthetic-walk.band.left_elbow.svg":
-            "f355a3711770ae7b515b2c26bab54911fa2428b44bdebb16545ba7fbf2ede1fe",
+            "a5fe289f4eb51333b56ed3ef68cfc551f45046e3c16a24e3a108c80fc65513fd",
         "synthetic-walk.band.left_elbow.svg.json":
             "4aa691cedbf46e1e2ab6c8bfdb0be7616f00378457872d62a3f5f1eae7f10132",
         "synthetic-walk.band.left_hip.svg":
-            "7b697794f17a1804a44d0e3767ef194bf32522ef368152f06432fcef3611a425",
+            "2522d66c24c0d94a2caf99d793cd03c44b778e7b3a4b5e9df34fa5c1b04dabd4",
         "synthetic-walk.band.left_hip.svg.json":
             "9641c94b86feb256d7e76b5b240bb10b54c24acc12fb228d361809d80c7f8294",
         "synthetic-walk.band.left_knee.svg":
-            "f2bde20aa729c22342453c73b560814315df2dda8ea587a7a49ada41595f7123",
+            "473c19731c8627562c7ce4b09e0d804c4a30b8638fc63dcddd355a4f1a09ef3e",
         "synthetic-walk.band.left_knee.svg.json":
             "61eda661e608fde697d34223a72d534ef75830e1bb07f8370e8acafc7dacacd1",
         "synthetic-walk.band.left_shoulder.svg":
-            "beb01f97265b106c43982f5419ce113ede1e11043062e5db90631eb68646febe",
+            "18038d278f21200b1bccc9fcc385927b5e87657547ff3013e6aaaf08df314ddf",
         "synthetic-walk.band.left_shoulder.svg.json":
             "5609588c043e45c5a9a59709c2c3582e359e5bc54927b9a114822216bef14864",
         "synthetic-walk.band.right_ankle.svg":
-            "f969cea6d2dc0f8eda233aa4619175261b0fcf2b682d510f2b20623af0c0a25d",
+            "d939d16cbfae8c76306daf92f075a7af349081bbb29e8818ff6c62986caf1a1a",
         "synthetic-walk.band.right_ankle.svg.json":
             "9d3ed3ef19ceb99f796479f50e6072ebc50b26ee340ad9344369761c67eed543",
         "synthetic-walk.band.right_elbow.svg":
-            "4167afe9499ed06d765eef473f726edff1d6ac9bb6bd42a77090275da7a2f13e",
+            "00d7633a2f7f28c3116176149fb90cb3c19a500a5769ac24faca50ba1794c9c1",
         "synthetic-walk.band.right_elbow.svg.json":
             "417e0bb3df80f80c2df60d5770fd95850eaa6f7a29384ae9e81663bc2ba7a081",
         "synthetic-walk.band.right_hip.svg":
-            "65d846dde45e45761b5421b7011ffa3a47692c86bce63397f7deaee22bf098ec",
+            "d2b732e8afb04fb85e30bac3a1fd065e9bbffef6d98b81ea0d9aea83ccb51034",
         "synthetic-walk.band.right_hip.svg.json":
             "a3816ff9cba33aeac0bf51027949cd4d8d27d2340f28aaf78e321cd95ad88f21",
         "synthetic-walk.band.right_knee.svg":
-            "c31cdd6095bb675ac86e47bcfa0cc617da78b8588180af379e229e598d364d70",
+            "6b54d3638f9c30040cde91d37e23b625e2058f9ca7d0503a9287f8c8d240f260",
         "synthetic-walk.band.right_knee.svg.json":
             "c78b7fa6610e2bc33a7cde1adcf41291c102309208d8ef0e52685c4330442a97",
         "synthetic-walk.band.right_shoulder.svg":
-            "489a4063f5fd8bb029b8244c2c25d9526bb2bdc29c350328efd34e64b7205a62",
+            "ef45f9bd514cc0f3fedb5b88e97cdb5aa0d84d5c7e8daf50f497d9c7da338c4e",
         "synthetic-walk.band.right_shoulder.svg.json":
             "bf4806023e5b3d5506fbd871e6aac635d0f6493fb25214202208e96cdca40821",
         "synthetic-walk.heatmap.svg":
-            "c25aede87d432601a8ec11cfe70f3f82b653a9319e7b95e401e164f6c2789c23",
+            "944b9cdeae6a1cdaed25edf71a91f32fb9b023e9940adf9c70a8374ea19a0bb1",
         "synthetic-walk.heatmap.svg.json":
             "ecb3f8373f60ee79ae913c4cf287f2c596d4ab30e0985f224f436bdd3a176bcf",
         "synthetic-walk.multijoint.svg":
-            "771ee7729eb772a8a4fbb455662cbe88349ce8466866ea5e871432fbfeb59df7",
+            "de07f91224d055772b2252bfa0a2c9f33026c8c90ecb7a1537c237b06a54ff3b",
         "synthetic-walk.multijoint.svg.json":
             "638d5eed203d3d59075a1c99ed74f7dc68b7ba240cafc89e8a697199dc225874",
         "synthetic-walk.overlays.json":

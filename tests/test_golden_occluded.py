@@ -21,101 +21,101 @@ VIDEO_ID = "occluded-walk"
 # File name (after the "<video_id>." prefix) -> sha256 of its bytes.
 GOLDEN = {
     "band.left_ankle.svg":
-        "627a438442b5e5c7fabf3b76bf7c183a30d1153ff687578180d2f88e62c3ce35",
+        "f8a49039081c7d57d13b1790fc69e40e5cc57d6de49ac87080395a0b00af1397",
     "band.left_ankle.svg.json":
         "f0bb9b67102332ede4b0b70da5107195147ed94c343c77dad037d4158c9f7c1a",
     "band.left_elbow.svg":
-        "cd3379376100b0a71264aeebbe85f4ee2507fd04dbee0c7c9a16feb3a1189976",
+        "13a56996ee438e14e2ad9df84facf76c1070263f0dff3a075d4cfea100e784c3",
     "band.left_elbow.svg.json":
         "fad535fd1f82439452b09ef01f2c3cef5913a1840dbafeaa3a323c090029c9e9",
     "band.left_hip.svg":
-        "39884241f5e2b3de654ddb59d657ccfe650b9372bae6bd9f131f5d5cc1e22272",
+        "e16805e93c4779f3ec27ddb9696a1ccd760b7ede0a363b74fb904038773030cb",
     "band.left_hip.svg.json":
         "48135cc6bfc29db26dffeb7fae6418fd9ff0f0dd5fd5bfb70f9abedc7066b259",
     "band.left_knee.svg":
-        "7461d8936cf18b7591d403878ca58b8731e28b963bb4281344c24262058f629d",
+        "d61ee9bb4182b380b921383863acda1a8d44724b2657a7e495328e6348fea258",
     "band.left_knee.svg.json":
         "b0b6e8b7ce481656337a9e504b3555ed84cf3e88f2f77b7a83ecc505ade7ea7e",
     "band.left_shoulder.svg":
-        "f9526d3a092aad09e8090010d80878251dcf24bd20acd82caecb2154e22bd42c",
+        "8504831fdac6bc51eec4a39ddacbd37d334a8970f4c08a42f1ea8879f954ca55",
     "band.left_shoulder.svg.json":
         "6f1d580f30c46c53f1322dc12e187410ca7a766d0d1839943ae3f0c4782a4389",
     "band.right_ankle.svg":
-        "f20126e749829c8282c0f98661cd88e8df4f4ff40b7c36816a25af3a93669f34",
+        "bfcf96d378c0df21e0807fdf6f63eaed88ac46f874b238c29560a5c54e717ac7",
     "band.right_ankle.svg.json":
         "53e3590cbc7bf790daf168f0d56483a257fc89b7af5cfc55d9de59274a9e8c9a",
     "band.right_elbow.svg":
-        "508cbc0f6376bdb1965e7c76199e6008dba86f72735b6d2ecba403e1a0f68bc2",
+        "e97fbc676465d3626757472f136db2ec6e11de9500bdf706c3397f8e4f2c0c55",
     "band.right_elbow.svg.json":
         "792084c670b85a74b165a94d18ef6ad8a7d5a28b0a9af0c87a4fd934f0bce345",
     "band.right_hip.svg":
-        "361092341b0046b7216bcab84026f450c79b3e2f016e5d0ae8f06c88bf64052d",
+        "925901d1dbbbeffb246bb3ccb436890d0bf2502194067722bfb766cf727ecdb5",
     "band.right_hip.svg.json":
         "f483cff522a308c3b23aea68c114be723ce00022c8cba82e6bcb5796e871e70c",
     "band.right_knee.svg":
-        "8fb0141e199d200e63fbc6c13ef9b5ee8add570c6793d55d866a39f2db519635",
+        "56a989bc23e24209d9367293486aef9292483b6e98847e98b2e767b18327d8f7",
     "band.right_knee.svg.json":
         "e90f6711bb6900ae47ef1fe96774deb551f36a8ce00b90c6e61ce7831a92d395",
     "band.right_shoulder.svg":
-        "26def2edf5e03d1650472ecba9c118796f6c765d474cfe5b2481c54967ea37d6",
+        "578bb12dc998c6ed662f083209f2deb0c3a4c9f9cd6ad84a190aac0dda740c64",
     "band.right_shoulder.svg.json":
         "7cf68ac66193ba1749ab11e7cfbe59128120ae23d49aa9b3175d89adea5a5325",
     "c0.heatmap.svg":
-        "8e13c256d2e64c45e5e7f5936596b9c57995bae44b2b4cacd29623af8efe5369",
+        "95a6c70452b71f7ff392cccd13f2f2a2cfdd849baab07e01a687db55634d936d",
     "c0.heatmap.svg.json":
         "90bb446ba3a87d044cdbf5ee08fece6907917065ce3cb062dabfeac547301bf7",
     "c0.multijoint.svg":
-        "82eed5e93ee53d58ef61de09be7f18af7368aa41b057dadeb6ba98b1fb31d3b9",
+        "8d4acc3c88b36fd873f88cd420e854d3afe5c7ad2650e37876c363dc38468594",
     "c0.multijoint.svg.json":
         "7fb7d0ef19bbd3077ce79b18a8edaea1946cc08faedfce8ca9a8e5c7009fa91a",
     "c0.report.json":
         "a3af86e80e40b5eb7a5c9dac1e267297b60aca13e0283be20ba0ee71e42acf0c",
     "c1.heatmap.svg":
-        "0b8ae3fda59ba90a03f38506de938ea480a058bc95c5f53e619513a313d965cc",
+        "3688f8b59c029d1bfe58697fbe9a7368d998c2e112b31aee09b7b7ebfb86f254",
     "c1.heatmap.svg.json":
         "22433f761ac48e08574497f1349cf7a47a2454293b2247eaf2d4ee69a60a07b0",
     "c1.multijoint.svg":
-        "e68734b5d0ae9e17e371ba02515f8f8d16cd510bcf84b35b21aebe94592a67e8",
+        "51203211b05430ee617e6c545fe73521716dcfeaf87163732caf0bbe18a48aef",
     "c1.multijoint.svg.json":
         "f17c84b0da4509f59f67143d715435c731326a86d88de53e1e22f2ca9462d497",
     "c1.report.json":
         "34b3d53897bf49550d1b06cd9a31b4add475f39f9d0093fe8b410619aebf5447",
     "c2.heatmap.svg":
-        "fcee22e241e5eb8449058289d01863c4ddec0063f73331c392664049c1d42e4c",
+        "08fe95f08ead464cd95139a88f8d0526ef95c4a454995dd221546e667345a30b",
     "c2.heatmap.svg.json":
         "8609869051bfa587e37625f1dd6763e50ad205f981d4b99f4bb6508fa9e9ffdd",
     "c2.multijoint.svg":
-        "eb58cc434b8a5d7685ed6b49b077d692b5b0d1d35ac1660f1e2e7652d412d264",
+        "d698368d5ae52a1f4fb83cdc70cb70078811053278f65601fd2f08e11f01586d",
     "c2.multijoint.svg.json":
         "aa596ccb74aa1fe114748f922accd05f5874853dc87cee01fa71b5979669ee39",
     "c2.report.json":
         "038d70a9d7a352f783413cfe7faec4781a917af5c0259bfa8d6d4b84578c2948",
     "c3.heatmap.svg":
-        "ac0ad80537f3f0317f9d110d97707572b2539363bb430cac062eaa55c3b11018",
+        "8ba8ed7ba9844a7ea538aee9b1b2f919af5e633c41e61445d96f2118e064dcc1",
     "c3.heatmap.svg.json":
         "76da23a813d5129a8a5e7c420799ec76e31985b5e235ed010c27c2b03a5bc99f",
     "c3.multijoint.svg":
-        "de885b6acbea2a1b76d3f42a0d6f890ccfbd5cb18524c158b654d4941e176a8d",
+        "82b914968a188d4b3e19e1fcd4f658a46c2c7b2e71a5a1706bb1f3d611b7c0dd",
     "c3.multijoint.svg.json":
         "ddd628999257270e09f1750c8bdbbbf7126ed8a81b2751e160efe4030c66c453",
     "c3.report.json":
         "1e2d16baeaf1671a290cb1b5b60366609d698f21390253a0754e8418d81816a8",
     "c4.heatmap.svg":
-        "f6655f1013c1434f4a03f64c29bef7c59ac875681514768b83f175fb63aaca9d",
+        "2fa316799ab513bf38486fffde561f96a9ab388ead3c2c337a8d87893760fa42",
     "c4.heatmap.svg.json":
         "f4d1887729d3d708a55136ff822d8cb5eb17cbc5533b090029eec1422e2b09c1",
     "c4.multijoint.svg":
-        "5c38743fe0e15d48ce44f0649633777b65d8b24f1fc7d67026ceef34e207cf91",
+        "09df73df700c70e4b298ad4b6545f8bf50480528194c9307b8864e8811fd00f6",
     "c4.multijoint.svg.json":
         "afd6f1669062a3211c3ed10e700891cd12ef7e40bfc9d5f99efd6b7dc9d36f9e",
     "c4.report.json":
         "65b3110e43f9401eb195f28bc27a5eb6c73b91c2494f35efac8f7e6fd1560d60",
     "c5.heatmap.svg":
-        "f81e171debf3ad2d77fae0d5aa9a83e7b8c862180f4cd08ad3f08408181b0899",
+        "d603dfb3216eb3745bed9c50c7c3fdb01f362ee8422cfb185744f4486e9a5d4a",
     "c5.heatmap.svg.json":
         "ecb3f8373f60ee79ae913c4cf287f2c596d4ab30e0985f224f436bdd3a176bcf",
     "c5.multijoint.svg":
-        "2fb42370808b25cf56ee311b19d176519636c8c3c24bb488d93b8a98a2ace652",
+        "96f39a518f2771414850a7eb67ec3b45ed778ba143d592b51d2307724ed6e3ba",
     "c5.multijoint.svg.json":
         "77f0da6f25eb5292d315ee206adcf0b9d9a74bb948ca84aae11d29395de950bb",
     "c5.report.json":
