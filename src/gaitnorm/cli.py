@@ -55,7 +55,7 @@ from .detect import (DetectionConfig, build_report, frame_statuses,
                      severity_matrix)
 from .errors import ValidationError
 from .kinematics import DEFAULT_MIN_VISIBILITY, JOINT_NAMES, angle_series_set
-from .normative import STD_KINDS, build_normative_model, model_summary
+from .normative import STD_KINDS, build_normative_model
 from .pose_io import (PHASE_SOURCES, _load_json, load_cycles,
                       load_norm_model, load_report, parse_annotation_document,
                       parse_pose_sequence, save_angle_series, save_cycles,
@@ -428,9 +428,8 @@ def cmd_build_norm(args) -> int:
     model = build_normative_model(typical, grid_points=grid_points,
                                   std_kind=args.std_kind)
     Path(args.out).write_bytes(save_norm_model(model))
-    summary = model_summary(model)
-    print(f"built normative model: {summary['n_joints']} joints from "
-          f"{summary['total_cycles']} cycles -> {args.out}")
+    print(f"built normative model: {len(model.joints)} joints from "
+          f"{len(model.provenance)} cycles -> {args.out}")
     return 0
 
 

@@ -86,24 +86,22 @@ class DeviationReport:
     # Derived from z and config by ``judge``, never stored or passed in.
     flag: Dict[str, np.ndarray] = field(init=False)
     severity: Dict[str, np.ndarray] = field(init=False)
-    flagged_fraction: Dict[str, float] = field(init=False)
 
     def __post_init__(self):
         z = np.array(list(self.z.values()), float).reshape(
             len(self.z), self.grid_points)
-        flags, severity, fraction = judge(z, self.config)
+        flags, severity = judge(z, self.config)
         self.flag = dict(zip(self.z, flags))
         self.severity = dict(zip(self.z, severity))
-        self.flagged_fraction = dict(zip(self.z, fraction.tolist()))
 
 
 def judge(z: np.ndarray, cfg: DetectionConfig) -> Tuple[np.ndarray, ...]:
-    """Flags, severity and flagged fraction of a ``(joints, grid)`` z
-    matrix: ``|z| > k``, ``min(|z|, clip)/clip`` in [0, 1], and the mean
-    of each row's flags.  The only place these are decided."""
+    """Flags and severity of a ``(joints, grid)`` z matrix: ``|z| > k``
+    and ``min(|z|, clip)/clip`` in [0, 1].  The only place these are
+    decided."""
     flags = np.abs(z) > cfg.k
     severity = np.minimum(np.abs(z), cfg.severity_clip) / cfg.severity_clip
-    return flags, severity, flags.mean(axis=1)
+    return flags, severity
 
 
 def severity_matrix(report: DeviationReport,

@@ -7,8 +7,9 @@ with no perspective correction, which mirrors how the angle would be read
 off the video by hand.
 
 Ten angles make up the standard set: shoulder, elbow, hip, knee and ankle,
-each side.  ``JOINT_NAMES`` fixes their canonical order (proximal to
-distal, left before right) used for matrix rows and figure panels.
+each side.  ``JOINT_KEYPOINTS`` defines them in their canonical order
+(proximal to distal, left before right) used for matrix rows and figure
+panels; ``JOINT_NAMES`` is that order.
 
 Angles are computed a video at a time, indexing the ``(n_frames, 16, 3)``
 keypoint array of a ``PoseSequence`` directly.  Every joint's angles come
@@ -23,21 +24,32 @@ from libm ``atan2`` in the last bit, which would change output bytes.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import DegenerateGeometryError, ValidationError
 from .pose_io import KEYPOINT_NAMES, PoseSequence
 
-# Canonical joint order for matrices and figures.
-JOINT_NAMES: Tuple[str, ...] = (
-    "left_shoulder", "right_shoulder",
-    "left_elbow", "right_elbow",
-    "left_hip", "right_hip",
-    "left_knee", "right_knee",
-    "left_ankle", "right_ankle",
-)
+# Keypoints (proximal, axis, distal) of each joint, in the canonical joint
+# order for matrices and figures.  The angle opens at ``axis`` between the
+# rays toward ``proximal`` and ``distal``.
+JOINT_KEYPOINTS: Dict[str, Tuple[str, str, str]] = {
+    "left_shoulder": ("left_hip", "left_shoulder", "left_elbow"),
+    "right_shoulder": ("right_hip", "right_shoulder", "right_elbow"),
+    "left_elbow": ("left_shoulder", "left_elbow", "left_wrist"),
+    "right_elbow": ("right_shoulder", "right_elbow", "right_wrist"),
+    "left_hip": ("left_shoulder", "left_hip", "left_knee"),
+    "right_hip": ("right_shoulder", "right_hip", "right_knee"),
+    "left_knee": ("left_hip", "left_knee", "left_ankle"),
+    "right_knee": ("right_hip", "right_knee", "right_ankle"),
+    "left_ankle": ("left_knee", "left_ankle", "left_hallux"),
+    "right_ankle": ("right_knee", "right_ankle", "right_hallux"),
+}
+JOINT_NAMES: Tuple[str, ...] = tuple(JOINT_KEYPOINTS)
+# ``(10, 3)`` keypoint columns of each joint's triple.
+_JOINT_COLUMNS = np.array([[KEYPOINT_NAMES.index(n) for n in triple]
+                           for triple in JOINT_KEYPOINTS.values()])
 
 MISSING_LOW_VISIBILITY = "low_visibility"
 MISSING_ABSENT_KEYPOINT = "absent_keypoint"
@@ -50,26 +62,6 @@ MISSING_REASONS: Tuple[Optional[str], ...] = (
 _REASON_CODES = {reason: code for code, reason in enumerate(MISSING_REASONS)}
 
 DEFAULT_MIN_VISIBILITY = 0.5
-
-
-@dataclass(frozen=True)
-class JointDefinition:
-    """Keypoint triple defining one joint angle.
-
-    ``axis`` is the vertex; the angle opens between the rays toward
-    ``proximal`` and ``distal``.
-    """
-
-    name: str
-    proximal: str
-    axis: str
-    distal: str
-
-    def __post_init__(self):
-        if len({self.proximal, self.axis, self.distal}) != 3:
-            raise ValidationError(
-                f"joint {self.name!r}: proximal/axis/distal keypoints must "
-                f"be distinct")
 
 
 @dataclass(frozen=True)
@@ -104,6 +96,18 @@ class AngleSeries:
                                    self.reasons.tolist())]
 
 
+def _rays(points, axis) -> np.ndarray:
+    """Rays from ``axis`` to ``points``, x and y on the last axis.  A ray
+    with a component past the float limit is taken between the halved
+    points instead: ``atan2`` is unchanged under a positive scale and
+    halving a normal float is exact, so the ray keeps its direction, and
+    a ray that does not overflow keeps every bit."""
+    with np.errstate(over="ignore"):
+        rays = points - axis
+    overflow = np.isinf(rays).any(axis=-1, keepdims=True)
+    return np.where(overflow, points / 2 - axis / 2, rays)
+
+
 def joint_angle(a, b, c) -> float:
     """Included angle at vertex ``b`` between rays b->a and b->c, in degrees.
 
@@ -114,92 +118,55 @@ def joint_angle(a, b, c) -> float:
     ``a``, ``b``, ``c`` are (x, y) pairs.  Raises
     ``DegenerateGeometryError`` when ``a`` or ``c`` coincides with ``b``.
     """
-    ax, ay = a
-    bx, by = b
-    cx, cy = c
-    if (ax == bx and ay == by) or (cx == bx and cy == by):
+    a, b, c = np.array((a, b, c), dtype=float)
+    if (a == b).all() or (c == b).all():
         raise DegenerateGeometryError(
             "joint angle undefined: vertex coincides with an endpoint")
-    radians = math.atan2(cy - by, cx - bx) - math.atan2(ay - by, ax - bx)
+    (ax, ay), (cx, cy) = _rays(np.array((a, c)), b).tolist()
+    radians = math.atan2(cy, cx) - math.atan2(ay, ax)
     angle = abs(math.degrees(radians))
     if angle > 180.0:
         angle = 360.0 - angle
     return angle
 
 
-def standard_joint_set() -> List[JointDefinition]:
-    """The ten standard joint definitions, in canonical order.
-
-    Shoulder opens hip-shoulder-elbow, elbow opens shoulder-elbow-wrist,
-    hip opens shoulder-hip-knee, knee opens hip-knee-ankle, and ankle
-    opens knee-ankle-hallux; each for the left and right side.
-    """
-    triples = {
-        "shoulder": ("hip", "shoulder", "elbow"),
-        "elbow": ("shoulder", "elbow", "wrist"),
-        "hip": ("shoulder", "hip", "knee"),
-        "knee": ("hip", "knee", "ankle"),
-        "ankle": ("knee", "ankle", "hallux"),
-    }
-    out = []
-    for kind in ("shoulder", "elbow", "hip", "knee", "ankle"):
-        proximal, axis, distal = triples[kind]
-        for side in ("left", "right"):
-            out.append(JointDefinition(
-                name=f"{side}_{kind}",
-                proximal=f"{side}_{proximal}",
-                axis=f"{side}_{axis}",
-                distal=f"{side}_{distal}"))
-    # Reorder to canonical (left/right within each kind already adjacent).
-    by_name = {j.name: j for j in out}
-    return [by_name[n] for n in JOINT_NAMES]
-
-
-def _angle_columns(seq: PoseSequence, joints: Sequence[JointDefinition],
-                  min_visibility: float = DEFAULT_MIN_VISIBILITY,
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Angles of ``joints`` over every frame of ``seq``, column per joint.
+def _angle_columns(seq: PoseSequence,
+                   min_visibility: float = DEFAULT_MIN_VISIBILITY,
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Angles of every joint over every frame of ``seq``, column per joint.
 
     Returns ``(frames, angles, reasons)``: the frame indices, an
-    ``(n_frames, len(joints))`` float array of angles in degrees, and a
-    parallel uint8 array of missing-reason codes.  A missing sample has a
-    NaN angle and a non-zero code.  Failures never abort a column: a frame
-    lacking any of the three keypoints is ``absent_keypoint``, one where
-    any visibility falls below ``min_visibility`` is ``low_visibility``,
-    and coincident keypoints are ``degenerate_geometry``, checked in that
+    ``(n_frames, 10)`` float array of angles in degrees, and a parallel
+    uint8 array of missing-reason codes.  A missing sample has a NaN angle
+    and a non-zero code.  Failures never abort a column: a frame lacking
+    any of the three keypoints is ``absent_keypoint``, one where any
+    visibility falls below ``min_visibility`` is ``low_visibility``, and
+    coincident keypoints are ``degenerate_geometry``, checked in that
     order.  Each present angle equals ``joint_angle`` on the same points.
     """
     if not 0.0 <= min_visibility <= 1.0:
         raise ValidationError(
             f"min_visibility must be in [0, 1], got {min_visibility}")
-    # x, y, visibility per frame and landmark; the last, all-NaN column
-    # stands in for a landmark the keypoint format lacks.
-    kp = np.concatenate((seq.keypoints,
-                         np.full((len(seq.keypoints), 1, 3), np.nan)), axis=1)
-
-    def gather(attr):
-        idx = [KEYPOINT_NAMES.index(n) if n in KEYPOINT_NAMES else -1
-               for n in (getattr(j, attr) for j in joints)]
-        return kp[:, idx, 0], kp[:, idx, 1], kp[:, idx, 2]
-
-    (ax, ay, av), (bx, by, bv), (cx, cy, cv) = (
-        gather("proximal"), gather("axis"), gather("distal"))
-    absent = np.isnan(av) | np.isnan(bv) | np.isnan(cv)
-    low = (av < min_visibility) | (bv < min_visibility) | (cv < min_visibility)
-    degenerate = ((ax == bx) & (ay == by)) | ((cx == bx) & (cy == by))
+    # x, y, visibility per frame, joint and (proximal, axis, distal).
+    kp = seq.keypoints[:, _JOINT_COLUMNS]
+    xy, vis = kp[..., :2], kp[..., 2]
+    proximal, axis, distal = xy[:, :, 0], xy[:, :, 1], xy[:, :, 2]
+    absent = np.isnan(vis).any(axis=2)
+    low = (vis < min_visibility).any(axis=2)
+    degenerate = (proximal == axis).all(axis=2) | (distal == axis).all(axis=2)
     reasons = np.zeros(absent.shape, dtype=np.uint8)
     reasons[degenerate] = _REASON_CODES[MISSING_DEGENERATE]
     reasons[low] = _REASON_CODES[MISSING_LOW_VISIBILITY]
     reasons[absent] = _REASON_CODES[MISSING_ABSENT_KEYPOINT]
 
     ok = reasons == 0
-    # A ray near the float limit overflows to inf; atan2 still takes it.
-    with np.errstate(over="ignore"):
-        distal = list(map(math.atan2, (cy - by)[ok].tolist(),
-                          (cx - bx)[ok].tolist()))
-        proximal = list(map(math.atan2, (ay - by)[ok].tolist(),
-                            (ax - bx)[ok].tolist()))
-    angle = np.abs(np.degrees(np.array(distal) - np.array(proximal)))
+
+    def headings(points):
+        rays = _rays(points[ok], axis[ok])
+        return np.array(list(map(math.atan2, rays[:, 1].tolist(),
+                                 rays[:, 0].tolist())), dtype=float)
+
+    angle = np.abs(np.degrees(headings(distal) - headings(proximal)))
     angles = np.full(absent.shape, np.nan)
     angles[ok] = np.where(angle > 180.0, 360.0 - angle, angle)
     return seq.frame_index, angles, reasons
@@ -207,14 +174,11 @@ def _angle_columns(seq: PoseSequence, joints: Sequence[JointDefinition],
 
 def angle_series_set(seq: PoseSequence,
                      min_visibility: float = DEFAULT_MIN_VISIBILITY,
-                     joints: Optional[List[JointDefinition]] = None,
                      ) -> Dict[str, AngleSeries]:
-    """Angle series for every joint of the standard set (or ``joints``),
-    each a column of one ``_angle_columns`` call; missing samples carry
-    their reason as described there."""
-    if joints is None:
-        joints = standard_joint_set()
-    frames, angles, reasons = _angle_columns(seq, joints, min_visibility)
-    return {j.name: AngleSeries(j.name, frames=frames, angles=angles[:, i],
-                                reasons=reasons[:, i])
-            for i, j in enumerate(joints)}
+    """Angle series for every joint of ``JOINT_KEYPOINTS``, each a column
+    of one ``_angle_columns`` call; missing samples carry their reason as
+    described there."""
+    frames, angles, reasons = _angle_columns(seq, min_visibility)
+    return {name: AngleSeries(name, frames=frames, angles=angles[:, i],
+                              reasons=reasons[:, i])
+            for i, name in enumerate(JOINT_NAMES)}

@@ -121,21 +121,3 @@ def build_normative_model(cycles: List[NormalizedCycle],
     return NormativeModel(grid_points=grid_points, std_kind=std_kind,
                           joints=joints, provenance=provenance)
 
-
-def model_summary(model: NormativeModel) -> dict:
-    """Compact per-joint statistics for logging and reports."""
-    joints = {}
-    for name, jn in model.joints.items():
-        joints[name] = {
-            "n_cycles": jn.n_cycles,
-            "mean_min": float(jn.mean.min()),
-            "mean_max": float(jn.mean.max()),
-            "std_max": float(jn.std.max()),
-        }
-    return {
-        "total_cycles": len(model.provenance),
-        "n_joints": len(model.joints),
-        "grid_points": model.grid_points,
-        "std_kind": model.std_kind,
-        "joints": joints,
-    }

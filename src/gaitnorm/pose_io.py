@@ -5,11 +5,16 @@ Six file families are handled here:
 * keypoint sequences -- line-delimited JSON, one frame per line, so long
   videos can be streamed with bounded memory
 * cycle annotations -- one JSON document per video
-* per-joint angle series -- ``gaitnorm-angles/1``
+* per-joint angle series -- ``gaitnorm-angles/1``, write-only (the
+  ``angles`` output; nothing reads it back)
 * normalized-cycle cohorts -- ``gaitnorm-cycles/1``
 * normative models -- ``gaitnorm/1``
 * deviation reports -- ``gaitnorm-report/2``, one document per analyzed
   cycle, holding z per scored joint and the config that decides the rest
+
+Keypoint and annotation files are inputs; their serializers write test
+and benchmark inputs.  Joint profiles (``synth --profiles``) are
+read-only, parsed by ``synth.profiles_from_json``.
 
 Parsing is pure and deterministic: the same bytes always produce the same
 structures, and parsed values are never mutated afterwards, so they are
@@ -820,41 +825,3 @@ def save_angle_series(series_by_joint: dict, *, video_id: str = "",
            "min_visibility": min_visibility, "joints": joints}
     return _dump(doc)
 
-
-def load_angle_series(data: bytes) -> dict:
-    """Parse an angle-series file back into per-joint ``AngleSeries``.
-
-    Each joint holds a list of ``[frame, angle or null, reason]`` rows,
-    ``reason`` one of ``kinematics.MISSING_REASONS``.
-    """
-    from .kinematics import MISSING_REASONS, AngleSeries  # deferred: avoids import cycle
-
-    doc = _load_json(data, "angles file")
-    if not isinstance(doc, dict) or doc.get("schema") != ANGLES_SCHEMA:
-        raise ValidationError(f"schema mismatch: expected {ANGLES_SCHEMA!r}")
-    out = {}
-    joints = _require_object(doc.get("joints", {}), "'joints'")
-    for name, rows in joints.items():
-        if not isinstance(rows, list):
-            raise ValidationError(f"joint {name!r}: rows must be a list")
-        frames, angles, reasons = [], [], []
-        for row in rows:
-            if not isinstance(row, list) or len(row) != 3:
-                raise ValidationError(
-                    f"joint {name!r}: a row must be [frame, angle or null, "
-                    f"reason], got {row!r}")
-            frame, angle, reason = row
-            frames.append(_require_int(frame, f"joint {name!r} frame"))
-            angles.append(np.nan if angle is None
-                          else _require_number(angle, f"joint {name!r} angle"))
-            if reason not in MISSING_REASONS:
-                raise ValidationError(
-                    f"joint {name!r}: unknown missing reason {reason!r}")
-            reasons.append(MISSING_REASONS.index(reason))
-        try:
-            out[name] = AngleSeries(name, frames=frames, angles=angles,
-                                    reasons=reasons)
-        except OverflowError:
-            raise ValidationError(f"joint {name!r}: a frame does not fit in "
-                                  f"64 bits") from None
-    return out

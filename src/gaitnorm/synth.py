@@ -21,7 +21,7 @@ import numpy as np
 
 from .cycles import DEFAULT_GRID_POINTS, NormalizedCycle
 from .errors import ValidationError
-from .pose_io import (CycleAnnotation, PoseSequence, _dump, _load_json,
+from .pose_io import (CycleAnnotation, PoseSequence, _load_json,
                       _require_int, _require_number, _require_object)
 
 INJECTION_KINDS = ("offset", "amplitude_scale", "phase_shift")
@@ -92,6 +92,8 @@ def generate_cycle(profiles: Dict[str, JointProfile],
     """
     if grid_points < 2:
         raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     angles = {}
     valid = {}
@@ -197,21 +199,15 @@ def demo_profiles() -> Dict[str, JointProfile]:
     return out
 
 
-def profiles_to_json(profiles: Dict[str, JointProfile]) -> bytes:
-    doc = {
-        joint: {
-            "baseline_deg": p.baseline_deg,
-            "harmonics": [list(h) for h in p.harmonics],
-            "noise_sd_deg": p.noise_sd_deg,
-        }
-        for joint, p in profiles.items()
-    }
-    return _dump(doc)
-
-
 def profiles_from_json(data: bytes) -> Dict[str, JointProfile]:
-    """Parse and validate joint profiles as ``profiles_to_json`` writes
-    them; harmonics are [amplitude_deg, cycles (an int), phase_rad]."""
+    """Parse and validate a joint profiles file (``synth --profiles``)::
+
+        {"left_knee": {"baseline_deg": 145.0, "noise_sd_deg": 2.0,
+                       "harmonics": [[18.0, 1, -1.5708], [10.0, 2, 0.0]]}}
+
+    one entry per joint, ``baseline_deg`` required, harmonics (default
+    none) as [amplitude_deg, cycles, phase_rad] with ``cycles`` an integer
+    a float can hold, and ``noise_sd_deg`` (default 0) non-negative."""
     out = {}
     doc = _require_object(_load_json(data, "profiles file"), "profiles file")
     for joint, entry in doc.items():
@@ -225,12 +221,14 @@ def profiles_from_json(data: bytes) -> Dict[str, JointProfile]:
                                    f"{what} noise_sd_deg")
         if noise_sd < 0.0:
             raise ValidationError(f"{what}: noise_sd_deg must be >= 0")
+        for _, cycles, _ in harmonics:  # an int that converts to a float
+            _require_number(_require_int(cycles, f"{what} harmonic cycles"),
+                            f"{what} harmonic cycles")
         out[joint] = JointProfile(
             baseline_deg=_require_number(entry.get("baseline_deg"),
                                          f"{what} baseline_deg"),
             harmonics=tuple((_require_number(a, f"{what} harmonic amplitude"),
-                             _require_int(c, f"{what} harmonic cycles"),
-                             _require_number(ph, f"{what} harmonic phase"))
+                             c, _require_number(ph, f"{what} harmonic phase"))
                             for a, c, ph in harmonics),
             noise_sd_deg=noise_sd)
     return out

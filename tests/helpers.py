@@ -242,14 +242,13 @@ def reference_frame_statuses(seq_cycles, frames, grid_points,
 
 
 def reference_report(cycle, model, cfg=None, joint_order=JOINT_NAMES):
-    """z, flag, severity and flagged fraction per valid joint, and the
-    unknown joints, one joint and one grid sample at a time in Python
-    floats: ``(angle - mean) / max(std, floor)`` at 1/1000
-    (``at_thousandths``), then ``|z| > k``, ``min(|z|, clip) / clip`` and
-    the count of flags over the grid, all of the rounded z.  A valid joint
-    the model lacks is unknown, like an invalid one."""
+    """z, flag and severity per valid joint, and the unknown joints, one
+    joint and one grid sample at a time in Python floats:
+    ``(angle - mean) / max(std, floor)`` at 1/1000 (``at_thousandths``),
+    then ``|z| > k`` and ``min(|z|, clip) / clip``, both of the rounded
+    z.  A valid joint the model lacks is unknown, like an invalid one."""
     cfg = cfg or DetectionConfig()
-    out = {"z": {}, "flag": {}, "severity": {}, "flagged_fraction": {}}
+    out = {"z": {}, "flag": {}, "severity": {}}
     for joint, angles in cycle.angles.items():
         if not cycle.valid.get(joint, False) or joint not in model.joints:
             continue
@@ -257,20 +256,17 @@ def reference_report(cycle, model, cfg=None, joint_order=JOINT_NAMES):
         z = [at_thousandths((a - m) / max(s, cfg.sigma_floor_deg))
              for a, m, s in zip(angles.tolist(), normals.mean.tolist(),
                                 normals.std.tolist())]
-        flags = [abs(v) > cfg.k for v in z]
         out["z"][joint] = np.array(z)
-        out["flag"][joint] = np.array(flags)
+        out["flag"][joint] = np.array([abs(v) > cfg.k for v in z])
         out["severity"][joint] = np.array(
             [min(abs(v), cfg.severity_clip) / cfg.severity_clip for v in z])
-        out["flagged_fraction"][joint] = sum(flags) / len(flags)
     out["unknown_joints"] = [j for j in joint_order if j not in out["z"]]
     return out
 
 
 def assert_same_judgment(got, want):
-    """``got``'s z, flag and severity rows equal ``want``'s bit for bit,
-    and so do the flagged fractions; ``want`` is a ``DeviationReport`` or
-    a ``reference_report`` dict."""
+    """``got``'s z, flag and severity rows equal ``want``'s bit for bit;
+    ``want`` is a ``DeviationReport`` or a ``reference_report`` dict."""
     want = want if isinstance(want, dict) else vars(want)
     for name in ("z", "flag", "severity"):
         rows = getattr(got, name)
@@ -278,7 +274,6 @@ def assert_same_judgment(got, want):
         for joint, values in want[name].items():
             assert rows[joint].dtype == values.dtype
             assert rows[joint].tobytes() == values.tobytes()
-    assert got.flagged_fraction == want["flagged_fraction"]
 
 
 def reference_spline_values(knot_x, knot_y, t) -> np.ndarray:

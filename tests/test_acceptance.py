@@ -15,11 +15,10 @@ import pytest
 
 from gaitnorm import (DetectionConfig, build_normative_model, build_report,
                       generate_cohort, generate_cycle, inject_abnormality,
-                      joint_angle, noise_free_curve, severity_matrix,
-                      standard_joint_set)
+                      joint_angle, noise_free_curve, severity_matrix)
 from gaitnorm.cli import main
 from gaitnorm.cycles import resample_cycle, segment_cycles
-from gaitnorm.kinematics import JOINT_NAMES, angle_series_set
+from gaitnorm.kinematics import JOINT_KEYPOINTS, JOINT_NAMES, angle_series_set
 from gaitnorm.pose_io import parse_annotation_document, parse_pose_sequence
 from gaitnorm.spline import eval_spline, fit_natural_cubic
 from gaitnorm.synth import AbnormalitySpec, demo_profiles
@@ -269,8 +268,7 @@ def test_c09_shape_contracts(profiles, reference_model):
         ("left_ankle", "left_knee", "left_ankle", "left_hallux"),
         ("right_ankle", "right_knee", "right_ankle", "right_hallux"),
     ]
-    got = [(j.name, j.proximal, j.axis, j.distal)
-           for j in standard_joint_set()]
+    got = [(name, *triple) for name, triple in JOINT_KEYPOINTS.items()]
     assert got == expected_rows
     print("criterion 9: shapes 10x101 / 101-point cycles / 10 joint rows ok")
 

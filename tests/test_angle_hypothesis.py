@@ -10,6 +10,7 @@ well-formed triples without it.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from gaitnorm.kinematics import (MISSING_ABSENT_KEYPOINT,  # noqa: E402
                                  MISSING_DEGENERATE, MISSING_LOW_VISIBILITY,
-                                 MISSING_REASONS, angle_series_set,
-                                 standard_joint_set)
+                                 MISSING_REASONS, JOINT_KEYPOINTS,
+                                 angle_series_set)
 from gaitnorm.pose_io import KEYPOINT_NAMES, PoseSequence  # noqa: E402
 
 from helpers import arccos_angle  # noqa: E402
@@ -63,12 +64,14 @@ def _sequences(draw):
 
 
 def _ray(p, b):
-    """p - b scaled by a power of two (exact) to a longest component in
-    [0.5, 1), so the oracle's dot product neither overflows nor loses a
-    subnormal ray's direction."""
-    dx, dy = p[0] - b[0], p[1] - b[1]
-    e = math.frexp(max(abs(dx), abs(dy)))[1]
-    return math.ldexp(dx, -e), math.ldexp(dy, -e)
+    """p - b, taken exactly with ``Fraction`` (so a difference past the
+    float limit is no problem) and scaled by a power of two to a longest
+    component in [0.5, 2), so the oracle's dot product neither overflows
+    nor loses a subnormal ray's direction."""
+    d = [Fraction(u) - Fraction(v) for u, v in zip(p[:2], b[:2])]
+    longest = max(map(abs, d))
+    e = longest.numerator.bit_length() - longest.denominator.bit_length()
+    return tuple(float(c / Fraction(2) ** e) for c in d)
 
 
 @hypothesis.settings(deadline=None)
@@ -76,10 +79,9 @@ def _ray(p, b):
 def test_angles_in_range_or_missing_with_their_reason(seq, min_visibility):
     series = angle_series_set(seq, min_visibility)
     column = {name: i for i, name in enumerate(KEYPOINT_NAMES)}
-    for joint in standard_joint_set():
-        s = series[joint.name]
-        points = seq.keypoints[:, [column[joint.proximal], column[joint.axis],
-                                   column[joint.distal]]].tolist()
+    for joint, triple in JOINT_KEYPOINTS.items():
+        s = series[joint]
+        points = seq.keypoints[:, [column[n] for n in triple]].tolist()
         for angle, code, (a, b, c) in zip(s.angles.tolist(),
                                           s.reasons.tolist(), points):
             if math.isnan(a[0]) or math.isnan(b[0]) or math.isnan(c[0]):
@@ -90,17 +92,13 @@ def test_angles_in_range_or_missing_with_their_reason(seq, min_visibility):
                 want = MISSING_DEGENERATE
             else:
                 want = None
-            assert MISSING_REASONS[code] == want, (joint.name, a, b, c)
+            assert MISSING_REASONS[code] == want, (joint, a, b, c)
             if want is not None:
                 assert math.isnan(angle)
                 continue
-            assert 0.0 <= angle <= 180.0, (joint.name, angle)
-            ray_a, ray_c = _ray(a, b), _ray(c, b)
-            # A ray that overflows to an infinite component has lost its
-            # direction in the package too (its angle is only in range),
-            # so the oracle is compared where both rays are finite.
-            if all(map(math.isfinite, ray_a + ray_c)):
-                # 1e-5 degrees: arccos near 0 and 180 keeps only about
-                # half the float digits
-                assert abs(angle - arccos_angle(ray_a, (0.0, 0.0), ray_c)) \
-                    <= 1e-5, (joint.name, a, b, c)
+            assert 0.0 <= angle <= 180.0, (joint, angle)
+            # 1e-5 degrees: arccos near 0 and 180 keeps only about half
+            # the float digits
+            assert abs(angle - arccos_angle(_ray(a, b), (0.0, 0.0),
+                                            _ray(c, b))) <= 1e-5, \
+                (joint, a, b, c)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from gaitnorm.cli import main
-from gaitnorm.kinematics import JOINT_NAMES
+from gaitnorm.kinematics import JOINT_NAMES, MISSING_REASONS, angle_series_set
 from gaitnorm.pose_io import (KeypointFrame, PoseSequence, load_cycles,
-                              load_norm_model, load_report, save_cycles,
+                              load_norm_model, load_report,
+                              parse_pose_sequence, save_cycles,
                               serialize_annotations, serialize_pose_sequence)
 from gaitnorm.synth import (demo_profiles, generate_cohort,
                             generate_pose_sequence)
@@ -69,6 +70,29 @@ def test_angles_and_segment(tmp_path):
     assert len(cycles) == 4
     assert [c.label for c in cycles] == ["typical"] * 3 + ["atypical"]
     assert all(all(c.valid.values()) for c in cycles)
+
+
+def test_angles_output_holds_the_angle_columns(tmp_path):
+    # Nothing reads gaitnorm-angles/1 back: decode it with the standard
+    # library and compare it with the columns angle_series_set computes.
+    out = tmp_path / "angles.json"
+    assert main(["angles", "--keypoints", str(KEYPOINTS),
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_bytes())
+    series = angle_series_set(parse_pose_sequence(KEYPOINTS.read_bytes()))
+    assert doc["schema"] == "gaitnorm-angles/1"
+    assert sorted(doc["joints"]) == sorted(JOINT_NAMES)
+    for joint, rows in doc["joints"].items():
+        assert len(rows) == 121
+        assert all(isinstance(r, list) and len(r) == 3
+                   and type(r[0]) is int and type(r[1]) in (float, type(None))
+                   and (r[2] is None or isinstance(r[2], str)) for r in rows)
+        s = series[joint]
+        assert [r[0] for r in rows] == s.frames.tolist()
+        assert [repr(r[1]) for r in rows] == [
+            repr(None if a != a else a) for a in s.angles.tolist()]
+        assert [r[2] for r in rows] == [
+            MISSING_REASONS[code] for code in s.reasons.tolist()]
 
 
 def test_run_end_to_end(tmp_path):
@@ -807,6 +831,8 @@ BAD_PROFILES = {
     "negative-noise": {"left_knee": {"baseline_deg": 90.0,
                                      "noise_sd_deg": -1.0}},
     "document-not-object": [],
+    "harmonic-cycles-past-float-range": {"left_knee": {
+        "baseline_deg": 90.0, "harmonics": [[5.0, 10 ** 400, 0.0]]}},
 }
 
 
@@ -817,6 +843,12 @@ def test_bad_synth_profiles_exit_1_without_traceback(tmp_path, capsys, case):
     assert main(_synth_argv(tmp_path) + ["--profiles", profiles]) == 1
     err = capsys.readouterr().err
     assert "validation error" in err and "Traceback" not in err
+
+
+def test_negative_synth_seed_exits_1_without_traceback(tmp_path, capsys):
+    assert main(_synth_argv(tmp_path) + ["--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "seed must be >= 0, got -1" in err and "Traceback" not in err
 
 
 def _escaping_run(tmp_path, video_id):

@@ -18,7 +18,7 @@ from gaitnorm.detect import frame_statuses
 from gaitnorm.errors import ValidationError
 from gaitnorm import pose_io
 from gaitnorm.figures import annotate_frames, overlay_chunks
-from gaitnorm.kinematics import JOINT_NAMES, JointDefinition, angle_series_set
+from gaitnorm.kinematics import JOINT_NAMES
 from gaitnorm.pose_io import (KEYPOINT_NAMES, Keypoint, KeypointFrame, Point2D,
                               PoseSequence, _dump, parse_annotation_document,
                               parse_pose_sequence, serialize_pose_sequence)
@@ -490,11 +490,3 @@ class TestPoseSequence:
         frame = KeypointFrame(0, {"nose": Keypoint(Point2D(1.0, 2.0), 1.0)})
         with pytest.raises(ValidationError, match="unknown keypoint name"):
             PoseSequence("v", (frame,))
-
-
-def test_joint_on_a_landmark_the_format_lacks_is_absent():
-    seq = parse_pose_sequence(DEMO.read_bytes())
-    joint = JointDefinition("left_nose", "left_hip", "left_knee", "nose")
-    series = angle_series_set(seq, joints=[joint])["left_nose"]
-    assert series.reasons.tolist() == [1] * len(seq.frame_index)
-    assert np.isnan(series.angles).all()

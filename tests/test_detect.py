@@ -97,7 +97,7 @@ class TestZScores:
         with caplog.at_level(logging.WARNING, logger="gaitnorm.detect"):
             report = build_report(cycle, _model())
         assert set(report.z) == set(report.flag) == set(report.severity) \
-            == set(report.flagged_fraction) == {"left_knee"}
+            == {"left_knee"}
         assert "left_hip" in report.unknown_joints
         assert "left_knee" not in report.unknown_joints
         assert [r.getMessage() for r in caplog.records] == [
@@ -179,7 +179,7 @@ class TestSeverity:
         assert matrix[row, 7] == 1.0
 
     def test_beyond_clip_saturates(self):
-        _, sev, _ = judge(np.array([[9.0]]), DetectionConfig())
+        _, sev = judge(np.array([[9.0]]), DetectionConfig())
         assert sev[0, 0] == 1.0
 
     def test_sign_flip_invariance(self):
@@ -364,7 +364,7 @@ class TestConfigAndReport:
         cycle.valid["left_hip"] = False
         report = build_report(cycle, model, video_id="v",
                               annotation=CycleAnnotation(0, 30, "typical"))
-        assert report.flagged_fraction["left_knee"] == 1.0  # |z|=1.2 > 1
+        assert report.flag["left_knee"].all()  # |z|=1.2 > 1
         assert "left_hip" in report.unknown_joints
         assert "left_knee" not in report.unknown_joints
         np.testing.assert_allclose(report.severity["left_knee"], 1.2 / 3.0)
@@ -385,7 +385,6 @@ class TestReportEqualsPerJointReference:
             for joint, values in expected[field].items():
                 assert got[joint].dtype == values.dtype
                 assert got[joint].tobytes() == values.tobytes()
-        assert report.flagged_fraction == expected["flagged_fraction"]
         assert report.unknown_joints == expected["unknown_joints"]
         return report
 

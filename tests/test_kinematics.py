@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaitnorm import (DegenerateGeometryError, JOINT_NAMES,
-                      angle_series_set, joint_angle, standard_joint_set)
+from gaitnorm import (DegenerateGeometryError, JOINT_KEYPOINTS, JOINT_NAMES,
+                      angle_series_set, joint_angle)
 from gaitnorm.kinematics import (MISSING_ABSENT_KEYPOINT,
                                  MISSING_DEGENERATE,
                                  MISSING_LOW_VISIBILITY, MISSING_REASONS)
@@ -88,6 +88,40 @@ class TestJointAngle:
                 base, abs=1e-9)
 
 
+# A hip, knee and ankle where the knee-to-hip ray's x (-2e308) is past
+# the float limit.
+OVERFLOW_HIP, OVERFLOW_KNEE, OVERFLOW_ANKLE = \
+    (-1e308, -5e307), (1e308, 0.0), (1e308, 1e308)
+
+
+class TestRayOverflow:
+    """A ray past the float limit keeps its direction: the angle is the
+    one of the same points halved, which no ray of overflows."""
+
+    # joint_angle on the points halved; the arccos oracle on the points
+    # scaled (exactly) to moderate values agrees.
+    HALVED = 104.03624346792648
+
+    def test_joint_angle(self):
+        points = (OVERFLOW_HIP, OVERFLOW_KNEE, OVERFLOW_ANKLE)
+        assert joint_angle(*[(x / 2, y / 2) for x, y in points]) \
+            == joint_angle(*points) == self.HALVED
+        scaled = [(math.ldexp(x, -1000), math.ldexp(y, -1000))
+                  for x, y in points]
+        assert arccos_angle(*scaled) == pytest.approx(self.HALVED, abs=1e-9)
+
+    def test_angle_series_set(self):
+        keypoints = np.full((1, len(KEYPOINT_NAMES), 3), np.nan)
+        for name, xy in (("left_hip", OVERFLOW_HIP),
+                         ("left_knee", OVERFLOW_KNEE),
+                         ("left_ankle", OVERFLOW_ANKLE)):
+            keypoints[0, KEYPOINT_NAMES.index(name)] = (*xy, 1.0)
+        seq = PoseSequence("v", frame_index=[0], time_s=[np.nan],
+                           keypoints=keypoints)
+        assert angle_series_set(seq)["left_knee"].angles.tolist() == \
+            [self.HALVED]
+
+
 class TestStandardJointSet:
     # (joint, proximal, axis, distal)
     EXPECTED = {
@@ -104,25 +138,24 @@ class TestStandardJointSet:
     }
 
     def test_has_ten_joints_in_canonical_order(self):
-        joints = standard_joint_set()
-        assert len(joints) == 10
-        assert tuple(j.name for j in joints) == JOINT_NAMES
+        assert len(JOINT_KEYPOINTS) == 10
+        assert JOINT_NAMES == tuple(JOINT_KEYPOINTS) == (
+            "left_shoulder", "right_shoulder", "left_elbow", "right_elbow",
+            "left_hip", "right_hip", "left_knee", "right_knee",
+            "left_ankle", "right_ankle")
 
     def test_left_knee_row(self):
-        by_name = {j.name: j for j in standard_joint_set()}
-        jd = by_name["left_knee"]
-        assert (jd.proximal, jd.axis, jd.distal) == \
+        assert JOINT_KEYPOINTS["left_knee"] == \
             ("left_hip", "left_knee", "left_ankle")
 
     def test_right_ankle_row(self):
-        by_name = {j.name: j for j in standard_joint_set()}
-        jd = by_name["right_ankle"]
-        assert (jd.proximal, jd.axis, jd.distal) == \
+        assert JOINT_KEYPOINTS["right_ankle"] == \
             ("right_knee", "right_ankle", "right_hallux")
 
     def test_all_rows(self):
-        for jd in standard_joint_set():
-            assert (jd.proximal, jd.axis, jd.distal) == self.EXPECTED[jd.name]
+        assert JOINT_KEYPOINTS == self.EXPECTED
+        assert all(len(set(triple)) == 3 and set(triple) <= set(KEYPOINT_NAMES)
+                   for triple in JOINT_KEYPOINTS.values())
 
 
 def _frame(index, coords, vis=1.0):
@@ -137,13 +170,10 @@ def _right_angle_coords():
 
 
 class TestAngleSeries:
-    def _knee(self):
-        return next(j for j in standard_joint_set() if j.name == "left_knee")
-
     def test_constant_geometry(self):
         seq = PoseSequence("v", tuple(_frame(i, _right_angle_coords())
                                       for i in range(3)))
-        series = angle_series_set(seq, 0.5, [self._knee()])["left_knee"]
+        series = angle_series_set(seq, 0.5)["left_knee"]
         assert [s.angle_deg for s in series.samples] == [90.0, 90.0, 90.0]
         assert [s.frame_index for s in series.samples] == [0, 1, 2]
 
@@ -153,7 +183,7 @@ class TestAngleSeries:
         dim = _frame(1, coords, vis={"left_hip": 1.0, "left_knee": 0.1,
                                      "left_ankle": 1.0})
         seq = PoseSequence("v", (ok, dim))
-        series = angle_series_set(seq, 0.5, [self._knee()])["left_knee"]
+        series = angle_series_set(seq, 0.5)["left_knee"]
         assert series.samples[0].angle_deg == pytest.approx(90.0)
         assert series.samples[1].angle_deg is None
         assert series.samples[1].missing_reason == MISSING_LOW_VISIBILITY
@@ -162,14 +192,13 @@ class TestAngleSeries:
         coords = _right_angle_coords()
         missing = {k: v for k, v in coords.items() if k != "left_ankle"}
         seq = PoseSequence("v", (_frame(0, coords), _frame(1, missing)))
-        series = angle_series_set(seq, 0.5, [self._knee()])["left_knee"]
+        series = angle_series_set(seq, 0.5)["left_knee"]
         assert series.samples[1].missing_reason == MISSING_ABSENT_KEYPOINT
 
     def test_ankle_missing_hallux(self):
         coords = {"left_knee": (0.0, -50.0), "left_ankle": (0.0, 0.0)}
         seq = PoseSequence("v", (_frame(0, coords), _frame(1, coords)))
-        ankle = next(j for j in standard_joint_set() if j.name == "left_ankle")
-        series = angle_series_set(seq, 0.5, [ankle])["left_ankle"]
+        series = angle_series_set(seq, 0.5)["left_ankle"]
         assert all(s.missing_reason == MISSING_ABSENT_KEYPOINT
                    for s in series.samples)
 
@@ -177,14 +206,14 @@ class TestAngleSeries:
         coords = _right_angle_coords()
         degenerate = dict(coords, left_hip=(0.0, 0.0))  # hip == knee
         seq = PoseSequence("v", (_frame(0, coords), _frame(1, degenerate)))
-        series = angle_series_set(seq, 0.5, [self._knee()])["left_knee"]
+        series = angle_series_set(seq, 0.5)["left_knee"]
         assert series.samples[1].missing_reason == MISSING_DEGENERATE
 
     def test_bad_min_visibility(self):
         seq = PoseSequence("v", tuple(_frame(i, _right_angle_coords())
                                       for i in range(2)))
         with pytest.raises(ValueError):
-            angle_series_set(seq, 1.5, [self._knee()])
+            angle_series_set(seq, 1.5)
 
     def test_series_set_covers_all_joints(self):
         seq = PoseSequence("v", tuple(_frame(i, _right_angle_coords())
@@ -202,9 +231,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def _reference_samples(seq, joint, min_visibility):
     """The per-frame rule, one sample at a time: (angle or None, reason)."""
     out = []
-    names = (joint.proximal, joint.axis, joint.distal)
     for frame in seq.frames:
-        kps = [frame.keypoints.get(n) for n in names]
+        kps = [frame.keypoints.get(n) for n in JOINT_KEYPOINTS[joint]]
         if any(kp is None for kp in kps):
             out.append((None, MISSING_ABSENT_KEYPOINT))
         elif any(kp.visibility < min_visibility for kp in kps):
@@ -220,8 +248,8 @@ def _reference_samples(seq, joint, min_visibility):
 
 def _assert_columns_match_reference(seq, min_visibility=0.5):
     series = angle_series_set(seq, min_visibility)
-    for joint in standard_joint_set():
-        s = series[joint.name]
+    for joint in JOINT_NAMES:
+        s = series[joint]
         assert s.frames.tolist() == [f.frame_index for f in seq.frames]
         got = [(a.angle_deg, a.missing_reason) for a in s.samples]
         # exact equality: the column kernel must reproduce joint_angle bit

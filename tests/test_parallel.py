@@ -344,8 +344,8 @@ def _walker_files(tmp_path, inputs, walk):
 def test_written_reports_reload_as_built(tmp_path, monkeypatch, walk,
                                          inputs, command):
     # A report stores only z and the config; reading it back derives the
-    # flags, severity and flagged fractions build_report derived, bit for
-    # bit, whichever process wrote the file.
+    # flags and severity build_report derived, bit for bit, whichever
+    # process wrote the file.
     kp_path, ann_path = _walker_files(tmp_path, inputs, walk)
     real, built = cli.build_report, []
 

@@ -1,6 +1,6 @@
 """Property check of the report format: a report stores only z, at
-1/1000 SD, and its config, and reading it back derives the flags,
-severity and flagged fractions ``build_report`` derived, bit for bit.
+1/1000 SD, and its config, and reading it back derives the flags and
+severity ``build_report`` derived, bit for bit.
 
 Runs only where hypothesis is installed; ``test_parallel.py`` checks the
 reports ``run`` and ``detect`` write without it.

@@ -10,8 +10,7 @@ from gaitnorm.kinematics import angle_series_set
 from gaitnorm.cycles import resample_cycle, segment_cycles
 from gaitnorm.pose_io import serialize_pose_sequence
 from gaitnorm.synth import (AbnormalitySpec, JointProfile, demo_profiles,
-                            generate_pose_sequence, profiles_from_json,
-                            profiles_to_json)
+                            generate_pose_sequence, profiles_from_json)
 
 
 FLAT = {"left_knee": JointProfile(baseline_deg=90.0)}
@@ -172,10 +171,21 @@ class TestInjectAbnormality:
 
 
 class TestProfilesJson:
-    def test_roundtrip(self):
-        profiles = demo_profiles()
-        again = profiles_from_json(profiles_to_json(profiles))
-        assert again == profiles
+    def test_parses_the_documented_format(self):
+        doc = (b'{"left_knee": {"baseline_deg": 145.0, "noise_sd_deg": 2.0,'
+               b' "harmonics": [[18.0, 1, -1.5708], [10.0, 2, 0.0]]},'
+               b' "right_knee": {"baseline_deg": 90}}')
+        assert profiles_from_json(doc) == {
+            "left_knee": JointProfile(
+                145.0, ((18.0, 1, -1.5708), (10.0, 2, 0.0)), 2.0),
+            "right_knee": JointProfile(90.0)}
+
+    def test_cycles_past_the_float_range_name_the_profile(self):
+        cycles = b"1" + b"0" * 400
+        doc = b'{"left_knee": {"baseline_deg": 90, "harmonics": [[1, %s, 0]]}}'
+        with pytest.raises(ValidationError,
+                           match="profile 'left_knee' harmonic cycles"):
+            profiles_from_json(doc % cycles)
 
     def test_demo_profiles_cover_standard_joints(self):
         from gaitnorm.kinematics import JOINT_NAMES
