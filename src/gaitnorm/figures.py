@@ -53,7 +53,7 @@ from .detect import DetectionConfig
 from .errors import ValidationError
 from .kinematics import JOINT_NAMES
 from .normative import NormativeModel
-from .pose_io import KEYPOINT_NAMES, PoseSequence, _dump, _encode
+from .pose_io import KEYPOINT_NAMES, PoseSequence, _dump, _json
 
 # Drawn between keypoints that are both present in a frame's overlay
 # record; the record does not list them.
@@ -377,7 +377,7 @@ class _Literal(str):
 
 @functools.lru_cache(maxsize=1024)
 def _record_template(present: Tuple[bool, ...], timed: bool) -> str:
-    """One overlay record as ``_encode`` writes it, with a ``%`` slot for
+    """One overlay record as ``_json`` writes it, with a ``%`` slot for
     every value: the frame, the joint-status object, x, y and visibility
     of each ``present`` landmark (a mask in ``KEYPOINT_NAMES`` order; the
     slots follow the sorted names), and the time when ``timed``."""
@@ -388,7 +388,7 @@ def _record_template(present: Tuple[bool, ...], timed: bool) -> str:
         "keypoints": {n: ["%r"] * 3 for n in names},
         "joint_status": "%s",
     }
-    text = _encode(record, 1)
+    text = _json(record)
     for slot in ("%d", "%r", "%s"):
         text = text.replace(f'"{slot}"', slot)
     return text
@@ -427,7 +427,7 @@ def overlay_chunks(seq: PoseSequence, statuses: np.ndarray,
         present, timed = all_present[lo:hi], all_timed[lo:hi]
         rows = list(map(tuple, statuses[lo:hi].tolist()))
         for row in set(rows).difference(status_text):
-            status_text[row] = _encode(dict(zip(joint_order, row)), 2)
+            status_text[row] = _json(dict(zip(joint_order, row)))
         # Per frame: frame, status, x, y, visibility per landmark, time.
         floats = np.concatenate(
             (pose_io.at_precision(
@@ -445,12 +445,12 @@ def overlay_chunks(seq: PoseSequence, statuses: np.ndarray,
         nonfinite[:, 2:] = ~np.isfinite(floats)
         values = cells[used]
         for i in np.flatnonzero(nonfinite[used]).tolist():
-            values[i] = _Literal(_encode(values[i], 0))  # NaN, Infinity
+            values[i] = _Literal(_json(values[i]))  # NaN, Infinity
         templates = map(_record_template, map(tuple, present.tolist()),
                         timed.tolist())
-        text = ",\n ".join(templates) % tuple(values)
-        yield (("[\n " if lo == 0 else ",\n ") + text).encode()
-    yield b"\n]\n"
+        text = ",".join(templates) % tuple(values)
+        yield (("[" if lo == 0 else ",") + text).encode()
+    yield b"]\n"
 
 
 def annotate_frames(seq: PoseSequence, statuses: np.ndarray,

@@ -35,22 +35,17 @@ record only to name the first invalid value and its line.
 ``PoseSequence.frames`` builds the per-frame ``KeypointFrame`` objects on
 demand.
 
-Every JSON document is written by ``_dump``, whose bytes are exactly
-``json.dumps(doc, sort_keys=True, indent=1) + "\n"``.  The standard
-library runs its pure-Python encoder whenever ``indent`` is set, one call
-per value, so ``_dump`` walks only the containers that hold other
-containers and hands each container of scalars (a band, a z-score row, a
-keypoint triple) to the C encoder in one call; that encoder's item
-separator carries the newline and indent of the container's depth.
+Every JSON document is written by ``_dump``: compact canonical JSON,
+``json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"``, one
+call of the standard library's C encoder with no whitespace outside
+strings.  Files written indented before 0.9.0 decode to the same objects.
 Loaders decode through ``_load_json`` and check each list of numbers as
 one array.
 """
 
-import functools
 import json
 import logging
 from dataclasses import dataclass, fields
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from itertools import chain, compress
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -491,56 +486,14 @@ def serialize_annotations(video_id: str, cycles: List[CycleAnnotation]) -> bytes
     return _dump(doc)
 
 
-_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 _JSON_NUMBERS = frozenset((int, float))
 
-
-@functools.lru_cache(maxsize=None)
-def _scalar_encoder(depth: int):
-    """The C encoder for a container of scalars at nesting ``depth``."""
-    return c_make_encoder(None, json.JSONEncoder().default,
-                          encode_basestring_ascii, None, ": ",
-                          ",\n" + " " * (depth + 1), True, False, True)
-
-
-def _key(key) -> str:
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {key.__class__.__name__}")
-        key = "".join(_scalar_encoder(0)(key, 0))
-    return encode_basestring_ascii(key)
-
-
-def _encode(obj, depth: int) -> str:
-    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=1)`` writes it
-    at nesting ``depth``."""
-    if isinstance(obj, dict):
-        values = obj.values()
-    elif isinstance(obj, (list, tuple)):
-        values = obj
-    else:
-        return "".join(_scalar_encoder(depth)(obj, 0))
-    pad = "\n" + " " * depth
-    inner = pad + " "
-    # Exact types: a subclass (np.float64, a dict subclass) takes the walk,
-    # where it is encoded on its own as the standard library would.
-    if _JSON_SCALARS.issuperset(map(type, values)):
-        text = "".join(_scalar_encoder(depth)(obj, 0))
-        if len(text) == 2:  # empty: "[]" or "{}"
-            return text
-        return text[0] + inner + text[1:-1] + pad + text[-1]
-    if values is obj:
-        items = [_encode(v, depth + 1) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    items = [_key(k) + ": " + _encode(v, depth + 1)
-             for k, v in sorted(obj.items())]
-    return "{" + inner + ("," + inner).join(items) + pad + "}"
+# Canonical compact JSON text: sorted keys, no whitespace, ``repr`` floats.
+_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _dump(doc) -> bytes:
-    # Canonical bytes: sorted keys, repr-precision floats, trailing newline.
-    return (_encode(doc, 0) + "\n").encode()
+    return (_json(doc) + "\n").encode()
 
 
 def at_precision(values: np.ndarray, decimals: int) -> np.ndarray:

@@ -250,6 +250,8 @@ def generate_pose_sequence(n_cycles: int = 4,
     """
     if n_cycles < 1 or frames_per_cycle < 8:
         raise ValidationError("need n_cycles >= 1 and frames_per_cycle >= 8")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     fps = 30.0
     n_frames = n_cycles * frames_per_cycle + 1

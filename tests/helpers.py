@@ -9,6 +9,7 @@ is meaningful.  Figures are compared as drawings: ``decode_heatmap`` and
 references compute them one value at a time.
 """
 
+import json
 import logging
 import math
 import re
@@ -16,7 +17,9 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from gaitnorm.cycles import EDGE_COVERAGE_PERCENT, MIN_KNOTS_PER_CYCLE
+from gaitnorm.cli import main
+from gaitnorm.cycles import (EDGE_COVERAGE_PERCENT, MIN_KNOTS_PER_CYCLE,
+                             NormalizedCycle)
 from gaitnorm.detect import (STATUS_ABNORMAL, STATUS_NORMAL, STATUS_UNKNOWN,
                              DetectionConfig)
 from gaitnorm.errors import ValidationError
@@ -24,7 +27,7 @@ from gaitnorm.figures import _STYLE, _fmt
 from gaitnorm.kinematics import JOINT_NAMES
 from gaitnorm.pose_io import (KEYPOINT_NAMES, Keypoint, KeypointFrame, Point2D,
                               PoseSequence, _load_json, _require_int,
-                              _require_number)
+                              _require_number, save_cycles)
 from gaitnorm.synth import generate_pose_sequence
 
 logger = logging.getLogger("gaitnorm.pose_io")
@@ -179,6 +182,85 @@ def thousandths_bound(v) -> float:
     float steps of ``v`` together (``round(0.40549999999999997, 3)`` is
     0.406, 0.0005 plus 1.008 steps away)."""
     return 0.0005 + 2 * math.ulp(v)
+
+
+def compact_canonical(data: bytes) -> bytes:
+    """``data`` decoded and written again as every ``gaitnorm`` JSON file
+    is: sorted keys, no whitespace, one trailing newline."""
+    return (json.dumps(json.loads(data), sort_keys=True,
+                       separators=(",", ":")) + "\n").encode()
+
+
+def json_structure(text: str) -> str:
+    """The characters of JSON ``text`` outside its string literals, read
+    one at a time with the escapes followed by hand: brackets, colons,
+    commas, numbers and literals, and any whitespace a writer put
+    between them."""
+    out = []
+    in_string = escaped = False
+    for ch in text:
+        if escaped:
+            escaped = False
+        elif in_string:
+            escaped = ch == "\\"
+            in_string = ch != '"'
+        elif ch == '"':
+            in_string = True
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def same_json(a, b) -> bool:
+    """Equal as decoded JSON values: the same types and keys, floats
+    equal by ``repr`` (so NaN equals NaN and -0.0 differs from 0.0)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_json(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_json, a, b))
+    if isinstance(a, float):
+        return repr(a) == repr(b)
+    return a == b
+
+
+def object_keys(data: bytes) -> list:
+    """The keys of every JSON object in ``data``, in the order written."""
+    keys = []
+
+    def pairs(items):
+        keys.append([k for k, _ in items])
+        return dict(items)
+
+    json.loads(data, object_pairs_hook=pairs)
+    return keys
+
+
+def altered_cycle(cycle, cycle_id=None, label=None, invalid=()):
+    """``cycle`` under another id or label, with the ``invalid`` joints
+    failing their coverage rule (all-NaN angles), as a cycles file can
+    hold them."""
+    angles = {j: np.full(cycle.grid_points, np.nan) if j in invalid else a
+              for j, a in cycle.angles.items()}
+    return NormalizedCycle(
+        label=label or cycle.label, grid_points=cycle.grid_points,
+        angles=angles,
+        valid={j: v and j not in invalid for j, v in cycle.valid.items()},
+        cycle_id=cycle.cycle_id if cycle_id is None else cycle_id)
+
+
+def build_norm_file(cycles, directory) -> bytes:
+    """The model file ``gaitnorm build-norm`` writes for a cycles file
+    holding ``cycles`` in the given order, or ``b""`` when it exits 1."""
+    cycles_path = directory / "cohort.cycles.json"
+    model_path = directory / "cohort.model.json"
+    cycles_path.write_bytes(save_cycles(cycles))
+    model_path.unlink(missing_ok=True)
+    code = main(["build-norm", "--cycles", str(cycles_path),
+                 "--out", str(model_path)])
+    assert code in (0, 1)
+    return model_path.read_bytes() if code == 0 else b""
 
 
 def reference_overlay_records(frames, statuses,

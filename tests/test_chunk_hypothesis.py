@@ -1,5 +1,6 @@
 """Property check: the chunk size never changes a parsed video or the
-overlay bytes.
+overlay bytes, and the overlay is ``_dump`` of its records built one
+value at a time.
 
 Keypoint lines are parsed, and the overlay document written,
 ``pose_io.CHUNK_FRAMES`` frames at a time.  Runs only where hypothesis is
@@ -21,7 +22,10 @@ from gaitnorm.detect import (STATUS_ABNORMAL, STATUS_NORMAL,  # noqa: E402
                              STATUS_UNKNOWN)
 from gaitnorm.figures import overlay_chunks  # noqa: E402
 from gaitnorm.kinematics import JOINT_NAMES  # noqa: E402
-from gaitnorm.pose_io import KEYPOINT_NAMES, parse_pose_sequence  # noqa: E402
+from gaitnorm.pose_io import (KEYPOINT_NAMES, _dump,  # noqa: E402
+                              parse_pose_sequence)
+
+from helpers import reference_frames, reference_overlay_records  # noqa: E402
 
 # Negative, huge, subnormal and integer coordinates; the parser refuses
 # NaN and infinities.
@@ -75,6 +79,9 @@ def test_chunk_size_changes_no_value_and_no_byte(video):
     seq, chunks = _parse_and_overlay(data, statuses, size)
     assert len(chunks) == -(-n // size) + 1
     assert b"".join(chunks) == b"".join(one_chunk) + tail
+    # absent landmarks and untimed frames (NaN times) included
+    assert b"".join(chunks) == _dump(reference_overlay_records(
+        reference_frames(data), statuses))
     assert seq.frame_index.tobytes() == whole.frame_index.tobytes()
     assert seq.time_s.tobytes() == whole.time_s.tobytes()
     assert seq.keypoints.tobytes() == whole.keypoints.tobytes()

@@ -24,87 +24,87 @@ GOLDEN = {
     "band.left_ankle.svg":
         "157726954213a75e69b2c498726185e914aacd8997707df3c2b3fffbe11d7a65",
     "band.left_ankle.svg.json":
-        "f0bb9b67102332ede4b0b70da5107195147ed94c343c77dad037d4158c9f7c1a",
+        "7180d9d2ecf008955b5942b5322ffe1c5f84187ebf7bf3011c42e5f7e7f4f56e",
     "band.left_elbow.svg":
         "229026952ae279ab22256c9c0821b144a6b35b6c645eb5b518d0385a295dd9cb",
     "band.left_elbow.svg.json":
-        "fad535fd1f82439452b09ef01f2c3cef5913a1840dbafeaa3a323c090029c9e9",
+        "38e1ff609d7bbd7e79af90ea45ef6e3c30012bbfd8d81e3057cc7713eef252bc",
     "band.left_hip.svg":
         "45954b379508251c3d0c30febd3883929626be8316d376fb590d87f39e88875c",
     "band.left_hip.svg.json":
-        "48135cc6bfc29db26dffeb7fae6418fd9ff0f0dd5fd5bfb70f9abedc7066b259",
+        "803c3b6068e3029486d01111d1b27bb6431a08ef14c3a42ca980d15897341e7e",
     "band.left_knee.svg":
         "17695be50c6817df327ff9e3814835a5785e7c518bb54abb6e8755ca0b98bbc8",
     "band.left_knee.svg.json":
-        "b0b6e8b7ce481656337a9e504b3555ed84cf3e88f2f77b7a83ecc505ade7ea7e",
+        "2691021c73ce586f712c82e18760523c8239de45f12d697ed505404f19297cc9",
     "band.left_shoulder.svg":
         "3cb7dbdb92c8d18d04244d4d87c99a025d2c9189b1bfbc8af10ada6543161902",
     "band.left_shoulder.svg.json":
-        "6f1d580f30c46c53f1322dc12e187410ca7a766d0d1839943ae3f0c4782a4389",
+        "da7daacb7d9b901a1465c8eafd1c990154eb93054689e0087f429d3e3e1ca934",
     "band.right_ankle.svg":
         "fee2be5a3fa913a5498a5e9bd3641ef14dd69e581a8755c9a24296e0e423b01c",
     "band.right_ankle.svg.json":
-        "53e3590cbc7bf790daf168f0d56483a257fc89b7af5cfc55d9de59274a9e8c9a",
+        "e92d32318fd85f6c691d2a3184ef900d12290abeedc2ab4eaec8fcf4776bede2",
     "band.right_elbow.svg":
         "d4ec751e644688b98707f3a186cbd59df761376787b82daf211db086974f5ded",
     "band.right_elbow.svg.json":
-        "792084c670b85a74b165a94d18ef6ad8a7d5a28b0a9af0c87a4fd934f0bce345",
+        "bc41e0440e915603cdb7ce86775ed341e94c4f98372415f342c2afb9cea62cd4",
     "band.right_hip.svg":
         "ba649770cf1d85cacacd001ffeb1d5b8d7c43b19e604eabaa44193084ed3930d",
     "band.right_hip.svg.json":
-        "f483cff522a308c3b23aea68c114be723ce00022c8cba82e6bcb5796e871e70c",
+        "6e56756fde962130811f6e46df4022a90614681bec98eeb43dc70284276949a7",
     "band.right_knee.svg":
         "d6dd6b7313a98402cebbb45a6acb328edc0a390de2d3e9fb0b1d1f1350ad1d66",
     "band.right_knee.svg.json":
-        "e90f6711bb6900ae47ef1fe96774deb551f36a8ce00b90c6e61ce7831a92d395",
+        "be445fe76b82551f7518e78442b4f83ab305cec9ee62f8916517c435d8de0cab",
     "band.right_shoulder.svg":
         "97badbab527f1eae65a462d92a7b85b84b54543543d4c4e37acf9c791d6d47f6",
     "band.right_shoulder.svg.json":
-        "7cf68ac66193ba1749ab11e7cfbe59128120ae23d49aa9b3175d89adea5a5325",
+        "5da91b5a0ead84fa420790a46c429c0ab9a5fcc14599d0e660df9e1861f5af65",
     "c0.heatmap.svg":
         "5b815a268d0db7f3fa7bb3c576e6ff8a4a14b382687af373cced43e13f07cd61",
     "c0.heatmap.svg.json":
-        "c8ca81f0949232e1f2817ccce54c2528b9b09e40ddf0964fbaa3b6982316bab5",
+        "a537802acb499a5452753b8b4fae22b61829216d4073357c9164ae9e136aded6",
     "c0.multijoint.svg":
         "fce76f9154e0d747c456baa50067ff68aadf82f80ebffc6dfedadf42a3633c87",
     "c0.multijoint.svg.json":
-        "71e3e7d24322d2d0f93f7faea8d881a07f43dc2996d4ea6700eee3797156a01e",
+        "28941e77a88bfea7a3e45c6d6fac4e1cca519b6700b43484e9a6f9bf1a399bb4",
     "c0.report.json":
-        "41e4caff3e59292aba16f9e60c348331aea8a971c0c4d6d42c012762d8af8dae",
+        "752559bcc50625a01b64015bd534153e32cc46809a239e44d6c4060561054b57",
     "c1.heatmap.svg":
         "a8b36a71368866c4745cc69c55f3e82a004ae29175093d3e42c165d03090d2aa",
     "c1.heatmap.svg.json":
-        "c8ca81f0949232e1f2817ccce54c2528b9b09e40ddf0964fbaa3b6982316bab5",
+        "a537802acb499a5452753b8b4fae22b61829216d4073357c9164ae9e136aded6",
     "c1.multijoint.svg":
         "af2752ab08fa0a2400db3888d787a6d80e0b9bba18db4b911b9de6489ece12e5",
     "c1.multijoint.svg.json":
-        "550de01127406d3bd48d4e067b0c4bcca7f189dee76e807ed0c506ec696fe105",
+        "778a82011c690e1ee42572af51669a78093ca28203d0c8c6225b1f4897a0e0c4",
     "c1.report.json":
-        "544dc4b65fcccfc38daa23b162e5c6db3fbe4098512dab61a33590c57f2c2a81",
+        "5ffc90c8e615f63592566845b8e997fec0d3c1090142bef47e138a89bf604374",
     "c2.heatmap.svg":
         "2afc263be8a3b0ee0965c7f48effe935d7acd75e1957f642089e4be8a121d231",
     "c2.heatmap.svg.json":
-        "c8ca81f0949232e1f2817ccce54c2528b9b09e40ddf0964fbaa3b6982316bab5",
+        "a537802acb499a5452753b8b4fae22b61829216d4073357c9164ae9e136aded6",
     "c2.multijoint.svg":
         "d6aa407b6138b408052d78abbb206fcd19b07b11634f9e156d8f81b625d993f1",
     "c2.multijoint.svg.json":
-        "7f939caee16941b395f1b38729a98c8dd3a1bdf24a82b5724303304fce8c0144",
+        "ed025ac9b404f5da886647c6018dba4893fd3901cef367b0b83c91ddc19a2535",
     "c2.report.json":
-        "fa63832760dac37dbe73fe60ffbb031fb08e1011dc2bd9d12c6778f100033747",
+        "1dfa14604e5e4c21abb832ec3e1359a4b79d198185f8fe6d81f2cdef4ddc5bec",
     "c3.heatmap.svg":
         "944b9cdeae6a1cdaed25edf71a91f32fb9b023e9940adf9c70a8374ea19a0bb1",
     "c3.heatmap.svg.json":
-        "ecb3f8373f60ee79ae913c4cf287f2c596d4ab30e0985f224f436bdd3a176bcf",
+        "9d8e8d33800d056b60e108beed7bdfe84eb39b1e610dcc3c5d0a28722027687a",
     "c3.multijoint.svg":
         "de07f91224d055772b2252bfa0a2c9f33026c8c90ecb7a1537c237b06a54ff3b",
     "c3.multijoint.svg.json":
-        "638d5eed203d3d59075a1c99ed74f7dc68b7ba240cafc89e8a697199dc225874",
+        "79f4ffa374a85a64eec30df00a670b999bfca418913dd5cff6bc01e4ef075d63",
     "c3.report.json":
-        "56ca938e2f9bd49e0d4cb46f3d73df86c4daa533037edbd2721a910810e28651",
+        "3c6d6c866174fab1d2489e12831bd755cdc37481cfe9c9f13db93ff60989dfd7",
     "model.json":
-        "78170288251a400390454c19df6fb4b476c032f5f6e15afeff2dfd2232f88d0a",
+        "44a48584c2a2dfc13dbba4c02276f69ae68813321b69dc7736021bccbe6da231",
     "overlays.json":
-        "8ca0139d1203118cbcc220c5ba69ce144f391c0592bcf671a38c541eaac04de1",
+        "8973b1a5b09c8535712888b227f473b3a6c5480c0e57d57328ecac103aa72ca6",
 }
 
 KEYPOINTS = str(FIXTURES / "demo.keypoints.jsonl")
@@ -140,81 +140,81 @@ STAGE_COMMANDS = {
 STAGE_GOLDEN = {
     "angles": {
         "demo.angles.json":
-            "90288e3ffa11aad958f58989120e66fbf57af41f755887251b57a7f887e909f4",
+            "73c73d0f634749b122f84feb93c1c07bc7672731d05432aaba6ffc3150f6b876",
     },
     "segment": {
         "demo.cycles.json":
-            "e0fa5324d20f979855cffe4079b7682f5b23b77f781681ba828957221a98a35c",
+            "ed2a32c1c7ef3d93fad2d08087477d72fcc50f2343317b82d7cc5381323ca909",
     },
     "build-norm": {
         "demo.model.json":
-            "78170288251a400390454c19df6fb4b476c032f5f6e15afeff2dfd2232f88d0a",
+            "44a48584c2a2dfc13dbba4c02276f69ae68813321b69dc7736021bccbe6da231",
     },
     "detect": {
         "demo.cycles.c0.report.json":
-            "a377d3e8a0749d48df39dabe0481614c15a7a3024f6ca21f28f5a84bb09b780c",
+            "33ca36c4f636c934ae9dd1c8a199b6e9d229c212bc42dc17795a6b764c6acc88",
         "demo.cycles.c1.report.json":
-            "856a39661fd3dca708839d7072300b6d95e43a3a57e1a12e62d119d20a304d84",
+            "1c2c7e91d52a19a07f443f83128c1aef2568e10c6443676d427f1f4dd07e3446",
         "demo.cycles.c2.report.json":
-            "39274914d9620de676acaeaee4cf3f99d05c1c035b594dfbe90d1e3c74479dd0",
+            "d326a2c29966b558bf0e28acf9f0741c55da31ad6dac465420e98e4f05395887",
         "demo.cycles.c3.report.json":
-            "00ddf3f05a7dbce16499b91a8afe7c06ad47e1df806ec9244d028c0eeddeb4fa",
+            "c8c314954c4db6ec36d1756bd01d63336387cb950e81fbdc6c3d7f0191cb5bb3",
     },
     "figures": {
         "synthetic-walk.band.left_ankle.svg":
             "b16b2637c69bcc5efcf3782f4857ad36aa824843e91e16f66cc414aebdc4bf4a",
         "synthetic-walk.band.left_ankle.svg.json":
-            "cae2ab608bf892613bce68667b57eec6b7a003c3156d99de10d1c8caa1a61c15",
+            "c1eada47dd3f774943465102bc523d11a3ad1daeb583b1707d734395fe2daa7e",
         "synthetic-walk.band.left_elbow.svg":
             "a5fe289f4eb51333b56ed3ef68cfc551f45046e3c16a24e3a108c80fc65513fd",
         "synthetic-walk.band.left_elbow.svg.json":
-            "4aa691cedbf46e1e2ab6c8bfdb0be7616f00378457872d62a3f5f1eae7f10132",
+            "17dab4c49518cbf0006530a3dc73a108620279afcdf5bc48fea10ed040aac094",
         "synthetic-walk.band.left_hip.svg":
             "2522d66c24c0d94a2caf99d793cd03c44b778e7b3a4b5e9df34fa5c1b04dabd4",
         "synthetic-walk.band.left_hip.svg.json":
-            "9641c94b86feb256d7e76b5b240bb10b54c24acc12fb228d361809d80c7f8294",
+            "096e25827afc6c2606cccdd8bfc28c0ef2872ee986d6114b0f27d4e42a4a5f6f",
         "synthetic-walk.band.left_knee.svg":
             "473c19731c8627562c7ce4b09e0d804c4a30b8638fc63dcddd355a4f1a09ef3e",
         "synthetic-walk.band.left_knee.svg.json":
-            "61eda661e608fde697d34223a72d534ef75830e1bb07f8370e8acafc7dacacd1",
+            "5bc011a826f0181e49202396ffb258bdbab73f0fdb5b7a770e2d99f5026ec888",
         "synthetic-walk.band.left_shoulder.svg":
             "18038d278f21200b1bccc9fcc385927b5e87657547ff3013e6aaaf08df314ddf",
         "synthetic-walk.band.left_shoulder.svg.json":
-            "5609588c043e45c5a9a59709c2c3582e359e5bc54927b9a114822216bef14864",
+            "3c9cc0ea784838e37823e5dea4d5d617de57b9122fa0201b6d2b06f5c3fc239e",
         "synthetic-walk.band.right_ankle.svg":
             "d939d16cbfae8c76306daf92f075a7af349081bbb29e8818ff6c62986caf1a1a",
         "synthetic-walk.band.right_ankle.svg.json":
-            "9d3ed3ef19ceb99f796479f50e6072ebc50b26ee340ad9344369761c67eed543",
+            "c27dcb0ec23fb656d4a9292143142798edae89ddad8662b83f945d7212e794cf",
         "synthetic-walk.band.right_elbow.svg":
             "00d7633a2f7f28c3116176149fb90cb3c19a500a5769ac24faca50ba1794c9c1",
         "synthetic-walk.band.right_elbow.svg.json":
-            "417e0bb3df80f80c2df60d5770fd95850eaa6f7a29384ae9e81663bc2ba7a081",
+            "09c12c221b9e0aed543162afe64f4733ba028b2a65e721356367a16d0996eaf3",
         "synthetic-walk.band.right_hip.svg":
             "d2b732e8afb04fb85e30bac3a1fd065e9bbffef6d98b81ea0d9aea83ccb51034",
         "synthetic-walk.band.right_hip.svg.json":
-            "a3816ff9cba33aeac0bf51027949cd4d8d27d2340f28aaf78e321cd95ad88f21",
+            "defbac2472d438970fc1afcba7036d165c49d8e63c5f43a778294a46816a67de",
         "synthetic-walk.band.right_knee.svg":
             "6b54d3638f9c30040cde91d37e23b625e2058f9ca7d0503a9287f8c8d240f260",
         "synthetic-walk.band.right_knee.svg.json":
-            "c78b7fa6610e2bc33a7cde1adcf41291c102309208d8ef0e52685c4330442a97",
+            "879632331d168a306fa596f656f3e321de03b386a5c7f421fdd4cfa36ff36906",
         "synthetic-walk.band.right_shoulder.svg":
             "ef45f9bd514cc0f3fedb5b88e97cdb5aa0d84d5c7e8daf50f497d9c7da338c4e",
         "synthetic-walk.band.right_shoulder.svg.json":
-            "bf4806023e5b3d5506fbd871e6aac635d0f6493fb25214202208e96cdca40821",
+            "00c4d0ad47bbc38415a67fb4b14e914a55376f9ac3611cd0155853f6eb905939",
         "synthetic-walk.heatmap.svg":
             "944b9cdeae6a1cdaed25edf71a91f32fb9b023e9940adf9c70a8374ea19a0bb1",
         "synthetic-walk.heatmap.svg.json":
-            "ecb3f8373f60ee79ae913c4cf287f2c596d4ab30e0985f224f436bdd3a176bcf",
+            "9d8e8d33800d056b60e108beed7bdfe84eb39b1e610dcc3c5d0a28722027687a",
         "synthetic-walk.multijoint.svg":
             "de07f91224d055772b2252bfa0a2c9f33026c8c90ecb7a1537c237b06a54ff3b",
         "synthetic-walk.multijoint.svg.json":
-            "638d5eed203d3d59075a1c99ed74f7dc68b7ba240cafc89e8a697199dc225874",
+            "79f4ffa374a85a64eec30df00a670b999bfca418913dd5cff6bc01e4ef075d63",
         "synthetic-walk.overlays.json":
-            "576fb30e040082c9099f62887e1c2646f08bf268ae342f2a8fede879dd4a23f9",
+            "86de5c646c02958013c673a1b64ae03faf19653332f2a780a8befd09d32205f3",
     },
     "synth": {
         "demo.synth.json":
-            "4a1d5332f9f9c416ddddf08ff273634e31138f1eaf4e8ac867ef741d95fe5b9e",
+            "f0a90ad95eb132de060986e89afda690db36bdb588a6baf9d08f069ee5ba4129",
     },
 }
 

@@ -8,6 +8,8 @@ from gaitnorm import (NormalizedCycle, ValidationError, build_normative_model,
                       save_norm_model)
 from gaitnorm.synth import demo_profiles, generate_cohort, noise_free_curve
 
+from helpers import altered_cycle, build_norm_file
+
 
 def _cycle(value, cycle_id, label="typical", joint="left_knee", grid=101,
            valid=True):
@@ -116,6 +118,24 @@ class TestInvariants:
         for other in (cohort[::-1], shuffled):
             model = build_normative_model(other, 101)
             assert save_norm_model(model) == save_norm_model(forward)
+
+    def test_build_norm_file_ignores_cycle_order(self, tmp_path):
+        # Shared ids, invalid joints and atypical cycles among them: the
+        # model file is the same bytes for every order of the cycles file.
+        cohort = generate_cohort(demo_profiles(), 12, seed=600)
+        cohort = [altered_cycle(
+            c, cycle_id="shared" if i % 3 == 0 else None,
+            label="atypical" if i == 5 else None,
+            invalid={"left_knee", "right_hip"} if i % 4 == 1 else ())
+            for i, c in enumerate(cohort)]
+        forward = build_norm_file(cohort, tmp_path)
+        assert b'"n_cycles":9' in forward and b'"n_cycles":11' in forward
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            order = rng.permutation(len(cohort)).tolist()
+            assert build_norm_file([cohort[i] for i in order],
+                                   tmp_path) == forward
+        assert build_norm_file(cohort[::-1], tmp_path) == forward
 
     def test_population_std_unchanged_under_duplication(self):
         cohort = generate_cohort(demo_profiles(), 16, seed=500)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import random
@@ -11,13 +12,16 @@ from gaitnorm import (CycleAnnotation, NormalizedCycle, ValidationError,
                       load_cycles, load_norm_model, load_report,
                       parse_pose_sequence,
                       save_cycles, save_norm_model, save_report)
+from gaitnorm.cli import main
 from gaitnorm.detect import DetectionConfig, build_report
 from gaitnorm.normative import JointNormals, NormativeModel
 from gaitnorm.pose_io import (_dump, _float_list, at_precision,
                               parse_annotation_document, save_angle_series,
                               serialize_annotations, serialize_pose_sequence)
 
-from helpers import at_thousandths
+from helpers import (at_thousandths, compact_canonical, json_structure,
+                     object_keys, same_json)
+from test_golden import STAGE_COMMANDS
 
 
 def _line(frame, kps, time_s=None):
@@ -446,8 +450,8 @@ class TestAngleSeriesFile:
                 [9, None, "degenerate_geometry"], [12, 0.0, None]]}}
 
 
-def _stdlib_dump(doc) -> bytes:
-    """The reference ``_dump`` must reproduce byte for byte."""
+def _indented(doc) -> bytes:
+    """``doc`` as every JSON file was written before 0.9.0."""
     return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
 
 
@@ -476,60 +480,119 @@ def _random_doc(rng: random.Random, depth: int):
     return {rng.choice(_KEYS): _random_doc(rng, depth + 1) for _ in range(n)}
 
 
+def _assert_compact_canonical(doc):
+    """``_dump(doc)`` has no whitespace outside its strings, ends in one
+    newline, and decodes to what the pre-0.9.0 indented file decoded to."""
+    data = _dump(doc)
+    text = data.decode("ascii")
+    assert text.endswith("\n")
+    assert not set(json_structure(text[:-1])) & set(" \t\r\n"), text
+    assert same_json(json.loads(data), json.loads(_indented(doc))), doc
+
+
 class TestCanonicalEncoder:
+    """Every document is compact canonical JSON (0.9.0): sorted keys, no
+    whitespace outside strings, ``repr`` floats, one trailing newline."""
+
     @pytest.mark.parametrize("seed", range(40))
     def test_random_documents_match_stdlib(self, seed):
         doc = _random_doc(random.Random(seed), 0)
-        assert _dump(doc) == _stdlib_dump(doc)
+        _assert_compact_canonical(doc)
+        for keys in object_keys(_dump(doc)):  # every key a str here
+            assert keys == sorted(keys)
+
+    # Written out by hand.
+    EXPECTED = [
+        ({"b": [1, 2.5, None], "a": {}, "c": (), "A": [[]]},
+         b'{"A":[[]],"a":{},"b":[1,2.5,null],"c":[]}\n'),
+        ([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300,
+          0.1, np.float64(-123.456), 10 ** 30, True, False, None],
+         b'[NaN,Infinity,-Infinity,-0.0,5e-324,1e+300,0.1,-123.456,'
+         b'1000000000000000000000000000000,true,false,null]\n'),
+        ({"k\u043b\u044e\u0447": 'a "b" \\ \u2603\n'},
+         b'{"k\\u043b\\u044e\\u0447":"a \\"b\\" \\\\ \\u2603\\n"}\n'),
+        ({2: "int", 10: "int"}, b'{"2":"int","10":"int"}\n'),
+        ({"deep": {"a": [{"b": [[1, 2.5, None]], "c": {}}]}},
+         b'{"deep":{"a":[{"b":[[1,2.5,null]],"c":{}}]}}\n'),
+        ("top", b'"top"\n'), ([], b"[]\n"), ({}, b"{}\n"), (3.25, b"3.25\n"),
+    ]
 
     def test_edge_cases_match_stdlib(self):
+        for doc, expected in self.EXPECTED:
+            assert _dump(doc) == expected
         docs = [
             {"scalars": _SCALARS, "tuple": tuple(_SCALARS),
              "keys": {k: k for k in _KEYS}},
             [[], {}, [[]], [{}], {"a": []}, {"a": {}}, [[[], {}]]],
-            {"deep": {"a": [{"b": [[1, 2.5, None]], "c": {}}], "d": ()}},
             {1: "int", 2: [1.5], 10: {}}, {0.5: "float", -1e300: [None]},
             {None: [True, False, 0, 1]}, {True: 1}, {False: 0},
             {np.float64(2.5): "np"},
             [True, 1, False, 0, 1.0, 0.0], [np.float64(0.1), 0.1],
-            (), [], {}, "top", 3.25, None, True,
-        ]
+            (), None, True,
+        ] + [doc for doc, _ in self.EXPECTED]
         for doc in docs:
-            assert _dump(doc) == _stdlib_dump(doc), doc
+            _assert_compact_canonical(doc)
 
     def test_unencodable_values_still_raise(self):
         for doc in ([object()], {"a": [set()]}, {(1, 2): 1}):
             with pytest.raises(TypeError):
                 _dump(doc)
 
-    def test_demo_run_documents_match_stdlib(self, tmp_path, monkeypatch):
-        from gaitnorm import cli, figures, pose_io
-        from gaitnorm.cli import main
+    def test_demo_run_documents_match_stdlib(self, demo_outputs):
+        # run and figures include the overlay that overlay_chunks writes
+        counts = {}
+        for name in STAGE_COMMANDS:
+            paths = sorted((demo_outputs / name).glob("*.json"))
+            for path in paths:
+                data = path.read_bytes()
+                assert data == compact_canonical(data), path.name
+            counts[name] = len(paths)
+        assert counts == {"angles": 1, "segment": 1, "build-norm": 1,
+                          "detect": 4, "run": 24, "figures": 13, "synth": 1}
 
-        # One CPU: the per-cycle jobs run in this process, so the spy below
-        # sees the documents they write (a forked worker's calls are its own).
-        monkeypatch.setattr(cli, "_cpus", lambda: 1)
-        seen = []
 
-        def recording_dump(doc):
-            seen.append(doc)
-            return _dump(doc)
+@pytest.fixture(scope="module")
+def demo_outputs(tmp_path_factory):
+    """Every subcommand of the golden test on the demo fixture, run once,
+    each writing into the directory named after it."""
+    root = tmp_path_factory.mktemp("demo")
+    dirs = {name: root / name for name in STAGE_COMMANDS}
+    for name, argv in STAGE_COMMANDS.items():
+        dirs[name].mkdir()
+        assert main([a.format(**{k: str(v) for k, v in dirs.items()})
+                     for a in argv]) == 0, name
+    return root
 
-        for module in (figures, pose_io):
-            monkeypatch.setattr(module, "_dump", recording_dump)
-        fixtures = Path(__file__).parent / "fixtures"
-        assert main(["run", "--keypoints",
-                     str(fixtures / "demo.keypoints.jsonl"), "--annotations",
-                     str(fixtures / "demo.cycles.json"), "--out-dir",
-                     str(tmp_path)]) == 0
-        # every JSON file the run writes: model, reports, sidecars through
-        # _dump, and the overlays from figures.overlay_chunks's templates
-        overlays = tmp_path / "synthetic-walk.overlays.json"
-        assert len(seen) + 1 == len(list(tmp_path.glob("*.json"))) == 24
-        for doc in seen + [json.loads(overlays.read_bytes())]:
-            assert _dump(doc) == _stdlib_dump(doc)
-        assert overlays.read_bytes() == _stdlib_dump(
-            json.loads(overlays.read_bytes()))
+
+class TestFilesWrittenBefore090:
+    """Model, cycles and report files written indented by 0.8.0 and
+    earlier still load, to the objects their compact files load to."""
+
+    # sha256 of the demo fixture's files as 0.8.0 wrote them.
+    PINNED_0_8_0 = {
+        "segment/demo.cycles.json":
+            "e0fa5324d20f979855cffe4079b7682f5b23b77f781681ba828957221a98a35c",
+        "build-norm/demo.model.json":
+            "78170288251a400390454c19df6fb4b476c032f5f6e15afeff2dfd2232f88d0a",
+        "detect/demo.cycles.c3.report.json":
+            "00ddf3f05a7dbce16499b91a8afe7c06ad47e1df806ec9244d028c0eeddeb4fa",
+    }
+    LOADERS = {
+        "segment/demo.cycles.json": (load_cycles, save_cycles),
+        "build-norm/demo.model.json": (load_norm_model, save_norm_model),
+        "detect/demo.cycles.c3.report.json": (load_report, save_report),
+    }
+
+    def test_indented_files_load_to_equal_objects(self, demo_outputs):
+        for name, (load, save) in self.LOADERS.items():
+            compact = (demo_outputs / name).read_bytes()
+            old = _indented(json.loads(compact))
+            # the very bytes 0.8.0 wrote
+            assert hashlib.sha256(old).hexdigest() == self.PINNED_0_8_0[name]
+            assert len(compact) < len(old)
+            assert save(load(old)) == compact, name
+            if load is not load_report:  # a report holds arrays in a dict
+                assert load(old) == load(compact), name
 
 
 class TestFloatList:

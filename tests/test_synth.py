@@ -203,6 +203,11 @@ class TestGeneratePoseSequence:
         b, ann_b = generate_pose_sequence(seed=3)
         assert a == b and ann_a == ann_b
 
+    def test_negative_seed_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match=r"^seed must be >= 0, "
+                                                  r"got -1$"):
+            generate_pose_sequence(seed=-1)
+
     def test_annotations_tile_the_video(self):
         seq, anns = generate_pose_sequence(n_cycles=4, frames_per_cycle=30)
         assert len(anns) == 4
