@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .kinematics import AngleSeries
-from .pose_io import CycleAnnotation
+from .pose_io import CYCLE_ANGLE_DECIMALS, CycleAnnotation, at_precision
 from .spline import eval_spline, fit_natural_cubic
 
 logger = logging.getLogger(__name__)
@@ -195,7 +195,8 @@ def resample_cycle(cycle_slice: CycleSlice,
     rather than extrapolating.
 
     Spline overshoot is clamped to [0, 180]; a warning is logged when the
-    clamp moves any value by more than 1 degree.
+    clamp moves any value by more than 1 degree.  The clamped values are
+    rounded to 1/1000 deg (``pose_io.CYCLE_ANGLE_DECIMALS``).
     """
     if grid_points < 2:
         raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
@@ -226,7 +227,8 @@ def resample_cycle(cycle_slice: CycleSlice,
         values = values.reshape(grid_points, len(joints))
         clamped = np.clip(values, 0.0, 180.0)
         worst = np.max(np.abs(values - clamped), axis=0)
-        fitted.update(zip(joints, zip(clamped.T.copy(), worst.tolist())))
+        rounded = at_precision(clamped, CYCLE_ANGLE_DECIMALS)
+        fitted.update(zip(joints, zip(rounded.T.copy(), worst.tolist())))
 
     angles: Dict[str, np.ndarray] = {}
     for joint in valid:

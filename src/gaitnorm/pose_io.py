@@ -20,11 +20,11 @@ Parsing is pure and deterministic: the same bytes always produce the same
 structures, and parsed values are never mutated afterwards, so they are
 safe to share across threads.  Serializers emit floats at full precision
 (``repr`` round-trip) with sorted keys, so ``load(save(x))`` reproduces
-``x`` exactly and equal inputs produce byte-identical files.  Two values
-are not written at full precision: report z (1/1000 SD) and overlay
-keypoints (1/1000 px).  ``at_precision`` rounds both; report z is
-rounded in ``detect.build_report``, before anything is decided from it,
-and ``save_report`` writes the z it is given in full.
+``x`` exactly and equal inputs produce byte-identical files.  Three values
+are written at a stated precision: cycle angles (1/1000 deg), report z
+(1/1000 SD) and overlay keypoints (1/1000 px).  ``at_precision`` rounds
+each where it is computed (``cycles``, ``synth``, ``detect``), before any
+use, so ``save_cycles`` and ``save_report`` write what they get in full.
 
 A keypoint sequence is held as arrays, not one object per sample: a
 ``PoseSequence`` carries ``frame_index`` ``(n,)``, ``time_s`` ``(n,)`` and
@@ -84,13 +84,15 @@ PHASE_SOURCES: Tuple[str, ...] = ("frames", "time")
 # the length of the video.  The bytes do not depend on it.
 CHUNK_FRAMES = 512
 
-# Decimals of the two values written at a stated precision rather than in
-# full (see ``at_precision``): overlay keypoints at 1/1000 px, far below
-# the noise of any 2D pose estimator, and report z at 1/1000 SD, a step of
+# Decimals of the three values written at a stated precision rather than
+# in full (see ``at_precision``): overlay keypoints at 1/1000 px, far below
+# the noise of any 2D pose estimator; report z at 1/1000 SD, a step of
 # 0.0005 deg of joint angle where the SD sits at the default 0.5 deg
-# sigma floor and 0.005 deg at an SD of 5 deg.
+# sigma floor and 0.005 deg at an SD of 5 deg; cycle angles at 1/1000 deg,
+# 500 times finer than that floor.
 OVERLAY_DECIMALS = 3
 REPORT_Z_DECIMALS = 3
+CYCLE_ANGLE_DECIMALS = 3
 # From 2**42 up a float64 step is 1/1024 or more, so a thousandth is no
 # finer than the float grid: rounding there could only move a value (by
 # up to 0.5 below 2**52), never shorten it, and ``np.round`` would
@@ -623,7 +625,8 @@ def save_cycles(cycles) -> bytes:
 
 
 def load_cycles(data: bytes):
-    """Parse a ``gaitnorm-cycles/1`` cohort file."""
+    """Parse a ``gaitnorm-cycles/1`` cohort file.  Angles load as written,
+    as rows of one array that ``_cycle_columns`` checks at once."""
     from .cycles import NormalizedCycle  # deferred: avoids import cycle
 
     doc = _load_json(data, "cycles file")
@@ -638,7 +641,49 @@ def load_cycles(data: bytes):
     if not isinstance(raw, list):
         raise ValidationError("'cycles' must be a list")
 
-    out = []
+    columns = _cycle_columns(raw, grid_points)
+    if columns is None:
+        _raise_first_cycle_error(raw, grid_points)
+    heads, rows = columns[0], iter(columns[1])
+    return [NormalizedCycle(
+        label=label, grid_points=grid_points, cycle_id=cycle_id, valid=valid,
+        angles={name: next(rows) if ok else np.full(grid_points, np.nan)
+                for name, ok in valid.items()})
+        for label, cycle_id, valid in heads]
+
+
+def _cycle_columns(raw: list, grid_points: int):
+    """Each cycle's (label, id, joint -> valid), and the valid joints'
+    angles as one ``(n_valid, grid_points)`` array in file order; or None
+    when any value is invalid.  Exact types (so no bool), one length, and
+    one [0, 180] comparison, which NaN and infinities fail."""
+    heads, lists = [], []
+    for entry in raw:
+        joints = entry.get("joints") if type(entry) is dict else None
+        if type(joints) is not dict or not {dict}.issuperset(
+                map(type, joints.values())):
+            return None
+        valid = {name: bool(j.get("valid")) for name, j in joints.items()}
+        lists += [j.get("angle") for j in joints.values() if j.get("valid")]
+        heads.append((entry.get("label"), entry.get("cycle_id"), valid))
+    if not (all(label in CYCLE_LABELS for label, _, _ in heads)
+            and {str, type(None)}.issuperset(type(h[1]) for h in heads)
+            and {list}.issuperset(map(type, lists))
+            and {grid_points}.issuperset(map(len, lists))
+            and _JSON_NUMBERS.issuperset(
+                map(type, chain.from_iterable(lists)))):
+        return None
+    try:
+        table = np.array(lists, dtype=float).reshape(len(lists), grid_points)
+    except OverflowError:  # an int too large for a float
+        return None
+    if not ((table >= 0.0) & (table <= 180.0)).all():
+        return None
+    return heads, table
+
+
+def _raise_first_cycle_error(raw: list, grid_points: int):
+    """Check the cycles of ``raw`` one by one and raise the first error."""
     for i, entry in enumerate(raw):
         _require_object(entry, f"cycle {i}")
         label = entry.get("label")
@@ -648,24 +693,15 @@ def load_cycles(data: bytes):
         if cycle_id is not None and not isinstance(cycle_id, str):
             raise ValidationError(f"cycle {i}: cycle_id must be a string or null")
         joints = _require_object(entry.get("joints"), f"cycle {i}: 'joints'")
-        angles = {}
-        valid = {}
         for name, jentry in joints.items():
             _require_object(jentry, f"cycle {i} joint {name!r}")
-            is_valid = bool(jentry.get("valid"))
-            if is_valid:
+            if bool(jentry.get("valid")):
                 vals = _float_list(jentry.get("angle"),
                                    f"cycle {i} joint {name!r} angle", grid_points)
                 if vals.min() < 0.0 or vals.max() > 180.0:
                     raise ValidationError(
                         f"cycle {i} joint {name!r}: angles must be in [0, 180]")
-                angles[name] = vals
-            else:
-                angles[name] = np.full(grid_points, np.nan)
-            valid[name] = is_valid
-        out.append(NormalizedCycle(label=label, grid_points=grid_points,
-                                   angles=angles, valid=valid, cycle_id=cycle_id))
-    return out
+    raise AssertionError("the array check rejected valid cycles")
 
 
 def save_report(report) -> bytes:

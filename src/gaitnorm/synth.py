@@ -21,8 +21,9 @@ import numpy as np
 
 from .cycles import DEFAULT_GRID_POINTS, NormalizedCycle
 from .errors import ValidationError
-from .pose_io import (CycleAnnotation, PoseSequence, _load_json,
-                      _require_int, _require_number, _require_object)
+from .pose_io import (CYCLE_ANGLE_DECIMALS, CycleAnnotation, PoseSequence,
+                      _load_json, _require_int, _require_number,
+                      _require_object, at_precision)
 
 INJECTION_KINDS = ("offset", "amplitude_scale", "phase_shift")
 
@@ -85,7 +86,7 @@ def noise_free_curve(profile: JointProfile,
 def generate_cycle(profiles: Dict[str, JointProfile],
                    grid_points: int = DEFAULT_GRID_POINTS,
                    seed: int = 0) -> NormalizedCycle:
-    """One typical cycle: noise-free curves plus seeded Gaussian noise.
+    """One typical cycle: noise-free curves plus seeded noise, at 1/1000 deg.
 
     Joints are processed in sorted name order so the RNG stream, and with
     it the output, is independent of dict insertion order.
@@ -105,7 +106,8 @@ def generate_cycle(profiles: Dict[str, JointProfile],
                 f"profile for {joint!r} leaves [0, 180] even without noise "
                 f"(range [{curve.min():.1f}, {curve.max():.1f}])")
         noisy = curve + rng.normal(0.0, profile.noise_sd_deg, grid_points)
-        angles[joint] = np.clip(noisy, 0.0, 180.0)
+        angles[joint] = at_precision(np.clip(noisy, 0.0, 180.0),
+                                     CYCLE_ANGLE_DECIMALS)
         valid[joint] = True
     return NormalizedCycle(label="typical", grid_points=grid_points,
                            angles=angles, valid=valid,
@@ -140,8 +142,8 @@ def inject_abnormality(cycle: NormalizedCycle,
     """Return a copy of ``cycle`` with ``spec`` applied to one joint.
 
     Outside the window nothing changes; at the window edges the deviation
-    ramps in over 2 grid points.  The label and cycle id are preserved
-    (callers decide how to relabel injected cycles).
+    ramps in over 2 grid points; the joint is rounded to 1/1000 deg.  The
+    label and cycle id are preserved (callers decide how to relabel).
     """
     if spec.joint not in cycle.angles:
         raise ValidationError(f"joint {spec.joint!r} not present in cycle")
@@ -168,7 +170,7 @@ def inject_abnormality(cycle: NormalizedCycle,
         out[idx] = np.clip(values[idx] + delta, 0.0, 180.0)
 
     angles = dict(cycle.angles)
-    angles[spec.joint] = out
+    angles[spec.joint] = at_precision(out, CYCLE_ANGLE_DECIMALS)
     return NormalizedCycle(label=cycle.label, grid_points=cycle.grid_points,
                            angles=angles, valid=dict(cycle.valid),
                            cycle_id=cycle.cycle_id)

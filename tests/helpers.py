@@ -14,6 +14,7 @@ import logging
 import math
 import re
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 
@@ -25,9 +26,10 @@ from gaitnorm.detect import (STATUS_ABNORMAL, STATUS_NORMAL, STATUS_UNKNOWN,
 from gaitnorm.errors import ValidationError
 from gaitnorm.figures import _STYLE, _fmt
 from gaitnorm.kinematics import JOINT_NAMES
-from gaitnorm.pose_io import (KEYPOINT_NAMES, Keypoint, KeypointFrame, Point2D,
-                              PoseSequence, _load_json, _require_int,
-                              _require_number, save_cycles)
+from gaitnorm.pose_io import (CYCLE_LABELS, CYCLES_SCHEMA, KEYPOINT_NAMES,
+                              Keypoint, KeypointFrame, Point2D, PoseSequence,
+                              _float_list, _load_json, _require_int,
+                              _require_number, _require_object, save_cycles)
 from gaitnorm.synth import generate_pose_sequence
 
 logger = logging.getLogger("gaitnorm.pose_io")
@@ -168,12 +170,31 @@ def _reference_frame(record: dict, strict: bool) -> KeypointFrame:
 
 
 def at_thousandths(v: float) -> float:
-    """One overlay keypoint or report z value as written, in Python floats:
+    """One cycle angle, overlay keypoint or report z value as computed and
+    written, in Python floats:
     rounded to 1/1000 half to even, ``-0.0`` made ``0.0``; NaN, infinities
     and |v| >= 2**42, where a float step is 1/1024 or more, are kept."""
     if abs(v) < 2.0 ** 42:  # False for NaN
         return round(v * 1000.0) / 1000.0 + 0.0
     return v
+
+
+def unrounded(module: str, fn, *args):
+    """``fn(*args)`` with ``gaitnorm.<module>.at_precision`` left out, so
+    the values it computes come back unrounded."""
+    with mock.patch(f"gaitnorm.{module}.at_precision",
+                    lambda values, decimals: values):
+        return fn(*args)
+
+
+def assert_rounded(got, exact):
+    """Each of the arrays' ``got`` values is its ``exact`` value rounded by
+    ``at_thousandths``: unchanged by a second rounding, in [0, 180], and
+    within ``thousandths_bound`` of the exact value."""
+    for g, e in zip(got.tolist(), exact.tolist(), strict=True):
+        assert g == at_thousandths(e) == at_thousandths(g), (g, e)
+        assert 0.0 <= g <= 180.0, g
+        assert abs(g - e) <= thousandths_bound(e), (g, e)
 
 
 def thousandths_bound(v) -> float:
@@ -248,6 +269,82 @@ def altered_cycle(cycle, cycle_id=None, label=None, invalid=()):
         angles=angles,
         valid={j: v and j not in invalid for j, v in cycle.valid.items()},
         cycle_id=cycle.cycle_id if cycle_id is None else cycle_id)
+
+
+def reference_load_cycles(data: bytes) -> list:
+    """``load_cycles`` one cycle at a time, as 0.9.0 and earlier loaded a
+    cycles file: each cycle checked and built in file order, each angle
+    list its own array, so the first invalid value in the file raises."""
+    doc = _load_json(data, "cycles file")
+    if not isinstance(doc, dict) or doc.get("schema") != CYCLES_SCHEMA:
+        raise ValidationError(
+            f"schema mismatch: expected {CYCLES_SCHEMA!r}, got "
+            f"{doc.get('schema') if isinstance(doc, dict) else None!r}")
+    grid_points = _require_int(doc.get("grid_points"), "'grid_points'")
+    if grid_points < 2:
+        raise ValidationError(f"'grid_points' must be >= 2, got {grid_points}")
+    raw = doc.get("cycles")
+    if not isinstance(raw, list):
+        raise ValidationError("'cycles' must be a list")
+    out = []
+    for i, entry in enumerate(raw):
+        _require_object(entry, f"cycle {i}")
+        label = entry.get("label")
+        if label not in CYCLE_LABELS:
+            raise ValidationError(f"cycle {i}: unknown label {label!r}")
+        cycle_id = entry.get("cycle_id")
+        if cycle_id is not None and not isinstance(cycle_id, str):
+            raise ValidationError(
+                f"cycle {i}: cycle_id must be a string or null")
+        joints = _require_object(entry.get("joints"), f"cycle {i}: 'joints'")
+        angles, valid = {}, {}
+        for name, jentry in joints.items():
+            _require_object(jentry, f"cycle {i} joint {name!r}")
+            valid[name] = bool(jentry.get("valid"))
+            if valid[name]:
+                vals = _float_list(jentry.get("angle"),
+                                   f"cycle {i} joint {name!r} angle",
+                                   grid_points)
+                if vals.min() < 0.0 or vals.max() > 180.0:
+                    raise ValidationError(
+                        f"cycle {i} joint {name!r}: angles must be in "
+                        f"[0, 180]")
+                angles[name] = vals
+            else:
+                angles[name] = np.full(grid_points, np.nan)
+        out.append(NormalizedCycle(label=label, grid_points=grid_points,
+                                   angles=angles, valid=valid,
+                                   cycle_id=cycle_id))
+    return out
+
+
+_MARK = "@@gaitnorm-test-mark@@"
+
+
+def with_raw_json(doc, edits) -> bytes:
+    """``doc`` encoded as JSON with the value at each ``(path, token)`` of
+    ``edits`` replaced by the raw JSON text ``token`` (``NaN``,
+    ``1e400``, ``true``, ...); a path is a sequence of keys and indices."""
+    doc = json.loads(json.dumps(doc))
+    tokens = []
+    for path, token in edits:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = f"{_MARK}{len(tokens)}"
+        tokens.append(token)
+    text = json.dumps(doc)
+    for i, token in enumerate(tokens):
+        text = text.replace(f'"{_MARK}{i}"', token)
+    return text.encode()
+
+
+def load_outcome(load, data):
+    """``("ok", result)`` or ``("error", message)`` of ``load(data)``."""
+    try:
+        return "ok", load(data)
+    except ValidationError as exc:
+        return "error", str(exc)
 
 
 def build_norm_file(cycles, directory) -> bytes:
@@ -397,7 +494,9 @@ def reference_spline_values(knot_x, knot_y, t) -> np.ndarray:
 
 def reference_resample(cycle_slice, grid_points=101):
     """``resample_cycle`` as one spline fit per joint: (angles, valid,
-    warning messages), with the package's coverage rule and clamp."""
+    warning messages), with the package's coverage rule and clamp, and
+    each clamped value rounded to 1/1000 deg by ``at_thousandths``.  The
+    overshoot warning reads the values before rounding."""
     grid = np.linspace(0.0, 100.0, grid_points)
     angles, valid, warnings = {}, {}, []
     for joint, (phases, raw) in cycle_slice.columns.items():
@@ -417,7 +516,8 @@ def reference_resample(cycle_slice, grid_points=101):
             warnings.append(f"cycle {cycle_slice.cycle_id} joint {joint}: "
                             f"clamped spline overshoot of {worst:.2f} deg "
                             f"into [0, 180]")
-        angles[joint] = clamped
+        angles[joint] = np.array([at_thousandths(v)
+                                  for v in clamped.tolist()])
         valid[joint] = True
     return angles, valid, warnings
 

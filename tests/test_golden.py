@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from gaitnorm.cli import build_parser, main
+from gaitnorm.pose_io import load_report
 
 FIXTURES = Path(__file__).parent / "fixtures"
 VIDEO_ID = "synthetic-walk"
@@ -22,87 +23,87 @@ VIDEO_ID = "synthetic-walk"
 # File name (after the "<video_id>." prefix) -> sha256 of its bytes.
 GOLDEN = {
     "band.left_ankle.svg":
-        "157726954213a75e69b2c498726185e914aacd8997707df3c2b3fffbe11d7a65",
+        "087b195c29e98d9c919c7aebebc6905a6f5a09cf77bb7a5c8070f6a8945e2bc1",
     "band.left_ankle.svg.json":
         "7180d9d2ecf008955b5942b5322ffe1c5f84187ebf7bf3011c42e5f7e7f4f56e",
     "band.left_elbow.svg":
-        "229026952ae279ab22256c9c0821b144a6b35b6c645eb5b518d0385a295dd9cb",
+        "531c8030b5709fba0e04a6602c0f08cc6bacd282ed95f2ad18d8a29c6c18d46d",
     "band.left_elbow.svg.json":
         "38e1ff609d7bbd7e79af90ea45ef6e3c30012bbfd8d81e3057cc7713eef252bc",
     "band.left_hip.svg":
-        "45954b379508251c3d0c30febd3883929626be8316d376fb590d87f39e88875c",
+        "6c028656cbfc779f57c7bbd5775b74f11d40a2e22bb12a319916dbfb6750ccad",
     "band.left_hip.svg.json":
         "803c3b6068e3029486d01111d1b27bb6431a08ef14c3a42ca980d15897341e7e",
     "band.left_knee.svg":
-        "17695be50c6817df327ff9e3814835a5785e7c518bb54abb6e8755ca0b98bbc8",
+        "0997fd9584c63c2ac2852aa19fec7e1e51fc12640da8dd9754cb4edce510d7a3",
     "band.left_knee.svg.json":
         "2691021c73ce586f712c82e18760523c8239de45f12d697ed505404f19297cc9",
     "band.left_shoulder.svg":
-        "3cb7dbdb92c8d18d04244d4d87c99a025d2c9189b1bfbc8af10ada6543161902",
+        "ee6204553f76f5a284936f1d74307aa9fc8acc1fd7d65cbf05f12a0403e6c3f8",
     "band.left_shoulder.svg.json":
         "da7daacb7d9b901a1465c8eafd1c990154eb93054689e0087f429d3e3e1ca934",
     "band.right_ankle.svg":
-        "fee2be5a3fa913a5498a5e9bd3641ef14dd69e581a8755c9a24296e0e423b01c",
+        "3526c68b7ca953afc0a708ed6a6e58be5628e186fd39e9f9d18b775f09818ab0",
     "band.right_ankle.svg.json":
         "e92d32318fd85f6c691d2a3184ef900d12290abeedc2ab4eaec8fcf4776bede2",
     "band.right_elbow.svg":
-        "d4ec751e644688b98707f3a186cbd59df761376787b82daf211db086974f5ded",
+        "63b969fe3254127d8360477935f09644213a97b2622062bb76d31374cb860b36",
     "band.right_elbow.svg.json":
         "bc41e0440e915603cdb7ce86775ed341e94c4f98372415f342c2afb9cea62cd4",
     "band.right_hip.svg":
-        "ba649770cf1d85cacacd001ffeb1d5b8d7c43b19e604eabaa44193084ed3930d",
+        "9ed7ed8776fbfba9c718eb05dec95e88f030effd2690ac96d5dcecb9306fcd0f",
     "band.right_hip.svg.json":
         "6e56756fde962130811f6e46df4022a90614681bec98eeb43dc70284276949a7",
     "band.right_knee.svg":
-        "d6dd6b7313a98402cebbb45a6acb328edc0a390de2d3e9fb0b1d1f1350ad1d66",
+        "87786ba7e982864bb3f93f7a893fe7d8bf26506befc5796098e4825ce68f01c1",
     "band.right_knee.svg.json":
         "be445fe76b82551f7518e78442b4f83ab305cec9ee62f8916517c435d8de0cab",
     "band.right_shoulder.svg":
-        "97badbab527f1eae65a462d92a7b85b84b54543543d4c4e37acf9c791d6d47f6",
+        "e00e78fb7fc434e8842f890aaf40b84440b8e29020bae717121f64fbab0bb6d8",
     "band.right_shoulder.svg.json":
         "5da91b5a0ead84fa420790a46c429c0ab9a5fcc14599d0e660df9e1861f5af65",
     "c0.heatmap.svg":
-        "5b815a268d0db7f3fa7bb3c576e6ff8a4a14b382687af373cced43e13f07cd61",
+        "09f2904f0562564a5991bfb10f3ba9f47f2f56ccd96a1d269245f82d025e3520",
     "c0.heatmap.svg.json":
         "a537802acb499a5452753b8b4fae22b61829216d4073357c9164ae9e136aded6",
     "c0.multijoint.svg":
-        "fce76f9154e0d747c456baa50067ff68aadf82f80ebffc6dfedadf42a3633c87",
+        "fb45babce56019e0a2ea476a8a54aef28e75daa3931a9cad1362fe0862708af2",
     "c0.multijoint.svg.json":
-        "28941e77a88bfea7a3e45c6d6fac4e1cca519b6700b43484e9a6f9bf1a399bb4",
+        "9ee17b13971b178ada59127a1108e9a45faeeec6cb01ca2bb0599d212401177a",
     "c0.report.json":
-        "752559bcc50625a01b64015bd534153e32cc46809a239e44d6c4060561054b57",
+        "cf513c8907e3c8a8e09e298e0993d3b8013660af14df0d162349d3ef9b7e0428",
     "c1.heatmap.svg":
-        "a8b36a71368866c4745cc69c55f3e82a004ae29175093d3e42c165d03090d2aa",
+        "3e3bcec81e758bc20cfc79479d9cacca2fbf75168bd475a4d7fd83f98380dd1c",
     "c1.heatmap.svg.json":
         "a537802acb499a5452753b8b4fae22b61829216d4073357c9164ae9e136aded6",
     "c1.multijoint.svg":
-        "af2752ab08fa0a2400db3888d787a6d80e0b9bba18db4b911b9de6489ece12e5",
+        "e4ca29755e7e20fc82cc265895508f423d24b1a3759606e7dcfec7e71c482228",
     "c1.multijoint.svg.json":
-        "778a82011c690e1ee42572af51669a78093ca28203d0c8c6225b1f4897a0e0c4",
+        "33803c29d9bd8d4b714131886719865b950853231b5597103c60cfec2d38cff3",
     "c1.report.json":
-        "5ffc90c8e615f63592566845b8e997fec0d3c1090142bef47e138a89bf604374",
+        "2965e6033a3e0b5a5470251e8e5fc9712a74f14460e978a7d0cbf58cfbb7d991",
     "c2.heatmap.svg":
-        "2afc263be8a3b0ee0965c7f48effe935d7acd75e1957f642089e4be8a121d231",
+        "261bf954bfffb76cf171eaf594ae754bb471e28c3b10a991e21e36907ab440c2",
     "c2.heatmap.svg.json":
         "a537802acb499a5452753b8b4fae22b61829216d4073357c9164ae9e136aded6",
     "c2.multijoint.svg":
-        "d6aa407b6138b408052d78abbb206fcd19b07b11634f9e156d8f81b625d993f1",
+        "c4b510e51553033dea5d604ea249462db63daf127ad3caf3685e85af6e7937bc",
     "c2.multijoint.svg.json":
         "ed025ac9b404f5da886647c6018dba4893fd3901cef367b0b83c91ddc19a2535",
     "c2.report.json":
-        "1dfa14604e5e4c21abb832ec3e1359a4b79d198185f8fe6d81f2cdef4ddc5bec",
+        "03a149d4127bfa45eed64072114695e8c736f1ccb3a045047952180a78040067",
     "c3.heatmap.svg":
-        "944b9cdeae6a1cdaed25edf71a91f32fb9b023e9940adf9c70a8374ea19a0bb1",
+        "3d9258aebff72c133640341c292f0d249edeff74e04779151f83c5dafb88394e",
     "c3.heatmap.svg.json":
         "9d8e8d33800d056b60e108beed7bdfe84eb39b1e610dcc3c5d0a28722027687a",
     "c3.multijoint.svg":
-        "de07f91224d055772b2252bfa0a2c9f33026c8c90ecb7a1537c237b06a54ff3b",
+        "f19f950f5a13af3638e4d652c44b6db96e96405e24d110d9650a5fd572de68b7",
     "c3.multijoint.svg.json":
         "79f4ffa374a85a64eec30df00a670b999bfca418913dd5cff6bc01e4ef075d63",
     "c3.report.json":
-        "3c6d6c866174fab1d2489e12831bd755cdc37481cfe9c9f13db93ff60989dfd7",
+        "d0214bdcff9bfdbbf05ecbe6981b4fc6aab2417a036d5f0012946d9de66513cb",
     "model.json":
-        "44a48584c2a2dfc13dbba4c02276f69ae68813321b69dc7736021bccbe6da231",
+        "1341c1f22bdac6739a4ffd8d0a4ef02278eb838994fe149ffb4eb166a5620f33",
     "overlays.json":
         "8973b1a5b09c8535712888b227f473b3a6c5480c0e57d57328ecac103aa72ca6",
 }
@@ -144,69 +145,69 @@ STAGE_GOLDEN = {
     },
     "segment": {
         "demo.cycles.json":
-            "ed2a32c1c7ef3d93fad2d08087477d72fcc50f2343317b82d7cc5381323ca909",
+            "26f8e91ea54876829da0d035cde16790ac86f8fd861f76c3260c5cd7823d665f",
     },
     "build-norm": {
         "demo.model.json":
-            "44a48584c2a2dfc13dbba4c02276f69ae68813321b69dc7736021bccbe6da231",
+            "1341c1f22bdac6739a4ffd8d0a4ef02278eb838994fe149ffb4eb166a5620f33",
     },
     "detect": {
         "demo.cycles.c0.report.json":
-            "33ca36c4f636c934ae9dd1c8a199b6e9d229c212bc42dc17795a6b764c6acc88",
+            "c895591972fbf5ff9774e2410c261299c29e1ff9103a66e583db406b2ca07a08",
         "demo.cycles.c1.report.json":
-            "1c2c7e91d52a19a07f443f83128c1aef2568e10c6443676d427f1f4dd07e3446",
+            "8a22fc4f4f06d685a1a2c41ab2366f5417cec584571ba33e3dc420c976e6350d",
         "demo.cycles.c2.report.json":
-            "d326a2c29966b558bf0e28acf9f0741c55da31ad6dac465420e98e4f05395887",
+            "3049d3f74166ee800d29cfa15b57dab9e317d177a17e31952e1f4278aedcbaa1",
         "demo.cycles.c3.report.json":
-            "c8c314954c4db6ec36d1756bd01d63336387cb950e81fbdc6c3d7f0191cb5bb3",
+            "cccc9f4f1782faee90ddac575c729b1a693fca4276815d527a229fb846abe355",
     },
     "figures": {
         "synthetic-walk.band.left_ankle.svg":
-            "b16b2637c69bcc5efcf3782f4857ad36aa824843e91e16f66cc414aebdc4bf4a",
+            "22ee6f4811e5d6a47d1204a2186be7df7e8cf2342435a00b6845d5620923f196",
         "synthetic-walk.band.left_ankle.svg.json":
             "c1eada47dd3f774943465102bc523d11a3ad1daeb583b1707d734395fe2daa7e",
         "synthetic-walk.band.left_elbow.svg":
-            "a5fe289f4eb51333b56ed3ef68cfc551f45046e3c16a24e3a108c80fc65513fd",
+            "3e1afb3bfee9c398407122480bcf4a7e2a08c3af09923144485f25cd5be41cfe",
         "synthetic-walk.band.left_elbow.svg.json":
             "17dab4c49518cbf0006530a3dc73a108620279afcdf5bc48fea10ed040aac094",
         "synthetic-walk.band.left_hip.svg":
-            "2522d66c24c0d94a2caf99d793cd03c44b778e7b3a4b5e9df34fa5c1b04dabd4",
+            "499e1f7a5e9bbcf0d44d9e723da8932f4ed8fa8b38ddd41c98396711874479da",
         "synthetic-walk.band.left_hip.svg.json":
             "096e25827afc6c2606cccdd8bfc28c0ef2872ee986d6114b0f27d4e42a4a5f6f",
         "synthetic-walk.band.left_knee.svg":
-            "473c19731c8627562c7ce4b09e0d804c4a30b8638fc63dcddd355a4f1a09ef3e",
+            "4109d356b4f46bdf04668d2dd6f1c9d0f09cedf31a145d63e188969a703e8819",
         "synthetic-walk.band.left_knee.svg.json":
             "5bc011a826f0181e49202396ffb258bdbab73f0fdb5b7a770e2d99f5026ec888",
         "synthetic-walk.band.left_shoulder.svg":
-            "18038d278f21200b1bccc9fcc385927b5e87657547ff3013e6aaaf08df314ddf",
+            "dc06f32ba7a4d0d45b6dbf113cdec06dbeadd9a9e3eafccee5f7f738b0723f6f",
         "synthetic-walk.band.left_shoulder.svg.json":
             "3c9cc0ea784838e37823e5dea4d5d617de57b9122fa0201b6d2b06f5c3fc239e",
         "synthetic-walk.band.right_ankle.svg":
-            "d939d16cbfae8c76306daf92f075a7af349081bbb29e8818ff6c62986caf1a1a",
+            "2e76a4970948cec690a25fc6250bda174ec84a4ff3f6f125c5123e0853e7b332",
         "synthetic-walk.band.right_ankle.svg.json":
             "c27dcb0ec23fb656d4a9292143142798edae89ddad8662b83f945d7212e794cf",
         "synthetic-walk.band.right_elbow.svg":
-            "00d7633a2f7f28c3116176149fb90cb3c19a500a5769ac24faca50ba1794c9c1",
+            "d368af9cf9a5833aa63bff7aa562f2de680e360cb17becabb51a0d3a338f6ac1",
         "synthetic-walk.band.right_elbow.svg.json":
             "09c12c221b9e0aed543162afe64f4733ba028b2a65e721356367a16d0996eaf3",
         "synthetic-walk.band.right_hip.svg":
-            "d2b732e8afb04fb85e30bac3a1fd065e9bbffef6d98b81ea0d9aea83ccb51034",
+            "44f108ecce4464be28a279e6ad14becb783ea55939151a2a46260c5a4d68272b",
         "synthetic-walk.band.right_hip.svg.json":
             "defbac2472d438970fc1afcba7036d165c49d8e63c5f43a778294a46816a67de",
         "synthetic-walk.band.right_knee.svg":
-            "6b54d3638f9c30040cde91d37e23b625e2058f9ca7d0503a9287f8c8d240f260",
+            "5cd0f08771bb0c2b0b48a39ed07641853e97e3532ea909f5f23bbfd5618647ee",
         "synthetic-walk.band.right_knee.svg.json":
             "879632331d168a306fa596f656f3e321de03b386a5c7f421fdd4cfa36ff36906",
         "synthetic-walk.band.right_shoulder.svg":
-            "ef45f9bd514cc0f3fedb5b88e97cdb5aa0d84d5c7e8daf50f497d9c7da338c4e",
+            "f02a3adc384beaa1eb454fe8ddea349dbb0a1d991b9080583099a0ca6582da75",
         "synthetic-walk.band.right_shoulder.svg.json":
             "00c4d0ad47bbc38415a67fb4b14e914a55376f9ac3611cd0155853f6eb905939",
         "synthetic-walk.heatmap.svg":
-            "944b9cdeae6a1cdaed25edf71a91f32fb9b023e9940adf9c70a8374ea19a0bb1",
+            "3d9258aebff72c133640341c292f0d249edeff74e04779151f83c5dafb88394e",
         "synthetic-walk.heatmap.svg.json":
             "9d8e8d33800d056b60e108beed7bdfe84eb39b1e610dcc3c5d0a28722027687a",
         "synthetic-walk.multijoint.svg":
-            "de07f91224d055772b2252bfa0a2c9f33026c8c90ecb7a1537c237b06a54ff3b",
+            "f19f950f5a13af3638e4d652c44b6db96e96405e24d110d9650a5fd572de68b7",
         "synthetic-walk.multijoint.svg.json":
             "79f4ffa374a85a64eec30df00a670b999bfca418913dd5cff6bc01e4ef075d63",
         "synthetic-walk.overlays.json":
@@ -214,7 +215,7 @@ STAGE_GOLDEN = {
     },
     "synth": {
         "demo.synth.json":
-            "f0a90ad95eb132de060986e89afda690db36bdb588a6baf9d08f069ee5ba4129",
+            "4e6ae55caa64ff4bbcd012e0c61da1b120e04cb304ab6133cd62a2b8133ba21c",
     },
 }
 
@@ -364,3 +365,24 @@ def test_subcommand_flag_sets_are_pinned():
                for a in p._actions if not isinstance(a, argparse._HelpAction)}
         for name, p in sub.choices.items()}
     assert flag_sets == FLAG_SETS
+
+
+def test_run_builds_and_scores_as_the_stage_commands_do(stage_outputs):
+    # Cycle angles are rounded where they are computed, not by the
+    # writer: the model ``run`` builds is the one ``build-norm`` builds
+    # from ``segment``'s file, and ``detect`` on that file gives every
+    # cycle the z ``run`` gave it.
+    run, built = (stage_outputs["run"] / f"{VIDEO_ID}.model.json",
+                  stage_outputs["build-norm"] / "demo.model.json")
+    assert run.read_bytes() == built.read_bytes()
+    for i in range(4):
+        by_run = load_report(
+            (stage_outputs["run"] / f"{VIDEO_ID}.c{i}.report.json")
+            .read_bytes())
+        by_detect = load_report(
+            (stage_outputs["detect"] / f"demo.cycles.c{i}.report.json")
+            .read_bytes())
+        assert by_run.cycle_id == by_detect.cycle_id
+        assert list(by_run.z) == list(by_detect.z)
+        for joint, z in by_run.z.items():
+            assert z.tobytes() == by_detect.z[joint].tobytes(), (i, joint)

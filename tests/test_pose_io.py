@@ -565,10 +565,21 @@ def demo_outputs(tmp_path_factory):
 
 
 class TestFilesWrittenBefore090:
-    """Model, cycles and report files written indented by 0.8.0 and
-    earlier still load, to the objects their compact files load to."""
+    """Model, cycles and report files that 0.9.0 wrote for the demo
+    fixture, with cycle angles at full precision, and the same files
+    written indented, as 0.8.0 and earlier wrote them, still load."""
 
-    # sha256 of the demo fixture's files as 0.8.0 wrote them.
+    WRITTEN_BY_0_9_0 = Path(__file__).parent / "fixtures" / "0.9.0"
+    # sha256 of the demo fixture's files as 0.9.0 wrote them (committed
+    # under ``fixtures/0.9.0``) and as 0.8.0 wrote them.
+    PINNED_0_9_0 = {
+        "segment/demo.cycles.json":
+            "ed2a32c1c7ef3d93fad2d08087477d72fcc50f2343317b82d7cc5381323ca909",
+        "build-norm/demo.model.json":
+            "44a48584c2a2dfc13dbba4c02276f69ae68813321b69dc7736021bccbe6da231",
+        "detect/demo.cycles.c3.report.json":
+            "c8c314954c4db6ec36d1756bd01d63336387cb950e81fbdc6c3d7f0191cb5bb3",
+    }
     PINNED_0_8_0 = {
         "segment/demo.cycles.json":
             "e0fa5324d20f979855cffe4079b7682f5b23b77f781681ba828957221a98a35c",
@@ -583,9 +594,14 @@ class TestFilesWrittenBefore090:
         "detect/demo.cycles.c3.report.json": (load_report, save_report),
     }
 
-    def test_indented_files_load_to_equal_objects(self, demo_outputs):
+    def test_fixtures_are_the_bytes_0_9_0_wrote(self):
+        for name, digest in self.PINNED_0_9_0.items():
+            data = (self.WRITTEN_BY_0_9_0 / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+
+    def test_indented_files_load_to_equal_objects(self):
         for name, (load, save) in self.LOADERS.items():
-            compact = (demo_outputs / name).read_bytes()
+            compact = (self.WRITTEN_BY_0_9_0 / name).read_bytes()
             old = _indented(json.loads(compact))
             # the very bytes 0.8.0 wrote
             assert hashlib.sha256(old).hexdigest() == self.PINNED_0_8_0[name]
@@ -593,6 +609,20 @@ class TestFilesWrittenBefore090:
             assert save(load(old)) == compact, name
             if load is not load_report:  # a report holds arrays in a dict
                 assert load(old) == load(compact), name
+
+    def test_full_precision_cycles_load_to_their_exact_values(self):
+        data = (self.WRITTEN_BY_0_9_0 / "segment/demo.cycles.json").read_bytes()
+        entries = json.loads(data)["cycles"]
+        cycles = load_cycles(data)
+        written = [(c.angles[j].tolist(), e["joints"][j]["angle"])
+                   for c, e in zip(cycles, entries, strict=True)
+                   for j in c.angles if c.valid[j]]
+        assert len(written) == 40
+        for loaded, angle in written:
+            assert loaded == angle
+        # the loader never rounds: these angles are not at 1/1000 deg
+        assert sum(v != at_thousandths(v) for _, angle in written
+                   for v in angle) > 3900
 
 
 class TestFloatList:
