@@ -6,7 +6,10 @@ backends and plotting libraries do not guarantee that).  Coordinates are
 computed as arrays and each series is formatted by one ``%`` operation.
 A heatmap is one ``<path>`` per shade, a subpath per cell; a cycle's
 dots are one ``<path>`` per class, a zero-length subpath per dot that
-``_STYLE`` strokes as an r=2 disc.  Markup that does not depend on the
+``_STYLE`` strokes as an r=2 disc; a band panel's band and mean line are
+one ``<path>`` each, ``M`` to the first point and then one relative
+``l`` step per point, in whole thousandths that add back up to each
+point's ``%.3f`` coordinates.  Markup that does not depend on the
 analyzed cycle is cached by the values it formats: the cell subpaths per
 matrix shape, and a band panel's band, mean line, axes and dot ``cx`` per
 (panel box, y range, k, mean and SD bytes).  Every figure carries a
@@ -71,8 +74,8 @@ SKELETON_EDGES: Tuple[Tuple[str, str], ...] = (
 )
 
 _STYLE = (
-    "polyline.mean{fill:none;stroke:#1f4e8c;stroke-width:1.5}"
-    "polygon.band{fill:#9ec3e6;fill-opacity:0.45;stroke:none}"
+    "path.mean{fill:none;stroke:#1f4e8c;stroke-width:1.5}"
+    "path.band{fill:#9ec3e6;fill-opacity:0.45;stroke:none}"
     "path.normal{stroke:#1f4e8c;stroke-width:4;stroke-linecap:round}"
     "path.abnormal{stroke:#c0392b;stroke-width:4;stroke-linecap:round}"
     "line.axis{stroke:#444;stroke-width:1}"
@@ -107,17 +110,29 @@ def _short_all(values: Sequence[float]) -> List[str]:
             for s in _fmt_all("%.3f " * len(values), values).split()]
 
 
-def _points(xs: np.ndarray, ys: np.ndarray) -> str:
-    """SVG ``points`` text: "x,y x,y ..." at three decimals."""
-    return _fmt_all(" ".join(["%.3f,%.3f"] * len(xs)),
-                    np.column_stack((xs, ys)).ravel().tolist())
+def _path(xs: np.ndarray, ys: np.ndarray) -> str:
+    """SVG path data through the points (xs, ys): ``M`` to the first,
+    then one relative ``l`` step to each next, numbers in the short form
+    of ``_short_all`` with a ``-`` standing in for the space before a
+    negative one.  Each coordinate is taken as its ``%.3f`` text in whole
+    thousandths and a step is the difference of two of those, so the
+    steps add back up to exactly the ``%.3f`` coordinates: no drift, no
+    second rounding."""
+    values = np.column_stack((xs, ys)).ravel().tolist()
+    at = list(map(int, _fmt_all("%.3f " * len(values), values)
+                  .replace(".", "").split()))
+    # t / 1000 is within a float step of the decimal, far below 0.0005 at
+    # pixel magnitudes, so ``%.3f`` writes back exactly the digits of t.
+    n = _short_all([t / 1000 for t in
+                    at[:2] + [b - a for a, b in zip(at, at[2:])]])
+    return f"M{n[0]} {n[1]}l{' '.join(n[2:])}".replace(" -", "-")
 
 
 @functools.lru_cache(maxsize=256)
 def _panel(box: Tuple[float, float, float, float], lo: float, hi: float,
            k: float, mean: bytes, std: bytes, labels: bool):
     """Everything in a band panel that does not depend on the analyzed
-    cycle: the band polygon and mean line (drawn under the dots), each
+    cycle: the band and mean line paths (drawn under the dots), each
     grid point's dot subpath up to its ``cy`` (``M{cx} ``), the axes
     (drawn over the dots), and the degrees -> pixel y map (y up).
     ``mean`` and ``std`` are float64 bytes.  A pure function of the
@@ -129,11 +144,11 @@ def _panel(box: Tuple[float, float, float, float], lo: float, hi: float,
     def sy(v):
         return y1 - (y1 - y0) * (v - lo) / (hi - lo)
 
-    band = _points(np.concatenate((xs, xs[::-1])),
-                   np.concatenate((sy(mean + k * std),
-                                   sy(mean - k * std)[::-1])))
-    under = (f'<polygon class="band" points="{band}"/>'
-             f'<polyline class="mean" points="{_points(xs, sy(mean))}"/>')
+    band = _path(np.concatenate((xs, xs[::-1])),
+                 np.concatenate((sy(mean + k * std),
+                                 sy(mean - k * std)[::-1])))
+    under = (f'<path class="band" d="{band}z"/>'
+             f'<path class="mean" d="{_path(xs, sy(mean))}"/>')
     dots = tuple(f"M{cx} " for cx in _short_all(xs.tolist()))
     return under, dots, "".join(_axes(x0, x1, y0, y1, lo, hi, sy, labels)), sy
 
@@ -142,11 +157,17 @@ def _band_panel(box, normals, k: float, angles: Optional[np.ndarray],
                 labels: bool):
     """``_panel`` for one joint's band, its y range whole degrees with 5
     degrees of margin around the band and ``angles``."""
-    values = [normals.mean + k * normals.std, normals.mean - k * normals.std]
+    with np.errstate(over="ignore"):
+        values = [normals.mean + k * normals.std,
+                  normals.mean - k * normals.std]
     if angles is not None:
         values.append(angles)
     lo = float(np.floor(min(float(v.min()) for v in values))) - 5.0
     hi = float(np.ceil(max(float(v.max()) for v in values))) + 5.0
+    # Each pixel y scales a degree offset of at most hi - lo by the box
+    # height: past the float range there is no y to draw.
+    if not np.isfinite((box[3] - box[2]) * (hi - lo)):
+        raise ValidationError(f"the {k:g} SD band is too wide to draw")
     return _panel(box, lo, hi if hi > lo else lo + 1.0, k,
                   np.asarray(normals.mean, float).tobytes(),
                   np.asarray(normals.std, float).tobytes(), labels)

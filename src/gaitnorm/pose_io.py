@@ -626,7 +626,8 @@ def save_cycles(cycles) -> bytes:
 
 def load_cycles(data: bytes):
     """Parse a ``gaitnorm-cycles/1`` cohort file.  Angles load as written,
-    as rows of one array that ``_cycle_columns`` checks at once."""
+    as rows of one array that ``_cycle_columns`` checks at once.  Each
+    joint's ``valid`` must be JSON ``true`` or ``false``."""
     from .cycles import NormalizedCycle  # deferred: avoids import cycle
 
     doc = _load_json(data, "cycles file")
@@ -655,7 +656,8 @@ def load_cycles(data: bytes):
 def _cycle_columns(raw: list, grid_points: int):
     """Each cycle's (label, id, joint -> valid), and the valid joints'
     angles as one ``(n_valid, grid_points)`` array in file order; or None
-    when any value is invalid.  Exact types (so no bool), one length, and
+    when any value is invalid.  Exact types (so no bool angle, and a
+    ``valid`` flag that is only ``true`` or ``false``), one length, and
     one [0, 180] comparison, which NaN and infinities fail."""
     heads, lists = [], []
     for entry in raw:
@@ -663,8 +665,10 @@ def _cycle_columns(raw: list, grid_points: int):
         if type(joints) is not dict or not {dict}.issuperset(
                 map(type, joints.values())):
             return None
-        valid = {name: bool(j.get("valid")) for name, j in joints.items()}
-        lists += [j.get("angle") for j in joints.values() if j.get("valid")]
+        valid = {name: j.get("valid") for name, j in joints.items()}
+        if not {bool}.issuperset(map(type, valid.values())):
+            return None
+        lists += [j.get("angle") for j in joints.values() if j["valid"]]
         heads.append((entry.get("label"), entry.get("cycle_id"), valid))
     if not (all(label in CYCLE_LABELS for label, _, _ in heads)
             and {str, type(None)}.issuperset(type(h[1]) for h in heads)
@@ -695,7 +699,11 @@ def _raise_first_cycle_error(raw: list, grid_points: int):
         joints = _require_object(entry.get("joints"), f"cycle {i}: 'joints'")
         for name, jentry in joints.items():
             _require_object(jentry, f"cycle {i} joint {name!r}")
-            if bool(jentry.get("valid")):
+            valid = jentry.get("valid")
+            if type(valid) is not bool:
+                raise ValidationError(f"cycle {i} joint {name!r}: 'valid' "
+                                      f"must be true or false, got {valid!r}")
+            if valid:
                 vals = _float_list(jentry.get("angle"),
                                    f"cycle {i} joint {name!r} angle", grid_points)
                 if vals.min() < 0.0 or vals.max() > 180.0:

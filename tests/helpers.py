@@ -4,9 +4,10 @@ These deliberately re-derive results along different routes than the
 package (dense linear solves, dot-product trigonometry, one object per
 keypoint record, one spline fit per joint, every figure panel formatted
 from scratch, one frame at a time for phases and statuses) so agreement
-is meaningful.  Figures are compared as drawings: ``decode_heatmap`` and
-``decode_dots`` read the cells and dots back out of a document, and the
-references compute them one value at a time.
+is meaningful.  Figures are compared as drawings: ``decode_heatmap``,
+``decode_dots`` and ``decode_series`` read the cells, dots and band and
+mean points back out of a document, and the references compute them one
+value at a time.
 """
 
 import json
@@ -274,7 +275,10 @@ def altered_cycle(cycle, cycle_id=None, label=None, invalid=()):
 def reference_load_cycles(data: bytes) -> list:
     """``load_cycles`` one cycle at a time, as 0.9.0 and earlier loaded a
     cycles file: each cycle checked and built in file order, each angle
-    list its own array, so the first invalid value in the file raises."""
+    list its own array, so the first invalid value in the file raises.
+    Since 0.11.0 a joint's ``valid`` flag must be JSON ``true`` or
+    ``false``; any other value, or none, is an error naming the cycle
+    index and joint (README, "File formats")."""
     doc = _load_json(data, "cycles file")
     if not isinstance(doc, dict) or doc.get("schema") != CYCLES_SCHEMA:
         raise ValidationError(
@@ -300,7 +304,11 @@ def reference_load_cycles(data: bytes) -> list:
         angles, valid = {}, {}
         for name, jentry in joints.items():
             _require_object(jentry, f"cycle {i} joint {name!r}")
-            valid[name] = bool(jentry.get("valid"))
+            flag = jentry.get("valid")
+            if flag is not True and flag is not False:
+                raise ValidationError(f"cycle {i} joint {name!r}: 'valid' "
+                                      f"must be true or false, got {flag!r}")
+            valid[name] = flag
             if valid[name]:
                 vals = _float_list(jentry.get("angle"),
                                    f"cycle {i} joint {name!r} angle",
@@ -535,17 +543,43 @@ def _reference_scales(values_min, values_max, x0, x1, y0, y1, grid_points):
     return xs, sy, lo, hi
 
 
-def _reference_points(xs, ys) -> str:
-    return " ".join(f"{_fmt(x)},{_fmt(y)}"
-                    for x, y in zip(xs.tolist(), ys.tolist()))
+def _reference_points(xs, ys) -> list:
+    """Each point's ``_fmt`` text, as whole thousandths."""
+    return [(int(_fmt(x).replace(".", "")), int(_fmt(y).replace(".", "")))
+            for x, y in zip(xs.tolist(), ys.tolist())]
+
+
+# A band plot's one panel: x from 50 to 620 px, y from 30 to 360 px.
+BAND_PLOT_BOX = (50.0, 620.0, 30.0, 360.0)
+
+
+def reference_panel_series(normals, k, angles, box):
+    """{"band": points, "mean": points} of one band panel, as
+    ``decode_series`` gives them: the band from the +k SD edge left to
+    right and back along the -k SD edge, the y range whole degrees with
+    5 of margin around the band and ``angles`` (None: no overlay)."""
+    upper = normals.mean + k * normals.std
+    lower = normals.mean - k * normals.std
+    lows, highs = [float(np.min(lower))], [float(np.max(upper))]
+    if angles is not None:
+        lows.append(float(np.min(angles)))
+        highs.append(float(np.max(angles)))
+    xs, sy, _, _ = _reference_scales(min(lows), max(highs), *box,
+                                     len(normals.mean))
+    return {"band": _reference_points(np.concatenate((xs, xs[::-1])),
+                                      np.concatenate((sy(upper),
+                                                      sy(lower)[::-1]))),
+            "mean": _reference_points(xs, sy(normals.mean))}
 
 
 def reference_multi_joint(flags_by_joint, cycle, model, cfg=None,
                           joint_order=JOINT_NAMES):
     """The multi-joint renderer that formats every panel from scratch, one
-    value at a time: (svg without its dot paths, the dots of each panel
-    as ``decode_dots`` gives them, sidecar).  A dot is centred at its
-    grid point's x and the cycle's y, each at three decimals."""
+    value at a time: (svg as ``without_geometry`` leaves it, the dots of
+    each panel as ``decode_dots`` gives them, the band and mean points
+    of each panel as ``decode_series`` gives them, sidecar).  A dot is
+    centred at its grid point's x and the cycle's y, each at three
+    decimals."""
     cfg = cfg or DetectionConfig()
     n = model.grid_points
     if cycle.grid_points != n:
@@ -554,7 +588,7 @@ def reference_multi_joint(flags_by_joint, cycle, model, cfg=None,
     rows = (len(joint_order) + cols - 1) // cols
     width = cols * panel_w + (cols + 1) * pad
     height = rows * panel_h + (rows + 1) * pad
-    body, dots, panels = [], [], []
+    body, dots, series, panels = [], [], [], []
     for i, joint in enumerate(joint_order):
         ox = pad + (i % cols) * (panel_w + pad)
         oy = pad + (i // cols) * (panel_h + pad)
@@ -564,6 +598,7 @@ def reference_multi_joint(flags_by_joint, cycle, model, cfg=None,
         body.append(f'<text x="{_fmt(ox + 6)}" y="{_fmt(oy + 14)}" '
                     f'font-size="11">{joint}</text>')
         dots.append(set())
+        series.append({})
         if not (joint in model.joints and cycle.valid.get(joint, False)
                 and joint in flags_by_joint):
             body.append(f'<text x="{_fmt(ox + panel_w / 2)}" '
@@ -582,11 +617,9 @@ def reference_multi_joint(flags_by_joint, cycle, model, cfg=None,
             min(float(np.min(lower)), float(np.min(angles))),
             max(float(np.max(upper)), float(np.max(angles))),
             x0, x1, y0, y1, n)
-        band = _reference_points(np.concatenate((xs, xs[::-1])),
-                                 np.concatenate((sy(upper), sy(lower)[::-1])))
-        body.append(f'<polygon class="band" points="{band}"/>')
-        body.append(f'<polyline class="mean" '
-                    f'points="{_reference_points(xs, sy(jn.mean))}"/>')
+        series[-1] = reference_panel_series(jn, cfg.k, angles,
+                                            (x0, x1, y0, y1))
+        body.append('<path class="band" d=""/><path class="mean" d=""/>')
         for x, y, f in zip(xs.tolist(), sy(angles).tolist(), flags.tolist()):
             dots[-1].add((float(_fmt(x)), float(_fmt(y)),
                           "abnormal" if f else "normal"))
@@ -603,7 +636,7 @@ def reference_multi_joint(flags_by_joint, cycle, model, cfg=None,
            f'<style>{_STYLE}</style>' + "".join(body) + "</svg>\n")
     sidecar = {"figure_kind": "multi_joint", "grid_points": n, "k": cfg.k,
                "panels": panels}
-    return svg, dots, sidecar
+    return svg, dots, series, sidecar
 
 
 # Heatmap geometry: one 8 x 24 cell per (row, col), the first at (110, 20).
@@ -633,6 +666,7 @@ _SHORT = re.compile(r"-?(?:0|[1-9]\d*)(?:\.\d{0,2}[1-9])?")
 _CELL_PATH = re.compile(rf"M{_NUM} {_NUM}h{_NUM}v{_NUM}h{_NUM}z")
 _DOT_PATH = re.compile(rf"M{_NUM} {_NUM}h0")
 _DOT_ELEMENT = re.compile(r'<path class="(?:normal|abnormal)" d="[^"]*"/>')
+_SERIES_DATA = re.compile(r'(<path class="(?:band|mean)" d=")[^"]*"')
 
 
 def _subpaths(pattern, d: str) -> list:
@@ -696,9 +730,63 @@ def decode_dots(svg: str) -> list:
     return panels
 
 
-def without_dots(svg: str) -> str:
-    """``svg`` with its dot paths taken out."""
-    return _DOT_ELEMENT.sub("", svg)
+def _thousandths(token: str) -> int:
+    """A number in the short form as whole thousandths, read as text."""
+    whole, _, frac = token.lstrip("-").partition(".")
+    t = int(whole) * 1000 + int(frac.ljust(3, "0"))
+    return -t if token.startswith("-") else t
+
+
+def _path_numbers(text: str) -> list:
+    """The numbers of path data ``text`` as whole thousandths: each in the
+    short form, separated by one space, or by nothing before a ``-``."""
+    tokens = re.findall(r"-?[^ -]+", text)
+    assert " ".join(tokens).replace(" -", "-") == text, text[:80]
+    for token in tokens:
+        assert _SHORT.fullmatch(token) and token != "-0", (token, text[:80])
+    return [_thousandths(token) for token in tokens]
+
+
+def _series_points(d: str, closed: bool) -> list:
+    """The absolute points of a band (``closed``) or mean path: ``M`` to
+    the first point, then one ``l`` of relative steps, summed here."""
+    m = re.fullmatch(r"M([^Ml]+)l([^Mlz]+)" + ("z" if closed else ""), d)
+    assert m, f"unreadable path data: {d[:80]!r}"
+    start, steps = _path_numbers(m.group(1)), _path_numbers(m.group(2))
+    assert len(start) == 2 and len(steps) % 2 == 0, d[:80]
+    points = [tuple(start)]
+    for dx, dy in zip(steps[::2], steps[1::2]):
+        points.append((points[-1][0] + dx, points[-1][1] + dy))
+    return points
+
+
+def decode_series(svg: str) -> list:
+    """The band and mean points of each panel of a band plot or
+    multi-joint document, in whole thousandths: one {"band": points,
+    "mean": points} per panel, a panel starting at its frame ``<rect>``
+    (a band plot has none and is one panel; a placeholder panel is
+    ``{}``).  A panel draws one band, then one mean line."""
+    panels = []
+    for el in ET.fromstring(svg):
+        tag = el.tag.replace(_SVG, "")
+        assert tag not in ("polygon", "polyline"), f"a series drawn as {tag}"
+        if tag == "rect":
+            panels.append({})
+        cls = el.get("class")
+        if tag != "path" or cls not in ("band", "mean"):
+            continue
+        if not panels:
+            panels.append({})
+        assert list(panels[-1]) == ([] if cls == "band" else ["band"]), cls
+        panels[-1][cls] = _series_points(el.get("d"), closed=cls == "band")
+    return panels
+
+
+def without_geometry(svg: str) -> str:
+    """``svg`` with its dot paths taken out and its band and mean path
+    data left empty: the markup that is compared byte for byte, beside
+    the decoded dots and series."""
+    return _SERIES_DATA.sub(r'\1"', _DOT_ELEMENT.sub("", svg))
 
 
 def occluded_walker(video_id="occluded-walk"):

@@ -21,7 +21,8 @@ from gaitnorm.cycles import resample_cycle, segment_cycles
 from gaitnorm.kinematics import JOINT_KEYPOINTS, JOINT_NAMES, angle_series_set
 from gaitnorm.pose_io import parse_annotation_document, parse_pose_sequence
 from gaitnorm.spline import eval_spline, fit_natural_cubic
-from gaitnorm.synth import AbnormalitySpec, demo_profiles
+from gaitnorm.synth import (AbnormalitySpec, demo_profiles,
+                            generate_pose_sequence)
 
 from helpers import (arccos_angle, dense_natural_spline_m, random_knots,
                      spline_second_derivative)
@@ -171,6 +172,33 @@ def test_c06_flag_rate_calibration(profiles, reference_model):
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
     print(f"criterion 6: flag rate {rate:.4f} over {total} samples, "
           f"{elapsed:.2f}s")
+
+
+def _walker_cycles(n_cycles, seed):
+    """The typical cycles of a synthetic walker, through angles,
+    segmentation and resampling, as ``run`` computes them."""
+    seq, annotations = generate_pose_sequence(n_cycles=n_cycles, seed=seed,
+                                              atypical_last=False)
+    return [resample_cycle(s) for s in
+            segment_cycles(angle_series_set(seq), annotations, video_id="w")]
+
+
+def test_c06_flag_rate_calibration_through_the_pipeline():
+    """c06 with the cycles ``run`` computes rather than ``synth`` cycles: a
+    model from a 300-cycle walker (seed 1) flags 100 cycles of another
+    (seed 2) at the two-tailed 1-SD normal rate, 2*Phi(-1) +/- 0.05.
+    The SD floor is 0: this walker's SD (median about 0.55 deg) is near
+    the default 0.5 deg floor, which lowers the rate by design."""
+    cfg = DetectionConfig(sigma_floor_deg=0.0)
+    model = build_normative_model(_walker_cycles(300, 1), 101)
+    fractions = [float(np.mean([f.mean() for f in
+                                build_report(c, model, cfg).flag.values()]))
+                 for c in _walker_cycles(100, 2)]
+    assert len(fractions) == 100
+    rate, nominal = float(np.mean(fractions)), math.erfc(1.0 / math.sqrt(2.0))
+    assert abs(rate - nominal) <= 0.05, f"rate {rate:.4f}"
+    print(f"criterion 6 (pipeline): flag rate {rate:.4f} against "
+          f"{nominal:.4f}")
 
 
 def test_c07_injection_detection(profiles, reference_model):

@@ -6,7 +6,8 @@ it is given and ``load_cycles`` never rounds, so a file round-trips
 exactly, full-precision files written before 0.10.0 included.
 ``load_cycles`` checks a file's angles as one array; on any invalid value
 it raises what the per-cycle check (``helpers.reference_load_cycles``)
-raises.
+raises.  Since 0.11.0 a joint's ``valid`` flag that is not JSON ``true``
+or ``false`` is such a value.
 """
 
 import json
@@ -17,6 +18,7 @@ import pytest
 from gaitnorm import (ValidationError, generate_cohort, generate_cycle,
                       inject_abnormality, load_cycles, resample_cycle,
                       save_cycles, segment_cycles)
+from gaitnorm.cli import main
 from gaitnorm.kinematics import angle_series_set
 from gaitnorm.synth import AbnormalitySpec, JointProfile, demo_profiles
 
@@ -131,6 +133,10 @@ def _angle(i, joint, k=None):
     return path if k is None else path + (k,)
 
 
+def _valid(i, joint):
+    return ("cycles", i, "joints", joint, "valid")
+
+
 # (path, raw JSON token, the message the per-cycle check raises)
 MUTATIONS = {
     "bool": (_angle(2, "left_knee", 5), "true",
@@ -167,9 +173,32 @@ MUTATIONS = {
     "null-angle": (_angle(3, "left_ankle"), "null",
                    "cycle 3 joint 'left_ankle' angle: expected an array of "
                    "length 101"),
-    "truthy-valid": (("cycles", 1, "joints", "left_knee", "valid"), '"no"',
-                     "cycle 1 joint 'left_knee' angle: expected an array of "
-                     "length 101"),
+    "truthy-valid": (_valid(1, "left_knee"), '"no"',
+                     "cycle 1 joint 'left_knee': 'valid' must be true or "
+                     "false, got 'no'"),
+    # 0.11.0: a flag is only true or false, so "false" and 1 no longer
+    # load as valid, nor 0 with a real angle list as invalid
+    "string-false-valid": (_valid(3, "right_knee"), '"false"',
+                           "cycle 3 joint 'right_knee': 'valid' must be "
+                           "true or false, got 'false'"),
+    "one-valid": (_valid(1, "left_knee"), "1",
+                  "cycle 1 joint 'left_knee': 'valid' must be true or "
+                  "false, got 1"),
+    "zero-valid": (_valid(0, "left_knee"), "0",
+                   "cycle 0 joint 'left_knee': 'valid' must be true or "
+                   "false, got 0"),
+    "float-valid": (_valid(0, "left_knee"), "1.0",
+                    "cycle 0 joint 'left_knee': 'valid' must be true or "
+                    "false, got 1.0"),
+    "null-valid": (_valid(2, "right_hip"), "null",
+                   "cycle 2 joint 'right_hip': 'valid' must be true or "
+                   "false, got None"),
+    "no-valid": (("cycles", 2, "joints", "right_hip"), '{"angle": null}',
+                 "cycle 2 joint 'right_hip': 'valid' must be true or "
+                 "false, got None"),
+    "list-valid": (_valid(4, "left_hip"), "[true]",
+                   "cycle 4 joint 'left_hip': 'valid' must be true or "
+                   "false, got [True]"),
     "label": (("cycles", 2, "label"), '"walking"',
               "cycle 2: unknown label 'walking'"),
     "null-label": (("cycles", 2, "label"), "null",
@@ -204,6 +233,9 @@ class TestLoadCyclesErrors:
         ("label", "nan"),
         ("id", "null-label"),
         ("joint-entry", "below-0"),
+        ("zero-valid", "bool"),
+        ("truthy-valid", "label"),
+        ("label", "string-false-valid"),
     ])
     def test_the_first_fault_in_file_order_is_named(self, first, second):
         (p1, t1, message), (p2, t2, _) = MUTATIONS[first], MUTATIONS[second]
@@ -220,9 +252,24 @@ class TestLoadCyclesErrors:
             "error", "cycle 4 joint 'left_hip' angle must be a number, "
                      "got True")
 
+    def test_build_norm_refuses_a_flag_that_is_not_a_boolean(
+            self, tmp_path, capsys):
+        # "false" and 1 used to load as valid, so both angle lists
+        # entered the model
+        data = with_raw_json(_doc(), [(_valid(0, "left_knee"), '"false"'),
+                                      (_valid(2, "left_knee"), "1")])
+        cycles, model = tmp_path / "cohort.json", tmp_path / "model.json"
+        cycles.write_bytes(data)
+        assert main(["build-norm", "--cycles", str(cycles),
+                     "--out", str(model)]) == 1
+        assert not model.exists()
+        assert capsys.readouterr().err == (
+            "gaitnorm: validation error: cycle 0 joint 'left_knee': 'valid' "
+            "must be true or false, got 'false'\n")
+
     @pytest.mark.parametrize("path, token", [
         (("cycles", 1, "cycle_id"), "null"),
-        (("cycles", 1, "joints", "left_knee", "valid"), "0"),
+        (_valid(0, "left_knee"), "false"),
         (("cycles", 1, "joints", "left_knee", "angle"), '"ignored"'),
         (_angle(2, "left_knee", 5), "90"),
         (_angle(2, "left_knee", 5), "-0.0"),

@@ -119,8 +119,9 @@ def test_cohorts_round_trip_exactly(cycles):
 # Raw JSON put in place of one value of a cycles file.
 TOKENS = ["true", "false", "null", '"90"', "NaN", "Infinity", "-Infinity",
           "1e400", "-0.1", "180.1", "-0.0", "0", "180", "90.5", "[]",
-          "[1.0]", "{}", '{"angle": null}', "1" + "0" * 400]
-VALID_ANGLES = ("-0.0", "0", "180", "90.5")
+          "[1.0]", "{}", '{"angle": null}', "1" + "0" * 400, "1",
+          '"false"']
+VALID_ANGLES = ("-0.0", "0", "1", "180", "90.5")
 
 
 def _paths(doc):
@@ -154,8 +155,12 @@ def test_mutated_files_load_as_the_per_cycle_loader_loads_them(cycles, data):
     raw = with_raw_json(doc, edits)
     got = load_outcome(load_cycles, raw)
     assert got == load_outcome(reference_load_cycles, raw)
-    # A bad value in the angles of a joint that stays valid must raise.
+    # A bad value in the angles of a joint that stays valid must raise,
+    # and so must a valid flag that is not true or false.
     edited = {p for p, _ in edits}
+    if any(p[-1] == "valid" and t not in ("true", "false")
+           for p, t in edits):
+        assert got[0] == "error"
     if any(len(p) == 6 and t not in VALID_ANGLES
            and doc["cycles"][p[1]]["joints"][p[3]]["valid"]
            and p[:4] + ("valid",) not in edited for p, t in edits):

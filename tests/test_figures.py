@@ -14,14 +14,15 @@ from gaitnorm import (DetectionConfig, ValidationError, annotate_frames,
 from gaitnorm.cli import main
 from gaitnorm.detect import STATUS_NORMAL, STATUS_UNKNOWN
 from gaitnorm.cycles import NormalizedCycle
-from gaitnorm.figures import _dots, _fmt, _panel, _points
+from gaitnorm.figures import _dots, _fmt, _panel, _path
 from gaitnorm.kinematics import JOINT_NAMES
 from gaitnorm.synth import demo_profiles, generate_pose_sequence
 from gaitnorm.pose_io import (CycleAnnotation, serialize_annotations,
                               serialize_pose_sequence)
 
-from helpers import (decode_dots, decode_heatmap, reference_heatmap,
-                     reference_multi_joint, without_dots)
+from helpers import (BAND_PLOT_BOX, decode_dots, decode_heatmap,
+                     decode_series, reference_heatmap, reference_multi_joint,
+                     reference_panel_series, without_geometry)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -61,8 +62,10 @@ class TestBandPlot:
         doc = render_band_plot(model, "left_knee")
         kinds = {s["kind"]: s["points"] for s in doc.sidecar["series"]}
         assert kinds == {"mean": 101, "band": 202}
-        assert _count(doc, "polyline", "mean") == 1
-        assert _count(doc, "polygon", "band") == 1
+        assert _count(doc, "path", "mean") == 1
+        assert _count(doc, "path", "band") == 1
+        assert decode_series(doc.svg) == [reference_panel_series(
+            model.joints["left_knee"], 1.0, None, BAND_PLOT_BOX)]
         assert decode_dots(doc.svg) == []
 
     def test_overlay_counts_match_svg(self, model, cycle):
@@ -75,6 +78,10 @@ class TestBandPlot:
         assert kinds["abnormal"] == int(flags.sum())
         assert _dot_counts(doc) == {"normal": kinds["normal"],
                                     "abnormal": kinds["abnormal"]}
+        # the y range takes in the cycle's angles
+        assert decode_series(doc.svg) == [reference_panel_series(
+            model.joints["left_knee"], cfg.k, cycle.angles["left_knee"],
+            BAND_PLOT_BOX)]
 
     def test_zero_flags_zero_abnormal_points(self, model, cycle):
         flags = np.zeros(101, dtype=bool)
@@ -297,13 +304,16 @@ def _random_flags(rng, share):
 class TestMultiJointAgainstReference:
     """Panel markup is cached per (panel, scale); every document must draw
     what the renderer that formats each panel from scratch draws: the same
-    markup apart from the dots, and the same dots, decoded."""
+    markup apart from the dots and the band and mean path data, and the
+    same dots, bands and mean lines, decoded."""
 
     def _check(self, flags, cycle, model, cfg=None):
         doc = render_multi_joint(flags, cycle, model, cfg)
-        svg, dots, sidecar = reference_multi_joint(flags, cycle, model, cfg)
-        assert without_dots(doc.svg) == svg
+        svg, dots, series, sidecar = reference_multi_joint(flags, cycle,
+                                                           model, cfg)
+        assert without_geometry(doc.svg) == svg
         assert decode_dots(doc.svg) == dots
+        assert decode_series(doc.svg) == series
         assert doc.sidecar == sidecar
 
     def test_random_cycles_with_invalid_joints(self, model):
@@ -410,10 +420,11 @@ def _run_figures_against_reference(tmp_path, keypoints, annotations):
         assert decode_heatmap(heat) == reference_heatmap(
             severity_matrix(report))
         multi = Path(prefix + ".multijoint.svg").read_text()
-        svg, dots, sidecar = reference_multi_joint(report.flag, cycle, model,
-                                                   report.config)
-        assert without_dots(multi) == svg
+        svg, dots, series, sidecar = reference_multi_joint(
+            report.flag, cycle, model, report.config)
+        assert without_geometry(multi) == svg
         assert decode_dots(multi) == dots
+        assert decode_series(multi) == series
         assert json.loads(Path(prefix + ".multijoint.svg.json").read_text()) \
             == sidecar
     return len(reports)
@@ -447,13 +458,107 @@ class TestEndToEndFigures:
 
 
 class TestArrayFormatting:
-    def test_points_equal_per_value_fmt(self):
-        # one %-format per array must match formatting value by value,
-        # negative zero included
+    def test_path_points_equal_per_value_fmt(self):
+        # the relative steps must add back up to formatting value by
+        # value, negative zero and half-thousandth ties included;
+        # decode_series refuses a "-0" step
         rng = np.random.default_rng(60)
         xs = np.concatenate((rng.uniform(-500, 500, 300),
-                             [-0.0, -0.0004, -0.0005, -0.0006, 0.0004, 1e-9]))
+                             [-0.0, -0.0004, -0.0005, -0.0006, 0.0004, 1e-9,
+                              0.0625, -0.0625, 2.0625, 1e6 + 0.0625]))
         ys = rng.permutation(xs)
-        expected = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
-        assert _points(xs, ys) == expected
-        assert "-0.000," not in expected and " -0.000" not in expected
+        d = _path(xs, ys)
+        [panel] = decode_series(
+            f'<svg xmlns="http://www.w3.org/2000/svg">'
+            f'<path class="band" d="{d}z"/></svg>')
+        assert panel["band"] == [(int(_fmt(x).replace(".", "")),
+                                  int(_fmt(y).replace(".", "")))
+                                 for x, y in zip(xs.tolist(), ys.tolist())]
+
+    def test_path_markup(self):
+        # -0.0004 is 0.000 and 0.0625 is 0.062 (a tie, to even): the steps
+        # are differences of those, in the short form, a minus sign
+        # standing in for the space before a negative number
+        xs = np.array([26.0, 29.6, 33.2, 36.8, 40.4])
+        ys = np.array([-0.0004, 5.824, 0.0625, 2.1875, 2.1875])
+        assert _path(xs, ys) == "M26 0l3.6 5.824 3.6-5.762 3.6 2.126 3.6 0"
+        assert _path(xs[::-1], -ys[::-1]) == \
+            "M40.4-2.188l-3.6 0-3.6 2.126-3.6-5.762-3.6 5.824"
+
+
+@pytest.fixture(scope="module")
+def run_outputs(tmp_path_factory):
+    """{"demo": the demo fixture's ``run`` directory, "walk": that of a
+    40-cycle walker (seed 3)}, the inputs of the CI figure checks."""
+    work = tmp_path_factory.mktemp("run-outputs")
+    seq, cycles = generate_pose_sequence(n_cycles=40, seed=3,
+                                         video_id="walk")
+    inputs = {"demo": (FIXTURES / "demo.keypoints.jsonl",
+                       FIXTURES / "demo.cycles.json"),
+              "walk": (work / "walk.keypoints.jsonl",
+                       work / "walk.cycles.json")}
+    inputs["walk"][0].write_bytes(serialize_pose_sequence(seq))
+    inputs["walk"][1].write_bytes(serialize_annotations("walk", cycles))
+    for name, (keypoints, annotations) in inputs.items():
+        assert main(["run", "--keypoints", str(keypoints),
+                     "--annotations", str(annotations),
+                     "--out-dir", str(work / name)]) == 0
+    return {name: work / name for name in inputs}
+
+
+def _sidecar(svg_path):
+    return json.loads(Path(f"{svg_path}.json").read_text())
+
+
+@pytest.mark.parametrize("name", ["demo", "walk"])
+class TestRunOutputsAgainstSidecars:
+    """Every figure ``run`` writes, decoded, draws what its sidecar
+    states."""
+
+    def test_every_heatmap_cell_drawn_once(self, run_outputs, name):
+        heatmaps = sorted(run_outputs[name].glob("*.heatmap.svg"))
+        assert len(heatmaps) == {"demo": 4, "walk": 40}[name]
+        for path in heatmaps:
+            side = _sidecar(path)
+            assert sorted(decode_heatmap(path.read_text())) == [
+                (r, c) for r in range(side["rows"])
+                for c in range(side["cols"])], path.name
+
+    def test_panel_dots_per_class_match_the_sidecar(self, run_outputs, name):
+        panels = sorted(run_outputs[name].glob("*.multijoint.svg"))
+        assert len(panels) == len(list(
+            run_outputs[name].glob("*.heatmap.svg")))
+        for path in panels:
+            side = _sidecar(path)
+            dots = decode_dots(path.read_text())
+            assert len(dots) == len(side["panels"]), path.name
+            for drawn, panel in zip(dots, side["panels"]):
+                counts = {cls: sum(d[2] == cls for d in drawn)
+                          for cls in ("normal", "abnormal")}
+                assert counts == {cls: panel.get(cls, 0) for cls in counts}, \
+                    (path.name, panel["joint"])
+
+    def test_band_and_mean_points_match_the_sidecar(self, run_outputs, name):
+        for path in sorted(run_outputs[name].glob("*.multijoint.svg")):
+            side = _sidecar(path)
+            n = side["grid_points"]
+            series = decode_series(path.read_text())
+            assert len(series) == len(side["panels"]), path.name
+            for drawn, panel in zip(series, side["panels"]):
+                assert {k: len(v) for k, v in drawn.items()} == (
+                    {"band": 2 * n, "mean": n} if panel["rendered"] else {})
+        bands = sorted(run_outputs[name].glob("*.band.*.svg"))
+        assert len(bands) == 10
+        for path in bands:
+            [drawn] = decode_series(path.read_text())
+            stated = {s["kind"]: s["points"] for s in _sidecar(path)["series"]}
+            assert {k: len(v) for k, v in drawn.items()} == stated, path.name
+
+
+def test_a_reloaded_report_draws_the_pipelines_heatmap(run_outputs, tmp_path):
+    out = run_outputs["walk"]
+    assert main(["figures", "--report", str(out / "walk.c0.report.json"),
+                 "--model", str(out / "walk.model.json"),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "walk.heatmap.svg").read_bytes() == \
+        (out / "walk.c0.heatmap.svg").read_bytes()

@@ -23,81 +23,81 @@ VIDEO_ID = "synthetic-walk"
 # File name (after the "<video_id>." prefix) -> sha256 of its bytes.
 GOLDEN = {
     "band.left_ankle.svg":
-        "087b195c29e98d9c919c7aebebc6905a6f5a09cf77bb7a5c8070f6a8945e2bc1",
+        "54c89942d79ae0fec610e1c65249015263ff426c93bec760b6a803333b6c39be",
     "band.left_ankle.svg.json":
         "7180d9d2ecf008955b5942b5322ffe1c5f84187ebf7bf3011c42e5f7e7f4f56e",
     "band.left_elbow.svg":
-        "531c8030b5709fba0e04a6602c0f08cc6bacd282ed95f2ad18d8a29c6c18d46d",
+        "5855caa1c3f62493f576b4fed3083e1fc7c8ecbbaa87e1e874d9df02997a4dea",
     "band.left_elbow.svg.json":
         "38e1ff609d7bbd7e79af90ea45ef6e3c30012bbfd8d81e3057cc7713eef252bc",
     "band.left_hip.svg":
-        "6c028656cbfc779f57c7bbd5775b74f11d40a2e22bb12a319916dbfb6750ccad",
+        "f59617409313f4e7f29b1131b5c1a32969ad08895df25e4b0a185ccb8ab61490",
     "band.left_hip.svg.json":
         "803c3b6068e3029486d01111d1b27bb6431a08ef14c3a42ca980d15897341e7e",
     "band.left_knee.svg":
-        "0997fd9584c63c2ac2852aa19fec7e1e51fc12640da8dd9754cb4edce510d7a3",
+        "f0630c6413018fb94df0346ad50d5d14b9d7223415dba17bdc54e112ff57993b",
     "band.left_knee.svg.json":
         "2691021c73ce586f712c82e18760523c8239de45f12d697ed505404f19297cc9",
     "band.left_shoulder.svg":
-        "ee6204553f76f5a284936f1d74307aa9fc8acc1fd7d65cbf05f12a0403e6c3f8",
+        "7bc89490a0406a14518c183ca7d6a588d4169c8f47fad47203146ea7707f9deb",
     "band.left_shoulder.svg.json":
         "da7daacb7d9b901a1465c8eafd1c990154eb93054689e0087f429d3e3e1ca934",
     "band.right_ankle.svg":
-        "3526c68b7ca953afc0a708ed6a6e58be5628e186fd39e9f9d18b775f09818ab0",
+        "35293b60a4ff3f98d34126aaa8d448bf7f48d75ade3e7ab2f7a5827087e53196",
     "band.right_ankle.svg.json":
         "e92d32318fd85f6c691d2a3184ef900d12290abeedc2ab4eaec8fcf4776bede2",
     "band.right_elbow.svg":
-        "63b969fe3254127d8360477935f09644213a97b2622062bb76d31374cb860b36",
+        "3cdf361fdd5d90e939eba3d67c49413bf1317ef13948de2cd981678e1b53ff0c",
     "band.right_elbow.svg.json":
         "bc41e0440e915603cdb7ce86775ed341e94c4f98372415f342c2afb9cea62cd4",
     "band.right_hip.svg":
-        "9ed7ed8776fbfba9c718eb05dec95e88f030effd2690ac96d5dcecb9306fcd0f",
+        "d37250818aebea5d72c6080aa24bc5ef6596497f4f27a771e6e5781dddda1ec1",
     "band.right_hip.svg.json":
         "6e56756fde962130811f6e46df4022a90614681bec98eeb43dc70284276949a7",
     "band.right_knee.svg":
-        "87786ba7e982864bb3f93f7a893fe7d8bf26506befc5796098e4825ce68f01c1",
+        "50a500bd2124cf9576ff51357088936a2def0357d81bff6874c2eb84132ec178",
     "band.right_knee.svg.json":
         "be445fe76b82551f7518e78442b4f83ab305cec9ee62f8916517c435d8de0cab",
     "band.right_shoulder.svg":
-        "e00e78fb7fc434e8842f890aaf40b84440b8e29020bae717121f64fbab0bb6d8",
+        "5406f4af47c698979d360f3122022dce1afaccb41dc4bd92f5fcd9c4200fec78",
     "band.right_shoulder.svg.json":
         "5da91b5a0ead84fa420790a46c429c0ab9a5fcc14599d0e660df9e1861f5af65",
     "c0.heatmap.svg":
-        "09f2904f0562564a5991bfb10f3ba9f47f2f56ccd96a1d269245f82d025e3520",
+        "3dfb6ec84ff787a02f482447a00f6f9044b60c0a91e5d55926912f130e4438f8",
     "c0.heatmap.svg.json":
         "a537802acb499a5452753b8b4fae22b61829216d4073357c9164ae9e136aded6",
     "c0.multijoint.svg":
-        "fb45babce56019e0a2ea476a8a54aef28e75daa3931a9cad1362fe0862708af2",
+        "eed7cee48e2b58ba9978f5e21258a2cdc4e6d6f7be5aa0c82bba6ff6b4ffad61",
     "c0.multijoint.svg.json":
         "9ee17b13971b178ada59127a1108e9a45faeeec6cb01ca2bb0599d212401177a",
     "c0.report.json":
         "cf513c8907e3c8a8e09e298e0993d3b8013660af14df0d162349d3ef9b7e0428",
     "c1.heatmap.svg":
-        "3e3bcec81e758bc20cfc79479d9cacca2fbf75168bd475a4d7fd83f98380dd1c",
+        "cdecbd1afa0246189513c452c1fae95084207c0375b77dbd9d79c367f9876985",
     "c1.heatmap.svg.json":
         "a537802acb499a5452753b8b4fae22b61829216d4073357c9164ae9e136aded6",
     "c1.multijoint.svg":
-        "e4ca29755e7e20fc82cc265895508f423d24b1a3759606e7dcfec7e71c482228",
+        "7e0daf1ea1fac21377676375cd796498c05905cc7f46d4916fd52c61d84e7411",
     "c1.multijoint.svg.json":
         "33803c29d9bd8d4b714131886719865b950853231b5597103c60cfec2d38cff3",
     "c1.report.json":
         "2965e6033a3e0b5a5470251e8e5fc9712a74f14460e978a7d0cbf58cfbb7d991",
     "c2.heatmap.svg":
-        "261bf954bfffb76cf171eaf594ae754bb471e28c3b10a991e21e36907ab440c2",
+        "a641eb3289b9472b42249a4c668001a652dee8a8bd55cf5b084b8e6e6b2b2a31",
     "c2.heatmap.svg.json":
         "a537802acb499a5452753b8b4fae22b61829216d4073357c9164ae9e136aded6",
     "c2.multijoint.svg":
-        "c4b510e51553033dea5d604ea249462db63daf127ad3caf3685e85af6e7937bc",
+        "e94fc990fdb36ac3d38c5be0b1a61ab04af467b31bbace21dda2636bf7ca80bd",
     "c2.multijoint.svg.json":
         "ed025ac9b404f5da886647c6018dba4893fd3901cef367b0b83c91ddc19a2535",
     "c2.report.json":
         "03a149d4127bfa45eed64072114695e8c736f1ccb3a045047952180a78040067",
     "c3.heatmap.svg":
-        "3d9258aebff72c133640341c292f0d249edeff74e04779151f83c5dafb88394e",
+        "b992f8e1354caf62ad9dc66f17b66722a8328c7c58754aaafc27f49567b352a7",
     "c3.heatmap.svg.json":
         "9d8e8d33800d056b60e108beed7bdfe84eb39b1e610dcc3c5d0a28722027687a",
     "c3.multijoint.svg":
-        "f19f950f5a13af3638e4d652c44b6db96e96405e24d110d9650a5fd572de68b7",
+        "545b7987e6bf8d0c33b85f2ec2745492901566e199ba54d67980a323889607e8",
     "c3.multijoint.svg.json":
         "79f4ffa374a85a64eec30df00a670b999bfca418913dd5cff6bc01e4ef075d63",
     "c3.report.json":
@@ -163,51 +163,51 @@ STAGE_GOLDEN = {
     },
     "figures": {
         "synthetic-walk.band.left_ankle.svg":
-            "22ee6f4811e5d6a47d1204a2186be7df7e8cf2342435a00b6845d5620923f196",
+            "7c89f21102af6204853e31d903fe9098d571f11dc69e0683ee1c6fa7880bbdf7",
         "synthetic-walk.band.left_ankle.svg.json":
             "c1eada47dd3f774943465102bc523d11a3ad1daeb583b1707d734395fe2daa7e",
         "synthetic-walk.band.left_elbow.svg":
-            "3e1afb3bfee9c398407122480bcf4a7e2a08c3af09923144485f25cd5be41cfe",
+            "b7c373c3070f929765f2f257d1cc9a342f020d9c0b95cd3bbf822b28a371b350",
         "synthetic-walk.band.left_elbow.svg.json":
             "17dab4c49518cbf0006530a3dc73a108620279afcdf5bc48fea10ed040aac094",
         "synthetic-walk.band.left_hip.svg":
-            "499e1f7a5e9bbcf0d44d9e723da8932f4ed8fa8b38ddd41c98396711874479da",
+            "5375c7c0b1539dbf124a91b3891b393edb68f6f0f41aa27322127df831e32868",
         "synthetic-walk.band.left_hip.svg.json":
             "096e25827afc6c2606cccdd8bfc28c0ef2872ee986d6114b0f27d4e42a4a5f6f",
         "synthetic-walk.band.left_knee.svg":
-            "4109d356b4f46bdf04668d2dd6f1c9d0f09cedf31a145d63e188969a703e8819",
+            "d71e9d6ba60713acaa982bb2a775734f3fc70427809114bde2e1131ac642ef4f",
         "synthetic-walk.band.left_knee.svg.json":
             "5bc011a826f0181e49202396ffb258bdbab73f0fdb5b7a770e2d99f5026ec888",
         "synthetic-walk.band.left_shoulder.svg":
-            "dc06f32ba7a4d0d45b6dbf113cdec06dbeadd9a9e3eafccee5f7f738b0723f6f",
+            "7b5d7760503a59269bcf3ff9621c7be386c713e68968154e0fb52e815e221cab",
         "synthetic-walk.band.left_shoulder.svg.json":
             "3c9cc0ea784838e37823e5dea4d5d617de57b9122fa0201b6d2b06f5c3fc239e",
         "synthetic-walk.band.right_ankle.svg":
-            "2e76a4970948cec690a25fc6250bda174ec84a4ff3f6f125c5123e0853e7b332",
+            "852f919419529fd667d1d6105a64abe4984a4a0bf1324721d14035de38f459c8",
         "synthetic-walk.band.right_ankle.svg.json":
             "c27dcb0ec23fb656d4a9292143142798edae89ddad8662b83f945d7212e794cf",
         "synthetic-walk.band.right_elbow.svg":
-            "d368af9cf9a5833aa63bff7aa562f2de680e360cb17becabb51a0d3a338f6ac1",
+            "364024cf3439b2d9abd3b1835e870f18e7a7e22f703cb879e588776c3a1d740a",
         "synthetic-walk.band.right_elbow.svg.json":
             "09c12c221b9e0aed543162afe64f4733ba028b2a65e721356367a16d0996eaf3",
         "synthetic-walk.band.right_hip.svg":
-            "44f108ecce4464be28a279e6ad14becb783ea55939151a2a46260c5a4d68272b",
+            "49b6ad5f14aec608d7fadce839f92c0a847e1598113bf2f8dab7f7df9c0c6e21",
         "synthetic-walk.band.right_hip.svg.json":
             "defbac2472d438970fc1afcba7036d165c49d8e63c5f43a778294a46816a67de",
         "synthetic-walk.band.right_knee.svg":
-            "5cd0f08771bb0c2b0b48a39ed07641853e97e3532ea909f5f23bbfd5618647ee",
+            "8abbc7f94da4de03f1b8e883b8fb95b07a6bb1f88c3c2a81f8a9675055b3b2c4",
         "synthetic-walk.band.right_knee.svg.json":
             "879632331d168a306fa596f656f3e321de03b386a5c7f421fdd4cfa36ff36906",
         "synthetic-walk.band.right_shoulder.svg":
-            "f02a3adc384beaa1eb454fe8ddea349dbb0a1d991b9080583099a0ca6582da75",
+            "2b6a2516bde1ee9192dcdf19a02a73818c731760610af3ae6275271691c544a6",
         "synthetic-walk.band.right_shoulder.svg.json":
             "00c4d0ad47bbc38415a67fb4b14e914a55376f9ac3611cd0155853f6eb905939",
         "synthetic-walk.heatmap.svg":
-            "3d9258aebff72c133640341c292f0d249edeff74e04779151f83c5dafb88394e",
+            "b992f8e1354caf62ad9dc66f17b66722a8328c7c58754aaafc27f49567b352a7",
         "synthetic-walk.heatmap.svg.json":
             "9d8e8d33800d056b60e108beed7bdfe84eb39b1e610dcc3c5d0a28722027687a",
         "synthetic-walk.multijoint.svg":
-            "f19f950f5a13af3638e4d652c44b6db96e96405e24d110d9650a5fd572de68b7",
+            "545b7987e6bf8d0c33b85f2ec2745492901566e199ba54d67980a323889607e8",
         "synthetic-walk.multijoint.svg.json":
             "79f4ffa374a85a64eec30df00a670b999bfca418913dd5cff6bc01e4ef075d63",
         "synthetic-walk.overlays.json":
