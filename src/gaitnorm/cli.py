@@ -21,8 +21,9 @@ Both build with ``build_normative_model``, which needs a joint valid in
 two of them.
 
 ``detect`` and ``run`` score every cycle in the parent, and ``run`` also
-maps every frame's status, before ``--out-dir`` is made, so a cycle that
-fails to score writes nothing.  Then each cycle is one job of
+maps every frame's status and renders its band plots, before
+``--out-dir`` is made, so a cycle that fails to score, or a band too
+wide to draw, writes nothing.  Then each cycle is one job of
 ``_write_cycles``: serialize its report and, under ``run``, render its
 multi-joint panel and heatmap, and write them.  ``_map_cycles`` runs the
 jobs on a ``fork`` process pool with one worker per CPU the process may
@@ -521,17 +522,21 @@ def cmd_run(args) -> int:
                     seq.video_id, phase_source)
     outputs += _overlays(seq, [(r.annotation, r.flag) for r, _ in scored],
                          model.grid_points, frame_times, prefix)
-    joints = _model_joint_order(model)
+    # The band plots are rendered before out_dir too.  A multi-joint
+    # panel's box is shorter than a band plot's and its cycle's angles
+    # lie in [0, 180], so when every band plot passes _band_panel's
+    # float-range check, every panel does.
+    outputs = _band_plots(model, _model_joint_order(model), cfg,
+                          prefix) + outputs
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # The parent renders the band plots and streams the overlay while the
+    # The parent writes the band plots and streams the overlay while the
     # pool writes the cycles' files.
     _write_cycles(scored, model, cfg, prefix, figures=True,
-                  meanwhile=lambda: _write(
-                      _band_plots(model, joints, cfg, prefix) + outputs))
-    # model and overlay, report + multi-joint panel + heatmap per cycle,
-    # band plots
-    written = len(outputs) + 3 * len(scored) + len(joints)
+                  meanwhile=lambda: _write(outputs))
+    # band plots, model and overlay, report + multi-joint panel + heatmap
+    # per cycle
+    written = len(outputs) + 3 * len(scored)
     print(f"analyzed {len(pairs)} cycle(s) of {seq.video_id!r}; wrote "
           f"{written} file(s) (plus figure sidecars) to {out_dir}")
     return 0

@@ -4,13 +4,14 @@ All documents are plain SVG built by string assembly with fixed-precision
 coordinates, so identical inputs produce byte-identical files (raster
 backends and plotting libraries do not guarantee that).  Coordinates are
 computed as arrays and each series is formatted by one ``%`` operation.
-A heatmap is one ``<path>`` per shade, a subpath per cell; a cycle's
+A heatmap is drawn in cell units, inside one scaling ``<g>``: one
+``<path>`` per shade, a unit stroke ``M{col} {row}h1`` per cell; a cycle's
 dots are one ``<path>`` per class, a zero-length subpath per dot that
 ``_STYLE`` strokes as an r=2 disc; a band panel's band and mean line are
 one ``<path>`` each, ``M`` to the first point and then one relative
 ``l`` step per point, in whole thousandths that add back up to each
 point's ``%.3f`` coordinates.  Markup that does not depend on the
-analyzed cycle is cached by the values it formats: the cell subpaths per
+analyzed cycle is cached by the values it formats: the cell strokes per
 matrix shape, and a band panel's band, mean line, axes and dot ``cx`` per
 (panel box, y range, k, mean and SD bytes).  Every figure carries a
 machine-readable sidecar describing exactly what was plotted (series
@@ -319,26 +320,33 @@ def render_multi_joint(flags_by_joint: Dict[str, np.ndarray],
 
 _CELL_W, _CELL_H = 8.0, 24.0
 _HEAT_LEFT, _HEAT_TOP = 110.0, 20.0
-_FILLS = tuple(f"rgb({v},{v},{v})" for v in range(256)) + ("#f5f5f5",)
+# Cell units: cell (row, col) is the unit stroke from (col, row) to
+# (col + 1, row), which at the default width 1 and butt caps, scaled by
+# (_CELL_W, _CELL_H), covers the pixel cell at (110 + 8 col, 20 + 24 row).
+_HEAT_UNITS = ('<g transform="translate(%s %s) scale(%s %s)">'
+               % tuple(_short_all([_HEAT_LEFT, _HEAT_TOP + _CELL_H / 2,
+                                   _CELL_W, _CELL_H])))
+# Shade v (0-255) is gray v in hex, three digits where each pair repeats;
+# index 256 is the NaN colour, pale red so that no gray can equal it.
+_STROKES = tuple("#" + (f"{v // 17:x}" if v % 17 == 0 else f"{v:02x}") * 3
+                 for v in range(256)) + ("#fde0dd",)
 
 
 @functools.lru_cache(maxsize=8)
 def _heatmap_cells(n_rows: int, n_cols: int) -> np.ndarray:
-    """Each cell's subpath (``M110 20h8v24h-8z``) in row-major order:
+    """Each cell's unit stroke (``M{col} {row}h1``) in row-major order:
     everything in a heatmap that depends only on the matrix shape."""
-    xs = _short_all([_HEAT_LEFT + c * _CELL_W for c in range(n_cols)])
-    ys = _short_all([_HEAT_TOP + r * _CELL_H for r in range(n_rows)])
-    w, h, back = _short_all([_CELL_W, _CELL_H, -_CELL_W])
-    return np.array([f"M{x} {y}h{w}v{h}h{back}z" for y in ys for x in xs],
-                    dtype=object)
+    return np.array([f"M{c} {r}h1" for r in range(n_rows)
+                     for c in range(n_cols)], dtype=object)
 
 
 def render_heatmap(severity: np.ndarray,
                    joint_names: Sequence[str] = JOINT_NAMES) -> FigureDoc:
     """Severity matrix as a grayscale heatmap, darker = larger deviation.
 
-    Severity 0 maps to white and 1 to black.  All-NaN rows (joints with
-    no data) render as blank rows and are listed in the sidecar.
+    Severity 0 maps to white and 1 to black.  NaN cells are drawn in the
+    pale red ``#fde0dd``, which no gray equals; all-NaN rows (joints with
+    no data) are also listed in the sidecar as blank rows.
     """
     severity = np.asarray(severity, dtype=float)
     if severity.ndim != 2 or severity.size == 0:
@@ -354,16 +362,17 @@ def render_heatmap(severity: np.ndarray,
 
     blank_rows = [joint_names[r]
                   for r in np.flatnonzero(np.isnan(severity).all(axis=1))]
-    # Shade 0-255 indexes _FILLS; index 256 is the NaN fill.
+    # Shade 0-255 indexes _STROKES; index 256 is the NaN colour.
     shade = np.rint(255.0 * (1.0 - np.clip(severity, 0.0, 1.0)))
     codes = np.where(np.isnan(severity), 256, shade).astype(int).ravel()
     # One path per shade used, in shade order, its cells in row-major order.
     cells = _heatmap_cells(n_rows, n_cols)[
         np.argsort(codes, kind="stable")].tolist()
     used, counts = np.unique(codes, return_counts=True)
-    body = [f'<path fill="{_FILLS[c]}" d="{"".join(cells[end - n:end])}"/>'
-            for c, n, end in zip(used.tolist(), counts.tolist(),
-                                 np.cumsum(counts).tolist())]
+    strokes = [f'<path stroke="{_STROKES[c]}" d="{"".join(cells[end - n:end])}"/>'
+               for c, n, end in zip(used.tolist(), counts.tolist(),
+                                    np.cumsum(counts).tolist())]
+    body = [_HEAT_UNITS, *strokes, "</g>"]
     for r in range(n_rows):
         y = top + r * _CELL_H
         body.append(f'<text x="{_fmt(left - 6)}" y="{_fmt(y + _CELL_H / 2 + 4)}" '

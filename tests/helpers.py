@@ -10,11 +10,13 @@ mean points back out of a document, and the references compute them one
 value at a time.
 """
 
+import functools
 import json
 import logging
 import math
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -643,18 +645,37 @@ def reference_multi_joint(flags_by_joint, cycle, model, cfg=None,
 HEAT_LEFT, HEAT_TOP, CELL_W, CELL_H = 110.0, 20.0, 8.0, 24.0
 
 
+def hex_rgb(color: str) -> tuple:
+    """(r, g, b) of an SVG hex colour, ``#rrggbb`` or ``#rgb``."""
+    m = re.fullmatch(r"#([0-9a-f]{3}|[0-9a-f]{6})", color)
+    assert m, f"not a hex colour: {color!r}"
+    digits = m.group(1)
+    if len(digits) == 3:
+        digits = "".join(d * 2 for d in digits)
+    return tuple(int(digits[i:i + 2], 16) for i in (0, 2, 4))
+
+
+@functools.lru_cache(maxsize=1)
+def nan_cell_color() -> str:
+    """The colour of a NaN heatmap cell, as the README states it."""
+    [color] = re.findall(
+        r"A NaN cell is drawn in `(#[0-9a-f]{6})`",
+        (Path(__file__).resolve().parents[1] / "README.md").read_text())
+    return color
+
+
 def reference_heatmap(severity) -> dict:
-    """{(row, col): fill} of a severity matrix, one value at a time:
-    ``round(255 * (1 - clip(s, 0, 1)))`` gray, half to even, or
-    ``#f5f5f5`` where ``s`` is NaN."""
-    cells = {}
+    """{(row, col): (r, g, b)} of a severity matrix, one value at a time:
+    gray ``round(255 * (1 - clip(s, 0, 1)))``, half to even, or where
+    ``s`` is NaN the README's ``nan_cell_color()``."""
+    cells, nan = {}, hex_rgb(nan_cell_color())
     for r, row in enumerate(np.asarray(severity, dtype=float).tolist()):
         for c, s in enumerate(row):
             if math.isnan(s):
-                cells[r, c] = "#f5f5f5"
+                cells[r, c] = nan
             else:
                 v = round(255.0 * (1.0 - min(max(s, 0.0), 1.0)))
-                cells[r, c] = f"rgb({v},{v},{v})"
+                cells[r, c] = (v, v, v)
     return cells
 
 
@@ -663,7 +684,8 @@ _NUM = r"(-?\d+(?:\.\d+)?)"
 # A number as the figures write cells and dots: at most three decimals,
 # no trailing zero, no trailing ".", no "-0".
 _SHORT = re.compile(r"-?(?:0|[1-9]\d*)(?:\.\d{0,2}[1-9])?")
-_CELL_PATH = re.compile(rf"M{_NUM} {_NUM}h{_NUM}v{_NUM}h{_NUM}z")
+_CELL_UNITS = re.compile(rf"translate\({_NUM} {_NUM}\) scale\({_NUM} {_NUM}\)")
+_UNIT_STROKE = re.compile(rf"M{_NUM} {_NUM}h1")
 _DOT_PATH = re.compile(rf"M{_NUM} {_NUM}h0")
 _DOT_ELEMENT = re.compile(r'<path class="(?:normal|abnormal)" d="[^"]*"/>')
 _SERIES_DATA = re.compile(r'(<path class="(?:band|mean)" d=")[^"]*"')
@@ -684,21 +706,37 @@ def _subpaths(pattern, d: str) -> list:
 
 
 def decode_heatmap(svg: str) -> dict:
-    """{(row, col): fill} of a heatmap document, read from its fill paths;
-    every cell is an 8 x 24 subpath on the grid and is drawn once, and the
-    document draws nothing else but text."""
-    cells = {}
-    for el in ET.fromstring(svg).iter():
+    """{(row, col): (r, g, b)} of a heatmap document.  Its cells are the
+    unit strokes ``M{x} {y}h1`` of the paths in its one ``<g>``: at the
+    default width 1 and butt caps a stroke covers the unit square
+    [x, x + 1] x [y - 1/2, y + 1/2], which the group's transform must map
+    onto one 8 x 24 pixel cell of the grid.  Every cell is drawn once,
+    and outside the group the document draws nothing but text."""
+    groups = []
+    for el in ET.fromstring(svg):
         tag = el.tag.replace(_SVG, "")
-        if tag in ("svg", "style", "text"):
-            continue
-        assert tag == "path" and "class" not in el.attrib, tag
-        for x, y, w, h, back in _subpaths(_CELL_PATH, el.get("d")):
-            assert (w, h, back) == (CELL_W, CELL_H, -CELL_W), (x, y)
-            row, col = (y - HEAT_TOP) / CELL_H, (x - HEAT_LEFT) / CELL_W
+        if tag == "g":
+            groups.append(el)
+        else:
+            assert tag in ("style", "text"), f"{tag} outside the cell group"
+    assert len(groups) == 1, f"{len(groups)} cell groups"
+    [group] = groups
+    assert list(group.attrib) == ["transform"], group.attrib
+    m = _CELL_UNITS.fullmatch(group.get("transform"))
+    assert m, group.get("transform")
+    tx, ty, sx, sy = map(float, m.groups())
+    assert (sx, sy) == (CELL_W, CELL_H), (sx, sy)
+    cells = {}
+    for el in group:
+        assert el.tag == _SVG + "path" and len(el) == 0, el.tag
+        assert sorted(el.attrib) == ["d", "stroke"], el.attrib
+        rgb = hex_rgb(el.get("stroke"))
+        for x, y in _subpaths(_UNIT_STROKE, el.get("d")):
+            left, top = tx + sx * x, ty + sy * (y - 0.5)
+            row, col = (top - HEAT_TOP) / CELL_H, (left - HEAT_LEFT) / CELL_W
             assert row == int(row) >= 0 and col == int(col) >= 0, (x, y)
             assert (int(row), int(col)) not in cells, f"cell {(row, col)} twice"
-            cells[int(row), int(col)] = el.get("fill")
+            cells[int(row), int(col)] = rgb
     return cells
 
 

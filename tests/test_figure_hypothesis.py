@@ -1,7 +1,13 @@
-"""Property check of the band panel's path data (0.11.0): the band and
-mean line are relative steps in whole thousandths, and summed back up
-every point is ``_fmt`` of its absolute coordinate, whatever the model,
-k and panel box, exact half-thousandth ties (0.0625 -> ``0.062``)
+"""Property checks of the figures' geometry.
+
+The band panel's path data (0.11.0): the band and mean line are relative
+steps in whole thousandths, and summed back up every point is ``_fmt``
+of its absolute coordinate, whatever the model, k and panel box, exact
+half-thousandth ties (0.0625 -> ``0.062``) included.
+
+The heatmap's cells (0.12.0): decoded from cell units back to pixel
+cells, every cell of any matrix shape has the reference's colour, gray
+or the NaN colour, severities outside [0, 1] and half-shade ties
 included.
 
 Runs only where hypothesis is installed; ``test_figures.py`` holds seeded
@@ -14,9 +20,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from gaitnorm.figures import _fmt, _panel  # noqa: E402
+from gaitnorm.figures import _fmt, _panel, render_heatmap  # noqa: E402
 
-from helpers import decode_series  # noqa: E402
+from helpers import (decode_heatmap, decode_series,  # noqa: E402
+                     reference_heatmap)
 
 
 def _at(v) -> int:
@@ -89,3 +96,32 @@ def test_ties_round_to_even():
     # the tie branch of _panels relies on these
     assert [_fmt(v) for v in (0.0625, 0.1875, -0.0625, 10.3125)] == \
         ["0.062", "0.188", "-0.062", "10.312"]
+
+
+@st.composite
+def _severities(draw):
+    """A severity matrix of random shape: values below 0, above 1 and
+    infinite, half-shade ties (odd multiples of 1/510: for 150 of the 255
+    of them 255 * (1 - s) is exactly a half), NaN cells and all-NaN
+    rows."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 120))
+    value = st.one_of(
+        st.floats(-2.0, 3.0),
+        st.sampled_from([-0.0, 0.0, 1.0, np.inf, -np.inf, np.nan]),
+        st.integers(0, 254).map(lambda i: (2 * i + 1) / 510.0))
+    matrix = np.array(draw(st.lists(value, min_size=rows * cols,
+                                    max_size=rows * cols)),
+                      dtype=float).reshape(rows, cols)
+    for r in draw(st.lists(st.integers(0, rows - 1), max_size=rows)):
+        matrix[r] = np.nan
+    return matrix
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(_severities())
+def test_decoded_heatmap_colours_are_the_reference(matrix):
+    names = [f"j{r}" for r in range(len(matrix))]
+    doc = render_heatmap(matrix, names)
+    assert decode_heatmap(doc.svg) == reference_heatmap(matrix)
+    assert doc.sidecar["blank_rows"] == [
+        n for n, row in zip(names, matrix) if np.isnan(row).all()]

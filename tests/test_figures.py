@@ -20,9 +20,10 @@ from gaitnorm.synth import demo_profiles, generate_pose_sequence
 from gaitnorm.pose_io import (CycleAnnotation, serialize_annotations,
                               serialize_pose_sequence)
 
-from helpers import (BAND_PLOT_BOX, decode_dots, decode_heatmap,
-                     decode_series, reference_heatmap, reference_multi_joint,
-                     reference_panel_series, without_geometry)
+from helpers import (BAND_PLOT_BOX, compact_canonical, decode_dots,
+                     decode_heatmap, decode_series, hex_rgb, reference_heatmap,
+                     reference_multi_joint, reference_panel_series,
+                     without_geometry)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -159,7 +160,7 @@ class TestHeatmap:
         cells = decode_heatmap(doc.svg)
         assert sorted(cells) == [(r, c) for r in range(10)
                                  for c in range(101)]
-        assert set(cells.values()) == {"rgb(255,255,255)"}
+        assert set(cells.values()) == {(255, 255, 255)}
         # one path per shade used
         assert _count(doc, "path") == 1
 
@@ -168,8 +169,8 @@ class TestHeatmap:
         matrix[3, 40] = 1.0
         doc = render_heatmap(matrix)
         cells = decode_heatmap(doc.svg)
-        assert [rc for rc, fill in cells.items()
-                if fill == "rgb(0,0,0)"] == [(3, 40)]
+        assert [rc for rc, rgb in cells.items()
+                if rgb == (0, 0, 0)] == [(3, 40)]
         assert doc.sidecar["max_severity"] == 1.0
 
     def test_severity_exactly_0_and_1_and_beyond(self):
@@ -178,9 +179,9 @@ class TestHeatmap:
         matrix[0, :4] = [-0.0, 1.5, -2.0, np.inf]
         cells = decode_heatmap(render_heatmap(matrix).svg)
         assert cells == reference_heatmap(matrix)
-        assert cells[0, 0] == "rgb(255,255,255)"
-        assert cells[0, 1] == cells[0, 3] == cells[1, 2] == "rgb(0,0,0)"
-        assert cells[0, 2] == cells[1, 1] == "rgb(255,255,255)"
+        assert cells[0, 0] == (255, 255, 255)
+        assert cells[0, 1] == cells[0, 3] == cells[1, 2] == (0, 0, 0)
+        assert cells[0, 2] == cells[1, 1] == (255, 255, 255)
 
     def test_nan_row_drawn_as_blank_cells(self):
         matrix = np.full((10, 101), 0.5)
@@ -189,11 +190,13 @@ class TestHeatmap:
         doc = render_heatmap(matrix)
         cells = decode_heatmap(doc.svg)
         assert cells == reference_heatmap(matrix)
-        blank = sorted(rc for rc, fill in cells.items() if fill == "#f5f5f5")
+        blank = sorted(rc for rc, rgb in cells.items()
+                       if rgb == (0xfd, 0xe0, 0xdd))
         assert blank == [(2, c) for c in range(101)] + [(5, 7)]
         assert doc.sidecar["blank_rows"] == [JOINT_NAMES[2]]
-        # the NaN fill comes after every gray
-        assert doc.svg.rindex('fill="rgb(') < doc.svg.index('fill="#f5f5f5"')
+        # the NaN colour comes after every gray
+        assert doc.svg.rindex('stroke="#') == \
+            doc.svg.index('stroke="#fde0dd"')
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_matrices_against_reference(self, seed):
@@ -209,10 +212,9 @@ class TestHeatmap:
             matrix[rng.integers(rows)] = np.nan
         doc = render_heatmap(matrix, [f"j{r}" for r in range(rows)])
         assert decode_heatmap(doc.svg) == reference_heatmap(matrix)
-        fills = [el.get("fill") for el in _svg_root(doc)
-                 if el.tag.endswith("path")]
-        order = [256 if f == "#f5f5f5" else int(f[4:].split(",")[0])
-                 for f in fills]
+        strokes = [el.get("stroke") for el in _svg_root(doc).iter()
+                   if el.tag.endswith("path")]
+        order = [256 if s == "#fde0dd" else hex_rgb(s)[0] for s in strokes]
         assert order == sorted(set(order))
 
     def test_shape_in_sidecar(self):
@@ -237,8 +239,32 @@ class TestHeatmap:
         matrix[0, 1] = 0.75
         doc = render_heatmap(matrix)
         # darker cell = smaller rgb value
-        assert "rgb(191,191,191)" in doc.svg  # 0.25
-        assert "rgb(64,64,64)" in doc.svg     # 0.75
+        assert 'stroke="#bfbfbf"' in doc.svg  # 0.25, gray 191
+        assert 'stroke="#404040"' in doc.svg  # 0.75, gray 64
+
+    def test_cell_markup(self):
+        # one group in cell units, a unit stroke per cell, grays in hex
+        # (three digits where each pair repeats), the NaN colour last
+        matrix = np.array([[0.0, 1.0, np.nan], [0.5, 0.2, 2 / 255]])
+        svg = render_heatmap(matrix, ["a", "b"]).svg
+        assert svg[svg.index("<g "):svg.index("</g>") + 4] == (
+            '<g transform="translate(110 32) scale(8 24)">'
+            '<path stroke="#000" d="M1 0h1"/>'
+            '<path stroke="#808080" d="M0 1h1"/>'
+            '<path stroke="#ccc" d="M1 1h1"/>'
+            '<path stroke="#fdfdfd" d="M2 1h1"/>'
+            '<path stroke="#fff" d="M0 0h1"/>'
+            '<path stroke="#fde0dd" d="M2 0h1"/></g>')
+        assert svg.index("</g>") < svg.index("<text")
+
+    def test_a_blank_row_is_not_drawn_as_a_near_normal_one(self):
+        # gray 245, a severity of 10/255 (|z| about 0.12), used to be the
+        # NaN fill as well; no gray is the NaN colour now
+        matrix = np.full((3, 5), 10 / 255)
+        matrix[1] = np.nan
+        cells = decode_heatmap(render_heatmap(matrix, ["a", "b", "c"]).svg)
+        assert cells[0, 0] == (245, 245, 245)
+        assert cells[1, 0] == (0xfd, 0xe0, 0xdd)
 
 
 class TestAnnotateFrames:
@@ -562,3 +588,41 @@ def test_a_reloaded_report_draws_the_pipelines_heatmap(run_outputs, tmp_path):
                  "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "walk.heatmap.svg").read_bytes() == \
         (out / "walk.c0.heatmap.svg").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["demo", "walk"])
+def test_overlay_keypoints_are_within_half_a_thousandth_of_the_input(
+        run_outputs, name):
+    # read with the standard library alone: one record per keypoint line,
+    # no edge list, every input landmark and no other
+    keypoints = {"demo": FIXTURES / "demo.keypoints.jsonl",
+                 "walk": run_outputs["walk"].parent / "walk.keypoints.jsonl"}
+    lines = [json.loads(line) for line in
+             keypoints[name].read_text().splitlines() if line.strip()]
+    [overlay] = run_outputs[name].glob("*.overlays.json")
+    records = json.loads(overlay.read_text())
+    assert len(records) == len(lines)
+    given = {line["frame"]: line["keypoints"] for line in lines}
+    for record in records:
+        assert "edges" not in record, record["frame"]
+        inputs = given[record["frame"]]
+        assert sorted(record["keypoints"]) == sorted(inputs)
+        for landmark, values in record["keypoints"].items():
+            assert len(values) == len(inputs[landmark])
+            for got, want in zip(values, inputs[landmark]):
+                # 0.0005, plus the float rounding of want * 1000 / 1000
+                assert abs(got - want) <= 0.0005 + 1e-9, \
+                    (record["frame"], landmark, got, want)
+
+
+def test_every_json_file_of_a_run_is_compact_canonical(run_outputs):
+    # re-encoding with the writer's settings gives back the exact bytes,
+    # so a writer that drifts back to pretty-printing fails here
+    counts = {}
+    for name, out in run_outputs.items():
+        paths = sorted(out.glob("*.json"))
+        for path in paths:
+            data = path.read_bytes()
+            assert data == compact_canonical(data), path.name
+        counts[name] = len(paths)
+    assert counts == {"demo": 24, "walk": 132}

@@ -63,7 +63,7 @@ GOLDEN = {
     "band.right_shoulder.svg.json":
         "5da91b5a0ead84fa420790a46c429c0ab9a5fcc14599d0e660df9e1861f5af65",
     "c0.heatmap.svg":
-        "3dfb6ec84ff787a02f482447a00f6f9044b60c0a91e5d55926912f130e4438f8",
+        "6c788a0369374cee5508145f2659463ace9b30e2c889b403a899302e7025f0d9",
     "c0.heatmap.svg.json":
         "a537802acb499a5452753b8b4fae22b61829216d4073357c9164ae9e136aded6",
     "c0.multijoint.svg":
@@ -73,7 +73,7 @@ GOLDEN = {
     "c0.report.json":
         "cf513c8907e3c8a8e09e298e0993d3b8013660af14df0d162349d3ef9b7e0428",
     "c1.heatmap.svg":
-        "cdecbd1afa0246189513c452c1fae95084207c0375b77dbd9d79c367f9876985",
+        "d3e1bd4eee0a016eb8b72b0bf2eecb8ad6ac534c882cffee0142eeee7bb3f271",
     "c1.heatmap.svg.json":
         "a537802acb499a5452753b8b4fae22b61829216d4073357c9164ae9e136aded6",
     "c1.multijoint.svg":
@@ -83,7 +83,7 @@ GOLDEN = {
     "c1.report.json":
         "2965e6033a3e0b5a5470251e8e5fc9712a74f14460e978a7d0cbf58cfbb7d991",
     "c2.heatmap.svg":
-        "a641eb3289b9472b42249a4c668001a652dee8a8bd55cf5b084b8e6e6b2b2a31",
+        "5c36ed4a7bf2a51916f299aa44fe3df6d274aee17288fa25c35b92b474e95acb",
     "c2.heatmap.svg.json":
         "a537802acb499a5452753b8b4fae22b61829216d4073357c9164ae9e136aded6",
     "c2.multijoint.svg":
@@ -93,7 +93,7 @@ GOLDEN = {
     "c2.report.json":
         "03a149d4127bfa45eed64072114695e8c736f1ccb3a045047952180a78040067",
     "c3.heatmap.svg":
-        "b992f8e1354caf62ad9dc66f17b66722a8328c7c58754aaafc27f49567b352a7",
+        "86543d5214b75c8683ad558fead941002b006dfe7a82abd927b302a81408f17f",
     "c3.heatmap.svg.json":
         "9d8e8d33800d056b60e108beed7bdfe84eb39b1e610dcc3c5d0a28722027687a",
     "c3.multijoint.svg":
@@ -203,7 +203,7 @@ STAGE_GOLDEN = {
         "synthetic-walk.band.right_shoulder.svg.json":
             "00c4d0ad47bbc38415a67fb4b14e914a55376f9ac3611cd0155853f6eb905939",
         "synthetic-walk.heatmap.svg":
-            "b992f8e1354caf62ad9dc66f17b66722a8328c7c58754aaafc27f49567b352a7",
+            "86543d5214b75c8683ad558fead941002b006dfe7a82abd927b302a81408f17f",
         "synthetic-walk.heatmap.svg.json":
             "9d8e8d33800d056b60e108beed7bdfe84eb39b1e610dcc3c5d0a28722027687a",
         "synthetic-walk.multijoint.svg":

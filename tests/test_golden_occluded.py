@@ -61,7 +61,7 @@ GOLDEN = {
     "band.right_shoulder.svg.json":
         "5da91b5a0ead84fa420790a46c429c0ab9a5fcc14599d0e660df9e1861f5af65",
     "c0.heatmap.svg":
-        "72b0e001342326f3f31cca4d76e9b29ed411fd362af6075cff5b85c138f45f0f",
+        "8a75648239fed5ebc953a0c4d89af6ca602e9651cba1320712dc0d00aba55d14",
     "c0.heatmap.svg.json":
         "33c3ea824d34a295e3596114aab081eb653c680970f0a2261f0e63c45d2a2a9a",
     "c0.multijoint.svg":
@@ -71,7 +71,7 @@ GOLDEN = {
     "c0.report.json":
         "75ed7ac6fbc2b664f81acbe98f0e17e1d98f32eaf4f75518fc7b759b494888f9",
     "c1.heatmap.svg":
-        "0f557c2d5bdec5d1a9a1ef06b7103ad028cb86397fcf90633385ea2c70f1df2c",
+        "f93b552298ed51821b027b1e5d67c6389e7f2c905183868ba15aedde82281121",
     "c1.heatmap.svg.json":
         "d2ba0c41c9fa96a9967575673d9870d8062444f217f9428be57b77edac36341f",
     "c1.multijoint.svg":
@@ -81,7 +81,7 @@ GOLDEN = {
     "c1.report.json":
         "bcb3f7deb13fe4a6d770ddf754634de6dbb6c76564fd429f00a821f524800ef4",
     "c2.heatmap.svg":
-        "44af2ffb8b8a393a3b47ae0eb52f8d68d0911212efd3a06cabb6fafdd66fd491",
+        "acef877b373587879565fec03b768dae88b908aa11638a07d97357f036772bdf",
     "c2.heatmap.svg.json":
         "aadcfc0c9a4ea76f61f9443cf8e99956e4a014b99942ea0c6885719982d42d28",
     "c2.multijoint.svg":
@@ -91,7 +91,7 @@ GOLDEN = {
     "c2.report.json":
         "39a374a9d5a9276255698c1a3f39c98dbcba205e8d1f0e36665409d795e23b63",
     "c3.heatmap.svg":
-        "39aa54fe7dbaa53aa9379edc4f01259dba80b63398ff699cf005bc3ef288c835",
+        "078b04df287a5647d6f5b7f20c8bb107d3b9b87ac462e3ffcc397edd48c8fe29",
     "c3.heatmap.svg.json":
         "444a066a4f3b9a574a667f7a6a9287a1772bf803772033f06c785336379d9224",
     "c3.multijoint.svg":
@@ -101,7 +101,7 @@ GOLDEN = {
     "c3.report.json":
         "9342a248aed96674b4378d254b99023cfbcf31e2ced7f04c68090d84b2b3238a",
     "c4.heatmap.svg":
-        "47a69d714de82bb197252ff2902c51e5597c67b9b19e408464a81ef71d38d1c0",
+        "f63838f2dc0df8cb19bf464165683ce3307b854497c5fdd40a29131925574d1d",
     "c4.heatmap.svg.json":
         "2831c76e766f5c993c6590e8f9d2e0b6aaed5ecb482d77151275550290a7d91b",
     "c4.multijoint.svg":
@@ -111,7 +111,7 @@ GOLDEN = {
     "c4.report.json":
         "17f108b404e58964dd6de238c56da4171b5e0a2b2635d43402ed7e6a99679eac",
     "c5.heatmap.svg":
-        "1ceb3c28bccca832d163dbab6d1fd8f99c79ab867731742a33e3f6aa21216565",
+        "3c3802c49b19ddeef730836922c9a46df672c1456caddedce968e5a23935075d",
     "c5.heatmap.svg.json":
         "9d8e8d33800d056b60e108beed7bdfe84eb39b1e610dcc3c5d0a28722027687a",
     "c5.multijoint.svg":

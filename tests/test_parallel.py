@@ -246,6 +246,21 @@ def test_a_scoring_error_writes_nothing(tmp_path, monkeypatch, capsys,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("cpus", [SERIAL, PARALLEL])
+def test_a_band_too_wide_to_draw_writes_nothing(tmp_path, monkeypatch,
+                                                capsys, walk, cpus):
+    # the band plots are rendered before out_dir is made, and a panel
+    # fails only where a band plot does
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    out_dir = tmp_path / "k1"
+    assert main(["run", "--keypoints", str(walk[0]), "--annotations",
+                 str(walk[1]), "--k", "1e308", "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        "gaitnorm: validation error: the 1e+308 SD band is too wide to "
+        "draw\n")
+    assert not out_dir.exists()
+
+
 def test_lowest_failing_write_raises_the_serial_validation_error(
         tmp_path, monkeypatch, capsys, cohort):
     cycles = cohort[0]
