@@ -216,7 +216,7 @@ def _detection_config(args) -> DetectionConfig:
     return DetectionConfig(args.k, args.sigma_floor_deg, args.severity_clip)
 
 
-def _model_joint_order(model):
+def _model_joints(model):
     ordered = [j for j in JOINT_NAMES if j in model.joints]
     ordered += sorted(j for j in model.joints if j not in JOINT_NAMES)
     return ordered
@@ -473,14 +473,15 @@ def cmd_figures(args) -> int:
 
     prefix = _prefix(args.out_dir, args.video_id or (
         report.video_id if report is not None else Path(args.model).stem))
-    outputs = _band_plots(model, args.joint or _model_joint_order(model),
-                          cfg, prefix, report, cycle)
+    # Each --joint once, in first-seen order.
+    joints = list(dict.fromkeys(args.joint or _model_joints(model)))
+    outputs = _band_plots(model, joints, cfg, prefix, report, cycle)
     if report is not None:
         outputs += _cycle_figures(report, cycle, model, cfg, prefix)
         if args.keypoints and report.annotation is not None:
             seq = _load_sequence(args.keypoints, args.video_id)
             outputs += _overlays(
-                seq, [(report.annotation, report.flag)], model.grid_points,
+                seq, [(report.annotation, report.flag)], report.grid_points,
                 _frame_times(seq, report.phase_source), prefix)
 
     # Everything is rendered, and the overlay's statuses mapped, before
@@ -526,7 +527,7 @@ def cmd_run(args) -> int:
     # panel's box is shorter than a band plot's and its cycle's angles
     # lie in [0, 180], so when every band plot passes _band_panel's
     # float-range check, every panel does.
-    outputs = _band_plots(model, _model_joint_order(model), cfg,
+    outputs = _band_plots(model, _model_joints(model), cfg,
                           prefix) + outputs
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,19 +8,20 @@ spline fitted through the non-missing samples, which also fills interior
 gaps.  Joints without enough coverage are marked invalid instead of being
 extrapolated: spline extrapolation is wild and clinically misleading.
 
-The work is array-at-a-time.  A cycle is cut from a joint's sorted frame
-indices with two ``np.searchsorted`` calls, so each cut costs
-O(log frames), and its phases come as one array from ``_phases``, the one
-frame -> phase rule, which ``detect.frame_statuses`` shares.  ``CycleSlice``
-holds those (phase, angle) columns, NaN marking a missing angle.  Resampling
-groups a cycle's joints by the bytes of their knot phases and fits each
-group with one multi-series spline (see ``spline``): one solve per knot
-layout, usually one per cycle, with values bit-identical to per-joint fits.
+The work is array-at-a-time.  Every joint's series runs over the same
+frames, so a cycle is cut once, with two ``np.searchsorted`` calls, and
+phased once by ``_phases``, the one frame -> phase rule, which
+``detect.frame_statuses`` shares.  ``CycleSlice`` holds that one
+``phases`` array and each joint's angles at those phases, NaN marking a
+missing angle.  Resampling groups a cycle's joints by the bytes of their
+knot phases and fits each group with one multi-series spline (see
+``spline``): one solve per knot layout, with values bit-identical to
+per-joint fits.
 """
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -41,21 +42,20 @@ MIN_KNOTS_PER_CYCLE = 4
 # the fitted span.
 EDGE_COVERAGE_PERCENT = 0.5
 
+@dataclass(eq=False)
 class CycleSlice:
-    """Raw per-joint (phase, angle) samples for one annotated cycle.
+    """The raw samples of one annotated cycle.
 
-    ``columns[joint]`` is a pair of equal-length float arrays, phases in
-    percent and angles in degrees.  Missing samples stay in place as NaN
-    angles so the resampler can see (and refuse to bridge) coverage gaps
-    at the cycle edges.
+    ``phases`` holds the percent phase of each frame of the cycle, and
+    ``angles[joint]`` that joint's angle in degrees at each of them.
+    Missing samples stay in place as NaN angles so the resampler can see
+    (and refuse to bridge) coverage gaps at the cycle edges.
     """
 
-    def __init__(self, annotation: CycleAnnotation, video_id: str = "", *,
-                 columns: Optional[Dict[str, Tuple[np.ndarray,
-                                                   np.ndarray]]] = None):
-        self.annotation = annotation
-        self.video_id = video_id
-        self.columns = columns if columns is not None else {}
+    annotation: CycleAnnotation
+    video_id: str
+    phases: np.ndarray
+    angles: Dict[str, np.ndarray]
 
     @property
     def cycle_id(self) -> str:
@@ -103,34 +103,31 @@ def segment_cycles(series_by_joint: Mapping[str, AngleSeries],
     -> seconds) switches to linear-in-time phases for variable frame
     rates.
 
-    Raises ``ValidationError`` when an annotation's boundary frames are
-    not present in the series.
+    Raises ``ValidationError`` when the series do not all hold the same
+    frames, or when an annotation's boundary frames are not among them.
     """
     if not series_by_joint:
         raise ValidationError("no angle series given")
     frames = next(iter(series_by_joint.values())).frames
+    for joint, series in series_by_joint.items():
+        if not np.array_equal(series.frames, frames):
+            raise ValidationError(f"angle series {joint!r} holds other "
+                                  f"frames than the first series")
 
     slices = []
     for ann in annotations:
-        cut = _cut(frames, ann)
-        if cut.stop - cut.start < 2 or frames[cut.start] != ann.start_frame \
-                or frames[cut.stop - 1] != ann.end_frame:
+        lo = int(np.searchsorted(frames, ann.start_frame, side="left"))
+        hi = int(np.searchsorted(frames, ann.end_frame, side="right"))
+        if hi - lo < 2 or frames[lo] != ann.start_frame \
+                or frames[hi - 1] != ann.end_frame:
             raise ValidationError(
                 f"cycle [{ann.start_frame}, {ann.end_frame}] references "
                 f"frames absent from the series")
-        columns = {}
-        for joint, series in series_by_joint.items():
-            own = _cut(series.frames, ann)
-            columns[joint] = (_phases(ann, series.frames[own], frame_times),
-                              series.angles[own])
-        slices.append(CycleSlice(ann, video_id=video_id, columns=columns))
+        slices.append(CycleSlice(
+            ann, video_id, _phases(ann, frames[lo:hi], frame_times),
+            {joint: series.angles[lo:hi]
+             for joint, series in series_by_joint.items()}))
     return slices
-
-
-def _cut(frames: np.ndarray, ann: CycleAnnotation) -> slice:
-    """Positions of the frames within ``ann`` in sorted ``frames``."""
-    return slice(int(np.searchsorted(frames, ann.start_frame, side="left")),
-                 int(np.searchsorted(frames, ann.end_frame, side="right")))
 
 
 def _phases(ann: CycleAnnotation, frames: np.ndarray,
@@ -185,14 +182,14 @@ def resample_cycle(cycle_slice: CycleSlice,
                    grid_points: int = DEFAULT_GRID_POINTS) -> NormalizedCycle:
     """Resample one cycle onto the fixed phase grid.
 
-    Per joint, a natural cubic spline is fitted through the non-missing
-    (phase, angle) samples and evaluated at all grid phases; joints whose
-    samples sit at the same phases share one fit.  A joint is marked
-    invalid (all-NaN, ``valid=False``) instead of fitted when it has fewer
-    than 4 usable samples or its coverage leaves more than half a percent
-    uncovered at either cycle edge.  Grid phases inside that half-percent
-    tolerance but outside the fitted span take the nearest knot's value
-    rather than extrapolating.
+    Per joint, a natural cubic spline is fitted through the slice's
+    phases where the joint's angle is present and evaluated at all grid
+    phases; joints missing the same samples share one fit.  A joint is
+    marked invalid (all-NaN, ``valid=False``) instead of fitted when it
+    has fewer than 4 usable samples or its coverage leaves more than half
+    a percent uncovered at either cycle edge.  Grid phases inside that
+    half-percent tolerance but outside the fitted span take the nearest
+    knot's value rather than extrapolating.
 
     Spline overshoot is clamped to [0, 180]; a warning is logged when the
     clamp moves any value by more than 1 degree.  The clamped values are
@@ -204,9 +201,9 @@ def resample_cycle(cycle_slice: CycleSlice,
     valid: Dict[str, bool] = {}
     layouts = {}  # knot abscissae bytes -> (abscissae, joints, knot angles)
     fitted = {}  # joint -> (grid values clamped, largest move of the clamp)
-    for joint, (phases, raw) in cycle_slice.columns.items():
+    for joint, raw in cycle_slice.angles.items():
         present = ~np.isnan(raw)
-        knot_x = phases[present]
+        knot_x = cycle_slice.phases[present]
         valid[joint] = not (len(knot_x) < MIN_KNOTS_PER_CYCLE
                             or knot_x[0] > EDGE_COVERAGE_PERCENT
                             or knot_x[-1] < 100.0 - EDGE_COVERAGE_PERCENT)

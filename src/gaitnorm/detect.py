@@ -9,7 +9,8 @@ clipping at ``severity_clip`` standard deviations, for heatmap shading.
 A report stores only z, at 1/1000 SD, and the config; ``build_report``
 rounds z to that precision before anything is decided from it, and
 ``judge`` derives the rest whenever a ``DeviationReport`` is made, by
-``build_report`` or ``load_report``.
+``build_report`` or ``load_report``.  Unknown joints, severity rows and
+frame-status columns follow ``kinematics.JOINT_NAMES``.
 
 The sigma floor (default half a degree) keeps a near-deterministic cohort
 from dividing deviations by ~0; sub-half-degree precision is beyond what
@@ -104,27 +105,26 @@ def judge(z: np.ndarray, cfg: DetectionConfig) -> Tuple[np.ndarray, ...]:
     return flags, severity
 
 
-def severity_matrix(report: DeviationReport,
-                    joint_order: Sequence[str] = JOINT_NAMES) -> np.ndarray:
-    """The report's severity as a ``(len(joint_order), grid_points)``
-    matrix, one row per joint of ``joint_order``.  A joint with no
+def severity_matrix(report: DeviationReport) -> np.ndarray:
+    """The report's severity as a ``(len(JOINT_NAMES), grid_points)``
+    matrix, one row per joint of ``JOINT_NAMES``.  A joint with no
     severity in the report (unknown, or not in the analysis) is an
     all-NaN row, so the shape stays fixed even when every joint of the
     cycle is unknown."""
     blank = np.full(report.grid_points, np.nan)
-    return np.array([report.severity.get(j, blank) for j in joint_order],
-                    dtype=float).reshape(len(joint_order), report.grid_points)
+    return np.array([report.severity.get(j, blank) for j in JOINT_NAMES],
+                    dtype=float)
 
 
 def frame_statuses(seq_cycles: Sequence[Tuple[CycleAnnotation, Dict[str, np.ndarray]]],
                    frames: Iterable[int],
                    grid_points: int,
-                   joint_order: Sequence[str] = JOINT_NAMES,
+                   *,
                    frame_times: Optional[Mapping[int, float]] = None,
                    ) -> np.ndarray:
     """Map per-cycle grid flags back onto video frames: an object array
     of status strings, one row per frame of ``frames`` (in that order)
-    and one column per joint of ``joint_order``.
+    and one column per joint of ``JOINT_NAMES``.
 
     Each frame inside an annotated cycle takes the flag at the nearest
     grid point of its phase; a frame on a shared boundary belongs to the
@@ -132,7 +132,8 @@ def frame_statuses(seq_cycles: Sequence[Tuple[CycleAnnotation, Dict[str, np.ndar
     used: linear in frame index, or in time when ``frame_times`` (frame
     index -> seconds) is given, where a frame timed outside its cycle is a
     ``ValidationError``.  Frames outside every cycle, and joints without
-    flags for their cycle, are reported unknown.
+    flags for their cycle, are reported unknown.  A joint whose flags are
+    not ``grid_points`` long is a ``ValidationError``.
     """
     ordered = sorted(seq_cycles, key=lambda p: (p[0].start_frame, p[0].end_frame))
     frames = np.fromiter(frames, dtype=np.int64)
@@ -144,16 +145,23 @@ def frame_statuses(seq_cycles: Sequence[Tuple[CycleAnnotation, Dict[str, np.ndar
     which = np.searchsorted(reach, frames, side="left")
     by_cycle = np.argsort(which, kind="stable")
     bounds = np.searchsorted(which[by_cycle], np.arange(len(ordered) + 1))
-    codes = np.full((len(frames), len(joint_order)), 2, dtype=np.int8)
+    codes = np.full((len(frames), len(JOINT_NAMES)), 2, dtype=np.int8)
     for (ann, flags), lo, hi in zip(ordered, bounds, bounds[1:]):
+        columns = [(col, np.asarray(flags[joint]))
+                   for col, joint in enumerate(JOINT_NAMES) if joint in flags]
+        for col, row in columns:
+            if row.shape != (grid_points,):
+                raise ValidationError(
+                    f"cycle [{ann.start_frame}, {ann.end_frame}]: joint "
+                    f"{JOINT_NAMES[col]!r} has flags of shape {row.shape} "
+                    f"on a {grid_points}-point grid")
         at = by_cycle[lo:hi]
         at = at[frames[at] >= ann.start_frame]
         if len(at):
             phase = _phases(ann, frames[at], frame_times)
             g = np.rint(phase / 100.0 * (grid_points - 1)).astype(np.int64)
-            for col, joint in enumerate(joint_order):
-                if joint in flags:
-                    codes[at, col] = np.asarray(flags[joint])[g]
+            for col, row in columns:
+                codes[at, col] = row[g]
     return _STATUSES[codes]
 
 
@@ -162,7 +170,6 @@ def build_report(cycle: NormalizedCycle, model: NormativeModel,
                  *,
                  video_id: str = "",
                  annotation: Optional[CycleAnnotation] = None,
-                 joint_order: Sequence[str] = JOINT_NAMES,
                  phase_source: str = "frames") -> DeviationReport:
     """Score one cycle against the model: the only place z-scores are
     computed, rounded to ``REPORT_Z_DECIMALS`` (flags and severity follow
@@ -203,7 +210,7 @@ def build_report(cycle: NormalizedCycle, model: NormativeModel,
             f"{mean[row, g]}, SD after the sigma floor {sigma[row, g]}); "
             f"raise the sigma floor")
     z = at_precision(z, REPORT_Z_DECIMALS)
-    unknown = [j for j in joint_order if j not in joints]
+    unknown = [j for j in JOINT_NAMES if j not in joints]
     return DeviationReport(
         video_id=video_id,
         cycle_id=cycle.cycle_id,

@@ -22,17 +22,17 @@ Four figure families:
 
 * band plot -- one joint's normative mean with the +/- k*SD envelope,
   optionally overlaid with an analyzed cycle's normal/abnormal samples
-* multi-joint -- the band plot repeated as a 10-panel grid
-* heatmap -- joints x cycle-percent severity, darker = larger deviation
+* multi-joint -- the band plot repeated, one panel per ``JOINT_NAMES`` joint
+* heatmap -- one row per joint by cycle percent, darker = larger deviation
 * frame overlays -- per-frame keypoint + joint status records meant to be
   drawn over video frames by downstream tooling
 
 An overlay record holds ``frame``, ``time_s`` (full precision, ``null``
 when the frame has no time), ``keypoints`` (name -> [x, y, visibility]
 of each present landmark, rounded to 1/1000 px) and ``joint_status``
-(joint -> normal/abnormal/unknown).  The skeleton is not stored: a
-downstream drawer joins the ``SKELETON_EDGES`` pairs whose two landmarks
-are both in the record's ``keypoints``.
+(each joint of ``JOINT_NAMES`` -> normal/abnormal/unknown).  The
+skeleton is not stored: a downstream drawer joins the ``SKELETON_EDGES``
+pairs whose two landmarks are both in the record's ``keypoints``.
 
 The overlay document is written by ``overlay_chunks`` straight from a
 ``PoseSequence``'s arrays, ``pose_io.CHUNK_FRAMES`` frames at a time, so
@@ -268,9 +268,8 @@ def render_band_plot(model: NormativeModel, joint: str,
 def render_multi_joint(flags_by_joint: Dict[str, np.ndarray],
                        cycle: NormalizedCycle,
                        model: NormativeModel,
-                       cfg: Optional[DetectionConfig] = None,
-                       joint_order: Sequence[str] = JOINT_NAMES) -> FigureDoc:
-    """All joints of one analyzed cycle as a panel grid.
+                       cfg: Optional[DetectionConfig] = None) -> FigureDoc:
+    """All ``JOINT_NAMES`` of one analyzed cycle as a panel grid.
 
     Each renderable panel repeats the band-plot styling; joints invalid in
     the cycle (or absent from model/flags) become "insufficient data"
@@ -281,12 +280,12 @@ def render_multi_joint(flags_by_joint: Dict[str, np.ndarray],
     if cycle.grid_points != n:
         raise ValidationError("cycle grid size does not match model")
     panel_w, panel_h, pad, cols = 380.0, 170.0, 16.0, 2
-    rows = (len(joint_order) + cols - 1) // cols
+    rows = (len(JOINT_NAMES) + cols - 1) // cols
     width = cols * panel_w + (cols + 1) * pad
     height = rows * panel_h + (rows + 1) * pad
 
     body, panels = [], []
-    for i, joint in enumerate(joint_order):
+    for i, joint in enumerate(JOINT_NAMES):
         col, row = i % cols, i // cols
         ox = pad + col * (panel_w + pad)
         oy = pad + row * (panel_h + pad)
@@ -340,9 +339,10 @@ def _heatmap_cells(n_rows: int, n_cols: int) -> np.ndarray:
                      for c in range(n_cols)], dtype=object)
 
 
-def render_heatmap(severity: np.ndarray,
-                   joint_names: Sequence[str] = JOINT_NAMES) -> FigureDoc:
-    """Severity matrix as a grayscale heatmap, darker = larger deviation.
+def render_heatmap(severity: np.ndarray) -> FigureDoc:
+    """Severity matrix as a grayscale heatmap, darker = larger deviation:
+    one row per joint of ``JOINT_NAMES``, as ``detect.severity_matrix``
+    returns it.
 
     Severity 0 maps to white and 1 to black.  NaN cells are drawn in the
     pale red ``#fde0dd``, which no gray equals; all-NaN rows (joints with
@@ -352,15 +352,15 @@ def render_heatmap(severity: np.ndarray,
     if severity.ndim != 2 or severity.size == 0:
         raise ValidationError("severity matrix must be 2-D and non-empty")
     n_rows, n_cols = severity.shape
-    if len(joint_names) != n_rows:
+    if n_rows != len(JOINT_NAMES):
         raise ValidationError(
-            f"{n_rows} matrix rows but {len(joint_names)} joint names")
+            f"{n_rows} matrix rows but {len(JOINT_NAMES)} joints")
 
     left, top = _HEAT_LEFT, _HEAT_TOP
     width = left + n_cols * _CELL_W + 20.0
     height = top + n_rows * _CELL_H + 40.0
 
-    blank_rows = [joint_names[r]
+    blank_rows = [JOINT_NAMES[r]
                   for r in np.flatnonzero(np.isnan(severity).all(axis=1))]
     # Shade 0-255 indexes _STROKES; index 256 is the NaN colour.
     shade = np.rint(255.0 * (1.0 - np.clip(severity, 0.0, 1.0)))
@@ -376,7 +376,7 @@ def render_heatmap(severity: np.ndarray,
     for r in range(n_rows):
         y = top + r * _CELL_H
         body.append(f'<text x="{_fmt(left - 6)}" y="{_fmt(y + _CELL_H / 2 + 4)}" '
-                    f'font-size="11" text-anchor="end">{joint_names[r]}</text>')
+                    f'font-size="11" text-anchor="end">{JOINT_NAMES[r]}</text>')
     for pct in (0, 25, 50, 75, 100):
         x = left + pct / 100.0 * (n_cols - 1) * _CELL_W + _CELL_W / 2.0
         body.append(f'<text x="{_fmt(x)}" y="{_fmt(top + n_rows * _CELL_H + 16)}" '
@@ -387,7 +387,7 @@ def render_heatmap(severity: np.ndarray,
         "figure_kind": "heatmap",
         "rows": n_rows,
         "cols": n_cols,
-        "joints": list(joint_names),
+        "joints": list(JOINT_NAMES),
         "blank_rows": blank_rows,
         "max_severity": float(finite.max()) if finite.size else None,
     }
@@ -424,14 +424,12 @@ def _record_template(present: Tuple[bool, ...], timed: bool) -> str:
     return text
 
 
-def overlay_chunks(seq: PoseSequence, statuses: np.ndarray,
-                   joint_order: Sequence[str] = JOINT_NAMES
-                   ) -> Iterator[bytes]:
+def overlay_chunks(seq: PoseSequence, statuses: np.ndarray) -> Iterator[bytes]:
     """The overlay document, ``pose_io.CHUNK_FRAMES`` frames at a time:
     per frame, its time, the keypoint pixel positions and visibilities at
     1/1000 px, and the per-joint status key (normal/abnormal/unknown).
     ``statuses`` holds one row per frame of ``seq`` and one column per
-    joint of ``joint_order``, as ``detect.frame_statuses`` returns them.
+    joint of ``JOINT_NAMES``, as ``detect.frame_statuses`` returns them.
 
     The joined bytes are ``_dump`` of ``annotate_frames``'s records,
     written from the arrays of ``seq``: one cached template per (present
@@ -442,9 +440,9 @@ def overlay_chunks(seq: PoseSequence, statuses: np.ndarray,
     """
     n = len(seq.frame_index)
     statuses = np.asarray(statuses, dtype=object)
-    if statuses.shape != (n, len(joint_order)):
+    if statuses.shape != (n, len(JOINT_NAMES)):
         raise ValidationError(
-            f"statuses must have shape {(n, len(joint_order))} (frames, "
+            f"statuses must have shape {(n, len(JOINT_NAMES))} (frames, "
             f"joints), got {statuses.shape}")
     if n == 0:
         yield _dump([])
@@ -457,7 +455,7 @@ def overlay_chunks(seq: PoseSequence, statuses: np.ndarray,
         present, timed = all_present[lo:hi], all_timed[lo:hi]
         rows = list(map(tuple, statuses[lo:hi].tolist()))
         for row in set(rows).difference(status_text):
-            status_text[row] = _json(dict(zip(joint_order, row)))
+            status_text[row] = _json(dict(zip(JOINT_NAMES, row)))
         # Per frame: frame, status, x, y, visibility per landmark, time.
         floats = np.concatenate(
             (pose_io.at_precision(
@@ -483,11 +481,10 @@ def overlay_chunks(seq: PoseSequence, statuses: np.ndarray,
     yield b"]\n"
 
 
-def annotate_frames(seq: PoseSequence, statuses: np.ndarray,
-                    joint_order: Sequence[str] = JOINT_NAMES) -> List[dict]:
+def annotate_frames(seq: PoseSequence, statuses: np.ndarray) -> List[dict]:
     """Per-frame overlay records for drawing skeletons over video: the
     ``overlay_chunks`` document, decoded."""
-    return json.loads(b"".join(overlay_chunks(seq, statuses, joint_order)))
+    return json.loads(b"".join(overlay_chunks(seq, statuses)))
 
 
 def write_figure(doc: FigureDoc, svg_path) -> None:

@@ -97,11 +97,9 @@ def build_normative_model(cycles: List[NormalizedCycle],
                 f"cycles may form the normative cohort")
 
     ordered = sorted(cycles, key=_canonical_order)
-    joint_names = sorted({j for c in ordered for j in c.angles})
-
     ddof = 1 if std_kind == "sample" else 0
     joints: Dict[str, JointNormals] = {}
-    for joint in joint_names:
+    for joint in sorted({j for c in ordered for j in c.angles}):
         stack = [c.angles[joint] for c in ordered if c.valid.get(joint, False)]
         if len(stack) < 2:
             logger.warning("joint %s: only %d valid cycle(s); omitted from "

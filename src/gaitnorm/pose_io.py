@@ -251,8 +251,7 @@ def _require_int(value, what: str) -> int:
 
 
 def parse_pose_sequence(data: bytes, strict: bool = False, *,
-                        video_id: str = "",
-                        fps: Optional[float] = None) -> PoseSequence:
+                        video_id: str = "") -> PoseSequence:
     """Parse a line-delimited keypoint file into a ``PoseSequence``.
 
     Each non-blank line is one JSON object::
@@ -273,8 +272,8 @@ def parse_pose_sequence(data: bytes, strict: bool = False, *,
     the first bad value and its line.  Unknown-name warnings are logged
     once every chunk has passed, in line order.
 
-    The line format carries no video identity or frame rate, so callers
-    supply ``video_id`` and ``fps``.
+    The line format carries no video identity, so callers supply
+    ``video_id``; the sequence's ``fps`` is None.
     """
     lines = [(lineno, line) for lineno, raw
              in enumerate(data.splitlines(), start=1) if (line := raw.strip())]
@@ -305,8 +304,8 @@ def parse_pose_sequence(data: bytes, strict: bool = False, *,
         order = np.argsort(frame_index)
         frame_index, time_s, keypoints = (
             frame_index[order], time_s[order], keypoints[order])
-    return PoseSequence(video_id, fps=fps, frame_index=frame_index,
-                        time_s=time_s, keypoints=keypoints)
+    return PoseSequence(video_id, frame_index=frame_index, time_s=time_s,
+                        keypoints=keypoints)
 
 
 def _raise_first_error(lines: List[Tuple[int, bytes]], strict: bool):

@@ -370,14 +370,13 @@ def build_norm_file(cycles, directory) -> bytes:
     return model_path.read_bytes() if code == 0 else b""
 
 
-def reference_overlay_records(frames, statuses,
-                              joint_order=JOINT_NAMES) -> list:
+def reference_overlay_records(frames, statuses) -> list:
     """Overlay records built one ``KeypointFrame`` and one value at a
     time, each frame with its row of ``statuses`` (one status per joint
-    of ``joint_order``)."""
+    of ``JOINT_NAMES``)."""
     records = []
     for frame, row in zip(frames, statuses, strict=True):
-        joint_status = dict(zip(joint_order, row, strict=True))
+        joint_status = dict(zip(JOINT_NAMES, row, strict=True))
         keypoints = {
             name: [at_thousandths(v)
                    for v in (kp.point.x, kp.point.y, kp.visibility)]
@@ -407,8 +406,8 @@ def reference_phase(ann, frame_index, frame_times=None) -> float:
 
 
 def reference_frame_statuses(seq_cycles, frames, grid_points,
-                             joint_order=JOINT_NAMES, frame_times=None):
-    """A list of statuses per frame, one per joint of ``joint_order``,
+                             frame_times=None):
+    """A list of statuses per frame, one per joint of ``JOINT_NAMES``,
     one frame at a time: a linear scan for the first cycle in (start,
     end) order that holds the frame, then ``round`` of its scalar phase
     to the nearest grid point."""
@@ -419,18 +418,18 @@ def reference_frame_statuses(seq_cycles, frames, grid_points,
         hit = next(((a, fl) for a, fl in ordered
                     if a.start_frame <= f <= a.end_frame), None)
         if hit is None:
-            out.append([STATUS_UNKNOWN] * len(joint_order))
+            out.append([STATUS_UNKNOWN] * len(JOINT_NAMES))
             continue
         ann, flags = hit
         g = int(round(reference_phase(ann, f, frame_times) / 100.0
                       * (grid_points - 1)))
         out.append([STATUS_UNKNOWN if j not in flags else
                     STATUS_ABNORMAL if flags[j][g] else STATUS_NORMAL
-                    for j in joint_order])
+                    for j in JOINT_NAMES])
     return out
 
 
-def reference_report(cycle, model, cfg=None, joint_order=JOINT_NAMES):
+def reference_report(cycle, model, cfg=None):
     """z, flag and severity per valid joint, and the unknown joints, one
     joint and one grid sample at a time in Python floats:
     ``(angle - mean) / max(std, floor)`` at 1/1000 (``at_thousandths``),
@@ -449,7 +448,7 @@ def reference_report(cycle, model, cfg=None, joint_order=JOINT_NAMES):
         out["flag"][joint] = np.array([abs(v) > cfg.k for v in z])
         out["severity"][joint] = np.array(
             [min(abs(v), cfg.severity_clip) / cfg.severity_clip for v in z])
-    out["unknown_joints"] = [j for j in joint_order if j not in out["z"]]
+    out["unknown_joints"] = [j for j in JOINT_NAMES if j not in out["z"]]
     return out
 
 
@@ -509,9 +508,9 @@ def reference_resample(cycle_slice, grid_points=101):
     overshoot warning reads the values before rounding."""
     grid = np.linspace(0.0, 100.0, grid_points)
     angles, valid, warnings = {}, {}, []
-    for joint, (phases, raw) in cycle_slice.columns.items():
+    for joint, raw in cycle_slice.angles.items():
         present = ~np.isnan(raw)
-        knot_x = phases[present]
+        knot_x = cycle_slice.phases[present]
         if len(knot_x) < MIN_KNOTS_PER_CYCLE \
                 or knot_x[0] > EDGE_COVERAGE_PERCENT \
                 or knot_x[-1] < 100.0 - EDGE_COVERAGE_PERCENT:
@@ -574,8 +573,7 @@ def reference_panel_series(normals, k, angles, box):
             "mean": _reference_points(xs, sy(normals.mean))}
 
 
-def reference_multi_joint(flags_by_joint, cycle, model, cfg=None,
-                          joint_order=JOINT_NAMES):
+def reference_multi_joint(flags_by_joint, cycle, model, cfg=None):
     """The multi-joint renderer that formats every panel from scratch, one
     value at a time: (svg as ``without_geometry`` leaves it, the dots of
     each panel as ``decode_dots`` gives them, the band and mean points
@@ -587,11 +585,11 @@ def reference_multi_joint(flags_by_joint, cycle, model, cfg=None,
     if cycle.grid_points != n:
         raise ValidationError("cycle grid size does not match model")
     panel_w, panel_h, pad, cols = 380.0, 170.0, 16.0, 2
-    rows = (len(joint_order) + cols - 1) // cols
+    rows = (len(JOINT_NAMES) + cols - 1) // cols
     width = cols * panel_w + (cols + 1) * pad
     height = rows * panel_h + (rows + 1) * pad
     body, dots, series, panels = [], [], [], []
-    for i, joint in enumerate(joint_order):
+    for i, joint in enumerate(JOINT_NAMES):
         ox = pad + (i % cols) * (panel_w + pad)
         oy = pad + (i // cols) * (panel_h + pad)
         body.append(f'<rect x="{_fmt(ox)}" y="{_fmt(oy)}" '

@@ -1,9 +1,11 @@
 import json
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gaitnorm import figures
 from gaitnorm.cli import main
 from gaitnorm.kinematics import JOINT_NAMES, MISSING_REASONS, angle_series_set
 from gaitnorm.pose_io import (KeypointFrame, PoseSequence, load_cycles,
@@ -66,10 +68,63 @@ def test_angles_and_segment(tmp_path):
     assert main(["segment", "--keypoints", str(KEYPOINTS),
                  "--annotations", str(ANNOTATIONS),
                  "--out", str(cycles_path)]) == 0
+    assert json.loads(cycles_path.read_text())["grid_points"] == 101
     cycles = load_cycles(cycles_path.read_bytes())
     assert len(cycles) == 4
     assert [c.label for c in cycles] == ["typical"] * 3 + ["atypical"]
     assert all(all(c.valid.values()) for c in cycles)
+
+
+def _cohort_60(tmp_path):
+    """``synth --n 60 --seed 3``: the cohort path."""
+    cohort = tmp_path / "cohort.json"
+    assert main(["synth", "--n", "60", "--seed", "3",
+                 "--out", str(cohort)]) == 0
+    return cohort
+
+
+def test_segment_and_synth_angles_have_at_most_3_decimals(tmp_path):
+    # Cycle angles are computed at 1/1000 deg and written as they are:
+    # read as number text, no angle of segment or synth has more than 3
+    # decimals, so a stage or writer that goes back to full precision
+    # fails here.
+    demo = tmp_path / "demo.cycles.json"
+    assert main(["segment", "--keypoints", str(KEYPOINTS),
+                 "--annotations", str(ANNOTATIONS), "--out", str(demo)]) == 0
+    n = 0
+    for path in (demo, _cohort_60(tmp_path)):
+        doc = json.loads(path.read_text(), parse_float=str)
+        for cycle in doc["cycles"]:
+            for joint, entry in cycle["joints"].items():
+                for text in entry["angle"] or ():
+                    assert Decimal(str(text)).as_tuple().exponent >= -3, \
+                        (path.name, cycle["cycle_id"], joint, text)
+                    n += 1
+    assert n == 4 * 10 * 101 + 60 * 10 * 101 == 64_640
+
+
+def test_detect_reports_are_strict_json_with_z_at_thousandths(tmp_path):
+    # Every report is strict JSON (no NaN or Infinity token), and holds
+    # each z at 1/1000 SD.
+    cohort, model = _cohort_60(tmp_path), tmp_path / "model.json"
+    assert main(["build-norm", "--cycles", str(cohort),
+                 "--out", str(model)]) == 0
+    assert main(["detect", "--cycles", str(cohort), "--model", str(model),
+                 "--out-dir", str(tmp_path / "all")]) == 0
+
+    def refuse(token):
+        raise ValueError(f"non-finite token {token}")
+
+    paths = sorted((tmp_path / "all").glob("*.report.json"))
+    assert len(paths) == 60
+    n = 0
+    for path in paths:
+        doc = json.loads(path.read_text(), parse_constant=refuse)
+        for joint, entry in doc["joints"].items():
+            for z in entry["z"]:
+                assert round(z, 3) == z, (path.name, joint, z)
+                n += 1
+    assert n == 60 * 10 * 101
 
 
 def test_angles_output_holds_the_angle_columns(tmp_path):
@@ -375,6 +430,59 @@ def test_figures_overlays_follow_the_report_phase_source(tmp_path):
     for f in frames:
         assert fig_overlays[f]["joint_status"] == \
             run_overlays[f]["joint_status"]
+
+
+def _demo_run(tmp_path, grid_points):
+    """``run --grid-points N`` on the demo fixture: (model, cycle 1's
+    report)."""
+    out = tmp_path / f"run{grid_points}"
+    assert main(["run", "--keypoints", str(KEYPOINTS), "--annotations",
+                 str(ANNOTATIONS), "--out-dir", str(out),
+                 "--grid-points", str(grid_points)]) == 0
+    return (out / "synthetic-walk.model.json",
+            out / "synthetic-walk.c1.report.json")
+
+
+@pytest.mark.parametrize("report_grid,model_grid", [(51, 101), (101, 51)])
+def test_figures_overlays_map_flags_on_the_reports_grid(tmp_path, report_grid,
+                                                        model_grid):
+    # The overlay used to map the report's flags on the model's grid: a
+    # 51-point report over a 101-point model indexed past the flags (an
+    # IndexError), and a 101-point report over a 51-point model wrote
+    # wrong statuses.  Now a model on another grid writes the overlay of
+    # the report drawn over a model on its own grid.
+    own_model, report = _demo_run(tmp_path, report_grid)
+    other_model, _ = _demo_run(tmp_path, model_grid)
+    overlays = {}
+    for name, model in (("own", own_model), ("other", other_model)):
+        assert main(["figures", "--model", str(model), "--report",
+                     str(report), "--keypoints", str(KEYPOINTS),
+                     "--out-dir", str(tmp_path / name)]) == 0
+        overlays[name] = (tmp_path / name / "synthetic-walk.overlays.json"
+                          ).read_bytes()
+    assert overlays["other"] == overlays["own"]
+    statuses = [r["joint_status"] for r in json.loads(overlays["own"])]
+    assert {"normal", "abnormal"} <= {v for s in statuses for v in s.values()}
+
+
+def test_figures_repeated_joint_renders_one_band_plot(tmp_path, capsys,
+                                                      monkeypatch):
+    drawn = []
+    real = figures.render_band_plot
+
+    def recording(model, joint, **kwargs):
+        drawn.append(joint)
+        return real(model, joint, **kwargs)
+
+    monkeypatch.setattr(figures, "render_band_plot", recording)
+    argv = _figures_argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv + ["--joint", "right_knee", "--joint", "left_knee",
+                        "--joint", "right_knee"]) == 0
+    assert drawn == ["right_knee", "left_knee"]
+    assert "wrote 2 figure document(s)" in capsys.readouterr().out
+    assert sorted(p.name for p in (tmp_path / "fig").glob("*.svg")) == \
+        ["model.band.left_knee.svg", "model.band.right_knee.svg"]
 
 
 def _retimed_demo(tmp_path, frame, time_s):

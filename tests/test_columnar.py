@@ -129,13 +129,13 @@ def _statuses(seq, annotations, seed, phase_times=False):
                           frame_times=times)
 
 
-def _no_statuses(seq, joint_order=JOINT_NAMES):
+def _no_statuses(seq):
     """Every joint of every frame unknown: no cycle holds any frame."""
-    return frame_statuses([], seq.frame_index, 101, joint_order)
+    return frame_statuses([], seq.frame_index, 101)
 
 
-def _overlay(seq, statuses, joint_order=JOINT_NAMES) -> bytes:
-    return b"".join(overlay_chunks(seq, statuses, joint_order))
+def _overlay(seq, statuses) -> bytes:
+    return b"".join(overlay_chunks(seq, statuses))
 
 
 class TestParseEqualsReference:
@@ -266,10 +266,10 @@ class TestErrorsEqualReference:
 
 
 class TestOverlayEqualsReference:
-    def _check(self, seq, frames, statuses, joint_order=JOINT_NAMES):
-        records = reference_overlay_records(frames, statuses, joint_order)
-        assert _overlay(seq, statuses, joint_order) == _dump(records)
-        assert annotate_frames(seq, statuses, joint_order) == records
+    def _check(self, seq, frames, statuses):
+        records = reference_overlay_records(frames, statuses)
+        assert _overlay(seq, statuses) == _dump(records)
+        assert annotate_frames(seq, statuses) == records
 
     def test_demo_fixture(self):
         data = DEMO.read_bytes()
@@ -287,9 +287,7 @@ class TestOverlayEqualsReference:
         seq = parse_pose_sequence(data)
         statuses = _statuses(seq, _occluded_walker(seed)[1], seed)
         self._check(seq, reference_frames(data), statuses)
-        joints = ("left_knee", "extra")
-        self._check(seq, reference_frames(data), _no_statuses(seq, joints),
-                    joints)
+        self._check(seq, reference_frames(data), _no_statuses(seq))
 
     @pytest.mark.parametrize("seed", range(2))
     def test_occluded_walker(self, seed):

@@ -104,11 +104,13 @@ class TestSegmentCycles:
         ann = CycleAnnotation(110, 140, "typical")
         slices = segment_cycles(series, [ann], video_id="v")
         assert len(slices) == 1
+        phases = slices[0].phases
+        assert len(phases) == 31
+        assert phases[0] == 0.0
+        assert phases[-1] == 100.0
+        assert list(slices[0].angles) == list(series)
         for joint in series:
-            phases, angles = slices[0].columns[joint]
-            assert len(phases) == len(angles) == 31
-            assert phases[0] == 0.0
-            assert phases[-1] == 100.0
+            assert len(slices[0].angles[joint]) == 31
 
     def test_adjacent_cycles_share_boundary_frame(self):
         frames = range(100, 201)
@@ -116,11 +118,11 @@ class TestSegmentCycles:
         anns = [CycleAnnotation(100, 150, "typical"),
                 CycleAnnotation(150, 200, "typical")]
         s1, s2 = segment_cycles(series, anns)
-        assert s1.columns["left_knee"][0][-1] == 100.0
-        assert s2.columns["left_knee"][0][0] == 0.0
+        assert s1.phases[-1] == 100.0
+        assert s2.phases[0] == 0.0
         # same frame 150 feeds both
-        assert len(s1.columns["left_knee"][0]) == 51
-        assert len(s2.columns["left_knee"][0]) == 51
+        assert len(s1.phases) == len(s1.angles["left_knee"]) == 51
+        assert len(s2.phases) == len(s2.angles["left_knee"]) == 51
 
     def test_annotation_beyond_series_rejected(self):
         series = {"left_knee": _constant_series("left_knee", range(0, 20))}
@@ -131,7 +133,7 @@ class TestSegmentCycles:
         values = [(f, 90.0 if f != 5 else None) for f in range(0, 11)]
         series = {"left_knee": _series("left_knee", values)}
         (s,) = segment_cycles(series, [CycleAnnotation(0, 10, "typical")])
-        angles = s.columns["left_knee"][1]
+        angles = s.angles["left_knee"]
         assert np.isnan(angles[5]) and np.isnan(angles).sum() == 1
 
     def test_time_based_phases(self):
@@ -141,7 +143,7 @@ class TestSegmentCycles:
         times = {f: 0.1 * f * f for f in frames}
         ann = CycleAnnotation(0, 10, "typical")
         (s,) = segment_cycles(series, [ann], frame_times=times)
-        phases = s.columns["left_knee"][0].tolist()
+        phases = s.phases.tolist()
         assert phases[0] == 0.0 and phases[-1] == 100.0
         assert phases[5] == pytest.approx(25.0)  # 2.5 / 10.0 seconds
 
@@ -181,8 +183,9 @@ class TestSegmentPhases:
         for ann, s in zip(anns, slices):
             expected = [reference_phase(ann, f)
                         for f in range(ann.start_frame, ann.end_frame + 1)]
-            for joint, (phases, angles) in s.columns.items():
-                assert phases.tolist() == expected
+            assert s.phases.tolist() == expected
+            assert list(s.angles) == list(series)
+            for joint, angles in s.angles.items():
                 lo, hi = ann.start_frame, ann.end_frame + 1
                 assert np.array_equal(angles, series[joint].angles[lo:hi])
 
@@ -195,24 +198,40 @@ class TestSegmentPhases:
         for ann, s in zip(anns, slices):
             frames = range(ann.start_frame, ann.end_frame + 1)
             expected = [reference_phase(ann, f, times) for f in frames]
-            phases, _ = s.columns["left_knee"]
-            assert phases.tolist() == expected
-            assert phases.tolist() != [reference_phase(ann, f)
-                                       for f in frames]
+            assert s.phases.tolist() == expected
+            assert s.phases.tolist() != [reference_phase(ann, f)
+                                         for f in frames]
 
-    def test_series_with_own_frames_cut_separately(self):
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_each_cycle_is_phased_once(self, timed, monkeypatch):
+        series, anns = self._walk()
+        times = {f: 0.04 * f for f in range(anns[-1].end_frame + 1)}
+        calls = []
+
+        def counting_phases(ann, frames, frame_times):
+            calls.append(ann)
+            return _phases(ann, frames, frame_times)
+
+        monkeypatch.setattr(cycles_module, "_phases", counting_phases)
+        slices = segment_cycles(series, anns,
+                                frame_times=times if timed else None)
+        assert calls == anns
+        for s in slices:
+            assert all(len(a) == len(s.phases) for a in s.angles.values())
+
+    @pytest.mark.parametrize("hip_frames", [range(0, 21, 2), range(1, 22),
+                                            range(0, 20)])
+    def test_series_with_other_frames_rejected(self, hip_frames):
         knee = _constant_series("left_knee", range(0, 21))
-        hip = _series("left_hip", [(f, 100.0 + f) for f in range(0, 21, 2)])
-        (s,) = segment_cycles({"left_knee": knee, "left_hip": hip},
-                              [CycleAnnotation(4, 12, "typical")])
-        phases, angles = s.columns["left_hip"]
-        assert phases.tolist() == [0.0, 25.0, 50.0, 75.0, 100.0]
-        assert angles.tolist() == [104.0, 106.0, 108.0, 110.0, 112.0]
-        assert len(s.columns["left_knee"][0]) == 9
+        hip = _constant_series("left_hip", hip_frames, 100.0)
+        with pytest.raises(ValidationError, match=r"^angle series 'left_hip' "
+                                                  r"holds other frames"):
+            segment_cycles({"left_knee": knee, "left_hip": hip},
+                           [CycleAnnotation(4, 12, "typical")])
 
 
 def _columns(pairs):
-    """(phases, angles) columns from (phase, angle or None) pairs."""
+    """(phases, angles) arrays from (phase, angle or None) pairs."""
     return (np.array([p for p, _ in pairs], dtype=float),
             np.array([np.nan if a is None else a for _, a in pairs],
                      dtype=float))
@@ -220,8 +239,8 @@ def _columns(pairs):
 
 def _slice(values_by_phase, label="typical", joint="left_knee"):
     ann = CycleAnnotation(0, len(values_by_phase) - 1, label)
-    return CycleSlice(ann, video_id="v",
-                      columns={joint: _columns(values_by_phase)})
+    phases, angles = _columns(values_by_phase)
+    return CycleSlice(ann, "v", phases, {joint: angles})
 
 
 class TestResampleCycle:
@@ -244,8 +263,9 @@ class TestResampleCycle:
     def test_too_few_samples_invalidates_joint(self):
         pairs = [(0.0, 90.0), (50.0, 95.0), (100.0, 90.0)]
         ann = CycleAnnotation(0, 100, "typical")
+        phases, angles = _columns(pairs)
         cycle = resample_cycle(
-            CycleSlice(ann, columns={"left_knee": _columns(pairs)}), 101)
+            CycleSlice(ann, "", phases, {"left_knee": angles}), 101)
         assert not cycle.valid["left_knee"]
         assert np.all(np.isnan(cycle.angles["left_knee"]))
 
@@ -288,13 +308,28 @@ class TestResampleCycle:
         assert cycle.label == "atypical"
         assert cycle.cycle_id == "v:0-10"
 
+    def test_every_joint_reads_the_slices_phases(self):
+        # Uneven phases, and each joint a line over them: every fit is its
+        # line on the grid only when it is fitted at the slice's phases.
+        phases = 100.0 * np.linspace(0.0, 1.0, 21) ** 2
+        lines = {"left_knee": (50.0, 0.3), "left_hip": (120.0, -0.2),
+                 "right_knee": (10.0, 1.1)}
+        s = CycleSlice(CycleAnnotation(0, 20, "typical"), "v", phases,
+                       {j: a + b * phases for j, (a, b) in lines.items()})
+        s.angles["right_knee"][[3, 9]] = np.nan
+        cycle = resample_cycle(s, 101)
+        grid = np.linspace(0.0, 100.0, 101)
+        for joint, (a, b) in lines.items():
+            assert cycle.valid[joint]
+            np.testing.assert_allclose(cycle.angles[joint], a + b * grid,
+                                       atol=0.0005 + 1e-9)
+
 
 def _layouts(cycle_slice):
     """Distinct knot layouts among the joints the coverage rule keeps."""
     valid = reference_resample(cycle_slice)[1]
-    return {phases[~np.isnan(angles)].tobytes()
-            for joint, (phases, angles) in cycle_slice.columns.items()
-            if valid[joint]}
+    return {cycle_slice.phases[~np.isnan(angles)].tobytes()
+            for joint, angles in cycle_slice.angles.items() if valid[joint]}
 
 
 class TestResampleAgainstPerJointFits:
@@ -338,18 +373,17 @@ class TestResampleAgainstPerJointFits:
         # knots as b at other phases, so it must not share b's fit.
         spiky = [2.0, 178.0] * 5 + [90.0]
         phases = np.linspace(0.0, 100.0, 11)
-        other = np.concatenate((phases[:5], phases[6:]))
         ann = CycleAnnotation(0, 10, "typical")
-        columns = {
-            "a": (phases, np.array(spiky)),
-            "b": (other, np.array(spiky[:5] + spiky[6:])),
-            "gap": (phases, np.array([np.nan] + spiky[1:])),
-            "c": (phases, 180.0 - np.array(spiky)),
-            "flat": (phases, np.full(11, 90.0)),
-            "d": (phases, 90.0 + 10.0 * np.sin(phases / 9.0)),
+        angles = {
+            "a": np.array(spiky),
+            "b": np.array(spiky[:5] + [np.nan] + spiky[6:]),
+            "gap": np.array([np.nan] + spiky[1:]),
+            "c": 180.0 - np.array(spiky),
+            "flat": np.full(11, 90.0),
+            "d": 90.0 + 10.0 * np.sin(phases / 9.0),
         }
-        columns["d"][1][7] = np.nan
-        s = CycleSlice(ann, video_id="v", columns=columns)
+        angles["d"][7] = np.nan
+        s = CycleSlice(ann, "v", phases, angles)
         self._check([s], caplog)
         assert [r.getMessage().split()[3] for r in caplog.records] == \
             ["a:", "b:", "c:"]

@@ -75,10 +75,10 @@ def test_resampled_angles_are_at_thousandths(n_knots, grid_points, data):
     inner = data.draw(st.lists(st.integers(1, 99), min_size=n_knots - 2,
                                max_size=n_knots - 2, unique=True))
     phases = np.array([0.0] + sorted(map(float, inner)) + [100.0])
-    columns = {j: (phases, np.array(data.draw(st.lists(
-        st.floats(-30.0, 210.0), min_size=n_knots, max_size=n_knots))))
+    angles = {j: np.array(data.draw(st.lists(
+        st.floats(-30.0, 210.0), min_size=n_knots, max_size=n_knots)))
         for j in JOINTS}
-    s = CycleSlice(CycleAnnotation(0, 10, "typical"), "v", columns=columns)
+    s = CycleSlice(CycleAnnotation(0, 10, "typical"), "v", phases, angles)
     cycle = resample_cycle(s, grid_points)
     exact = unrounded("cycles", resample_cycle, s, grid_points)
     for joint in JOINTS:

@@ -205,8 +205,6 @@ class TestSeverity:
         matrix = severity_matrix(report)
         assert matrix.shape == (10, 7)
         assert np.isnan(matrix).all()
-        assert severity_matrix(report, ["left_knee"]).shape == (1, 7)
-        assert severity_matrix(report, []).shape == (0, 7)
 
     def test_reads_the_reports_severity(self):
         # the matrix is the report's own severity, rows in joint order,
@@ -214,10 +212,10 @@ class TestSeverity:
         values = np.linspace(40.0, 80.0, 101)
         report = _full_report(values, cfg=DetectionConfig(severity_clip=1.5))
         loaded = load_report(save_report(report))
-        order = list(reversed(JOINT_NAMES))
         for r in (report, loaded):
-            matrix = severity_matrix(r, order)
-            for row, joint in zip(matrix, order):
+            matrix = severity_matrix(r)
+            assert matrix.shape == (len(JOINT_NAMES), 101)
+            for row, joint in zip(matrix, JOINT_NAMES):
                 assert row.tobytes() == report.severity[joint].tobytes()
         assert severity_matrix(report).max() == 1.0  # saturates at 1.5 SD
 
@@ -294,12 +292,11 @@ class TestFrameStatuses:
                                 for j in joints}))
         return pairs
 
-    def _check(self, pairs, frames, joint_order=JOINT_NAMES, times=None):
-        got = frame_statuses(pairs, frames, 101, joint_order,
-                             frame_times=times)
-        expected = reference_frame_statuses(pairs, frames, 101, joint_order,
+    def _check(self, pairs, frames, times=None):
+        got = frame_statuses(pairs, frames, 101, frame_times=times)
+        expected = reference_frame_statuses(pairs, frames, 101,
                                             frame_times=times)
-        assert got.shape == (len(frames), len(joint_order))
+        assert got.shape == (len(frames), len(JOINT_NAMES))
         assert got.dtype == object
         assert got.tolist() == expected
 
@@ -333,8 +330,8 @@ class TestFrameStatuses:
             if trial % 2:
                 times = dict(enumerate(np.cumsum(rng.uniform(
                     0.01, 0.05, int(bounds[-1]) + 10)).tolist()))
-            self._check(pairs, frames, joints, times)
-            self._check(pairs, np.array(frames), joints, times)
+            self._check(pairs, frames, times)
+            self._check(pairs, np.array(frames), times)
         self._check([], [3, 1, 2])
         self._check(self._pairs(rng, 3), [])
 
@@ -347,6 +344,27 @@ class TestFrameStatuses:
                                                   r"15 lies outside"):
             frame_statuses([(ann, self._flags())], range(31), 101,
                            frame_times=times)
+
+    @pytest.mark.parametrize("grid", [51, 102, 1])
+    def test_flags_off_the_grid_rejected(self, grid):
+        # Flags of a 51-point report read on a 101-point grid would index
+        # past their end; flags longer than the grid would be read in part.
+        # Either is refused, naming the joint, also for a cycle no frame
+        # of ``frames`` falls in.
+        good = (CycleAnnotation(0, 30, "typical"), self._flags())
+        bad = (CycleAnnotation(40, 70, "typical"),
+               {**self._flags(), **self._flags("right_hip", grid)})
+        for frames in (range(71), range(31)):
+            with pytest.raises(ValidationError,
+                               match=r"^cycle \[40, 70\]: joint 'right_hip' "
+                                     r"has flags of shape"):
+                frame_statuses([good, bad], frames, 101)
+
+    def test_frame_times_is_keyword_only(self):
+        ann = CycleAnnotation(0, 10, "typical")
+        times = {f: 0.1 * f for f in range(11)}
+        with pytest.raises(TypeError):
+            frame_statuses([(ann, self._flags())], range(11), 101, times)
 
 
 class TestConfigAndReport:

@@ -6,9 +6,9 @@ of its absolute coordinate, whatever the model, k and panel box, exact
 half-thousandth ties (0.0625 -> ``0.062``) included.
 
 The heatmap's cells (0.12.0): decoded from cell units back to pixel
-cells, every cell of any matrix shape has the reference's colour, gray
-or the NaN colour, severities outside [0, 1] and half-shade ties
-included.
+cells, every cell of a matrix of one row per joint and any number of
+columns has the reference's colour, gray or the NaN colour, severities
+outside [0, 1] and half-shade ties included.
 
 Runs only where hypothesis is installed; ``test_figures.py`` holds seeded
 cases that run without it.
@@ -21,6 +21,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from gaitnorm.figures import _fmt, _panel, render_heatmap  # noqa: E402
+from gaitnorm.kinematics import JOINT_NAMES  # noqa: E402
 
 from helpers import (decode_heatmap, decode_series,  # noqa: E402
                      reference_heatmap)
@@ -104,7 +105,7 @@ def _severities(draw):
     infinite, half-shade ties (odd multiples of 1/510: for 150 of the 255
     of them 255 * (1 - s) is exactly a half), NaN cells and all-NaN
     rows."""
-    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 120))
+    rows, cols = len(JOINT_NAMES), draw(st.integers(1, 120))
     value = st.one_of(
         st.floats(-2.0, 3.0),
         st.sampled_from([-0.0, 0.0, 1.0, np.inf, -np.inf, np.nan]),
@@ -120,8 +121,7 @@ def _severities(draw):
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(_severities())
 def test_decoded_heatmap_colours_are_the_reference(matrix):
-    names = [f"j{r}" for r in range(len(matrix))]
-    doc = render_heatmap(matrix, names)
+    doc = render_heatmap(matrix)
     assert decode_heatmap(doc.svg) == reference_heatmap(matrix)
     assert doc.sidecar["blank_rows"] == [
-        n for n, row in zip(names, matrix) if np.isnan(row).all()]
+        n for n, row in zip(JOINT_NAMES, matrix) if np.isnan(row).all()]

@@ -201,16 +201,14 @@ class TestHeatmap:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_matrices_against_reference(self, seed):
         rng = np.random.default_rng(seed)
-        rows, cols = [(10, 101), (1, 1), (3, 7), (12, 51), (10, 101),
-                      (2, 300)][seed]
-        matrix = rng.uniform(-0.2, 1.2, (rows, cols))
+        cols = [101, 1, 7, 51, 101, 300][seed]
+        matrix = rng.uniform(-0.2, 1.2, (10, cols))
         # half-gray steps, exact ends, NaN cells and an all-NaN row
         matrix[rng.uniform(size=matrix.shape) < 0.2] = np.nan
         steps = rng.integers(0, 511, matrix.shape) / 510.0
         matrix = np.where(rng.uniform(size=matrix.shape) < 0.3, steps, matrix)
-        if rows > 1:
-            matrix[rng.integers(rows)] = np.nan
-        doc = render_heatmap(matrix, [f"j{r}" for r in range(rows)])
+        matrix[rng.integers(10)] = np.nan
+        doc = render_heatmap(matrix)
         assert decode_heatmap(doc.svg) == reference_heatmap(matrix)
         strokes = [el.get("stroke") for el in _svg_root(doc).iter()
                    if el.tag.endswith("path")]
@@ -233,6 +231,12 @@ class TestHeatmap:
         with pytest.raises(ValidationError):
             render_heatmap(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("rows", [1, 9, 11])
+    def test_one_row_per_joint_required(self, rows):
+        with pytest.raises(ValidationError, match=rf"^{rows} matrix rows but "
+                                                  rf"10 joints"):
+            render_heatmap(np.zeros((rows, 101)))
+
     def test_darkness_monotone_in_severity(self):
         matrix = np.zeros((10, 101))
         matrix[0, 0] = 0.25
@@ -244,25 +248,28 @@ class TestHeatmap:
 
     def test_cell_markup(self):
         # one group in cell units, a unit stroke per cell, grays in hex
-        # (three digits where each pair repeats), the NaN colour last
-        matrix = np.array([[0.0, 1.0, np.nan], [0.5, 0.2, 2 / 255]])
-        svg = render_heatmap(matrix, ["a", "b"]).svg
+        # (three digits where each pair repeats), the NaN colour last;
+        # rows 2-9 are white
+        matrix = np.zeros((10, 3))
+        matrix[:2] = [[0.0, 1.0, np.nan], [0.5, 0.2, 2 / 255]]
+        svg = render_heatmap(matrix).svg
+        white = "".join(f"M{c} {r}h1" for r in range(2, 10) for c in range(3))
         assert svg[svg.index("<g "):svg.index("</g>") + 4] == (
             '<g transform="translate(110 32) scale(8 24)">'
             '<path stroke="#000" d="M1 0h1"/>'
             '<path stroke="#808080" d="M0 1h1"/>'
             '<path stroke="#ccc" d="M1 1h1"/>'
             '<path stroke="#fdfdfd" d="M2 1h1"/>'
-            '<path stroke="#fff" d="M0 0h1"/>'
+            f'<path stroke="#fff" d="M0 0h1{white}"/>'
             '<path stroke="#fde0dd" d="M2 0h1"/></g>')
         assert svg.index("</g>") < svg.index("<text")
 
     def test_a_blank_row_is_not_drawn_as_a_near_normal_one(self):
         # gray 245, a severity of 10/255 (|z| about 0.12), used to be the
         # NaN fill as well; no gray is the NaN colour now
-        matrix = np.full((3, 5), 10 / 255)
+        matrix = np.full((10, 5), 10 / 255)
         matrix[1] = np.nan
-        cells = decode_heatmap(render_heatmap(matrix, ["a", "b", "c"]).svg)
+        cells = decode_heatmap(render_heatmap(matrix).svg)
         assert cells[0, 0] == (245, 245, 245)
         assert cells[1, 0] == (0xfd, 0xe0, 0xdd)
 
