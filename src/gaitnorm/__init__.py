@@ -27,7 +27,7 @@ from .synth import (AbnormalitySpec, JointProfile, demo_profiles,
                     generate_cohort, generate_cycle, generate_pose_sequence,
                     inject_abnormality, noise_free_curve)
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 __all__ = [
     "AbnormalitySpec", "AngleSample", "AngleSeries", "CycleAnnotation",

@@ -48,8 +48,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import figures as figs
 from .cycles import DEFAULT_GRID_POINTS, resample_cycle, segment_cycles
 from .detect import (DetectionConfig, build_report, frame_statuses,
@@ -222,15 +220,6 @@ def _model_joints(model):
     return ordered
 
 
-def _frame_times(seq, phase_source):
-    """Frame index -> seconds for time phases, else None."""
-    if phase_source != "time":
-        return None
-    timed = ~np.isnan(seq.time_s)
-    return dict(zip(seq.frame_index[timed].tolist(),
-                    seq.time_s[timed].tolist()))
-
-
 def _prefix(out_dir, video_id) -> str:
     """``<out_dir>/<video_id>``, the start of every output name.  An id
     holding a path separator or NUL is rejected, so that every name stays
@@ -249,18 +238,17 @@ def _load_sequence(path, video_id=None, strict=False):
 
 def _segment(args, video_id=None):
     """Annotations + keypoints -> angles -> segment -> resample: returns
-    the sequence, its frame times (None under frame phases) and a (cycle
-    slice, normalized cycle) pair per annotation."""
+    the sequence and a (cycle slice, normalized cycle) pair per
+    annotation."""
     doc_video_id, annotations = parse_annotation_document(
         Path(args.annotations).read_bytes())
     seq = _load_sequence(args.keypoints, video_id or doc_video_id,
                          args.strict)
-    frame_times = _frame_times(seq, args.phase_source)
     series = angle_series_set(seq, args.min_visibility)
     slices = segment_cycles(series, annotations, video_id=seq.video_id,
-                            frame_times=frame_times)
-    return seq, frame_times, [(s, resample_cycle(s, args.grid_points))
-                              for s in slices]
+                            times=seq.time_s if args.phase_source == "time"
+                            else None)
+    return seq, [(s, resample_cycle(s, args.grid_points)) for s in slices]
 
 
 def _cpus() -> int:
@@ -388,13 +376,14 @@ def _cycle_figures(report, cycle, model, cfg, prefix):
     return outputs
 
 
-def _overlays(seq, cycle_flags, grid_points, frame_times, prefix):
+def _overlays(seq, cycle_flags, grid_points, phase_source, prefix):
     """``<prefix>.overlays.json``: per-frame skeleton status records for
-    (annotation, flags) pairs, phases mapped by the segmentation rule.
-    The statuses are mapped here; ``_write`` streams the document in
-    chunks of frames."""
-    statuses = frame_statuses(cycle_flags, seq.frame_index, grid_points,
-                              frame_times=frame_times)
+    (annotation, flags) pairs, phases mapped by the segmentation rule
+    under ``phase_source``.  The statuses are mapped here; ``_write``
+    streams the document in chunks of frames."""
+    statuses = frame_statuses(
+        cycle_flags, seq.frame_index, grid_points,
+        times=seq.time_s if phase_source == "time" else None)
     return [(f"{prefix}.overlays.json", figs.overlay_chunks(seq, statuses))]
 
 
@@ -410,7 +399,7 @@ def cmd_angles(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    cycles = [c for _, c in _segment(args)[2]]
+    cycles = [c for _, c in _segment(args)[1]]
     Path(args.out).write_bytes(save_cycles(cycles))
     print(f"wrote {len(cycles)} normalized cycles to {args.out}")
     return 0
@@ -452,7 +441,7 @@ def cmd_detect(args) -> int:
 
 def cmd_figures(args) -> int:
     model = load_norm_model(Path(args.model).read_bytes())
-    report = None
+    report = cycle = None
     if args.report:
         report = load_report(Path(args.report).read_bytes())
         # The band is drawn at the k the report's flags were decided at,
@@ -460,16 +449,19 @@ def cmd_figures(args) -> int:
         if args.k not in (None, report.config.k):
             raise ValidationError(f"--k {args.k} differs from the report's "
                                   f"config.k {report.config.k}")
-    cfg = report.config if report is not None else (
-        DetectionConfig() if args.k is None else DetectionConfig(args.k))
-    cycle = None
-    if args.cycles and report is not None:
-        candidates = load_cycles(Path(args.cycles).read_bytes())
-        cycle = next((c for c in candidates if c.cycle_id == report.cycle_id),
-                     None)
-        if cycle is None:
-            raise ValidationError(
-                f"no cycle with id {report.cycle_id!r} in {args.cycles}")
+        cfg = report.config
+        if args.cycles:
+            candidates = load_cycles(Path(args.cycles).read_bytes())
+            cycle = next((c for c in candidates
+                          if c.cycle_id == report.cycle_id), None)
+            if cycle is None:
+                raise ValidationError(
+                    f"no cycle with id {report.cycle_id!r} in {args.cycles}")
+    else:
+        cfg = DetectionConfig() if args.k is None else DetectionConfig(args.k)
+        for flag in ("cycles", "keypoints"):
+            if getattr(args, flag):
+                logger.warning("ignoring --%s: it needs --report", flag)
 
     prefix = _prefix(args.out_dir, args.video_id or (
         report.video_id if report is not None else Path(args.model).stem))
@@ -478,11 +470,14 @@ def cmd_figures(args) -> int:
     outputs = _band_plots(model, joints, cfg, prefix, report, cycle)
     if report is not None:
         outputs += _cycle_figures(report, cycle, model, cfg, prefix)
-        if args.keypoints and report.annotation is not None:
+        if args.keypoints and report.annotation is None:
+            logger.warning("ignoring --keypoints: report %s carries no "
+                           "cycle bounds to map frames by", args.report)
+        elif args.keypoints:
             seq = _load_sequence(args.keypoints, args.video_id)
-            outputs += _overlays(
-                seq, [(report.annotation, report.flag)], report.grid_points,
-                _frame_times(seq, report.phase_source), prefix)
+            outputs += _overlays(seq, [(report.annotation, report.flag)],
+                                 report.grid_points, report.phase_source,
+                                 prefix)
 
     # Everything is rendered, and the overlay's statuses mapped, before
     # out_dir is made, so a failing stage writes nothing.
@@ -504,7 +499,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run(args) -> int:
-    seq, frame_times, pairs = _segment(args, args.video_id)
+    seq, pairs = _segment(args, args.video_id)
     prefix = _prefix(args.out_dir, seq.video_id)
     outputs = []
     if args.model:
@@ -516,13 +511,12 @@ def cmd_run(args) -> int:
         outputs.append((f"{prefix}.model.json", save_norm_model(model)))
 
     cfg = _detection_config(args)
-    phase_source = "frames" if frame_times is None else "time"
     # Every cycle is scored and every frame status mapped before out_dir
     # is made: a failing cycle writes nothing.
     scored = _score([(s.annotation, c) for s, c in pairs], model, cfg,
-                    seq.video_id, phase_source)
+                    seq.video_id, args.phase_source)
     outputs += _overlays(seq, [(r.annotation, r.flag) for r, _ in scored],
-                         model.grid_points, frame_times, prefix)
+                         model.grid_points, args.phase_source, prefix)
     # The band plots are rendered before out_dir too.  A multi-joint
     # panel's box is shorter than a band plot's and its cycle's angles
     # lie in [0, 180], so when every band plot passes _band_panel's

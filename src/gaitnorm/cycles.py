@@ -9,17 +9,18 @@ gaps.  Joints without enough coverage are marked invalid instead of being
 extrapolated: spline extrapolation is wild and clinically misleading.
 
 The work is array-at-a-time.  Every joint's series runs over the same
-frames, so a cycle is cut once, with two ``np.searchsorted`` calls, and
-phased once by ``_phases``, the one frame -> phase rule, which
-``detect.frame_statuses`` shares.  ``CycleSlice`` holds that one
-``phases`` array and each joint's angles at those phases, NaN marking a
-missing angle.  Resampling groups a cycle's joints by the bytes of their
-knot phases and fits each group with one multi-series spline (see
-``spline``): one solve per knot layout, with values bit-identical to
-per-joint fits.
+frames, so a cycle is cut once by ``_cut`` (two ``np.searchsorted``
+calls) and phased once by ``_phases``, over frame indices or over the
+frames' times.  ``detect.frame_statuses`` cuts and phases each cycle with
+the same two functions.  ``CycleSlice`` holds that one ``phases`` array
+and each joint's angles at those phases, NaN marking a missing angle.
+Resampling groups a cycle's joints by the bytes of their knot phases and
+fits each group with one multi-series spline (see ``spline``): one solve
+per knot layout, with values bit-identical to per-joint fits.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
@@ -93,18 +94,19 @@ def segment_cycles(series_by_joint: Mapping[str, AngleSeries],
                    annotations: List[CycleAnnotation],
                    *,
                    video_id: str = "",
-                   frame_times: Optional[Mapping[int, float]] = None,
+                   times: Optional[np.ndarray] = None,
                    ) -> List[CycleSlice]:
     """Cut per-joint angle series into one ``CycleSlice`` per annotation.
 
     Adjacent annotations may share a boundary frame; that frame appears in
     both slices (at 100% of the first and 0% of the second).  By default
-    phase is linear in frame index; passing ``frame_times`` (frame index
-    -> seconds) switches to linear-in-time phases for variable frame
-    rates.
+    phase is linear in frame index; passing ``times`` (seconds per frame
+    of the series, NaN where a frame has none) switches to linear-in-time
+    phases for variable frame rates.
 
     Raises ``ValidationError`` when the series do not all hold the same
-    frames, or when an annotation's boundary frames are not among them.
+    frames, when ``times`` is not one per frame, or when an annotation's
+    boundary frames are not among them.
     """
     if not series_by_joint:
         raise ValidationError("no angle series given")
@@ -113,68 +115,66 @@ def segment_cycles(series_by_joint: Mapping[str, AngleSeries],
         if not np.array_equal(series.frames, frames):
             raise ValidationError(f"angle series {joint!r} holds other "
                                   f"frames than the first series")
+    if times is not None and len(times) != len(frames):
+        raise ValidationError(f"{len(times)} times for {len(frames)} frames")
 
     slices = []
     for ann in annotations:
-        lo = int(np.searchsorted(frames, ann.start_frame, side="left"))
-        hi = int(np.searchsorted(frames, ann.end_frame, side="right"))
-        if hi - lo < 2 or frames[lo] != ann.start_frame \
-                or frames[hi - 1] != ann.end_frame:
+        cut = _cut(ann, frames)
+        held = frames[cut]
+        if len(held) < 2 or held[0] != ann.start_frame \
+                or held[-1] != ann.end_frame:
             raise ValidationError(
                 f"cycle [{ann.start_frame}, {ann.end_frame}] references "
                 f"frames absent from the series")
         slices.append(CycleSlice(
-            ann, video_id, _phases(ann, frames[lo:hi], frame_times),
-            {joint: series.angles[lo:hi]
+            ann, video_id,
+            _phases(ann, held, None if times is None else times[cut]),
+            {joint: series.angles[cut]
              for joint, series in series_by_joint.items()}))
     return slices
 
 
+def _cut(ann: CycleAnnotation, frames: np.ndarray) -> slice:
+    """The positions of strictly increasing ``frames`` that cycle ``ann``
+    holds, boundaries included."""
+    return slice(int(np.searchsorted(frames, ann.start_frame, side="left")),
+                 int(np.searchsorted(frames, ann.end_frame, side="right")))
+
+
 def _phases(ann: CycleAnnotation, frames: np.ndarray,
-            frame_times: Optional[Mapping[int, float]]) -> np.ndarray:
-    """Phases in percent of ``frames`` (int64) in cycle ``ann``: linear in
-    frame index, or in time when ``frame_times`` (frame index -> seconds)
-    is given.  A frame without a timestamp, a frame outside the cycle (by
-    index or by time), or timestamps that do not strictly increase with
-    frame index inside the cycle is a ``ValidationError``."""
-    if frame_times is None:
+            times: Optional[np.ndarray]) -> np.ndarray:
+    """Phases in percent of a non-empty cut's ``frames`` (int64) in cycle
+    ``ann``: linear in frame index, or in time when ``times`` (seconds,
+    aligned with ``frames``, NaN for none) is given.  Time phases need
+    both boundary frames in the cut, a time for every frame, times that
+    strictly increase, and a span whose percent steps stay finite; a
+    break of any is a ``ValidationError``."""
+    if times is None:
         x, x0, x1 = frames, ann.start_frame, ann.end_frame
     else:
-        try:
-            x0, x1 = frame_times[ann.start_frame], frame_times[ann.end_frame]
-            if not x0 < x1:
-                raise ValidationError(
-                    f"cycle [{ann.start_frame}, {ann.end_frame}]: timestamps "
-                    f"do not increase across the cycle")
-            x = np.array([frame_times[f] for f in frames.tolist()],
-                         dtype=float)
-        except KeyError as exc:
+        where = f"cycle [{ann.start_frame}, {ann.end_frame}]"
+        untimed = [f for f, held in ((ann.start_frame, frames[0]),
+                                     (ann.end_frame, frames[-1])) if f != held]
+        untimed += frames[np.isnan(times)].tolist()
+        if untimed:
+            raise ValidationError(f"time-based phases requested but frame "
+                                  f"{untimed[0]} has no timestamp")
+        # With both boundaries in the cut, an end timed before the start
+        # or a frame timed outside the cycle breaks the increase too.
+        stuck = np.flatnonzero(~(times[1:] > times[:-1]))
+        if len(stuck):
+            i = int(stuck[0])
             raise ValidationError(
-                f"time-based phases requested but frame {exc.args[0]} has "
-                f"no timestamp") from None
-    outside = ~((x >= x0) & (x <= x1))
-    if outside.any():
-        i = int(np.argmax(outside))
-        where = "" if frame_times is None else \
-            f" (timed {float(x[i])} s, not in [{x0}, {x1}] s)"
-        raise ValidationError(
-            f"cycle [{ann.start_frame}, {ann.end_frame}]: frame "
-            f"{int(frames[i])} lies outside the cycle{where}")
-    if frame_times is not None:
-        # The cycle's frames with its boundaries, in frame order: each later
-        # frame must be timed strictly after the one before it.
-        f = np.concatenate(([ann.start_frame], frames, [ann.end_frame]))
-        t = np.concatenate(([x0], x, [x1]))
-        order = np.argsort(f, kind="stable")
-        f, t = f[order], t[order]
-        stuck = (np.diff(f) > 0) & ~(np.diff(t) > 0)
-        if stuck.any():
-            i = int(np.argmax(stuck))
-            raise ValidationError(
-                f"cycle [{ann.start_frame}, {ann.end_frame}]: frame "
-                f"{int(f[i + 1])} is timed {float(t[i + 1])} s, not after "
-                f"frame {int(f[i])} ({float(t[i])} s); timestamps must "
-                f"strictly increase inside a cycle")
+                f"{where}: frame {int(frames[i + 1])} is timed "
+                f"{float(times[i + 1])} s, not after frame {int(frames[i])} "
+                f"({float(times[i])} s); timestamps must strictly increase "
+                f"inside a cycle")
+        x, x0, x1 = times, float(times[0]), float(times[-1])
+        # Bounds every 100 * (x - x0) of the cut.
+        if not math.isfinite(100.0 * (x1 - x0)):
+            raise ValidationError(f"{where}: timed from {x0} s to {x1} s, "
+                                  f"a span past the float range")
     return 100.0 * (x - x0) / (x1 - x0)
 
 

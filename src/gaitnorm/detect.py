@@ -21,11 +21,11 @@ rejects such a cycle rather than write it.
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cycles import NormalizedCycle, _phases
+from .cycles import NormalizedCycle, _cut, _phases
 from .errors import ValidationError
 from .kinematics import JOINT_NAMES
 from .normative import NormativeModel
@@ -120,33 +120,32 @@ def frame_statuses(seq_cycles: Sequence[Tuple[CycleAnnotation, Dict[str, np.ndar
                    frames: Iterable[int],
                    grid_points: int,
                    *,
-                   frame_times: Optional[Mapping[int, float]] = None,
+                   times: Optional[np.ndarray] = None,
                    ) -> np.ndarray:
     """Map per-cycle grid flags back onto video frames: an object array
-    of status strings, one row per frame of ``frames`` (in that order)
-    and one column per joint of ``JOINT_NAMES``.
+    of status strings, one row per frame of ``frames`` (which must
+    strictly increase) and one column per joint of ``JOINT_NAMES``.
 
     Each frame inside an annotated cycle takes the flag at the nearest
-    grid point of its phase; a frame on a shared boundary belongs to the
-    earlier cycle.  Phases follow ``cycles._phases``, the rule segmentation
-    used: linear in frame index, or in time when ``frame_times`` (frame
-    index -> seconds) is given, where a frame timed outside its cycle is a
-    ``ValidationError``.  Frames outside every cycle, and joints without
-    flags for their cycle, are reported unknown.  A joint whose flags are
-    not ``grid_points`` long is a ``ValidationError``.
+    grid point of its phase; the first cycle in (start, end) order that
+    holds a frame decides it, so a frame on a shared boundary belongs to
+    the earlier cycle.  Each cycle is cut and phased as segmentation does
+    (``cycles._cut`` and ``cycles._phases``): linear in frame index, or
+    in time when ``times`` (seconds, one per frame of ``frames``, NaN for
+    none) is given.  A
+    cycle holding none of ``frames`` is not phased.  Frames outside every
+    cycle, and joints without flags for their cycle, are reported
+    unknown.  A joint whose flags are not ``grid_points`` long is a
+    ``ValidationError``.
     """
-    ordered = sorted(seq_cycles, key=lambda p: (p[0].start_frame, p[0].end_frame))
     frames = np.fromiter(frames, dtype=np.int64)
-    # The first cycle (in start order) that ends at or after frame f is the
-    # search position of f in the running maximum of end frames; it holds f
-    # when it also starts at or before f.
-    reach = np.maximum.accumulate(
-        np.array([ann.end_frame for ann, _ in ordered], dtype=np.int64))
-    which = np.searchsorted(reach, frames, side="left")
-    by_cycle = np.argsort(which, kind="stable")
-    bounds = np.searchsorted(which[by_cycle], np.arange(len(ordered) + 1))
-    codes = np.full((len(frames), len(JOINT_NAMES)), 2, dtype=np.int8)
-    for (ann, flags), lo, hi in zip(ordered, bounds, bounds[1:]):
+    if (frames[1:] <= frames[:-1]).any():
+        raise ValidationError("frames must strictly increase")
+    if times is not None and len(times) != len(frames):
+        raise ValidationError(f"{len(times)} times for {len(frames)} frames")
+    mapped = []  # (cut, grid point per frame, flag columns), in cycle order
+    for ann, flags in sorted(seq_cycles,
+                             key=lambda p: (p[0].start_frame, p[0].end_frame)):
         columns = [(col, np.asarray(flags[joint]))
                    for col, joint in enumerate(JOINT_NAMES) if joint in flags]
         for col, row in columns:
@@ -155,13 +154,19 @@ def frame_statuses(seq_cycles: Sequence[Tuple[CycleAnnotation, Dict[str, np.ndar
                     f"cycle [{ann.start_frame}, {ann.end_frame}]: joint "
                     f"{JOINT_NAMES[col]!r} has flags of shape {row.shape} "
                     f"on a {grid_points}-point grid")
-        at = by_cycle[lo:hi]
-        at = at[frames[at] >= ann.start_frame]
-        if len(at):
-            phase = _phases(ann, frames[at], frame_times)
-            g = np.rint(phase / 100.0 * (grid_points - 1)).astype(np.int64)
-            for col, row in columns:
-                codes[at, col] = row[g]
+        cut = _cut(ann, frames)
+        if cut.start < cut.stop:
+            phase = _phases(ann, frames[cut],
+                            None if times is None else times[cut])
+            mapped.append((cut, np.rint(phase / 100.0 * (grid_points - 1))
+                           .astype(np.int64), columns))
+    codes = np.full((len(frames), len(JOINT_NAMES)), 2, dtype=np.int8)
+    # From the last cycle to the first, each cut reset to unknown before
+    # its flags are written: the first cycle holding a frame writes last.
+    for cut, g, columns in reversed(mapped):
+        codes[cut] = 2
+        for col, row in columns:
+            codes[cut, col] = row[g]
     return _STATUSES[codes]
 
 

@@ -862,3 +862,34 @@ def dimmed_walker(n_cycles, frames_per_cycle, dimmed_cycle,
     dimmed = PoseSequence(video_id, frame_index=seq.frame_index,
                           time_s=seq.time_s, keypoints=keypoints, fps=seq.fps)
     return dimmed, annotations
+
+
+def bent_left_knee(seq, annotations, delta_deg, window=(30.0, 60.0)):
+    """A copy of ``seq`` whose left ankle, heel and hallux are rotated
+    about the left knee by ``delta_deg``, in the frames at ``window``
+    percent of each cycle (by frame index).  Each frame turns in the
+    sense that opens its knee angle, so the knee angle changes by
+    ``delta_deg`` while the foot keeps its shape and the ankle angle its
+    value: a deviation put in the keypoints, at a known joint and phase."""
+    keypoints = seq.keypoints.copy()
+    col = {name: KEYPOINT_NAMES.index(name) for name in (
+        "left_hip", "left_knee", "left_ankle", "left_heel", "left_hallux")}
+    for ann in annotations:
+        for f in range(ann.start_frame, ann.end_frame + 1):
+            phase = 100.0 * (f - ann.start_frame) / (ann.end_frame
+                                                     - ann.start_frame)
+            if not window[0] <= phase <= window[1]:
+                continue
+            xy = keypoints[f, :, :2]
+            knee = xy[col["left_knee"]].copy()
+            thigh = xy[col["left_hip"]] - knee
+            shank = xy[col["left_ankle"]] - knee
+            # the shank turns away from the thigh: the side it lies on
+            opens = math.copysign(1.0, thigh[0] * shank[1] - thigh[1] * shank[0])
+            a = math.radians(delta_deg) * opens
+            turn = np.array([[math.cos(a), -math.sin(a)],
+                             [math.sin(a), math.cos(a)]])
+            for name in ("left_ankle", "left_heel", "left_hallux"):
+                xy[col[name]] = knee + turn @ (xy[col[name]] - knee)
+    return PoseSequence(seq.video_id, frame_index=seq.frame_index,
+                        time_s=seq.time_s, keypoints=keypoints, fps=seq.fps)

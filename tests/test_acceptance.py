@@ -24,8 +24,8 @@ from gaitnorm.spline import eval_spline, fit_natural_cubic
 from gaitnorm.synth import (AbnormalitySpec, demo_profiles,
                             generate_pose_sequence)
 
-from helpers import (arccos_angle, dense_natural_spline_m, random_knots,
-                     spline_second_derivative)
+from helpers import (arccos_angle, bent_left_knee, dense_natural_spline_m,
+                     random_knots, spline_second_derivative)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SIGMA_TRUE = 2.0  # noise SD of every demo profile, in degrees
@@ -174,11 +174,14 @@ def test_c06_flag_rate_calibration(profiles, reference_model):
           f"{elapsed:.2f}s")
 
 
-def _walker_cycles(n_cycles, seed):
+def _walker_cycles(n_cycles, seed, bend=None):
     """The typical cycles of a synthetic walker, through angles,
-    segmentation and resampling, as ``run`` computes them."""
+    segmentation and resampling, as ``run`` computes them; with ``bend``
+    (degrees), after ``bent_left_knee`` moved its keypoints."""
     seq, annotations = generate_pose_sequence(n_cycles=n_cycles, seed=seed,
                                               atypical_last=False)
+    if bend is not None:
+        seq = bent_left_knee(seq, annotations, bend)
     return [resample_cycle(s) for s in
             segment_cycles(angle_series_set(seq), annotations, video_id="w")]
 
@@ -199,6 +202,48 @@ def test_c06_flag_rate_calibration_through_the_pipeline():
     assert abs(rate - nominal) <= 0.05, f"rate {rate:.4f}"
     print(f"criterion 6 (pipeline): flag rate {rate:.4f} against "
           f"{nominal:.4f}")
+
+
+@pytest.mark.parametrize("delta", [(3.0, "SD"), (-3.0, "SD"), (5.0, "deg")],
+                         ids=["+3SD", "-3SD", "+5deg"])
+def test_c07_injection_detection_through_the_pipeline(delta):
+    """c07 with the deviation put in the keypoints rather than in
+    ``synth`` cycles: the left foot turned about the left knee by delta in
+    the frames at 30-60% of each of 100 walker cycles (seed 2) changes
+    the knee angle by delta there.  Against a 300-cycle walker model
+    (seed 1) the left knee is flagged at >= 95% of the window's grid
+    points, every other joint flags exactly as in the clean run, and
+    outside the window widened by two frames a side no grid point of the
+    knee moves by more than 10% of delta: angles, segmentation and spline
+    resampling keep the deviation in its joint and its phase."""
+    start = time.perf_counter()
+    cfg = DetectionConfig()
+    model = build_normative_model(_walker_cycles(300, 1), 101)
+    sd = float(np.median(model.joints["left_knee"].std))
+    value, unit = delta
+    bend = value * sd if unit == "SD" else value
+    clean, bent = _walker_cycles(100, 2), _walker_cycles(100, 2, bend)
+    grid = np.linspace(0.0, 100.0, 101)
+    widened = 2 * 100.0 / 30  # two frames of a 30-frame cycle, in percent
+    outside = (grid < 30.0 - widened) | (grid > 60.0 + widened)
+    rates, worst = [], 0.0
+    for c, b in zip(clean, bent):
+        flags, clean_flags = (build_report(b, model, cfg).flag,
+                              build_report(c, model, cfg).flag)
+        rates.append(float(np.mean(flags["left_knee"][30:61])))
+        for joint in JOINT_NAMES:
+            if joint != "left_knee":
+                np.testing.assert_array_equal(flags[joint],
+                                              clean_flags[joint])
+        moved = np.abs(b.angles["left_knee"] - c.angles["left_knee"])
+        worst = max(worst, float(moved[outside].max()))
+    rate = float(np.mean(rates))
+    assert len(rates) == 100
+    assert rate >= 0.95, f"window flag rate {rate:.3f}"
+    assert worst <= 0.1 * abs(bend), f"moved {worst:.3f} deg outside"
+    print(f"criterion 7 (pipeline, delta {bend:+.2f} deg): window rate "
+          f"{rate:.3f}, largest move outside {worst:.3f} deg, "
+          f"{time.perf_counter() - start:.1f}s")
 
 
 def test_c07_injection_detection(profiles, reference_model):

@@ -1,4 +1,7 @@
 import json
+import logging
+import shutil
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
@@ -485,13 +488,14 @@ def test_figures_repeated_joint_renders_one_band_plot(tmp_path, capsys,
         ["model.band.left_knee.svg", "model.band.right_knee.svg"]
 
 
-def _retimed_demo(tmp_path, frame, time_s):
-    """The demo keypoints with one frame's ``time_s`` replaced."""
+def _retimed_demo(tmp_path, frame, time_s, **more):
+    """The demo keypoints with one frame's ``time_s`` replaced, and the
+    ``time_s`` of each frame ``f<N>`` given in ``more``."""
+    times = {frame: time_s, **{int(k[1:]): t for k, t in more.items()}}
     lines = []
     for line in KEYPOINTS.read_text().splitlines():
         record = json.loads(line)
-        if record["frame"] == frame:
-            record["time_s"] = time_s
+        record["time_s"] = times.get(record["frame"], record["time_s"])
         lines.append(json.dumps(record))
     path = tmp_path / f"retimed{frame}.keypoints.jsonl"
     path.write_text("\n".join(lines) + "\n")
@@ -503,13 +507,19 @@ def test_frame_timed_outside_its_cycle_exits_1(tmp_path, capsys, frame,
                                                time_s):
     # A frame timed after its cycle's end used to index past the flag
     # array (IndexError); one timed before its start wrapped to the last
-    # grid point and exited 0 with a wrong overlay status.
+    # grid point and exited 0 with a wrong overlay status.  Either breaks
+    # the strict increase of times on one side.
     run_dir = tmp_path / "run"
     assert main(["run", "--keypoints", str(KEYPOINTS), "--annotations",
                  str(ANNOTATIONS), "--out-dir", str(run_dir),
                  "--phase-source", "time"]) == 0
     retimed = _retimed_demo(tmp_path, frame, time_s)
-    message = f"cycle [0, 30]: frame {frame} lies outside the cycle (timed"
+    late, early = (frame + 1, frame) if time_s > 1 else (frame, frame - 1)
+    times = {early: repr(early / 30), late: repr(late / 30), frame: time_s}
+    message = (f"gaitnorm: validation error: cycle [0, 30]: frame {late} is "
+               f"timed {times[late]} s, not after frame {early} "
+               f"({times[early]} s); timestamps must strictly increase "
+               f"inside a cycle\n")
     capsys.readouterr()
     assert main(["figures", "--model",
                  str(run_dir / "synthetic-walk.model.json"),
@@ -517,12 +527,44 @@ def test_frame_timed_outside_its_cycle_exits_1(tmp_path, capsys, frame,
                  "--keypoints", str(retimed),
                  "--out-dir", str(tmp_path / "figures")]) == 1
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert err == message and "Traceback" not in err
     assert main(["run", "--keypoints", str(retimed), "--annotations",
                  str(ANNOTATIONS), "--out-dir", str(tmp_path / "again"),
                  "--phase-source", "time"]) == 1
     err = capsys.readouterr().err
-    assert message in err and "knot abscissae" not in err
+    assert err == message and "knot abscissae" not in err
+
+
+def test_cycle_timed_past_the_float_range_exits_1(tmp_path, capsys):
+    # Cycle 0 timed from -1e308 s to 1e308 s: 100 * (t1 - t0) overflows.
+    # `figures --keypoints` ended in an IndexError traceback, and `run`
+    # printed numpy RuntimeWarnings from the cycle's NaN phases before it
+    # named the next cycle.
+    run_dir = tmp_path / "run"
+    assert main(["run", "--keypoints", str(KEYPOINTS), "--annotations",
+                 str(ANNOTATIONS), "--out-dir", str(run_dir),
+                 "--phase-source", "time"]) == 0
+    retimed = _retimed_demo(tmp_path, 0, -1e308, f30=1e308)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["figures", "--model",
+                     str(run_dir / "synthetic-walk.model.json"),
+                     "--report", str(run_dir / "synthetic-walk.c0.report.json"),
+                     "--keypoints", str(retimed),
+                     "--out-dir", str(tmp_path / "figures")]) == 1
+        figures_err = capsys.readouterr().err
+        assert main(["run", "--keypoints", str(retimed), "--annotations",
+                     str(ANNOTATIONS), "--out-dir", str(tmp_path / "again"),
+                     "--phase-source", "time"]) == 1
+        run_err = capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    for err in (figures_err, run_err):
+        assert err.startswith("gaitnorm: validation error: cycle [0, 30]: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "figures").exists()
+    assert not (tmp_path / "again").exists()
 
 
 def test_figures_writes_nothing_when_a_later_stage_fails(tmp_path):
@@ -790,6 +832,52 @@ def _figures_argv(tmp_path):
                  "--out", str(model)]) == 0
     return ["figures", "--model", str(model),
             "--out-dir", str(tmp_path / "fig")]
+
+
+# case -> (figures argv builder, extra flags, expected warnings)
+IGNORED_FIGURES_FLAGS = {
+    "keypoints-with-a-detect-report": (
+        lambda t: _bad_report(t, lambda doc: None),
+        ["--keypoints", str(KEYPOINTS)],
+        ["ignoring --keypoints: report {report} carries no cycle bounds to "
+         "map frames by"]),
+    "keypoints-without-report": (
+        _figures_argv, ["--keypoints", str(KEYPOINTS)],
+        ["ignoring --keypoints: it needs --report"]),
+    "cycles-without-report": (
+        _figures_argv, ["--cycles", "absent.cycles.json"],
+        ["ignoring --cycles: it needs --report"]),
+    "both-without-report": (
+        _figures_argv, ["--keypoints", str(KEYPOINTS),
+                        "--cycles", "absent.cycles.json"],
+        ["ignoring --cycles: it needs --report",
+         "ignoring --keypoints: it needs --report"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IGNORED_FIGURES_FLAGS))
+def test_figures_warns_of_each_flag_it_ignores(tmp_path, capsys, caplog,
+                                               case):
+    # These flags used to be dropped without a word.  Now each is named
+    # in one WARNING; stdout, the exit code and the files stay the same,
+    # and an ignored file is not even read.
+    build, extra, expected = IGNORED_FIGURES_FLAGS[case]
+    argv = build(tmp_path)
+    fig_dir = tmp_path / "fig"
+    outputs = []
+    for flags in ([], extra):
+        capsys.readouterr()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert main(argv + flags) == 0
+        outputs.append((capsys.readouterr().out,
+                        {p.name: p.read_bytes() for p in fig_dir.iterdir()}))
+        shutil.rmtree(fig_dir)
+    assert outputs[1] == outputs[0]
+    report = argv[argv.index("--report") + 1] if "--report" in argv else None
+    assert [r.getMessage() for r in caplog.records] == \
+        [m.format(report=report) for m in expected]
+    assert {r.levelname for r in caplog.records} == {"WARNING"}
 
 
 # (argv builder, config document, key the error message must name)

@@ -120,13 +120,8 @@ def _statuses(seq, annotations, seed, phase_times=False):
     cycle_flags = [(ann, {j: rng.uniform(size=101) < 0.3
                           for j in JOINT_NAMES[:7]})
                    for ann in annotations[:-1]]
-    times = None
-    if phase_times:
-        timed = ~np.isnan(seq.time_s)
-        times = dict(zip(seq.frame_index[timed].tolist(),
-                         seq.time_s[timed].tolist()))
     return frame_statuses(cycle_flags, seq.frame_index, 101,
-                          frame_times=times)
+                          times=seq.time_s if phase_times else None)
 
 
 def _no_statuses(seq):

@@ -49,10 +49,9 @@ class TestComputedAnglesAtThousandths:
     @pytest.mark.parametrize("time_phases", [False, True])
     def test_resample_cycle(self, time_phases):
         seq, anns = occluded_walker()
-        times = None if not time_phases else dict(zip(
-            seq.frame_index.tolist(), (seq.time_s * 1.03).tolist()))
+        times = seq.time_s * 1.03 if time_phases else None
         slices = segment_cycles(angle_series_set(seq), anns, video_id="v",
-                                frame_times=times)
+                                times=times)
         for s in slices:
             assert_at_thousandths(resample_cycle(s),
                                   unrounded("cycles", resample_cycle, s))

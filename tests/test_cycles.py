@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from gaitnorm import (CycleAnnotation, ValidationError, resample_cycle,
                       segment_cycles)
 from gaitnorm import cycles as cycles_module, spline
-from gaitnorm.cycles import CycleSlice, _phases
+from gaitnorm.cycles import CycleSlice, _cut, _phases
 from gaitnorm.kinematics import AngleSeries, angle_series_set
 from gaitnorm.synth import generate_pose_sequence
 
@@ -25,9 +26,9 @@ def _constant_series(joint, frames, value=90.0):
     return _series(joint, [(f, value) for f in frames])
 
 
-def phase_of_frame(ann, frame_index, frame_times=None):
+def phase_of_frame(ann, frame_index):
     return float(_phases(ann, np.array([frame_index], dtype=np.int64),
-                         frame_times)[0])
+                         None)[0])
 
 
 class TestPhaseOfFrame:
@@ -41,28 +42,65 @@ class TestPhaseOfFrame:
         assert phase_of_frame(CycleAnnotation(100, 150, "typical"), 125) == 50.0
 
     def test_outside_rejected(self):
+        # Frames outside the cycle never reach ``_phases``: its cut leaves
+        # them out, sparse frames and all.
         ann = CycleAnnotation(100, 150, "typical")
-        with pytest.raises(ValidationError, match=r"^cycle \[100, 150\]: "
-                                                  r"frame 99 lies outside"):
-            phase_of_frame(ann, 99)
-        with pytest.raises(ValidationError, match="frame 151 lies outside"):
-            phase_of_frame(ann, 151)
+        for frames in (np.arange(90, 161), np.array([0, 99, 100, 150, 151]),
+                       np.array([99, 101, 149, 151])):
+            held = frames[_cut(ann, frames)]
+            assert ((held >= 100) & (held <= 150)).all()
+            assert held.tolist() == [f for f in frames.tolist()
+                                     if 100 <= f <= 150]
 
     @pytest.mark.parametrize("time_s", [-0.01, 1.01, float("nan")])
     def test_timed_outside_rejected(self, time_s):
+        # A frame timed outside [t0, t1] breaks the strict increase on
+        # one side; a frame without a time (NaN) has no timestamp.
         ann = CycleAnnotation(0, 10, "typical")
-        times = {f: 0.1 * f for f in range(11)}
+        times = 0.1 * np.arange(11)
         times[4] = time_s
-        with pytest.raises(ValidationError, match=r"^cycle \[0, 10\]: frame 4 "
-                                                  r"lies outside the cycle "
-                                                  r"\(timed"):
+        message = {
+            -0.01: r"^cycle \[0, 10\]: frame 4 is timed -0.01 s, not after "
+                   r"frame 3 \([0-9.e-]+ s\); timestamps must strictly "
+                   r"increase inside a cycle$",
+            1.01: r"^cycle \[0, 10\]: frame 5 is timed 0.5 s, not after "
+                  r"frame 4 \(1.01 s\); timestamps must strictly increase "
+                  r"inside a cycle$",
+        }.get(time_s, r"^time-based phases requested but frame 4 has no "
+                      r"timestamp$")
+        with pytest.raises(ValidationError, match=message):
             _phases(ann, np.arange(11), times)
 
     def test_timestamps_must_increase(self):
+        # An end timed at or before the start breaks the strict increase;
+        # an end without a time has no timestamp.
         ann = CycleAnnotation(0, 10, "typical")
-        for times in ({0: 1.0, 10: 1.0}, {0: 1.0, 10: float("nan")}):
-            with pytest.raises(ValidationError, match="do not increase"):
-                _phases(ann, np.array([0, 10]), times)
+        for times in ([1.0, 1.0], [2.0, 1.0]):
+            with pytest.raises(ValidationError,
+                               match=rf"^cycle \[0, 10\]: frame 10 is timed "
+                                     rf"{times[1]} s, not after frame 0 "
+                                     rf"\({times[0]} s\); timestamps must "
+                                     rf"strictly increase"):
+                _phases(ann, np.array([0, 10]), np.array(times))
+        with pytest.raises(ValidationError, match="frame 10 has no timestamp"):
+            _phases(ann, np.array([0, 10]), np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("t0,t1", [(-1e308, 1e308), (0.0, 1e307),
+                                       (-1.8e306, 1.0)])
+    def test_span_past_the_float_range_rejected(self, t0, t1):
+        # 100 * (t1 - t0) overflows: the phases came out NaN, with numpy
+        # RuntimeWarnings, and the spline refused their knots.
+        ann = CycleAnnotation(0, 30, "typical")
+        times = np.arange(31) / 30
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            times[0], times[30] = t0, t1
+            with pytest.raises(ValidationError, match=r"^cycle \[0, 30\]: "
+                                                      r"timed from "):
+                _phases(ann, np.arange(31), times)
+            times[0], times[30] = -1e305, 1e305  # a span within the range
+            phases = _phases(ann, np.arange(31), times)
+        assert phases.tolist() == [0.0] + [50.0] * 29 + [100.0]
 
     @pytest.mark.parametrize("frame,time_s,before", [
         (4, 0.2, 3),            # back before the previous frame
@@ -73,16 +111,15 @@ class TestPhaseOfFrame:
     def test_timestamps_must_strictly_increase_inside(self, frame, time_s,
                                                       before):
         ann = CycleAnnotation(0, 10, "typical")
-        times = {f: 0.1 * f for f in range(11)}
+        times = 0.1 * np.arange(11)
         times[10] = 1.0
         times[frame] = time_s
         if before is None:  # the end frame is the one not after its neighbour
             frame, before = 10, frame
         message = (rf"^cycle \[0, 10\]: frame {frame} is timed [0-9.e-]+ s, "
                    rf"not after frame {before} \(")
-        for frames in (np.arange(11), np.arange(11)[::-1]):
-            with pytest.raises(ValidationError, match=message):
-                _phases(ann, frames, times)
+        with pytest.raises(ValidationError, match=message):
+            _phases(ann, np.arange(11), times)
 
     def test_strictly_monotone(self):
         rng = np.random.default_rng(31)
@@ -140,9 +177,9 @@ class TestSegmentCycles:
         frames = list(range(0, 11))
         series = {"left_knee": _constant_series("left_knee", frames)}
         # quadratic timestamps: time-based phase differs from frame-based
-        times = {f: 0.1 * f * f for f in frames}
+        times = 0.1 * np.arange(11) ** 2
         ann = CycleAnnotation(0, 10, "typical")
-        (s,) = segment_cycles(series, [ann], frame_times=times)
+        (s,) = segment_cycles(series, [ann], times=times)
         phases = s.phases.tolist()
         assert phases[0] == 0.0 and phases[-1] == 100.0
         assert phases[5] == pytest.approx(25.0)  # 2.5 / 10.0 seconds
@@ -150,23 +187,35 @@ class TestSegmentCycles:
     def test_time_mode_requires_timestamps(self):
         frames = list(range(0, 11))
         series = {"left_knee": _constant_series("left_knee", frames)}
-        times = {f: 0.1 * f for f in frames if f != 5}
-        with pytest.raises(ValidationError, match="no timestamp"):
+        times = 0.1 * np.arange(11)
+        times[5] = np.nan
+        with pytest.raises(ValidationError, match="frame 5 has no timestamp"):
             segment_cycles(series, [CycleAnnotation(0, 10, "typical")],
-                           frame_times=times)
+                           times=times)
+
+    @pytest.mark.parametrize("n", [20, 22])
+    def test_times_of_other_length_rejected(self, n):
+        # Too many times were taken without a word, each frame reading
+        # the time of its position; too few ended in an IndexError.
+        series = {"left_knee": _constant_series("left_knee", range(0, 21))}
+        with pytest.raises(ValidationError,
+                           match=rf"^{n} times for 21 frames$"):
+            segment_cycles(series, [CycleAnnotation(0, 10, "typical")],
+                           times=0.1 * np.arange(n))
 
     def test_frame_timed_outside_its_cycle_rejected(self):
         # Without the check the phases reach the spline out of order, and
         # the message would name knot abscissae instead of the frame.
         frames = list(range(0, 21))
         series = {"left_knee": _constant_series("left_knee", frames)}
-        times = {f: 0.1 * f for f in frames}
+        times = 0.1 * np.arange(21)
         times[15] = 5.0
         anns = [CycleAnnotation(0, 10, "typical"),
                 CycleAnnotation(10, 20, "typical")]
         with pytest.raises(ValidationError, match=r"^cycle \[10, 20\]: frame "
-                                                  r"15 lies outside"):
-            segment_cycles(series, anns, frame_times=times)
+                                                  r"16 is timed [0-9.]+ s, not "
+                                                  r"after frame 15 \(5.0 s\)"):
+            segment_cycles(series, anns, times=times)
 
 
 class TestSegmentPhases:
@@ -193,11 +242,12 @@ class TestSegmentPhases:
         series, anns = self._walk()
         rng = np.random.default_rng(32)
         n = anns[-1].end_frame + 1
-        times = dict(enumerate(np.cumsum(rng.uniform(0.01, 0.05, n)).tolist()))
-        slices = segment_cycles(series, anns, frame_times=times)
+        times = np.cumsum(rng.uniform(0.01, 0.05, n))
+        slices = segment_cycles(series, anns, times=times)
+        by_frame = dict(enumerate(times.tolist()))
         for ann, s in zip(anns, slices):
             frames = range(ann.start_frame, ann.end_frame + 1)
-            expected = [reference_phase(ann, f, times) for f in frames]
+            expected = [reference_phase(ann, f, by_frame) for f in frames]
             assert s.phases.tolist() == expected
             assert s.phases.tolist() != [reference_phase(ann, f)
                                          for f in frames]
@@ -205,16 +255,15 @@ class TestSegmentPhases:
     @pytest.mark.parametrize("timed", [False, True])
     def test_each_cycle_is_phased_once(self, timed, monkeypatch):
         series, anns = self._walk()
-        times = {f: 0.04 * f for f in range(anns[-1].end_frame + 1)}
+        times = 0.04 * np.arange(anns[-1].end_frame + 1)
         calls = []
 
-        def counting_phases(ann, frames, frame_times):
+        def counting_phases(ann, frames, times):
             calls.append(ann)
-            return _phases(ann, frames, frame_times)
+            return _phases(ann, frames, times)
 
         monkeypatch.setattr(cycles_module, "_phases", counting_phases)
-        slices = segment_cycles(series, anns,
-                                frame_times=times if timed else None)
+        slices = segment_cycles(series, anns, times=times if timed else None)
         assert calls == anns
         for s in slices:
             assert all(len(a) == len(s.phases) for a in s.angles.values())
@@ -361,10 +410,9 @@ class TestResampleAgainstPerJointFits:
     def test_occluded_walker_jittered_time_phases(self, caplog):
         seq, anns = occluded_walker()
         rng = np.random.default_rng(43)
-        times = dict(zip(seq.frame_index.tolist(), np.cumsum(
-            rng.uniform(0.02, 0.05, len(seq.frame_index))).tolist()))
+        times = np.cumsum(rng.uniform(0.02, 0.05, len(seq.frame_index)))
         slices = segment_cycles(angle_series_set(seq), anns, video_id="v",
-                                frame_times=times)
+                                times=times)
         self._check(slices, caplog)
 
     def test_overshoot_warnings_follow_joint_order(self, caplog):

@@ -275,12 +275,34 @@ class TestFrameStatuses:
     def test_time_phases_pick_grid_point(self):
         # frame 5 is at 50% by index but 25% by time (quadratic timestamps)
         ann = CycleAnnotation(0, 10, "typical")
-        times = {f: 0.1 * f * f for f in range(11)}
+        times = 0.1 * np.arange(11) ** 2
         flags = self._flags(where=[25])
-        status = _status([(ann, flags)], 5, frame_times=times)
-        assert status["left_knee"] == STATUS_ABNORMAL
+        statuses = frame_statuses([(ann, flags)], range(11), 101, times=times)
+        assert statuses[5, JOINT_NAMES.index("left_knee")] == STATUS_ABNORMAL
         status = _status([(ann, flags)], 5)
         assert status["left_knee"] == STATUS_NORMAL
+
+    def test_overlapping_cycles_go_to_the_first_in_order(self):
+        # Whatever the list order, a frame held by several cycles takes
+        # the first in (start, end) order, and of equal cycles the first
+        # listed.
+        knee = JOINT_NAMES.index("left_knee")
+        outer = (CycleAnnotation(0, 60, "typical"),
+                 self._flags(where=[50, 52]))
+        inner = (CycleAnnotation(20, 40, "typical"), self._flags(where=[0]))
+        short = (CycleAnnotation(0, 30, "typical"), self._flags(where=[30]))
+        again = (CycleAnnotation(0, 30, "typical"), self._flags())
+        for pairs in ([outer, inner], [inner, outer]):
+            statuses = frame_statuses(pairs, range(61), 101)
+            assert statuses[20, knee] == STATUS_NORMAL  # outer at 33%
+            assert statuses[30, knee] == STATUS_ABNORMAL  # outer at 50%
+        for pairs, at_9 in (([inner, outer, short, again], STATUS_ABNORMAL),
+                            ([again, inner, short, outer], STATUS_NORMAL)):
+            statuses = frame_statuses(pairs, range(61), 101)
+            assert statuses[9, knee] == at_9  # 30% of [0, 30]
+            assert statuses[30, knee] == STATUS_NORMAL  # 100% of [0, 30]
+            assert statuses[33, knee] == STATUS_NORMAL  # outer at 55%
+            assert statuses[31, knee] == STATUS_ABNORMAL  # outer at 51.7%
 
     def _pairs(self, rng, n, joints=("left_knee",)):
         pairs = []
@@ -293,9 +315,11 @@ class TestFrameStatuses:
         return pairs
 
     def _check(self, pairs, frames, times=None):
-        got = frame_statuses(pairs, frames, 101, frame_times=times)
+        got = frame_statuses(pairs, frames, 101, times=times)
+        # The oracle reads times by frame, as a dict.
+        by_frame = None if times is None else dict(zip(frames, times.tolist()))
         expected = reference_frame_statuses(pairs, frames, 101,
-                                            frame_times=times)
+                                            frame_times=by_frame)
         assert got.shape == (len(frames), len(JOINT_NAMES))
         assert got.dtype == object
         assert got.tolist() == expected
@@ -309,9 +333,9 @@ class TestFrameStatuses:
             self._check(pairs, range(-2, 115))
 
     def test_equals_scalar_reference_on_random_inputs(self):
-        # Shuffled frames with repeats and frames outside every cycle,
-        # adjacent cycles sharing boundaries in shuffled order, joints
-        # without flags, and frame or jittered-time phases.
+        # Sparse frames and frames outside every cycle, adjacent cycles
+        # sharing boundaries in shuffled order, joints without flags, and
+        # frame or jittered-time phases (with every boundary frame timed).
         rng = np.random.default_rng(42)
         joints = list(JOINT_NAMES[:6]) + ["extra"]
         for trial in range(60):
@@ -325,25 +349,78 @@ class TestFrameStatuses:
                      for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())
                      if rng.uniform() < 0.85]
             pairs = [pairs[i] for i in rng.permutation(len(pairs))]
-            frames = rng.integers(0, int(bounds[-1]) + 10, 80).tolist()
+            frames = np.unique(rng.integers(0, int(bounds[-1]) + 10, 80))
             times = None
             if trial % 2:
-                times = dict(enumerate(np.cumsum(rng.uniform(
-                    0.01, 0.05, int(bounds[-1]) + 10)).tolist()))
+                frames = np.union1d(frames, bounds)
+                times = np.cumsum(rng.uniform(
+                    0.01, 0.05, int(bounds[-1]) + 10))[frames]
+            self._check(pairs, frames.tolist(), times)
             self._check(pairs, frames, times)
-            self._check(pairs, np.array(frames), times)
-        self._check([], [3, 1, 2])
+        self._check([], [1, 2, 3])
         self._check(self._pairs(rng, 3), [])
 
     @pytest.mark.parametrize("time_s", [-0.01, 5.0])
     def test_frame_timed_outside_its_cycle_rejected(self, time_s):
+        # Timed before the start or after the end, frame 15 breaks the
+        # strict increase on one side.
         ann = CycleAnnotation(0, 30, "typical")
-        times = {f: f / 30 for f in range(31)}
+        times = np.arange(31) / 30
         times[15] = time_s
-        with pytest.raises(ValidationError, match=r"^cycle \[0, 30\]: frame "
-                                                  r"15 lies outside"):
+        late, early = (16, 15) if time_s > 1 else (15, 14)
+        with pytest.raises(ValidationError, match=rf"^cycle \[0, 30\]: frame "
+                                                  rf"{late} is timed [0-9.-]+ "
+                                                  rf"s, not after frame "
+                                                  rf"{early} \("):
             frame_statuses([(ann, self._flags())], range(31), 101,
-                           frame_times=times)
+                           times=times)
+
+    @pytest.mark.parametrize("frames", [[3, 1, 2], [1, 2, 2, 3], [5, 4]])
+    def test_unsorted_or_repeated_frames_rejected(self, frames):
+        ann = CycleAnnotation(0, 10, "typical")
+        with pytest.raises(ValidationError,
+                           match="^frames must strictly increase$"):
+            frame_statuses([(ann, self._flags())], frames, 101)
+
+    def test_first_failing_cycle_in_order_is_named(self):
+        # As segmentation does, whatever the list order.
+        early, late = CycleAnnotation(0, 30, "typical"), \
+            CycleAnnotation(30, 60, "typical")
+        off_grid = self._flags(grid=51)
+        for pairs in ([(late, off_grid), (early, off_grid)],
+                      [(early, off_grid), (late, off_grid)]):
+            with pytest.raises(ValidationError, match=r"^cycle \[0, 30\]: "):
+                frame_statuses(pairs, range(61), 101)
+        times = np.arange(61) / 30
+        times[[10, 40]] = 5.0  # each cycle's frame 10 out of order
+        for pairs in ([(late, self._flags()), (early, self._flags())],
+                      [(early, self._flags()), (late, self._flags())]):
+            with pytest.raises(ValidationError, match=r"^cycle \[0, 30\]: "
+                                                      r"frame 11 "):
+                frame_statuses(pairs, range(61), 101, times=times)
+
+    @pytest.mark.parametrize("n", [30, 32])
+    def test_times_of_other_length_rejected(self, n):
+        ann = CycleAnnotation(0, 30, "typical")
+        with pytest.raises(ValidationError,
+                           match=rf"^{n} times for 31 frames$"):
+            frame_statuses([(ann, self._flags())], range(31), 101,
+                           times=np.arange(n) / 30)
+
+    def test_cycle_without_frames_needs_no_timestamps(self):
+        # A keypoints file that holds none of a cycle's frames leaves it
+        # unphased; one that holds some of them needs their times.
+        far = (CycleAnnotation(100, 130, "typical"), self._flags())
+        near = (CycleAnnotation(0, 30, "typical"), self._flags())
+        untimed = np.full(31, np.nan)
+        statuses = frame_statuses([far], range(31), 101, times=untimed)
+        assert (statuses == STATUS_UNKNOWN).all()
+        with pytest.raises(ValidationError, match="frame 0 has no timestamp"):
+            frame_statuses([far, near], range(31), 101, times=untimed)
+        with pytest.raises(ValidationError, match="frame 130 has no "
+                                                  "timestamp"):
+            frame_statuses([far], range(100, 129), 101,
+                           times=np.arange(100, 129) / 30)
 
     @pytest.mark.parametrize("grid", [51, 102, 1])
     def test_flags_off_the_grid_rejected(self, grid):
@@ -362,9 +439,9 @@ class TestFrameStatuses:
 
     def test_frame_times_is_keyword_only(self):
         ann = CycleAnnotation(0, 10, "typical")
-        times = {f: 0.1 * f for f in range(11)}
         with pytest.raises(TypeError):
-            frame_statuses([(ann, self._flags())], range(11), 101, times)
+            frame_statuses([(ann, self._flags())], range(11), 101,
+                           0.1 * np.arange(11))
 
 
 class TestConfigAndReport:

@@ -10,6 +10,7 @@ says why.
 
 import argparse
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -219,6 +220,148 @@ STAGE_GOLDEN = {
     },
 }
 
+# Under ``--phase-source time`` on the demo keypoints retimed by
+# ``_timed_keypoints``: command -> file name -> sha256 of its bytes.  The
+# demo's own times are uniform, so there time phases equal frame phases
+# and only the reports' ``phase_source`` field differs; uneven times make
+# every phase, and so every file, depend on the time path.
+TIME_GOLDEN = {
+    "run": {
+        "synthetic-walk.band.left_ankle.svg":
+            "d7ce07d51f0bae74866ef5fd31aabfa167694dd4a6e627867cf136d1b3f9cc03",
+        "synthetic-walk.band.left_ankle.svg.json":
+            "7180d9d2ecf008955b5942b5322ffe1c5f84187ebf7bf3011c42e5f7e7f4f56e",
+        "synthetic-walk.band.left_elbow.svg":
+            "cf96b1ae0201f94105cbaf51426063534f8dfc49aca11d0fabc6151cef4d1585",
+        "synthetic-walk.band.left_elbow.svg.json":
+            "38e1ff609d7bbd7e79af90ea45ef6e3c30012bbfd8d81e3057cc7713eef252bc",
+        "synthetic-walk.band.left_hip.svg":
+            "42359c39e2c029050d22fcb83f1fb7eec96f09aaac0bab5553b7a4eb579da299",
+        "synthetic-walk.band.left_hip.svg.json":
+            "803c3b6068e3029486d01111d1b27bb6431a08ef14c3a42ca980d15897341e7e",
+        "synthetic-walk.band.left_knee.svg":
+            "322da88e728058090ae70d12f50fb4d3c02fd282cb687c372fc5b46abd5e1a92",
+        "synthetic-walk.band.left_knee.svg.json":
+            "2691021c73ce586f712c82e18760523c8239de45f12d697ed505404f19297cc9",
+        "synthetic-walk.band.left_shoulder.svg":
+            "08875a026e0a9b01c16d22de72c5dd2ce2e65c5f0b0a0551f13bca4b35f32e77",
+        "synthetic-walk.band.left_shoulder.svg.json":
+            "da7daacb7d9b901a1465c8eafd1c990154eb93054689e0087f429d3e3e1ca934",
+        "synthetic-walk.band.right_ankle.svg":
+            "e24377501e17d2a8c67819f5462defa3b18ab5fb31edb1b94752e0e2154c4a54",
+        "synthetic-walk.band.right_ankle.svg.json":
+            "e92d32318fd85f6c691d2a3184ef900d12290abeedc2ab4eaec8fcf4776bede2",
+        "synthetic-walk.band.right_elbow.svg":
+            "3b57a8d1a619235898671f1bf8e881f06cf235705c5d18e8c1e446079e71a5b0",
+        "synthetic-walk.band.right_elbow.svg.json":
+            "bc41e0440e915603cdb7ce86775ed341e94c4f98372415f342c2afb9cea62cd4",
+        "synthetic-walk.band.right_hip.svg":
+            "d2bb90ec41103c42a7f67353c00e3282e358cd52fc4ac7bbfd34f24e28061a05",
+        "synthetic-walk.band.right_hip.svg.json":
+            "6e56756fde962130811f6e46df4022a90614681bec98eeb43dc70284276949a7",
+        "synthetic-walk.band.right_knee.svg":
+            "39de407e9f913fbaac08a2ac90f29719e91cb19a3491cc146ff10575fa985103",
+        "synthetic-walk.band.right_knee.svg.json":
+            "be445fe76b82551f7518e78442b4f83ab305cec9ee62f8916517c435d8de0cab",
+        "synthetic-walk.band.right_shoulder.svg":
+            "d4ccaf6e3ac7d1eb6ed75fb450ab23eaf81a66721e8b0f7326a42442cc41ad61",
+        "synthetic-walk.band.right_shoulder.svg.json":
+            "5da91b5a0ead84fa420790a46c429c0ab9a5fcc14599d0e660df9e1861f5af65",
+        "synthetic-walk.c0.heatmap.svg":
+            "51e230c7c412f75f01e739d0268e7d3d7c6c6cd199c0306a3b2f797f84242ae9",
+        "synthetic-walk.c0.heatmap.svg.json":
+            "a537802acb499a5452753b8b4fae22b61829216d4073357c9164ae9e136aded6",
+        "synthetic-walk.c0.multijoint.svg":
+            "7a630b6e2e04cc68daa9f9fe28b558f9f43a09b8d4a45fa156474467ddffe300",
+        "synthetic-walk.c0.multijoint.svg.json":
+            "464358342124a21bf35d56c9539483a2d0bcd3c913302353d3e83596dd184508",
+        "synthetic-walk.c0.report.json":
+            "fa79b7bc40ae37ce609b7e4a2ab1cc17241c1a714eadf6abeb2463d233da4f21",
+        "synthetic-walk.c1.heatmap.svg":
+            "ce17c545605049b6fe1fed381e151df095d73df5193178eac07e75e33269f75c",
+        "synthetic-walk.c1.heatmap.svg.json":
+            "a537802acb499a5452753b8b4fae22b61829216d4073357c9164ae9e136aded6",
+        "synthetic-walk.c1.multijoint.svg":
+            "19db6e70339b0faab8566da1514c1a3f84292125b03008de7392d59ad443ed38",
+        "synthetic-walk.c1.multijoint.svg.json":
+            "7610a77bdbdd12a5c5c5cda80515ee792cb0b2485a0637aecf9d8d6b51eee047",
+        "synthetic-walk.c1.report.json":
+            "47a8b6a5fb125aaf5290fc04c460e5a6c9336b10660ed129a01a7fc9550a35d1",
+        "synthetic-walk.c2.heatmap.svg":
+            "c3797256831488f41350646262adb1c47adefd20476299b4f37220e2a2e6d93e",
+        "synthetic-walk.c2.heatmap.svg.json":
+            "a537802acb499a5452753b8b4fae22b61829216d4073357c9164ae9e136aded6",
+        "synthetic-walk.c2.multijoint.svg":
+            "4185980cb34b9bc8256e8b0899fbf8ba72ec67ddb43a6f158bb56a23f4528f58",
+        "synthetic-walk.c2.multijoint.svg.json":
+            "e3a33248a8db7eb44ab2874e31c1e655f9d8d113fb5b6848f7765ce23977c6b0",
+        "synthetic-walk.c2.report.json":
+            "2adc3239b32045aa23af864b9df3f729889c150744a3d25eb2bff12f26bde7f1",
+        "synthetic-walk.c3.heatmap.svg":
+            "e0125e885001b5e66454ead723d6713797c6a2852b2e3b34ef38f55096c4827f",
+        "synthetic-walk.c3.heatmap.svg.json":
+            "9d8e8d33800d056b60e108beed7bdfe84eb39b1e610dcc3c5d0a28722027687a",
+        "synthetic-walk.c3.multijoint.svg":
+            "964dcf415a36e73a9a862d8af4817c1ee0ae7a667255704549dcb106fffd3da9",
+        "synthetic-walk.c3.multijoint.svg.json":
+            "5fd428ad47c6fe9cb27f201b5c006c3fadb0b306de9c85fe3566c3fe1e8d4d65",
+        "synthetic-walk.c3.report.json":
+            "af38de48a7b450086bff2d04b0a415e868e14eb2fd27a9aae717095a4bdc85c9",
+        "synthetic-walk.model.json":
+            "6292c9582887ee6ebb44344cc2c48d77eda54ef45d62d36ea48208f6c270be3a",
+        "synthetic-walk.overlays.json":
+            "a0b50a873d92e4af101a8211d8b7860be1aa26a012a48b4ccd5b846d52ccd0d2",
+    },
+    "figures": {
+        "synthetic-walk.band.left_ankle.svg":
+            "d7ce07d51f0bae74866ef5fd31aabfa167694dd4a6e627867cf136d1b3f9cc03",
+        "synthetic-walk.band.left_ankle.svg.json":
+            "7180d9d2ecf008955b5942b5322ffe1c5f84187ebf7bf3011c42e5f7e7f4f56e",
+        "synthetic-walk.band.left_elbow.svg":
+            "cf96b1ae0201f94105cbaf51426063534f8dfc49aca11d0fabc6151cef4d1585",
+        "synthetic-walk.band.left_elbow.svg.json":
+            "38e1ff609d7bbd7e79af90ea45ef6e3c30012bbfd8d81e3057cc7713eef252bc",
+        "synthetic-walk.band.left_hip.svg":
+            "42359c39e2c029050d22fcb83f1fb7eec96f09aaac0bab5553b7a4eb579da299",
+        "synthetic-walk.band.left_hip.svg.json":
+            "803c3b6068e3029486d01111d1b27bb6431a08ef14c3a42ca980d15897341e7e",
+        "synthetic-walk.band.left_knee.svg":
+            "322da88e728058090ae70d12f50fb4d3c02fd282cb687c372fc5b46abd5e1a92",
+        "synthetic-walk.band.left_knee.svg.json":
+            "2691021c73ce586f712c82e18760523c8239de45f12d697ed505404f19297cc9",
+        "synthetic-walk.band.left_shoulder.svg":
+            "08875a026e0a9b01c16d22de72c5dd2ce2e65c5f0b0a0551f13bca4b35f32e77",
+        "synthetic-walk.band.left_shoulder.svg.json":
+            "da7daacb7d9b901a1465c8eafd1c990154eb93054689e0087f429d3e3e1ca934",
+        "synthetic-walk.band.right_ankle.svg":
+            "e24377501e17d2a8c67819f5462defa3b18ab5fb31edb1b94752e0e2154c4a54",
+        "synthetic-walk.band.right_ankle.svg.json":
+            "e92d32318fd85f6c691d2a3184ef900d12290abeedc2ab4eaec8fcf4776bede2",
+        "synthetic-walk.band.right_elbow.svg":
+            "3b57a8d1a619235898671f1bf8e881f06cf235705c5d18e8c1e446079e71a5b0",
+        "synthetic-walk.band.right_elbow.svg.json":
+            "bc41e0440e915603cdb7ce86775ed341e94c4f98372415f342c2afb9cea62cd4",
+        "synthetic-walk.band.right_hip.svg":
+            "d2bb90ec41103c42a7f67353c00e3282e358cd52fc4ac7bbfd34f24e28061a05",
+        "synthetic-walk.band.right_hip.svg.json":
+            "6e56756fde962130811f6e46df4022a90614681bec98eeb43dc70284276949a7",
+        "synthetic-walk.band.right_knee.svg":
+            "39de407e9f913fbaac08a2ac90f29719e91cb19a3491cc146ff10575fa985103",
+        "synthetic-walk.band.right_knee.svg.json":
+            "be445fe76b82551f7518e78442b4f83ab305cec9ee62f8916517c435d8de0cab",
+        "synthetic-walk.band.right_shoulder.svg":
+            "d4ccaf6e3ac7d1eb6ed75fb450ab23eaf81a66721e8b0f7326a42442cc41ad61",
+        "synthetic-walk.band.right_shoulder.svg.json":
+            "5da91b5a0ead84fa420790a46c429c0ab9a5fcc14599d0e660df9e1861f5af65",
+        "synthetic-walk.heatmap.svg":
+            "ce17c545605049b6fe1fed381e151df095d73df5193178eac07e75e33269f75c",
+        "synthetic-walk.heatmap.svg.json":
+            "a537802acb499a5452753b8b4fae22b61829216d4073357c9164ae9e136aded6",
+        "synthetic-walk.overlays.json":
+            "3673389f6d7356121693202ef8c8c5833ca1210ca9ad05750c77a2b60e353b59",
+    },
+}
+
 # Subcommand -> flag -> (dest, default, type, choices, required, action).
 _CONFIG = ("config", None, None, None, False, "store")
 _DETECTION = {
@@ -329,6 +472,39 @@ def test_run_outputs_match_golden_hashes(tmp_path):
     assert sorted(written) == sorted(expected)
     changed = sorted(n for n in expected if written[n] != expected[n])
     assert not changed, f"output bytes changed: {changed}"
+
+
+def _timed_keypoints(path: Path) -> str:
+    """The demo keypoints with frame f timed at (30 f + f² mod 7) / 900 s:
+    uneven, strictly increasing, and exact from integers."""
+    lines = []
+    for line in Path(KEYPOINTS).read_text().splitlines():
+        record = json.loads(line)
+        f = record["frame"]
+        record["time_s"] = (30 * f + f * f % 7) / 900
+        lines.append(json.dumps(record))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_time_phase_outputs_match_golden_hashes(tmp_path):
+    # ``run`` under time phases, then ``figures --keypoints`` on cycle 1's
+    # report, whose overlay maps statuses by the report's time phases.
+    keypoints = _timed_keypoints(tmp_path / "timed.keypoints.jsonl")
+    dirs = {name: tmp_path / name for name in TIME_GOLDEN}
+    assert main(["run", "--keypoints", keypoints, "--annotations", ANNOTATIONS,
+                 "--out-dir", str(dirs["run"]),
+                 "--phase-source", "time"]) == 0
+    assert main(["figures",
+                 "--model", str(dirs["run"] / f"{VIDEO_ID}.model.json"),
+                 "--report", str(dirs["run"] / f"{VIDEO_ID}.c1.report.json"),
+                 "--keypoints", keypoints,
+                 "--out-dir", str(dirs["figures"])]) == 0
+    for name, expected in TIME_GOLDEN.items():
+        written = _digests(dirs[name])
+        assert sorted(written) == sorted(expected), name
+        changed = sorted(n for n in expected if written[n] != expected[n])
+        assert not changed, f"{name}: output bytes changed: {changed}"
 
 
 @pytest.fixture(scope="module")

@@ -162,7 +162,7 @@ class TestAnnotations:
             parse_annotation_document(doc)
 
     def test_end_frame_past_int64_rejected(self):
-        # frame_statuses holds cycle bounds in int64 arrays, as the
+        # a cycle's cut searches its bounds in int64 frame arrays, as the
         # keypoint parser holds frame indices
         CycleAnnotation(0, 2 ** 63 - 1, "typical")
         with pytest.raises(ValidationError, match="below 2"):
